@@ -2,9 +2,14 @@
 
 The kernel of multiplicity k is K(t_1, ..., t_k) = prod psi_l(t_l) on the
 simplex t_1 < ... < t_k and zero elsewhere (ties included).  Coefficients
-are iterated integrals computed with running primitives over a shared
-panel grid, cached per (level, index) so a dense p_1 x ... x p_k tensor
-costs O(prod p_l * nodes) integrand evaluations instead of O(nodes^k).
+are iterated integrals over one shared panel grid.  The tensor is built
+level by level on the grid nodes: level l multiplies the running
+primitives of all index prefixes (prod_{q<l} (p_q + 1) rows) by the table of
+factor x basis x weight values for its p_l + 1 indices, and integrates
+every row at once with the spectral integration matrix of
+quadrature.PanelGrid (Greengard, SIAM J. Numer. Anal. 28, 1991).  The last
+level is one matrix product with the quadrature weights, so a dense tensor
+costs O(prod p_l * nodes) work and never leaves the grid nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import quadrature
 from .basis import Interval, OrthonormalSystem
 from .errors import SizeError
-from .quadrature import PanelGrid, Primitive, QuadratureSpec
+from .quadrature import PanelGrid, QuadratureSpec
 
 __all__ = [
     "Factor",
@@ -28,7 +33,6 @@ __all__ = [
     "unit_kernel",
     "CoeffTensor",
     "ParsevalReport",
-    "kernel_eval",
     "coeff",
     "coeff_tensor",
     "kernel_norm_sq",
@@ -119,10 +123,6 @@ class Kernel:
         return float(np.prod([f(p, self.interval.start) for f, p in zip(self.factors, points)]))
 
 
-def kernel_eval(kernel: Kernel, *points: float) -> float:
-    return kernel.eval(*points)
-
-
 def unit_kernel(multiplicity: int, interval: Interval) -> Kernel:
     """Kernel with psi_l == 1, the workhorse of the closed-form examples."""
     return Kernel(tuple(Factor("const", 1.0) for _ in range(multiplicity)), interval)
@@ -169,16 +169,13 @@ def _check_box(box) -> tuple[int, ...]:
     return box
 
 
-def _level_factor(kernel: Kernel, system: OrthonormalSystem, level: int, j: int,
-                  weighted: bool, inner=None):
-    """Integrand of one nesting level as a plain callable (for off-grid points)."""
+def _level_factor(kernel: Kernel, system: OrthonormalSystem, level: int, j: int, weighted: bool):
+    """Integrand of one nesting level for a single basis index, as a plain callable."""
 
     def f(x):
         v = kernel.factor_values(level, x) * system.eval(j, x)
         if weighted:
             v = v * system.weight(x)
-        if inner is not None:
-            v = v * inner.at(x)
         return v
 
     return f
@@ -186,45 +183,22 @@ def _level_factor(kernel: Kernel, system: OrthonormalSystem, level: int, j: int,
 
 def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box, weighted: bool,
                     grid: PanelGrid) -> np.ndarray:
-    k = kernel.multiplicity
-    j_max = max(box)
-    xn = grid.nodes.ravel()
-    xs = grid.subnodes.ravel()
-    phi_n = system.eval_table(j_max, xn)
-    phi_s = system.eval_table(j_max, xs)
-    base_n, base_s = [], []
-    for level in range(k):
-        bn = kernel.factor_values(level, xn)
-        bs = kernel.factor_values(level, xs)
-        if weighted:
-            bn = bn * system.weight(xn)
-            bs = bs * system.weight(xs)
-        base_n.append(bn)
-        base_s.append(bs)
-    nshape = grid.nodes.shape
-    sshape = grid.subnodes.shape
-    out = np.empty(tuple(p + 1 for p in box))
-
-    def recurse(level: int, inner: Primitive | None, inner_sub, prefix: tuple):
-        last = level == k - 1
-        for j in range(box[level] + 1):
-            fn = base_n[level] * phi_n[j]
-            if inner is not None:
-                fn = fn * inner.node_values.ravel()
-            if last:
-                out[prefix + (j,)] = grid.integrate_values(fn.reshape(nshape))
-                continue
-            fs = base_s[level] * phi_s[j]
-            if inner_sub is not None:
-                fs = fs * inner_sub
-            prim = Primitive(grid, _level_factor(kernel, system, level, j, weighted, inner),
-                             node_vals=fn.reshape(nshape), sub_vals=fs.reshape(sshape))
-            # the next level needs subnode values only if yet another level follows
-            sub = prim.at(xs) if level < k - 2 else None
-            recurse(level + 1, prim, sub, prefix + (j,))
-
-    recurse(0, None, None, ())
-    return out
+    x = grid.nodes.ravel()
+    phi = system.eval_table(max(box), x)
+    if weighted:
+        phi = phi * system.weight(x)
+    # prim[J, :] is the level primitive for index prefix J on the nodes
+    prim = np.ones((1, x.size))
+    for level, p in enumerate(box[:-1]):
+        entries = prim.shape[0] * (p + 1) * x.size
+        if entries > MEMORY_BUDGET:
+            raise SizeError(f"level {level} of the tensor would hold {entries} node values, "
+                            f"over the budget {MEMORY_BUDGET}")
+        table = kernel.factor_values(level, x) * phi[:p + 1]
+        integrand = (prim[:, None, :] * table[None]).reshape((-1,) + grid.nodes.shape)
+        prim = grid.primitive_node_values(integrand).reshape(-1, x.size)
+    top = kernel.factor_values(len(box) - 1, x) * phi[:box[-1] + 1] * grid.weights.ravel()
+    return (prim @ top.T).reshape(tuple(p + 1 for p in box))
 
 
 def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box, weighted: bool = False,

@@ -2,13 +2,18 @@
 
 All integrals in the package go through this module.  Panels are split at
 every breakpoint of the integrand (Haar/Walsh jumps), which makes piecewise
-polynomial integrands exact.  Nested simplex integrals are built from
-running primitives F(x) = int_a^x f, evaluated either on the grid nodes
-(cached, cheap) or at arbitrary points (fresh sub-quadrature).
+polynomial integrands exact.  Nested simplex integrals chain running
+primitives F(x) = int_a^x f on the grid's own nodes: on every panel of order
+g the primitive at the panel nodes is one fixed g x g spectral integration
+matrix applied to the integrand samples, plus an exclusive prefix sum of the
+earlier panels (Greengard, "Spectral integration and two-point boundary value
+problems", SIAM J. Numer. Anal. 28, 1991).  Primitive.__call__ evaluates a
+primitive at arbitrary points for callers outside the package.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +59,46 @@ def _panel_edges(a: float, b: float, breakpoints, min_panels: int) -> np.ndarray
     return np.asarray(edges)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_rule(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1] and the spectral integration matrix.
+
+    S[i, j] is the weight of f(u_j) in int_0^{u_i} f: S = A V^-1 with the
+    Legendre Vandermonde matrix V[i, n] = P_n(x_i) and A[i, n] = int_{-1}^{x_i} P_n
+    = (P_{n+1} - P_{n-1})(x_i) / (2n + 1), halved for the map [-1, 1] -> [0, 1].
+    Discrete orthogonality gives V^-1 = diag((2n + 1) / 2) V^T diag(w).
+    Exact for polynomials of degree < order (Greengard, SIAM J. Numer. Anal. 28, 1991).
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    n = np.arange(order)
+    legendre_vals = np.polynomial.legendre.legvander(x, order)  # P_0 .. P_order at x
+    antideriv = np.empty((order, order))
+    antideriv[:, 0] = x + 1.0
+    antideriv[:, 1:] = (legendre_vals[:, 2:] - legendre_vals[:, :-2]) / (2 * n[1:] + 1)
+    v_inv = ((2 * n + 1) / 2.0)[:, None] * legendre_vals[:, :order].T * w[None, :]
+    rule = ((x + 1.0) / 2.0, w / 2.0, antideriv @ v_inv / 2.0)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every grid of this order
+    return rule
+
+
 class PanelGrid:
     """Fixed-order Gauss-Legendre nodes on a set of panels.
 
-    Exposes plain integration over [a, b] and the machinery for running
-    primitives: for each node x the partial integral over [panel_start, x]
-    is computed with a scaled copy of the reference rule ("subnodes").
+    Exposes plain integration over [a, b] and running primitives on the
+    grid's own nodes: within each panel the partial integral up to every
+    node is one product with the spectral integration matrix of the order,
+    and whole panels before it enter through an exclusive prefix sum.
     """
 
     def __init__(self, edges: np.ndarray, order: int):
         self.edges = np.asarray(edges, dtype=float)
         self.order = order
-        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-        self._ref_u = (ref_x + 1.0) / 2.0  # reference nodes on [0, 1]
-        self._ref_w = ref_w / 2.0
+        self._ref_u, self._ref_w, self._spectral = _reference_rule(order)
         a = self.edges[:-1][:, None]
         b = self.edges[1:][:, None]
         self.nodes = a + (b - a) * self._ref_u[None, :]  # (M, g)
         self.weights = (b - a) * self._ref_w[None, :]
-        # subnodes[m, i, r]: rule on [edge_m, node_{m,i}]
-        span = self.nodes - a  # (M, g)
-        self.subnodes = a[:, :, None] + span[:, :, None] * self._ref_u[None, None, :]
-        self.subweights = span[:, :, None] * self._ref_w[None, None, :]
 
     @property
     def n_panels(self) -> int:
@@ -93,34 +116,35 @@ class PanelGrid:
     def integrate_values(self, node_vals: np.ndarray) -> float:
         return float(np.sum(self.weights * node_vals))
 
-    def primitive_node_values(self, node_vals, sub_vals) -> np.ndarray:
-        """Values of F(x) = int_{a}^{x} f at every grid node, from f samples."""
-        panel_ints = np.sum(self.weights * node_vals, axis=1)
-        prefix = np.concatenate([[0.0], np.cumsum(panel_ints)])[:-1]
-        partial = np.sum(self.subweights * sub_vals, axis=2)
-        return prefix[:, None] + partial
+    def _panel_starts(self, node_vals: np.ndarray) -> np.ndarray:
+        """int_a^{edge_m} f for m = 0..M from f samples of shape (..., M, g)."""
+        panel_ints = np.sum(self.weights * node_vals, axis=-1)
+        starts = np.zeros(panel_ints.shape[:-1] + (self.n_panels + 1,))
+        np.cumsum(panel_ints, axis=-1, out=starts[..., 1:])
+        return starts
+
+    def primitive_node_values(self, node_vals: np.ndarray) -> np.ndarray:
+        """Values of F(x) = int_a^x f at every grid node from f samples of shape
+        (..., M, g); leading axes are independent integrands."""
+        span = (self.edges[1:] - self.edges[:-1])[:, None]
+        partial = (node_vals @ self._spectral.T) * span
+        return self._panel_starts(node_vals)[..., :-1, None] + partial
 
 
 class Primitive:
     """Running primitive F(x) = int over [grid start, x] of an integrand.
 
-    Node values are cached; arbitrary-point evaluation re-integrates the
-    tail panel with a fresh scaled rule (needed by nested levels).
+    node_values holds F on the grid nodes (spectral integration); calling
+    the primitive evaluates F at arbitrary points by integrating the tail
+    panel with a scaled copy of the reference rule.
     """
 
-    def __init__(self, grid: PanelGrid, f, node_vals=None, sub_vals=None):
+    def __init__(self, grid: PanelGrid, f):
         self.grid = grid
         self.f = f
-        if node_vals is None:
-            node_vals = grid.eval_on_nodes(f)
-        if sub_vals is None:
-            sub_vals = f(grid.subnodes.ravel()).reshape(grid.subnodes.shape)
-        panel_ints = np.sum(grid.weights * node_vals, axis=1)
-        self._prefix = np.concatenate([[0.0], np.cumsum(panel_ints)])
-        self.node_values = grid.primitive_node_values(node_vals, sub_vals)
-
-    def at(self, x) -> np.ndarray:
-        return self(x)
+        node_vals = grid.eval_on_nodes(f)
+        self._prefix = grid._panel_starts(node_vals)
+        self.node_values = grid.primitive_node_values(node_vals)
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -173,27 +197,15 @@ def integrate(f, a: float, b: float, breakpoints=(), spec: QuadratureSpec = DEFA
 def nested_simplex_integral(factors, a: float, b: float, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC):
     """Iterated integral of factors f_1..f_k over the simplex a < t_1 < ... < t_k < b.
 
-    Computes int_a^b f_k(s) int_a^s f_{k-1}(u) ... ds via chained running
-    primitives.  Returns (value, error_estimate).
+    Computes int_a^b f_k(s) int_a^s f_{k-1}(u) ... ds by chaining running
+    primitives on the grid nodes.  Returns (value, error_estimate).
     """
 
     def value_on(grid: PanelGrid) -> float:
-        inner = None
+        inner = 1.0
         for f in factors[:-1]:
-            if inner is None:
-                integrand = f
-            else:
-                integrand = _product(f, inner)
-            inner = Primitive(grid, integrand)
-        top = factors[-1]
-        node_vals = grid.eval_on_nodes(top)
-        if inner is not None:
-            node_vals = node_vals * inner.node_values
-        return grid.integrate_values(node_vals)
+            inner = grid.primitive_node_values(grid.eval_on_nodes(f) * inner)
+        return grid.integrate_values(grid.eval_on_nodes(factors[-1]) * inner)
 
     value, err, _ = adaptive(value_on, a, b, breakpoints, spec)
     return float(value), err
-
-
-def _product(f, g):
-    return lambda x: f(x) * g(x)

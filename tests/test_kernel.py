@@ -54,12 +54,52 @@ def test_double_integral_closed_form():
     assert np.max(np.abs(tensor.values[mask])) < 1e-10
 
 
-def test_tensor_matches_single_coeff():
-    sys = basis.trigonometric(IV)
-    k = unit_kernel(2, IV)
-    tensor = coeff_tensor(k, sys, (3, 3))
-    for idx in ((0, 0), (1, 2), (3, 1)):
-        assert tensor.values[idx] == pytest.approx(coeff(k, sys, idx), abs=1e-10)
+@pytest.mark.parametrize("sys, box, idxs, weighted", [
+    pytest.param(basis.trigonometric(IV), (3, 3), ((0, 0), (1, 2), (3, 1)), False,
+                 id="trigonometric_k2"),
+    pytest.param(basis.haar(IV), (3, 3, 3), ((0, 0, 0), (1, 2, 3), (3, 1, 2)), False,
+                 id="haar_k3"),
+    pytest.param(basis.bessel_weighted(1.0), (3, 3), ((0, 0), (1, 2), (3, 1)), True,
+                 id="bessel_weighted_k2"),
+])
+def test_tensor_matches_single_coeff(sys, box, idxs, weighted):
+    k = unit_kernel(len(box), IV)
+    tensor = coeff_tensor(k, sys, box, weighted=weighted)
+    for idx in idxs:
+        assert tensor.values[idx] == pytest.approx(coeff(k, sys, idx, weighted=weighted), abs=1e-10)
+
+
+def _legendre_simplex_coeff(idx, iv):
+    """Unit-kernel Legendre coefficient from exact polynomial antiderivatives."""
+    leg = np.polynomial.legendre
+    inner = np.array([1.0])
+    for j in idx:
+        inner = leg.legint(leg.legmul(inner, [0.0] * j + [1.0]), lbnd=-1)
+    scale = math.prod(math.sqrt((2 * j + 1) / iv.length) for j in idx)
+    return scale * (iv.length / 2.0) ** len(idx) * leg.legval(1.0, inner)
+
+
+@pytest.mark.parametrize("k, p", [(3, 5), (4, 3)])
+def test_legendre_tensor_matches_polynomial_antiderivatives(k, p):
+    iv = Interval(0.3, 1.7)
+    tensor = coeff_tensor(unit_kernel(k, iv), basis.legendre(iv), (p,) * k)
+    expected = np.zeros(tensor.values.shape)
+    for idx in np.ndindex(*expected.shape):
+        expected[idx] = _legendre_simplex_coeff(idx, iv)
+    assert np.max(np.abs(tensor.values - expected)) <= 1e-13
+
+
+def test_coefficients_stay_on_grid_nodes(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("primitive evaluated off the grid nodes")
+
+    monkeypatch.setattr(quadrature.Primitive, "__call__", refuse)
+    coeff_tensor(unit_kernel(3, IV), basis.haar(IV), (3, 3, 3))
+    coeff_tensor(unit_kernel(4, IV), basis.legendre(IV), (2, 2, 2, 2))
+    assert coeff(unit_kernel(3, IV), basis.legendre(IV), (0, 0, 0)) == pytest.approx(1.0 / 6.0)
+    k = Kernel((Factor("pow", 1.0), Factor("sqrt_shift"), Factor("const", 2.0)), IV)
+    assert kernel_norm_sq(k, method="quadrature") == pytest.approx(
+        kernel_norm_sq(k, method="analytic"), rel=1e-9)
 
 
 def test_triple_integral_constant_term():
@@ -123,6 +163,13 @@ class TestNormAndParseval:
 def test_memory_budget_guard():
     with pytest.raises(SizeError):
         coeff_tensor(unit_kernel(3, IV), basis.legendre(IV), (999, 999, 999))
+
+
+def test_intermediate_memory_guard():
+    # the 512 x 512 x 1 output fits the budget, but level 1 would hold
+    # 512 * 512 running primitives on at least 128 nodes each
+    with pytest.raises(SizeError, match="level 1"):
+        coeff_tensor(unit_kernel(3, IV), basis.legendre(IV), (511, 511, 0))
 
 
 def test_weighted_requires_weighted_system():
