@@ -171,7 +171,7 @@ def cmd_converge(args) -> int:
         driver=driver,
         n_steps=int(doc.get("n_steps", 1024)),
         trials=int(doc.get("trials", 1000)),
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
         correction=doc.get("correction", "auto"),
         weighted=bool(doc.get("weighted", False)),
         richardson=bool(doc.get("richardson", False)))

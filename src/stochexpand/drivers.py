@@ -43,32 +43,62 @@ JUMP_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class Partition:
+    """Nodes tau_0 < ... < tau_N spanning the interval.
+
+    The step lengths and left nodes are computed once and are read-only;
+    step variances of Gaussian martingales are memoized per density."""
+
     interval: Interval
     nodes: np.ndarray
+    deltas: np.ndarray = field(init=False, repr=False, compare=False)
+    left_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _variances: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes[0] != self.interval.start or nodes[-1] != self.interval.end:
             raise ValueError("partition must span the interval")
-        if np.any(np.diff(nodes) <= 0):
+        deltas = np.diff(nodes)
+        if np.any(deltas <= 0):
             raise ValueError("partition nodes must be strictly increasing")
+        deltas.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "left_nodes", nodes[:-1])
 
     @property
     def n_steps(self) -> int:
         return len(self.nodes) - 1
 
     @property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
     def max_delta(self) -> float:
         return float(np.max(self.deltas))
 
-    @property
-    def left_nodes(self) -> np.ndarray:
-        return self.nodes[:-1]
+    def step_variances(self, rho) -> np.ndarray:
+        """int rho over every step (32-node Gauss-Legendre per step).
+
+        Memoized per rho object, so rho is evaluated in one call per
+        partition; a density must not change after its first use here."""
+        hit = self._variances.get(id(rho))
+        if hit is not None and hit[0] is rho:
+            return hit[1]
+        density = _as_callable(rho)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(32)
+        a = self.left_nodes[:, None]
+        b = self.nodes[1:][:, None]
+        pts = a + (b - a) * (ref_x[None, :] + 1.0) / 2.0
+        vals = density(pts.ravel()).reshape(pts.shape)
+        if np.any(vals < 0):
+            raise ValueError("variance density rho is negative on the interval")
+        if np.all(vals == vals.flat[0]):
+            # constant density integrates exactly; keeps rho == 1 bitwise equal
+            # to the plain Wiener step variances
+            variances = self.deltas * vals.flat[0]
+        else:
+            variances = np.sum((b - a) / 2.0 * ref_w[None, :] * vals, axis=1)
+        variances.flags.writeable = False
+        self._variances[id(rho)] = (rho, variances)  # holding rho keeps its id unique
+        return variances
 
 
 def make_partition(interval: Interval, n: int, scheme: str = "uniform") -> Partition:
@@ -135,28 +165,12 @@ def sample_wiener(partition: Partition, m: int, seed) -> WienerPath:
     return WienerPath(partition, m, inc)
 
 
-def _step_variances(partition: Partition, rho) -> np.ndarray:
-    """Exact int rho over every subinterval (32-node Gauss-Legendre per step)."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(32)
-    a = partition.nodes[:-1][:, None]
-    b = partition.nodes[1:][:, None]
-    pts = a + (b - a) * (ref_x[None, :] + 1.0) / 2.0
-    vals = rho(pts.ravel()).reshape(pts.shape)
-    if np.any(vals < 0):
-        raise ValueError("variance density rho is negative on the interval")
-    if np.all(vals == vals.flat[0]):
-        # constant density integrates exactly; keeps rho == 1 bitwise equal
-        # to the plain Wiener step variances
-        return partition.deltas * vals.flat[0]
-    return np.sum((b - a) / 2.0 * ref_w[None, :] * vals, axis=1)
-
-
 def sample_gaussian_martingale(partition: Partition, m: int, rho, seed) -> GaussianMartingalePath:
     """Gaussian martingale with E[(M_s - M_t)^2] = int_t^s rho; rho == 1 reproduces
     sample_wiener exactly (same seed, same increments)."""
     if m < 1:
         raise ValueError("need at least one stochastic component")
-    variances = _step_variances(partition, _as_callable(rho))
+    variances = partition.step_variances(rho)
     inc = _gaussian_increments(partition, m, seed, variances)
     return GaussianMartingalePath(partition, m, inc, variances)
 

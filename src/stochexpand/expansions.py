@@ -16,6 +16,7 @@ with one of three diagonal-correction modes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "zeta_from_path",
     "xi_from_path",
     "pi_from_realization",
+    "gaussian_variables",
     "wiener_variables",
     "martingale_variables",
     "poisson_variables",
@@ -48,6 +50,8 @@ class BasisVariables:
     For Gaussian drivers the table is keyed by (component, j) and has shape
     (m + 1, p_max + 1); for Poisson drivers it is keyed by (slot, j) with
     shape (k, p_max + 1) because every slot carries its own mark factor.
+    Leading axes, if any, index independent trials (one expand call then
+    evaluates all of them).
     """
 
     kind: str  # "wiener" | "martingale" | "poisson"
@@ -61,38 +65,41 @@ class BasisVariables:
 
     @property
     def p_max(self) -> int:
-        return self.table.shape[1] - 1
+        return self.table.shape[-1] - 1
 
     def slot_vector(self, slot: int, component: int, p: int) -> np.ndarray:
-        if self.by_slot:
-            return self.table[slot, : p + 1]
-        return self.table[component, : p + 1]
+        return self.table[..., slot if self.by_slot else component, : p + 1]
 
 
-def _left_projection(path, system: OrthonormalSystem, j: int, i: int) -> float:
-    phi = system.eval(j, path.partition.left_nodes)
-    return float(np.dot(phi, path.increment(i)))
+def zeta_from_path(path: WienerPath | GaussianMartingalePath, system: OrthonormalSystem,
+                   j: int, i: int) -> float:
+    """Left-point discretization of int phi_j dw^(i) (or of int phi_j dM^(i),
+    xi_j^(i), on a Gaussian-martingale path); i = 0 integrates against dt."""
+    return float(np.dot(system.eval(j, path.partition.left_nodes), path.increment(i)))
 
 
-def zeta_from_path(path: WienerPath, system: OrthonormalSystem, j: int, i: int) -> float:
-    """Left-point discretization of int phi_j dw^(i); i = 0 integrates against dt."""
-    return _left_projection(path, system, j, i)
+xi_from_path = zeta_from_path
 
 
-def xi_from_path(path: GaussianMartingalePath, system: OrthonormalSystem, j: int, i: int) -> float:
-    """Left-point discretization of int phi_j dM^(i)."""
-    return _left_projection(path, system, j, i)
+def gaussian_variables(kind: str, increments: np.ndarray, phi: np.ndarray) -> BasisVariables:
+    """Component-keyed table sum_l phi_j(tau_l) Delta D^(i)_l.
+
+    increments has shape (..., m + 1, N) and phi (p_max + 1, N) holds the
+    basis on the partition's left nodes; leading axes are multiplied slice
+    by slice, so a trial's table does not depend on what it is batched with."""
+    return BasisVariables(kind, increments @ phi.T, by_slot=False)
 
 
-def wiener_variables(path: WienerPath, system: OrthonormalSystem, p_max: int) -> BasisVariables:
-    phi = system.eval_table(p_max, path.partition.left_nodes)
-    return BasisVariables("wiener", path.increments @ phi.T, by_slot=False)
+def wiener_variables(path: WienerPath | GaussianMartingalePath, system: OrthonormalSystem,
+                     p_max: int) -> BasisVariables:
+    """Basis variables zeta_j^(i) of a Wiener path, or xi_j^(i) of a
+    Gaussian-martingale path, for j = 0..p_max."""
+    kind = "martingale" if isinstance(path, GaussianMartingalePath) else "wiener"
+    return gaussian_variables(kind, path.increments,
+                              system.eval_table(p_max, path.partition.left_nodes))
 
 
-def martingale_variables(path: GaussianMartingalePath, system: OrthonormalSystem,
-                         p_max: int) -> BasisVariables:
-    phi = system.eval_table(p_max, path.partition.left_nodes)
-    return BasisVariables("martingale", path.increments @ phi.T, by_slot=False)
+martingale_variables = wiener_variables
 
 
 def _basis_time_integrals(system: OrthonormalSystem, p_max: int) -> np.ndarray:
@@ -158,17 +165,21 @@ def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem
     return BasisVariables("poisson", table, by_slot=True, combo=combo)
 
 
+CORRECTIONS = ("explicit_k_le_4", "pairing_general", "prelimit")
+
+
 @dataclass(frozen=True)
 class ExpansionSample:
-    value: float
+    value: float  # or an array over the variables' leading trial axes
     box: tuple[int, ...]
     combo: tuple[int, ...]
     correction: str
 
 
-def _pairings(k: int):
-    """All ways to split slots 0..k-1 into singletons and disjoint pairs."""
-    slots = tuple(range(k))
+@functools.lru_cache(maxsize=None)
+def _pairings(combo: tuple[int, ...]) -> tuple:
+    """The ways to split the slots into singletons and disjoint pairs whose
+    pairs have equal nonzero components (the others contribute nothing)."""
 
     def rec(remaining):
         if not remaining:
@@ -176,106 +187,81 @@ def _pairings(k: int):
             return
         first, rest = remaining[0], remaining[1:]
         # first stays a singleton
-        for tail in rec(rest):
-            yield tail
+        yield from rec(rest)
         for other in rest:
-            reduced = tuple(s for s in rest if s != other)
-            for tail in rec(reduced):
-                yield ((first, other),) + tail
+            if combo[first] == combo[other] != 0:
+                reduced = tuple(s for s in rest if s != other)
+                for tail in rec(reduced):
+                    yield ((first, other),) + tail
 
-    return list(rec(slots))
+    return tuple(rec(tuple(range(len(combo)))))
 
 
-def pairing_bracket(values: np.ndarray, vectors, combo) -> float:
+def _contract(values: np.ndarray, vectors, pairs=()) -> np.ndarray:
+    """sum_J values[J] prod_g vectors[g][j_g] over the slots g in no pair,
+    with each pair (a, b) tied (j_a = j_b over the common extent).
+
+    vectors[g] may carry leading trial axes (the same for every slot).  The
+    tensor is traced over the pairs, then contracted with one slot vector
+    at a time by a stacked matmul, so every trial runs the same operations
+    whatever it is batched with."""
+    arr = values
+    slots = list(range(values.ndim))
+    for a, b in pairs:
+        ia, ib = slots.index(a), slots.index(b)
+        n = min(arr.shape[ia], arr.shape[ib])
+        trim = [slice(None)] * arr.ndim
+        trim[ia] = trim[ib] = slice(0, n)
+        arr = np.trace(arr[tuple(trim)], axis1=ia, axis2=ib)
+        slots = [g for g in slots if g not in (a, b)]
+    lead = 0  # trial axes at the front of arr
+    for g in reversed(slots):
+        vec = vectors[g]
+        rest = arr.shape[lead:-1]
+        arr = arr.reshape((*arr.shape[:lead], -1, arr.shape[-1])) @ vec[..., :, None]
+        arr = arr.reshape((*vec.shape[:-1], *rest))
+        lead = vec.ndim - 1
+    return arr
+
+
+def _scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def pairing_bracket(values: np.ndarray, vectors, combo):
     """sum_J C[J] * (prod zeta - pair corrections) via the pairing expansion.
 
     vectors[g] is the basis-variable vector for slot g; pairs (a, b)
-    contribute a factor -1{i_a = i_b != 0} (with j_a = j_b contracted)."""
-    k = values.ndim
+    contribute a factor -1{i_a = i_b != 0} (with j_a = j_b contracted).
+    Returns a float, or an array over the vectors' leading axes."""
     total = 0.0
-    letters = "abcdefgh"[:k]
-    for pairing in _pairings(k):
-        pairs = pairing
-        sign = (-1.0) ** len(pairs)
-        if any(combo[a] != combo[b] or combo[a] == 0 for a, b in pairs):
-            continue
-        paired_slots = {s for p in pairs for s in p}
-        subs = list(letters)
-        for a, b in pairs:
-            subs[b] = subs[a]
-        singles = [g for g in range(k) if g not in paired_slots]
-        arr = values
-        # trim paired axes to the common extent so einsum can tie them
-        for a, b in pairs:
-            n = min(arr.shape[a], arr.shape[b])
-            slicer = [slice(None)] * k
-            slicer[a] = slice(0, n)
-            slicer[b] = slice(0, n)
-            arr = arr[tuple(slicer)]
-        spec = "".join(subs)
-        operands = [arr]
-        for g in singles:
-            spec += "," + subs[g]
-            operands.append(vectors[g])
-        total += sign * float(np.einsum(spec + "->", *operands))
-    return total
+    for pairs in _pairings(tuple(combo)):
+        total = total + (-1.0) ** len(pairs) * _contract(values, vectors, pairs)
+    return _scalar(total)
 
 
-def explicit_bracket(values: np.ndarray, vectors, combo) -> float:
+def explicit_bracket(values: np.ndarray, vectors, combo):
     """The transformed indicator formulas, written out verbatim for k = 1..4."""
     k = values.ndim
-    z = vectors
     i = combo
 
     def ind(a, b):
         return 1.0 if (i[a] == i[b] and i[a] != 0) else 0.0
 
-    def tie(axes):
-        """Trace of values over a set of tied axes, vectors on the rest."""
-        n = min(values.shape[a] for a in axes)
-        letters = "abcd"[:k]
-        subs = list(letters)
-        for a in axes[1:]:
-            subs[a] = subs[axes[0]]
-        slicer = [slice(None)] * k
-        for ax in axes:
-            slicer[ax] = slice(0, n)
-        arr = values[tuple(slicer)]
-        spec = "".join(subs)
-        operands = [arr]
-        for g in range(k):
-            if g in axes:
-                continue
-            spec += "," + subs[g]
-            operands.append(z[g])
-        return float(np.einsum(spec + "->", *operands))
+    def tie(*pairs):
+        return _contract(values, vectors, pairs)
 
-    spec = "abcd"[:k]
-    full = float(np.einsum(spec + "," + ",".join(spec) + "->", values, *z))
+    full = tie()
     if k == 1:
-        return full
-    if k == 2:
-        return full - ind(0, 1) * tie((0, 1))
-    if k == 3:
-        return (full
-                - ind(0, 1) * tie((0, 1))
-                - ind(1, 2) * tie((1, 2))
-                - ind(0, 2) * tie((0, 2)))
-    if k == 4:
-        def tie2(p, q):
-            """Both pairs tied: p and q are disjoint axis pairs."""
-            n1 = min(values.shape[p[0]], values.shape[p[1]])
-            n2 = min(values.shape[q[0]], values.shape[q[1]])
-            subs = list("abcd")
-            subs[p[1]] = subs[p[0]]
-            subs[q[1]] = subs[q[0]]
-            slicer = [slice(None)] * 4
-            for ax in p:
-                slicer[ax] = slice(0, n1)
-            for ax in q:
-                slicer[ax] = slice(0, n2)
-            return float(np.einsum("".join(subs) + "->", values[tuple(slicer)]))
-
+        out = full
+    elif k == 2:
+        out = full - ind(0, 1) * tie((0, 1))
+    elif k == 3:
+        out = (full
+               - ind(0, 1) * tie((0, 1))
+               - ind(1, 2) * tie((1, 2))
+               - ind(0, 2) * tie((0, 2)))
+    elif k == 4:
         out = full
         out -= ind(0, 1) * tie((0, 1))
         out -= ind(0, 2) * tie((0, 2))
@@ -283,11 +269,12 @@ def explicit_bracket(values: np.ndarray, vectors, combo) -> float:
         out -= ind(1, 2) * tie((1, 2))
         out -= ind(1, 3) * tie((1, 3))
         out -= ind(2, 3) * tie((2, 3))
-        out += ind(0, 1) * ind(2, 3) * tie2((0, 1), (2, 3))
-        out += ind(0, 2) * ind(1, 3) * tie2((0, 2), (1, 3))
-        out += ind(0, 3) * ind(1, 2) * tie2((0, 3), (1, 2))
-        return out
-    raise ValueError("explicit formulas cover multiplicities 1..4 only")
+        out += ind(0, 1) * ind(2, 3) * tie((0, 1), (2, 3))
+        out += ind(0, 2) * ind(1, 3) * tie((0, 2), (1, 3))
+        out += ind(0, 3) * ind(1, 2) * tie((0, 3), (1, 2))
+    else:
+        raise ValueError("explicit formulas cover multiplicities 1..4 only")
+    return _scalar(out)
 
 
 def _distinct_nonzero(combo) -> bool:
@@ -297,10 +284,15 @@ def _distinct_nonzero(combo) -> bool:
 
 def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
            correction: str = "pairing_general", realization=None,
-           mark_factors=None, partition: Partition | None = None) -> ExpansionSample:
+           mark_factors=None, partition: Partition | None = None,
+           gk_sums: np.ndarray | None = None) -> ExpansionSample:
     """Truncated expansion sample for one component combination.
 
-    correction is "explicit_k_le_4", "pairing_general" or "prelimit"."""
+    correction is "explicit_k_le_4", "pairing_general" or "prelimit".
+    Variables with leading trial axes give an array of values, one per
+    trial.  The prelimit correction takes the realization's G_k sums from
+    gk_sums (covering the box, with the variables' leading axes) or
+    computes them from the realization."""
     combo = tuple(int(i) for i in combo)
     k = len(tensor.box)
     if len(combo) != k:
@@ -324,16 +316,15 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
                              "or pairwise-distinct nonzero components")
         value = pairing_bracket(tensor.values, vectors, combo)
     elif correction == "prelimit":
-        if realization is None:
-            raise ValueError("prelimit correction requires the underlying realization")
-        part, incs = oracle.slot_increments(realization, combo, partition, mark_factors)
-        left = part.left_nodes
-        phi = tensor.system.eval_table(max(tensor.box), left)
-        tables = [phi[: tensor.box[g] + 1] for g in range(k)]
-        corr = oracle.gk_correction_tensor(tables, incs)
-        spec = "abcd"[:k]
-        raw = float(np.einsum(spec + "," + ",".join(spec) + "->", tensor.values, *vectors))
-        value = raw - float(np.sum(tensor.values * corr))
+        if gk_sums is None:
+            if realization is None:
+                raise ValueError("prelimit correction requires the underlying realization")
+            part, incs = oracle.slot_increments(realization, combo, partition, mark_factors)
+            phi = tensor.system.eval_table(max(tensor.box), part.left_nodes)
+            gk_sums = oracle.gk_correction_tensor([phi[: p + 1] for p in tensor.box], incs)
+        box_sums = gk_sums[(..., *(slice(0, p + 1) for p in tensor.box))] * tensor.values
+        corr = box_sums.reshape((*box_sums.shape[: box_sums.ndim - k], -1)).sum(axis=-1)
+        value = _scalar(_contract(tensor.values, vectors) - corr)
     else:
         raise ValueError(f"unknown correction mode: {correction}")
     return ExpansionSample(value, tensor.box, combo, correction)

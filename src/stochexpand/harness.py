@@ -5,6 +5,12 @@ One experiment couples, trial by trial, a brute-force discretized integral
 realization, and reports the mean squared difference per truncation box
 next to the theoretical truncation residual.  A moment suite z-tests the
 basis random variables against their analytic means and covariances.
+
+Both run one chunked trial loop: everything that depends only on the
+partition is prepared once per pass, trials are drawn one by one into a
+buffer of at most CHUNK_BYTES, and each chunk is evaluated by batched
+operations that treat every trial alike, so results do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -12,17 +18,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import expansions, kernel as kernel_mod
+from . import expansions, oracle
 from .basis import OrthonormalSystem
-from .drivers import (IntensityMeasure, interval_measures, make_partition,
+# interval_measures stays a module attribute (perfbench/tracer.py wraps the
+# samplers and it here); the trial loop reaches it through oracle.slot_increments
+from .drivers import (IntensityMeasure, interval_measures, make_partition,  # noqa: F401
                       sample_gaussian_martingale, sample_poisson, sample_wiener,
                       trial_seed)
-from .errors import ConfigError
+from .errors import ConfigError, SizeError
 from .expansions import BasisVariables
 from .kernel import CoeffTensor, Kernel, coeff_tensor, kernel_norm_sq
 
@@ -41,6 +50,8 @@ __all__ = [
 ]
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+CHUNK_BYTES = 2**20  # increment buffers of one chunk of trials
+MEMORY_BUDGET = 2**32  # bytes a trial loop may hold: partition, left-node tables, one chunk
 
 
 def power_mark(a: float = 1.0):
@@ -89,6 +100,13 @@ class ExperimentSpec:
     richardson: bool = False
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.correction not in ("auto", *expansions.CORRECTIONS):
+            raise ConfigError(f"correction must be 'auto' or one of {expansions.CORRECTIONS}, "
+                              f"got {self.correction!r}")
         object.__setattr__(self, "combo", tuple(int(i) for i in self.combo))
         object.__setattr__(self, "boxes", tuple(tuple(int(p) for p in b) for b in self.boxes))
         if self.trials < 1:
@@ -179,56 +197,85 @@ def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
     return replace(tensor, box=tuple(box), values=tensor.values[sl])
 
 
-def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, n_steps: int, correction: str):
+def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial: int) -> int:
+    """Trials per chunk of a trial loop over n_steps with basis orders up to p_max.
+
+    Raises SizeError, before anything is allocated, when the partition, the
+    left-node tables, one chunk's buffers and the kept_per_trial result
+    floats of every trial would exceed MEMORY_BUDGET."""
+    k = spec.kernel.multiplicity
+    rows = spec.driver.m + 1 if spec.driver.kind != "poisson" else 0
+    per_trial = 8 * n_steps * (rows + k)  # increments and slot increments
+    chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
+    # nodes, deltas, step variances, basis table, kernel factors
+    tables = 8 * (n_steps + 1) * (3 + p_max + 1 + k)
+    need = tables + chunk * per_trial + 8 * spec.trials * kept_per_trial
+    if need > MEMORY_BUDGET:
+        raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
+                        f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
+    return chunk
+
+
+def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int):
+    """Yield (first trial, basis variables, slot increments) per chunk of trials.
+
+    Trials are drawn one by one through the public samplers from their
+    trial_seed substreams into the chunk's buffers; the variables have a
+    leading trial axis and the slot increments shape (trials, k, N).
+    phi is the basis table on the partition's left nodes."""
+    drv, combo = spec.driver, spec.combo
+    gaussian = drv.kind != "poisson"
+    p_max = phi.shape[0] - 1
+    time_ints = None if gaussian else expansions._basis_time_integrals(spec.system, p_max)
+    for start in range(0, spec.trials, chunk):
+        size = min(chunk, spec.trials - start)
+        incs = np.empty((size, len(combo), part.n_steps))
+        # Gaussian increments, or the Poisson variable tables
+        draws = np.empty((size, drv.m + 1, part.n_steps) if gaussian
+                         else (size, len(combo), p_max + 1))
+        for c in range(size):
+            seed_t = trial_seed(spec.seed, start + c)
+            if drv.kind == "wiener":
+                real = sample_wiener(part, drv.m, seed_t)
+            elif drv.kind == "martingale":
+                real = sample_gaussian_martingale(part, drv.m, drv.rho, seed_t)
+            else:
+                real = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed_t)
+            _, incs[c] = oracle.slot_increments(real, combo, None if gaussian else part,
+                                                drv.mark_factors)
+            draws[c] = real.increments if gaussian else expansions.poisson_variables(
+                real, spec.system, drv.mark_factors, combo, p_max,
+                time_integrals=time_ints).table
+        if gaussian:
+            variables = expansions.gaussian_variables(drv.kind, draws, phi)
+        else:
+            variables = BasisVariables("poisson", draws, by_slot=True, combo=combo)
+        yield start, variables, incs
+
+
+def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, n_steps: int, correction: str,
+             chunk: int):
     """One full trial loop at a given resolution.
 
     Returns (diffs, samples): arrays of shape (trials, n_boxes) holding the
     oracle-minus-expansion differences and the raw expansion samples."""
     k = spec.kernel.multiplicity
     part = make_partition(spec.kernel.interval, n_steps)
-    left = part.left_nodes
     p_all = max(max(b) for b in spec.boxes)
-    phi = spec.system.eval_table(p_all, left)
-    psi = [spec.kernel.factor_values(l, left) for l in range(k)]
+    phi = spec.system.eval_table(p_all, part.left_nodes)
+    psi = np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
-    drv = spec.driver
-    time_ints = None
-    if drv.kind == "poisson":
-        time_ints = expansions._basis_time_integrals(spec.system, p_all)
     diffs = np.empty((spec.trials, len(subs)))
     samples = np.empty_like(diffs)
-    for trial in range(spec.trials):
-        seed_t = trial_seed(spec.seed, trial)
-        realization = None
-        if drv.kind == "wiener":
-            path = sample_wiener(part, drv.m, seed_t)
-        elif drv.kind == "martingale":
-            path = sample_gaussian_martingale(part, drv.m, drv.rho, seed_t)
-        else:
-            realization = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed_t)
-        if realization is None:
-            incs = [path.increment(i) for i in spec.combo]
-            variables = BasisVariables(drv.kind, path.increments @ phi.T, by_slot=False)
-        else:
-            incs = [interval_measures(realization, i, f, part)
-                    for i, f in zip(spec.combo, drv.mark_factors)]
-            variables = expansions.poisson_variables(
-                realization, spec.system, drv.mark_factors, spec.combo, p_all,
-                time_integrals=time_ints)
-            path = realization
-        # oracle: strictly nested left-point sum via prefix accumulation
-        running = None
-        for l in range(k - 1):
-            term = psi[l] * incs[l] if running is None else psi[l] * incs[l] * running
-            running = np.concatenate([[0.0], np.cumsum(term)])[:-1]
-        top = psi[-1] * incs[-1] if running is None else psi[-1] * incs[-1] * running
-        oracle_val = float(np.sum(top))
+    for start, variables, incs in _trial_chunks(spec, part, phi, chunk):
+        rows = slice(start, start + len(incs))
+        gk_sums = None
+        if correction == "prelimit":
+            gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k, inc) for inc in incs])
         for b, sub in enumerate(subs):
-            sample = expansions.expand(sub, variables, spec.combo, correction=correction,
-                                       realization=path if correction == "prelimit" else None,
-                                       mark_factors=drv.mark_factors, partition=part)
-            samples[trial, b] = sample.value
-            diffs[trial, b] = oracle_val - sample.value
+            samples[rows, b] = expansions.expand(sub, variables, spec.combo,
+                                                 correction=correction, gk_sums=gk_sums).value
+        diffs[rows] = oracle.nested_sum(psi * incs)[:, None] - samples[rows]
     return diffs, samples
 
 
@@ -236,15 +283,18 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     """Coupled oracle/expansion Monte Carlo over all truncation boxes."""
     t0 = time.perf_counter()
     correction = _resolve_correction(spec)
+    # diffs and samples of the full pass, and those of the half-resolution one
+    chunk = _chunk_trials(spec, spec.n_steps, max(max(b) for b in spec.boxes),
+                          4 * len(spec.boxes))
     box_max = tuple(max(b[l] for b in spec.boxes) for l in range(spec.kernel.multiplicity))
     tensor = coeff_tensor(spec.kernel, spec.system, box_max, weighted=spec.weighted)
     scale = _residual_scale(spec)
     weighted_system = spec.system if spec.weighted else None
     norm = kernel_norm_sq(spec.kernel, weighted_system=weighted_system)
-    diffs, samples = _mc_pass(spec, tensor, spec.n_steps, correction)
+    diffs, samples = _mc_pass(spec, tensor, spec.n_steps, correction, chunk)
     allowances = np.zeros(len(spec.boxes))
     if spec.richardson and spec.n_steps >= 2:
-        half_diffs, _ = _mc_pass(spec, tensor, spec.n_steps // 2, correction)
+        half_diffs, _ = _mc_pass(spec, tensor, spec.n_steps // 2, correction, chunk)
         mse_half = np.mean(half_diffs**2, axis=0)
         mse_full = np.mean(diffs**2, axis=0)
         # first-order bias model: error(N) ~ c * dt, so error(N) ~ mse(N/2) - mse(N)
@@ -307,23 +357,19 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     if spec.trials < 10**3:
         raise ConfigError("moment_suite needs at least 1000 trials")
     drv = spec.driver
+    gaussian = drv.kind != "poisson"
+    rows = drv.m + 1 if gaussian else len(spec.combo)
+    chunk = _chunk_trials(spec, spec.n_steps, j_max, rows * (j_max + 1))
     part = make_partition(spec.kernel.interval, spec.n_steps)
     phi = spec.system.eval_table(j_max, part.left_nodes)
+    tables = np.empty((spec.trials, rows, j_max + 1))
+    for start, variables, _ in _trial_chunks(spec, part, phi, chunk):
+        tables[start:start + len(variables.table)] = variables.table
     tests: list[MomentTest] = []
-    if drv.kind in ("wiener", "martingale"):
-        tables = np.empty((spec.trials, drv.m, j_max + 1))
-        var_target = None
-        for trial in range(spec.trials):
-            seed_t = trial_seed(spec.seed, trial)
-            if drv.kind == "wiener":
-                path = sample_wiener(part, drv.m, seed_t)
-            else:
-                path = sample_gaussian_martingale(part, drv.m, drv.rho, seed_t)
-                if var_target is None:
-                    var_target = phi**2 @ path.variances  # exact for the sampler
-            tables[trial] = (path.increments @ phi.T)[1:]
-        if var_target is None:
-            var_target = phi**2 @ part.deltas
+    if gaussian:
+        tables = tables[:, 1:]
+        steps = part.step_variances(drv.rho) if drv.kind == "martingale" else part.deltas
+        var_target = phi**2 @ steps  # exact for the sampler
         for i in range(drv.m):
             for j in range(j_max + 1):
                 _ztest(f"mean[i={i + 1},j={j}]", tables[:, i, j], 0.0, tests)
@@ -335,15 +381,6 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
             for j in range(min(3, j_max + 1)):
                 _ztest(f"cross_component[j={j}]", tables[:, 0, j] * tables[:, 1, j], 0.0, tests)
     else:
-        k = spec.kernel.multiplicity
-        time_ints = expansions._basis_time_integrals(spec.system, j_max)
-        tables = np.empty((spec.trials, k, j_max + 1))
-        for trial in range(spec.trials):
-            realization = sample_poisson(spec.kernel.interval, drv.m, drv.intensity,
-                                         trial_seed(spec.seed, trial))
-            tables[trial] = expansions.poisson_variables(
-                realization, spec.system, drv.mark_factors, spec.combo, j_max,
-                time_integrals=time_ints).table
         for g, (i, f) in enumerate(zip(spec.combo, drv.mark_factors)):
             if i == 0:
                 continue

@@ -20,6 +20,7 @@ __all__ = [
     "OracleResult",
     "slot_increments",
     "iterated_sum",
+    "nested_sum",
     "iterated_sum_naive",
     "prelimit_gk_sum",
     "gk_correction_tensor",
@@ -78,13 +79,23 @@ def iterated_sum(kernel: Kernel, realization, combo, partition: Partition | None
         raise SizeError(f"nested sums are limited to multiplicity {MAX_NESTING}")
     part, incs = slot_increments(realization, combo, partition, mark_factors)
     left = part.left_nodes
-    f = [kernel.factor_values(l, left) * incs[l] for l in range(k)]
+    f = np.stack([kernel.factor_values(l, left) * incs[l] for l in range(k)])
+    return OracleResult(float(nested_sum(f)), part.n_steps, _driver_kind(realization), combo)
+
+
+def nested_sum(f: np.ndarray) -> np.ndarray:
+    """sum over q_1 < ... < q_k of f[..., 0, q_1] * ... * f[..., k-1, q_k].
+
+    f has shape (..., k, N); one running exclusive prefix sum per level
+    along the last axis.  Every leading index is summed by the same
+    operations, so its value does not depend on what it is batched with."""
     running = None
-    for l in range(k - 1):
-        term = f[l] if running is None else f[l] * running
-        running = np.concatenate([[0.0], np.cumsum(term)])[:-1]
-    top = f[-1] if running is None else f[-1] * running
-    return OracleResult(float(np.sum(top)), part.n_steps, _driver_kind(realization), combo)
+    for l in range(f.shape[-2] - 1):
+        term = f[..., l, :] if running is None else f[..., l, :] * running
+        running = np.zeros_like(term)
+        np.cumsum(term[..., :-1], axis=-1, out=running[..., 1:])
+    top = f[..., -1, :] if running is None else f[..., -1, :] * running
+    return np.sum(top, axis=-1)
 
 
 def iterated_sum_naive(kernel: Kernel, realization, combo, partition: Partition | None = None,

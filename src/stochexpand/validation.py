@@ -21,7 +21,7 @@ from .basis import Interval, bessel_roots, bessel_unit, bessel_weighted, gram_ma
 from .drivers import (exponential_measure, interval_measures, make_partition,
                       martingale_from_wiener, sample_gaussian_martingale,
                       sample_poisson, sample_wiener, trial_seed)
-from .expansions import BasisVariables, expand, expand_weighted
+from .expansions import expand, expand_weighted, martingale_variables, wiener_variables
 from .harness import DriverConfig, ExperimentSpec, moment_suite, power_mark, run_experiment
 from .kernel import coeff_tensor, kernel_norm_sq, unit_kernel
 
@@ -166,12 +166,11 @@ def check_same_component_pathwise_identity(full: bool = True) -> CriterionResult
 
     def max_and_msd(n_steps):
         part = make_partition(iv, n_steps)
-        phi = system.eval_table(0, part.left_nodes)
         diffs = np.empty(trials)
         for trial in range(trials):
             path = sample_wiener(part, 1, trial_seed(SEED, trial))
-            variables = BasisVariables("wiener", path.increments @ phi.T, by_slot=False)
-            sample = expand(tensor, variables, (1, 1), correction="explicit_k_le_4")
+            sample = expand(tensor, wiener_variables(path, system, 0), (1, 1),
+                            correction="explicit_k_le_4")
             dw = path.increment(1)
             oracle_val = (np.sum(dw) ** 2 - np.sum(dw**2)) / 2.0
             diffs[trial] = sample.value - oracle_val
@@ -281,10 +280,8 @@ def check_weighted_two_route_equivalence(full: bool = True) -> CriterionResult:
     part = make_partition(iv, n_steps)
     path = sample_wiener(part, 2, trial_seed(SEED, 0))
     mart = martingale_from_wiener(path, lambda x: x)
-    psi_table = weighted_sys.eval_table(box[0], part.left_nodes)
-    phi_table = plain_sys.eval_table(box[0], part.left_nodes)
-    xi = BasisVariables("martingale", mart.increments @ psi_table.T, by_slot=False)
-    zeta = BasisVariables("wiener", path.increments @ phi_table.T, by_slot=False)
+    xi = martingale_variables(mart, weighted_sys, box[0])
+    zeta = wiener_variables(path, plain_sys, box[0])
     v1 = expand_weighted(weighted_tensor, xi, (1, 2), rho=lambda x: x).value
     v2 = expand(plain_tensor, zeta, (1, 2)).value
     path_gap = abs(v1 - v2)
@@ -314,8 +311,7 @@ def check_constant_density_reductions(full: bool = True) -> CriterionResult:
                    for a, b in zip(rep_w.stats, rep_m.stats))
     # unit weight and unit density: the weighted evaluation is plain expansion
     tensor = coeff_tensor(kern, system, (3, 3))
-    phi = system.eval_table(3, part.left_nodes)
-    zeta = BasisVariables("wiener", wie.increments @ phi.T, by_slot=False)
+    zeta = wiener_variables(wie, system, 3)
     v_plain = expand(tensor, zeta, (1, 2)).value
     v_weighted = expand_weighted(tensor, zeta, (1, 2), rho=1.0).value
     weighted_ok = v_plain == v_weighted

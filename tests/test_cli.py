@@ -99,3 +99,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["nosuchcommand"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("overrides, code", [
+    (dict(correction="bogus"), 2),
+    (dict(seed=1.5), 2),
+    (dict(n_steps=10**12), 3),
+    (dict(trials=10**12), 3),
+], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials"])
+def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
+    doc = {
+        "interval": [0.0, 1.0],
+        "kernel": {"factors": [{"name": "const"}, {"name": "const"}]},
+        "system": {"kind": "legendre"},
+        "driver": {"kind": "wiener", "m": 2},
+        "combo": [1, 2],
+        "boxes": [[1, 1]],
+        "n_steps": 64,
+        "trials": 10,
+        "seed": 7,
+        "out": str(tmp_path / "conv"),
+    }
+    doc.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert run(["converge", "--config", str(path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "conv.json").exists()

@@ -28,6 +28,18 @@ def test_partition_validation():
         drivers.Partition(IV, np.array([0.0, 0.5, 0.4, 1.0]))
 
 
+def test_partition_tables_are_computed_once_and_read_only():
+    part = make_partition(IV, 16)
+    assert part.deltas is part.deltas and part.left_nodes is part.left_nodes
+    assert np.array_equal(part.deltas, np.diff(part.nodes))
+    assert np.array_equal(part.left_nodes, part.nodes[:-1])
+    rho = lambda t: 1.0 + t  # noqa: E731
+    assert part.step_variances(rho) is part.step_variances(rho)
+    for table in (part.deltas, part.step_variances(rho)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 class TestWiener:
     def test_determinism(self):
         part = make_partition(IV, 256)

@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stochexpand import basis
+from stochexpand import basis, drivers, expansions, harness, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import exponential_measure
-from stochexpand.errors import ConfigError
+from stochexpand.errors import ConfigError, SizeError
 from stochexpand.harness import (DriverConfig, ExperimentSpec, moment_suite,
                                  power_mark, report_to_csv, report_to_json,
                                  run_experiment)
-from stochexpand.kernel import unit_kernel
+from stochexpand.kernel import coeff_tensor, unit_kernel
 
 IV = Interval(0.0, 1.0)
 SYS = basis.legendre(IV)
@@ -111,3 +113,136 @@ def test_report_export(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["trials"] == 20
     assert len(doc["boxes"]) == len(report.stats)
+
+
+def _rho_one_plus_t(t):
+    return 1.0 + np.asarray(t, dtype=float)
+
+
+LOOP_SPECS = {
+    "wiener": dict(boxes=((1, 1), (3, 3), (7, 7)), trials=23, richardson=True),
+    "martingale": dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t), trials=23),
+    "poisson_prelimit": dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                                                 mark_factors=(power_mark(1.0),) * 2),
+                             combo=(1, 1), trials=23,
+                             boxes=((1, 1), (3, 3), (7, 7))),
+    "wiener_k3_explicit": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
+                               boxes=((2, 2, 2), (1, 3, 2)), correction="explicit_k_le_4"),
+}
+
+
+def _stats(report):
+    return np.array([[s.mean, s.variance, s.mse, s.mse_halfwidth_99, s.residual, s.allowance]
+                     for s in report.stats])
+
+
+@pytest.mark.parametrize("name", LOOP_SPECS)
+def test_stats_do_not_depend_on_chunk_size(name, monkeypatch):
+    spec = _wiener_spec(**LOOP_SPECS[name])
+    default = run_experiment(spec)
+    chunk_trials = harness._chunk_trials
+    for chunk in (1, 7):  # 7 does not divide the 23 trials
+        used = []
+
+        def forced(*args, chunk=chunk):
+            used.append(chunk_trials(*args))
+            return chunk
+
+        monkeypatch.setattr(harness, "_chunk_trials", forced)
+        np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
+        assert used and used[0] != chunk  # the default chunk differs from the forced one
+
+
+def test_moment_suite_does_not_depend_on_chunk_size(monkeypatch):
+    spec = _wiener_spec(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t),
+                        trials=1000, n_steps=64)
+    default = moment_suite(spec, j_max=3)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
+    assert moment_suite(spec, j_max=3) == default
+
+
+def _replay(spec, correction):
+    """Per-box mean, variance, mse and allowance recomputed trial by trial through
+    the public API: sampler -> *_variables -> oracle.iterated_sum -> expand."""
+    drv, k = spec.driver, spec.kernel.multiplicity
+    p_max = max(max(b) for b in spec.boxes)
+    full = coeff_tensor(spec.kernel, spec.system, (p_max,) * k)
+    subs = [dataclasses.replace(full, box=b, values=full.values[tuple(slice(0, q + 1) for q in b)])
+            for b in spec.boxes]
+
+    def one_pass(n_steps):
+        part = drivers.make_partition(spec.kernel.interval, n_steps)
+        diffs = np.empty((spec.trials, len(subs)))
+        samples = np.empty_like(diffs)
+        for t in range(spec.trials):
+            seed = drivers.trial_seed(spec.seed, t)
+            if drv.kind == "wiener":
+                real = drivers.sample_wiener(part, drv.m, seed)
+                variables = expansions.wiener_variables(real, spec.system, p_max)
+            elif drv.kind == "martingale":
+                real = drivers.sample_gaussian_martingale(part, drv.m, drv.rho, seed)
+                variables = expansions.martingale_variables(real, spec.system, p_max)
+            else:
+                real = drivers.sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed)
+                variables = expansions.poisson_variables(real, spec.system, drv.mark_factors,
+                                                         spec.combo, p_max)
+            poisson = drv.kind == "poisson"
+            truth = oracle.iterated_sum(spec.kernel, real, spec.combo,
+                                        part if poisson else None, drv.mark_factors).value
+            for b, sub in enumerate(subs):
+                samples[t, b] = expansions.expand(
+                    sub, variables, spec.combo, correction=correction, realization=real,
+                    mark_factors=drv.mark_factors, partition=part).value
+                diffs[t, b] = truth - samples[t, b]
+        return diffs, samples
+
+    diffs, samples = one_pass(spec.n_steps)
+    mse = np.mean(diffs**2, axis=0)
+    allowance = np.zeros(len(subs))
+    if spec.richardson:
+        allowance = np.abs(np.mean(one_pass(spec.n_steps // 2)[0] ** 2, axis=0) - mse)
+    return np.array([np.mean(samples, axis=0), np.var(samples, axis=0, ddof=1), mse,
+                     allowance]).T
+
+
+@pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit"])
+def test_stats_match_a_per_trial_public_api_replay(name):
+    spec = _wiener_spec(**LOOP_SPECS[name])
+    report = run_experiment(spec)
+    got = _stats(report)[:, [0, 1, 2, 5]]
+    assert got == pytest.approx(_replay(spec, report.correction), rel=1e-12, abs=1e-12)
+
+
+def test_rho_is_evaluated_once_per_pass():
+    calls = []
+
+    def rho(t):
+        calls.append(np.size(t))
+        return _rho_one_plus_t(t)
+
+    driver = DriverConfig("martingale", m=2, rho=rho)
+    for trials in (3, 30):
+        calls.clear()
+        run_experiment(_wiener_spec(driver=driver, trials=trials, richardson=True))
+        # one probe for the residual scale, then one call per pass (N and N/2)
+        assert len(calls) == 3
+    calls.clear()
+    moment_suite(_wiener_spec(driver=driver, trials=1000, n_steps=64), j_max=2)
+    assert len(calls) == 1
+
+
+def test_config_defects_are_rejected_up_front():
+    with pytest.raises(ConfigError):
+        _wiener_spec(correction="bogus")
+    for seed in (1.5, -1, True, "7"):
+        with pytest.raises(ConfigError):
+            _wiener_spec(seed=seed)
+    assert _wiener_spec(seed=np.int64(5)).seed == 5
+
+
+@pytest.mark.parametrize("overrides", [dict(n_steps=10**12), dict(trials=10**12)])
+def test_cost_guard_trips_before_allocation(overrides):
+    with pytest.raises(SizeError):
+        run_experiment(_wiener_spec(**overrides))
+    with pytest.raises(SizeError):
+        moment_suite(_wiener_spec(**{"trials": 1000, **overrides}))
