@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import quadrature
 from .errors import StochexpandError
@@ -69,6 +69,7 @@ def bessel_roots(order: int, count: int) -> BesselRootTable:
     and polished with Brent's method on the direct evaluation."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    from scipy import optimize  # only the root search needs it; it costs ~0.3 s to import
     roots = []
     for j in range(1, count + 1):
         beta = (j + order / 2.0 - 0.25) * math.pi

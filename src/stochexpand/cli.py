@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import basis as basis_mod, validation
 from .basis import Interval, OrthonormalSystem, gram_matrix
 from .drivers import exponential_measure
 from .errors import ConfigError, SizeError
@@ -75,7 +74,7 @@ def _kernel_from_config(doc: dict, interval: Interval) -> Kernel:
 def _driver_from_config(doc: dict, k: int) -> DriverConfig:
     _require_keys(doc, {"kind", "m", "rho", "total_mass", "mark_powers"}, "driver")
     kind = doc.get("kind")
-    m = int(doc.get("m", 2))
+    m = doc.get("m", 2)
     if kind == "martingale":
         return DriverConfig("martingale", m=m, rho=float(doc.get("rho", 1.0)))
     if kind == "poisson":
@@ -169,8 +168,8 @@ def cmd_converge(args) -> int:
         combo=tuple(doc.get("combo", ())),
         boxes=tuple(tuple(b) for b in doc.get("boxes", ())),
         driver=driver,
-        n_steps=int(doc.get("n_steps", 1024)),
-        trials=int(doc.get("trials", 1000)),
+        n_steps=doc.get("n_steps", 1024),
+        trials=doc.get("trials", 1000),
         seed=doc["seed"],
         correction=doc.get("correction", "auto"),
         weighted=bool(doc.get("weighted", False)),
@@ -187,6 +186,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validation  # imports mpmath, which no other command needs
     results = validation.run_profile(args.profile)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)} of {len(results)} checks passed")

@@ -9,8 +9,9 @@ basis random variables against their analytic means and covariances.
 Both run one chunked trial loop: everything that depends only on the
 partition is prepared once per pass, trials are drawn one by one into a
 buffer of at most CHUNK_BYTES, and each chunk is evaluated by batched
-operations that treat every trial alike, so results do not depend on the
-chunk size.
+operations that treat every trial alike.  A pass is split into contiguous
+trial ranges, one per worker process (see _sharded).  Results do not depend
+on the chunk size or the worker count, bitwise.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -62,6 +64,13 @@ def power_mark(a: float = 1.0):
     return lambda y: np.asarray(y, dtype=float) ** a
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """value as an int; ConfigError unless it is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DriverConfig:
     """Which driver feeds the experiment and with what parameters.
@@ -79,6 +88,7 @@ class DriverConfig:
     def __post_init__(self):
         if self.kind not in ("wiener", "martingale", "poisson"):
             raise ConfigError(f"unknown driver kind: {self.kind}")
+        object.__setattr__(self, "m", _integer("m", self.m, 1))
         if self.kind == "martingale" and self.rho is None:
             raise ConfigError("martingale driver requires a variance density rho")
         if self.kind == "poisson" and self.intensity is None:
@@ -100,17 +110,13 @@ class ExperimentSpec:
     richardson: bool = False
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, minimum in (("seed", 0), ("trials", 1), ("n_steps", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if self.correction not in ("auto", *expansions.CORRECTIONS):
             raise ConfigError(f"correction must be 'auto' or one of {expansions.CORRECTIONS}, "
                               f"got {self.correction!r}")
         object.__setattr__(self, "combo", tuple(int(i) for i in self.combo))
         object.__setattr__(self, "boxes", tuple(tuple(int(p) for p in b) for b in self.boxes))
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         if not self.boxes:
             raise ConfigError("at least one truncation box is required")
         k = self.kernel.multiplicity
@@ -118,12 +124,16 @@ class ExperimentSpec:
             raise ConfigError("boxes and combo must match the kernel multiplicity")
         if any(not 0 <= i <= self.driver.m for i in self.combo):
             raise ConfigError(f"combo components must lie in 0..{self.driver.m}")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
+        if self.correction == "explicit_k_le_4" and k > 4:
+            raise ConfigError("the explicit_k_le_4 correction covers multiplicities 1..4 only")
         if self.driver.kind == "poisson":
             mf = self.driver.mark_factors
             if mf is None or len(mf) != k:
                 raise ConfigError("poisson experiments need one mark factor per slot")
+            if self.correction in ("explicit_k_le_4", "pairing_general") \
+                    and not expansions._distinct_nonzero(self.combo):
+                raise ConfigError(f"a poisson combo with repeated components needs the "
+                                  f"prelimit correction, not {self.correction}")
 
 
 @dataclass(frozen=True)
@@ -158,10 +168,7 @@ class MCReport:
 def _resolve_correction(spec: ExperimentSpec) -> str:
     if spec.correction != "auto":
         return spec.correction
-    if spec.driver.kind in ("wiener", "martingale"):
-        return "pairing_general"
-    nz = [i for i in spec.combo if i != 0]
-    if len(nz) == len(set(nz)):
+    if spec.driver.kind != "poisson" or expansions._distinct_nonzero(spec.combo):
         return "pairing_general"
     return "prelimit"
 
@@ -201,23 +208,83 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     """Trials per chunk of a trial loop over n_steps with basis orders up to p_max.
 
     Raises SizeError, before anything is allocated, when the partition, the
-    left-node tables, one chunk's buffers and the kept_per_trial result
-    floats of every trial would exceed MEMORY_BUDGET."""
+    left-node tables, one chunk's buffers in each worker process and the
+    kept_per_trial result floats of every trial (twice when sharded: the
+    workers' rows and the gathered array) would exceed MEMORY_BUDGET."""
     k = spec.kernel.multiplicity
     rows = spec.driver.m + 1 if spec.driver.kind != "poisson" else 0
     per_trial = 8 * n_steps * (rows + k)  # increments and slot increments
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
-    # nodes, deltas, step variances, basis table, kernel factors
+    workers = _worker_count(-(-spec.trials // chunk))
+    # nodes, deltas, step variances, basis table, kernel factors; forked
+    # workers share them with the parent
     tables = 8 * (n_steps + 1) * (3 + p_max + 1 + k)
-    need = tables + chunk * per_trial + 8 * spec.trials * kept_per_trial
+    results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
+    need = tables + workers * chunk * per_trial + results
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
     return chunk
 
 
-def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int):
-    """Yield (first trial, basis variables, slot increments) per chunk of trials.
+def _worker_count(n_chunks: int) -> int:
+    """Processes that share a pass of n_chunks chunks: the usable CPUs, at
+    most one per chunk, and 1 where the fork start method is unavailable."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, n_chunks)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
+_SHARD = None  # set only in forked workers, by _install_shard
+
+
+def _install_shard(shard) -> None:
+    global _SHARD
+    _SHARD = shard
+
+
+def _run_installed_shard(lo: int, hi: int):
+    return _SHARD(lo, hi)
+
+
+def _sharded(shard, trials: int, chunk: int) -> tuple:
+    """shard(lo, hi) -> tuple of arrays over trials lo..hi-1, for all trials.
+
+    The trials are cut at chunk boundaries into one contiguous range per
+    worker (_worker_count).  The parent runs the first range; forked children
+    inherit the pass's prepared state and the shard (fork hands initargs
+    over unpickled; densities and mark factors may be lambdas), run the
+    others and send back only their rows.  Per-trial work does not depend on
+    the chunk, so the result is bitwise that of shard(0, trials), the serial
+    path.  Ranges are read in trial order, so the exception raised is the
+    first failing trial's for any worker count; a dead child raises SizeError."""
+    n_chunks = -(-trials // chunk)
+    workers = _worker_count(n_chunks)
+    if workers == 1:
+        return shard(0, trials)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    import multiprocessing
+    cuts = [min(trials, chunk * (n_chunks * w // workers)) for w in range(workers + 1)]
+    try:
+        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install_shard, initargs=(shard,)) as pool:
+            futures = [pool.submit(_run_installed_shard, lo, hi)
+                       for lo, hi in zip(cuts[1:-1], cuts[2:])]
+            parts = [shard(cuts[0], cuts[1])] + [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        raise SizeError(f"a trial-loop worker process died ({exc}); "
+                        f"it may have run out of memory") from exc
+    return tuple(np.concatenate(rows) for rows in zip(*parts))
+
+
+def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int, lo: int, hi: int):
+    """Yield (offset of the first trial from lo, basis variables, slot
+    increments) per chunk of trials lo..hi-1.
 
     Trials are drawn one by one through the public samplers from their
     trial_seed substreams into the chunk's buffers; the variables have a
@@ -227,8 +294,8 @@ def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int):
     gaussian = drv.kind != "poisson"
     p_max = phi.shape[0] - 1
     time_ints = None if gaussian else expansions._basis_time_integrals(spec.system, p_max)
-    for start in range(0, spec.trials, chunk):
-        size = min(chunk, spec.trials - start)
+    for start in range(lo, hi, chunk):
+        size = min(chunk, hi - start)
         incs = np.empty((size, len(combo), part.n_steps))
         # Gaussian increments, or the Poisson variable tables
         draws = np.empty((size, drv.m + 1, part.n_steps) if gaussian
@@ -250,7 +317,7 @@ def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int):
             variables = expansions.gaussian_variables(drv.kind, draws, phi)
         else:
             variables = BasisVariables("poisson", draws, by_slot=True, combo=combo)
-        yield start, variables, incs
+        yield start - lo, variables, incs
 
 
 def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, n_steps: int, correction: str,
@@ -265,18 +332,23 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, n_steps: int, correction
     phi = spec.system.eval_table(p_all, part.left_nodes)
     psi = np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
-    diffs = np.empty((spec.trials, len(subs)))
-    samples = np.empty_like(diffs)
-    for start, variables, incs in _trial_chunks(spec, part, phi, chunk):
-        rows = slice(start, start + len(incs))
-        gk_sums = None
-        if correction == "prelimit":
-            gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k, inc) for inc in incs])
-        for b, sub in enumerate(subs):
-            samples[rows, b] = expansions.expand(sub, variables, spec.combo,
-                                                 correction=correction, gk_sums=gk_sums).value
-        diffs[rows] = oracle.nested_sum(psi * incs)[:, None] - samples[rows]
-    return diffs, samples
+
+    def shard(lo, hi):
+        diffs = np.empty((hi - lo, len(subs)))
+        samples = np.empty_like(diffs)
+        for first, variables, incs in _trial_chunks(spec, part, phi, chunk, lo, hi):
+            rows = slice(first, first + len(incs))
+            gk_sums = None
+            if correction == "prelimit":
+                gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k, inc) for inc in incs])
+            for b, sub in enumerate(subs):
+                samples[rows, b] = expansions.expand(sub, variables, spec.combo,
+                                                     correction=correction,
+                                                     gk_sums=gk_sums).value
+            diffs[rows] = oracle.nested_sum(psi * incs)[:, None] - samples[rows]
+        return diffs, samples
+
+    return _sharded(shard, spec.trials, chunk)
 
 
 def run_experiment(spec: ExperimentSpec) -> MCReport:
@@ -362,9 +434,14 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     chunk = _chunk_trials(spec, spec.n_steps, j_max, rows * (j_max + 1))
     part = make_partition(spec.kernel.interval, spec.n_steps)
     phi = spec.system.eval_table(j_max, part.left_nodes)
-    tables = np.empty((spec.trials, rows, j_max + 1))
-    for start, variables, _ in _trial_chunks(spec, part, phi, chunk):
-        tables[start:start + len(variables.table)] = variables.table
+
+    def shard(lo, hi):
+        out = np.empty((hi - lo, rows, j_max + 1))
+        for first, variables, _ in _trial_chunks(spec, part, phi, chunk, lo, hi):
+            out[first:first + len(variables.table)] = variables.table
+        return (out,)
+
+    (tables,) = _sharded(shard, spec.trials, chunk)
     tests: list[MomentTest] = []
     if gaussian:
         tables = tables[:, 1:]

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -136,21 +137,36 @@ def _stats(report):
                      for s in report.stats])
 
 
+def _force_workers(monkeypatch, workers):
+    """Make every pass use min(workers, chunks) processes; returns the counts used."""
+    used = []
+
+    def forced(n_chunks):
+        used.append(min(workers, n_chunks))
+        return used[-1]
+
+    monkeypatch.setattr(harness, "_worker_count", forced)
+    return used
+
+
 @pytest.mark.parametrize("name", LOOP_SPECS)
 def test_stats_do_not_depend_on_chunk_size(name, monkeypatch):
     spec = _wiener_spec(**LOOP_SPECS[name])
     default = run_experiment(spec)
     chunk_trials = harness._chunk_trials
     for chunk in (1, 7):  # 7 does not divide the 23 trials
-        used = []
+        for workers in (1, 2, 3):
+            used = []
 
-        def forced(*args, chunk=chunk):
-            used.append(chunk_trials(*args))
-            return chunk
+            def forced(*args, chunk=chunk):
+                used.append(chunk_trials(*args))
+                return chunk
 
-        monkeypatch.setattr(harness, "_chunk_trials", forced)
-        np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
-        assert used and used[0] != chunk  # the default chunk differs from the forced one
+            monkeypatch.setattr(harness, "_chunk_trials", forced)
+            shards = _force_workers(monkeypatch, workers)
+            np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
+            assert used and used[0] != chunk  # the default chunk differs from the forced one
+            assert max(shards) == workers
 
 
 def test_moment_suite_does_not_depend_on_chunk_size(monkeypatch):
@@ -158,7 +174,10 @@ def test_moment_suite_does_not_depend_on_chunk_size(monkeypatch):
                         trials=1000, n_steps=64)
     default = moment_suite(spec, j_max=3)
     monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
-    assert moment_suite(spec, j_max=3) == default
+    for workers in (1, 2, 3):
+        shards = _force_workers(monkeypatch, workers)
+        assert moment_suite(spec, j_max=3) == default
+        assert max(shards) == workers
 
 
 def _replay(spec, correction):
@@ -246,3 +265,82 @@ def test_cost_guard_trips_before_allocation(overrides):
         run_experiment(_wiener_spec(**overrides))
     with pytest.raises(SizeError):
         moment_suite(_wiener_spec(**{"trials": 1000, **overrides}))
+
+
+def _fail_on_last_trial(monkeypatch, trials, failure):
+    """Make sample_wiener call failure() on the last trial."""
+    sample = harness.sample_wiener
+
+    def sampler(part, m, seed):
+        if seed.spawn_key == (trials - 1,):
+            failure()
+        return sample(part, m, seed)
+
+    monkeypatch.setattr(harness, "sample_wiener", sampler)
+
+
+def test_worker_error_reaches_the_parent_with_its_type(monkeypatch):
+    parent = os.getpid()
+
+    def fail():
+        raise SizeError(f"raised in process {os.getpid()}")
+
+    _fail_on_last_trial(monkeypatch, 23, fail)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    _force_workers(monkeypatch, 3)
+    with pytest.raises(SizeError, match="raised in process") as exc:
+        run_experiment(_wiener_spec(trials=23))
+    assert str(parent) not in str(exc.value)  # the last shard ran in a child
+
+
+def test_dead_worker_fails_the_call_cleanly(monkeypatch):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(1)
+
+    _fail_on_last_trial(monkeypatch, 23, die)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(SizeError, match="worker process died"):
+        run_experiment(_wiener_spec(trials=23))
+
+
+def test_serial_fallback_without_fork(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert harness._worker_count(9) == 4
+    assert harness._worker_count(3) == 3
+    assert harness._worker_count(1) == 1
+    spec = _wiener_spec(trials=23)
+    default = run_experiment(spec)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    assert harness._worker_count(9) == 1
+    np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
+
+
+def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
+    # tables ~0.43 MB, one chunk of 6 trials ~0.98 MB: one worker fits 2 MiB, two do not
+    spec = _wiener_spec(n_steps=4096, trials=60, boxes=((7, 7),))
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**21)
+    _force_workers(monkeypatch, 1)
+    assert harness._chunk_trials(spec, spec.n_steps, 7, 4) == 6
+    draws = []
+    monkeypatch.setattr(harness, "sample_wiener", lambda *args: draws.append(args))
+    for workers in (2, 3):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(SizeError):
+            harness._chunk_trials(spec, spec.n_steps, 7, 4)
+        with pytest.raises(SizeError):
+            run_experiment(spec)
+    assert not draws
+
