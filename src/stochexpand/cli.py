@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from .basis import Interval, OrthonormalSystem, gram_matrix
 from .drivers import exponential_measure
 from .errors import ConfigError, SizeError
-from .harness import (DriverConfig, ExperimentSpec, power_mark, report_to_csv,
+from .harness import (DriverConfig, ExperimentSpec, _integers, power_mark, report_to_csv,
                       report_to_json, run_experiment)
 from .kernel import Factor, Kernel, coeff_tensor, tensor_to_csv, tensor_to_json
 
@@ -39,6 +40,16 @@ _GRAM_TOLERANCES = {
     "bessel_weighted": 1e-8,
     "bessel_unit": 1e-8,
 }
+
+
+@contextlib.contextmanager
+def _config_values():
+    """Turn the ValueError or TypeError of a config constructor (Interval,
+    OrthonormalSystem, Kernel, DriverConfig, ...) into a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require_keys(doc: dict, allowed, where: str) -> None:
@@ -115,16 +126,11 @@ def _interval_from_config(doc) -> Interval:
 
 def cmd_basis(args) -> int:
     if args.system not in _SYSTEM_KINDS:
-        print(f"error: unknown system {args.system!r} (choose from {_SYSTEM_KINDS})",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        raise ConfigError(f"unknown system {args.system!r} (choose from {_SYSTEM_KINDS})")
+    with _config_values():
         interval = Interval(args.interval[0], args.interval[1])
         system = OrthonormalSystem(args.system, interval, bessel_order=args.bessel_order)
         gram = gram_matrix(system, args.count)
-    except (ValueError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     deviation = float(np.max(np.abs(gram - np.eye(args.count))))
     tol = _GRAM_TOLERANCES[args.system]
     if args.out:
@@ -136,14 +142,14 @@ def cmd_basis(args) -> int:
 
 def cmd_coeffs(args) -> int:
     doc = _load_config(args.config, {"interval", "kernel", "system", "box", "weighted", "out"})
-    interval = _interval_from_config(doc)
-    kern = _kernel_from_config(doc["kernel"], interval)
-    system = _system_from_config(doc["system"], interval)
-    box = doc.get("box")
-    if not isinstance(box, list) or len(box) != kern.multiplicity:
+    with _config_values():
+        interval = _interval_from_config(doc)
+        kern = _kernel_from_config(doc["kernel"], interval)
+        system = _system_from_config(doc["system"], interval)
+    box = _integers("box", doc.get("box"))
+    if len(box) != kern.multiplicity:
         raise ConfigError("box must list one truncation order per kernel factor")
-    tensor = coeff_tensor(kern, system, tuple(int(p) for p in box),
-                          weighted=bool(doc.get("weighted", False)))
+    tensor = coeff_tensor(kern, system, box, weighted=bool(doc.get("weighted", False)))
     out = doc.get("out", "coeffs")
     tensor_to_csv(tensor, f"{out}.csv")
     tensor_to_json(tensor, f"{out}.json")
@@ -159,21 +165,22 @@ def cmd_converge(args) -> int:
                                      "weighted", "richardson", "out"})
     if "seed" not in doc:
         raise ConfigError("a seed is required: all randomness must be reproducible")
-    interval = _interval_from_config(doc)
-    kern = _kernel_from_config(doc["kernel"], interval)
-    system = _system_from_config(doc["system"], interval)
-    driver = _driver_from_config(doc.get("driver", {"kind": "wiener"}), kern.multiplicity)
-    spec = ExperimentSpec(
-        kernel=kern, system=system,
-        combo=tuple(doc.get("combo", ())),
-        boxes=tuple(tuple(b) for b in doc.get("boxes", ())),
-        driver=driver,
-        n_steps=doc.get("n_steps", 1024),
-        trials=doc.get("trials", 1000),
-        seed=doc["seed"],
-        correction=doc.get("correction", "auto"),
-        weighted=bool(doc.get("weighted", False)),
-        richardson=bool(doc.get("richardson", False)))
+    with _config_values():
+        interval = _interval_from_config(doc)
+        kern = _kernel_from_config(doc["kernel"], interval)
+        system = _system_from_config(doc["system"], interval)
+        driver = _driver_from_config(doc.get("driver", {"kind": "wiener"}), kern.multiplicity)
+        spec = ExperimentSpec(
+            kernel=kern, system=system,
+            combo=doc.get("combo", ()),
+            boxes=doc.get("boxes", ()),
+            driver=driver,
+            n_steps=doc.get("n_steps", 1024),
+            trials=doc.get("trials", 1000),
+            seed=doc["seed"],
+            correction=doc.get("correction", "auto"),
+            weighted=bool(doc.get("weighted", False)),
+            richardson=bool(doc.get("richardson", False)))
     report = run_experiment(spec)
     out = doc.get("out", "converge")
     report_to_csv(report, f"{out}.csv")

@@ -4,11 +4,12 @@ From a driver realization we form the basis variables (projections of the
 driver onto basis members), then evaluate the truncated multiple series
 with one of three diagonal-correction modes:
 
-* ``explicit_k_le_4`` -- the transformed indicator formulas for k = 1..4
-  (Gaussian drivers only);
 * ``pairing_general`` -- sum over partitions of the slots into singletons
-  and disjoint pairs, each pair contributing -1{i_a=i_b!=0} 1{j_a=j_b};
-  identical to the explicit formulas for k <= 4;
+  and disjoint pairs, each pair contributing -1{i_a=i_b!=0} 1{j_a=j_b}
+  (``pairing_bracket``);
+* ``explicit_k_le_4`` -- the same bracket restricted to k = 1..4, where it
+  is the transformed indicator formulas; those formulas, written out, are
+  the independent oracle for it in ``validation.explicit_bracket``;
 * ``prelimit`` -- subtract the coincident-index sum evaluated on the
   realization's partition, the universal (finite-N) fallback and the only
   mode for Poisson combos with coincident components.
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import oracle, quadrature
 from .basis import OrthonormalSystem
-from .drivers import GaussianMartingalePath, Partition, PoissonRealization, WienerPath
+from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, WienerPath,
+                      compensated_integral)
 from .kernel import CoeffTensor
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "expand",
     "expand_weighted",
     "pairing_bracket",
-    "explicit_bracket",
 ]
 
 
@@ -102,66 +103,57 @@ def wiener_variables(path: WienerPath | GaussianMartingalePath, system: Orthonor
 martingale_variables = wiener_variables
 
 
-def _basis_time_integrals(system: OrthonormalSystem, p_max: int) -> np.ndarray:
-    """int phi_j dt over the interval for j = 0..p_max."""
+@functools.lru_cache(maxsize=64)
+def _compensator_row(system: OrthonormalSystem, p_max: int, intensity, mark_factor,
+                     moment_order: float) -> np.ndarray:
+    """int phi_j dt * int phi dPi for j = 0..p_max, read-only.
+
+    Checks first that the mark moment of the given order is finite; a failed
+    check raises ValueError and is not cached, so it raises on every call."""
+    intensity.moment(mark_factor, moment_order)
+    m1 = intensity.mark_integral(mark_factor)
     a, b = system.interval.start, system.interval.end
     brk = system.breakpoints(p_max)
-    out = np.empty(p_max + 1)
+    time_ints = np.empty(p_max + 1)
     for j in range(p_max + 1):
-        out[j], _ = quadrature.integrate(lambda x, j=j: system.eval(j, x), a, b, brk)
-    return out
+        time_ints[j], _ = quadrature.integrate(lambda x, j=j: system.eval(j, x), a, b, brk)
+    row = time_ints * m1
+    row.flags.writeable = False
+    return row
 
 
 def pi_from_realization(realization: PoissonRealization, system: OrthonormalSystem,
-                        j: int, mark_factor, i: int, compensated: bool = True,
-                        moment_order: float | None = None) -> float:
-    """pi_j for one slot: exact jump sum minus the compensator.
+                        j: int, mark_factor, i: int) -> float:
+    """pi_j for one slot: the compensated integral of phi_j (exact jump sum
+    minus the compensator).
 
     For i = 0 the measure is Pi(dy) dt and the value is deterministic."""
-    if moment_order is not None:
-        realization.intensity.moment(mark_factor, moment_order)
-    m1 = realization.intensity.mark_integral(mark_factor)
-    time_int, _ = quadrature.integrate(lambda x: system.eval(j, x),
-                                       realization.interval.start, realization.interval.end,
-                                       system.breakpoints(j))
-    if i == 0:
-        return time_int * m1
-    times, marks = realization.jumps(i)
-    jump_sum = float(np.sum(system.eval(j, times) * mark_factor(marks))) if len(times) else 0.0
-    if not compensated:
-        return jump_sum
-    return jump_sum - time_int * m1
+    return compensated_integral(realization, i, lambda x: system.eval(j, x), mark_factor,
+                                system.breakpoints(j))
 
 
 def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem,
-                      mark_factors, combo, p_max: int,
-                      moment_order: float | None = None,
-                      time_integrals: np.ndarray | None = None) -> BasisVariables:
+                      mark_factors, combo, p_max: int) -> BasisVariables:
     """Slot-keyed table of pi_j^(g, i_g) variables, exact in the jump times.
 
-    time_integrals can carry precomputed int phi_j dt values (one per j) to
-    avoid re-quadrature inside Monte Carlo loops."""
+    Every mark factor needs a finite mark moment of order 2^(k+1); the
+    compensators come from a cache, so Monte Carlo loops pay for the
+    quadrature once."""
     combo = tuple(int(i) for i in combo)
     if len(mark_factors) != len(combo):
         raise ValueError("one mark factor per slot is required")
     k = len(combo)
-    if moment_order is None:
-        moment_order = 2.0 ** (k + 1)
-    time_ints = (_basis_time_integrals(system, p_max) if time_integrals is None
-                 else np.asarray(time_integrals, dtype=float))
     table = np.empty((k, p_max + 1))
     for g, (i, phi) in enumerate(zip(combo, mark_factors)):
-        realization.intensity.moment(phi, moment_order)
-        m1 = realization.intensity.mark_integral(phi)
+        row = _compensator_row(system, p_max, realization.intensity, phi, 2.0 ** (k + 1))
         if i == 0:
-            table[g] = time_ints * m1
+            table[g] = row
             continue
         times, marks = realization.jumps(i)
         if len(times):
-            basis_vals = system.eval_table(p_max, times)
-            table[g] = basis_vals @ phi(marks) - time_ints * m1
+            table[g] = system.eval_table(p_max, times) @ phi(marks) - row
         else:
-            table[g] = -time_ints * m1
+            table[g] = -row
     return BasisVariables("poisson", table, by_slot=True, combo=combo)
 
 
@@ -240,43 +232,6 @@ def pairing_bracket(values: np.ndarray, vectors, combo):
     return _scalar(total)
 
 
-def explicit_bracket(values: np.ndarray, vectors, combo):
-    """The transformed indicator formulas, written out verbatim for k = 1..4."""
-    k = values.ndim
-    i = combo
-
-    def ind(a, b):
-        return 1.0 if (i[a] == i[b] and i[a] != 0) else 0.0
-
-    def tie(*pairs):
-        return _contract(values, vectors, pairs)
-
-    full = tie()
-    if k == 1:
-        out = full
-    elif k == 2:
-        out = full - ind(0, 1) * tie((0, 1))
-    elif k == 3:
-        out = (full
-               - ind(0, 1) * tie((0, 1))
-               - ind(1, 2) * tie((1, 2))
-               - ind(0, 2) * tie((0, 2)))
-    elif k == 4:
-        out = full
-        out -= ind(0, 1) * tie((0, 1))
-        out -= ind(0, 2) * tie((0, 2))
-        out -= ind(0, 3) * tie((0, 3))
-        out -= ind(1, 2) * tie((1, 2))
-        out -= ind(1, 3) * tie((1, 3))
-        out -= ind(2, 3) * tie((2, 3))
-        out += ind(0, 1) * ind(2, 3) * tie((0, 1), (2, 3))
-        out += ind(0, 2) * ind(1, 3) * tie((0, 2), (1, 3))
-        out += ind(0, 3) * ind(1, 2) * tie((0, 3), (1, 2))
-    else:
-        raise ValueError("explicit formulas cover multiplicities 1..4 only")
-    return _scalar(out)
-
-
 def _distinct_nonzero(combo) -> bool:
     nz = [i for i in combo if i != 0]
     return len(nz) == len(set(nz))
@@ -303,17 +258,12 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
         raise ValueError("variable table does not cover the truncation box")
     vectors = [variables.slot_vector(g, combo[g], tensor.box[g]) for g in range(k)]
     gaussian = variables.kind in ("wiener", "martingale")
-    if correction == "explicit_k_le_4":
+    if correction in ("explicit_k_le_4", "pairing_general"):
         if not (gaussian or _distinct_nonzero(combo)):
-            raise ValueError("explicit correction requires a Gaussian driver "
+            raise ValueError(f"the {correction} correction requires a Gaussian driver "
                              "or pairwise-distinct nonzero components")
-        if k > 4:
+        if correction == "explicit_k_le_4" and k > 4:
             raise ValueError("explicit correction covers multiplicities 1..4 only")
-        value = explicit_bracket(tensor.values, vectors, combo)
-    elif correction == "pairing_general":
-        if not (gaussian or _distinct_nonzero(combo)):
-            raise ValueError("pairing correction requires a Gaussian driver "
-                             "or pairwise-distinct nonzero components")
         value = pairing_bracket(tensor.values, vectors, combo)
     elif correction == "prelimit":
         if gk_sums is None:

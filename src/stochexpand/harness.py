@@ -71,6 +71,13 @@ def _integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _integers(name: str, values) -> tuple[int, ...]:
+    """values as a tuple of ints >= 0; ConfigError unless it is a list or tuple of them."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return tuple(_integer(f"{name} entry", v, 0) for v in values)
+
+
 @dataclass(frozen=True)
 class DriverConfig:
     """Which driver feeds the experiment and with what parameters.
@@ -115,8 +122,10 @@ class ExperimentSpec:
         if self.correction not in ("auto", *expansions.CORRECTIONS):
             raise ConfigError(f"correction must be 'auto' or one of {expansions.CORRECTIONS}, "
                               f"got {self.correction!r}")
-        object.__setattr__(self, "combo", tuple(int(i) for i in self.combo))
-        object.__setattr__(self, "boxes", tuple(tuple(int(p) for p in b) for b in self.boxes))
+        object.__setattr__(self, "combo", _integers("combo", self.combo))
+        if not isinstance(self.boxes, (list, tuple)):
+            raise ConfigError(f"boxes must be a list of truncation boxes, got {self.boxes!r}")
+        object.__setattr__(self, "boxes", tuple(_integers("box", b) for b in self.boxes))
         if not self.boxes:
             raise ConfigError("at least one truncation box is required")
         k = self.kernel.multiplicity
@@ -124,16 +133,20 @@ class ExperimentSpec:
             raise ConfigError("boxes and combo must match the kernel multiplicity")
         if any(not 0 <= i <= self.driver.m for i in self.combo):
             raise ConfigError(f"combo components must lie in 0..{self.driver.m}")
-        if self.correction == "explicit_k_le_4" and k > 4:
-            raise ConfigError("the explicit_k_le_4 correction covers multiplicities 1..4 only")
+        correction = _resolve_correction(self)
         if self.driver.kind == "poisson":
             mf = self.driver.mark_factors
             if mf is None or len(mf) != k:
                 raise ConfigError("poisson experiments need one mark factor per slot")
-            if self.correction in ("explicit_k_le_4", "pairing_general") \
-                    and not expansions._distinct_nonzero(self.combo):
+            if correction != "prelimit" and not expansions._distinct_nonzero(self.combo):
                 raise ConfigError(f"a poisson combo with repeated components needs the "
-                                  f"prelimit correction, not {self.correction}")
+                                  f"prelimit correction, not {correction}")
+        limit = {"explicit_k_le_4": 4, "prelimit": oracle.MAX_NESTING}.get(correction, k)
+        if k > limit:
+            raise ConfigError(f"the {correction} correction covers multiplicities 1..{limit} only")
+        bits = self.system.max_walsh_bits
+        if self.system.kind == "walsh" and max(map(max, self.boxes)) >= 2**bits:
+            raise ConfigError(f"Walsh box orders must be below 2^{bits}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +306,6 @@ def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int, lo: i
     drv, combo = spec.driver, spec.combo
     gaussian = drv.kind != "poisson"
     p_max = phi.shape[0] - 1
-    time_ints = None if gaussian else expansions._basis_time_integrals(spec.system, p_max)
     for start in range(lo, hi, chunk):
         size = min(chunk, hi - start)
         incs = np.empty((size, len(combo), part.n_steps))
@@ -311,8 +323,7 @@ def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int, lo: i
             _, incs[c] = oracle.slot_increments(real, combo, None if gaussian else part,
                                                 drv.mark_factors)
             draws[c] = real.increments if gaussian else expansions.poisson_variables(
-                real, spec.system, drv.mark_factors, combo, p_max,
-                time_integrals=time_ints).table
+                real, spec.system, drv.mark_factors, combo, p_max).table
         if gaussian:
             variables = expansions.gaussian_variables(drv.kind, draws, phi)
         else:

@@ -26,7 +26,7 @@ __all__ = [
     "gk_correction_tensor",
 ]
 
-MAX_NESTING = 3
+MAX_NESTING = 3  # largest multiplicity of gk_correction_tensor
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ def iterated_sum(kernel: Kernel, realization, combo, partition: Partition | None
     k = kernel.multiplicity
     if len(combo) != k:
         raise ValueError("combo length must equal kernel multiplicity")
-    if k > MAX_NESTING:
-        raise SizeError(f"nested sums are limited to multiplicity {MAX_NESTING}")
     part, incs = slot_increments(realization, combo, partition, mark_factors)
     left = part.left_nodes
     f = np.stack([kernel.factor_values(l, left) * incs[l] for l in range(k)])

@@ -85,6 +85,14 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["coeffs", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("overrides", [dict(box=[5.5, 5]), dict(box=5), dict(interval=[1.0, 0.0])],
+                         ids=["fractional_box", "scalar_box", "reversed_interval"])
+def test_coeffs_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides):
+    assert run(["coeffs", "--config", coeffs_config(tmp_path, **overrides)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.csv").exists()
+
+
 def test_non_whitelisted_factor_rejected(tmp_path):
     cfg = coeffs_config(tmp_path, kernel={"factors": [{"name": "tabulated"}]})
     assert run(["coeffs", "--config", cfg]) == 2
@@ -125,6 +133,7 @@ def test_usage_error_exit_code():
 
 
 POISSON_REPEATED = dict(driver={"kind": "poisson", "m": 1}, combo=[1, 1])
+K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[1, 1, 1, 1]])
 
 
 @pytest.mark.parametrize("overrides, code", [
@@ -142,10 +151,26 @@ POISSON_REPEATED = dict(driver={"kind": "poisson", "m": 1}, combo=[1, 1])
     (dict(driver={"kind": "wiener", "m": 2.5}), 2),
     (dict(driver={"kind": "wiener", "m": "2"}), 2),
     (dict(driver={"kind": "wiener", "m": False}), 2),
+    (dict(combo=[1.7, 2]), 2),
+    (dict(combo=["1", 2]), 2),
+    (dict(combo=["a", 2]), 2),
+    (dict(combo=1), 2),
+    (dict(boxes=[[1, 1.9]]), 2),
+    (dict(boxes=[[-1, 1]]), 2),
+    (dict(boxes=3), 2),
+    (dict(boxes=[3]), 2),
+    (dict(K4, driver={"kind": "poisson", "m": 1}, combo=[1, 1, 1, 1]), 2),
+    (dict(K4, combo=[1, 2, 1, 2], correction="prelimit"), 2),
+    (dict(interval=[1.0, 0.0]), 2),
+    (dict(interval=[0.5, 1.0], system={"kind": "bessel_unit"}), 2),
+    (dict(system={"kind": "walsh"}, boxes=[[1024, 1]]), 2),
 ], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
         "poisson_repeated_pairing", "poisson_repeated_explicit", "fractional_trials",
         "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
-        "fractional_m", "string_m", "bool_m"])
+        "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
+        "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
+        "scalar_box", "poisson_k4_auto_prelimit", "wiener_k4_prelimit", "reversed_interval",
+        "shifted_bessel_interval", "walsh_order_over_bits"])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == code
     assert "Traceback" not in capsys.readouterr().err

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from stochexpand import basis, expansions, oracle
 from stochexpand.basis import Interval
-from stochexpand.drivers import (exponential_measure, make_partition, sample_poisson,
-                                 sample_wiener, trial_seed)
+from stochexpand.drivers import (PoissonRealization, compensated_integral, exponential_measure,
+                                 make_partition, sample_poisson, sample_wiener, trial_seed)
 from stochexpand.expansions import (BasisVariables, expand, expand_weighted,
-                                    explicit_bracket, pairing_bracket,
+                                    pairing_bracket, pi_from_realization,
                                     poisson_variables, wiener_variables,
                                     zeta_from_path)
 from stochexpand.kernel import coeff_tensor, unit_kernel
+from stochexpand.validation import explicit_bracket
 
 IV = Interval(0.0, 1.0)
 SYS = basis.legendre(IV)
@@ -54,6 +55,42 @@ class TestBasisVariables:
         vars_ = poisson_variables(real, SYS, (_mark,), (1,), 0)
         want = np.sum(marks) - 5.0  # phi_0 = 1 on [0,1], compensator 1 * 5
         assert vars_.table[0, 0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("i, jumps", [(0, True), (1, True), (2, True), (1, False)],
+                             ids=["time", "component1", "component2", "no_jumps"])
+    def test_pi_single_matches_table_and_compensated_integral(self, i, jumps):
+        measure = exponential_measure(5.0)
+        real = sample_poisson(IV, 2, measure, 12)
+        if not jumps:
+            empty = (np.empty(0), np.empty(0))
+            real = PoissonRealization(IV, 2, empty, empty, measure)
+        assert jumps == (len(real.jumps(1)[0]) > 0 and len(real.jumps(2)[0]) > 0)
+        sys_ = basis.haar(IV)  # breakpoints make the compensator quadrature nontrivial
+        p_max = 5
+        table = poisson_variables(real, sys_, (_mark,), (i,), p_max).table[0]
+        for j in range(p_max + 1):
+            single = pi_from_realization(real, sys_, j, _mark, i)
+            direct = compensated_integral(real, i, lambda x, j=j: sys_.eval(j, x), _mark,
+                                          sys_.breakpoints(j))
+            assert single == direct
+            assert single == pytest.approx(table[j], abs=1e-12)
+
+    def test_compensator_row_cached_read_only_and_moment_checked(self):
+        measure = exponential_measure(5.0)
+        row = expansions._compensator_row(SYS, 3, measure, _mark, 4.0)
+        assert expansions._compensator_row(SYS, 3, measure, _mark, 4.0) is row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+        def heavy(y):  # the order-4 moment, int y^800 dPi, overflows to inf
+            return np.asarray(y, dtype=float) ** 200
+
+        real = sample_poisson(IV, 1, measure, 3)
+        with np.errstate(over="ignore"):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="moment"):
+                    poisson_variables(real, SYS, (heavy,), (1,), 2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -52,11 +52,25 @@ def test_prefix_matches_naive_poisson():
     assert fast == pytest.approx(slow, abs=1e-12)
 
 
-def test_nesting_guard():
+def test_k4_matches_naive():
+    kern = Kernel((Factor("const", 1.0), Factor("pow", 1.0), Factor("exp", 1.0),
+                   Factor("pow", 2.0)), IV)
     part = make_partition(IV, 8)
-    path = sample_wiener(part, 1, 0)
+    path = sample_wiener(part, 2, 41)
+    fast = oracle.iterated_sum(kern, path, (1, 1, 2, 2)).value
+    assert fast == pytest.approx(oracle.iterated_sum_naive(kern, path, (1, 1, 2, 2)), abs=1e-12)
+    real = sample_poisson(IV, 2, exponential_measure(20.0), 8)
+    assert all(len(real.jumps(i)[0]) for i in (1, 2))
+    marks = (_mark_one,) * 4
+    fast = oracle.iterated_sum(kern, real, (1, 2, 1, 2), part, marks).value
+    slow = oracle.iterated_sum_naive(kern, real, (1, 2, 1, 2), part, marks)
+    assert fast == pytest.approx(slow, abs=1e-12)
+
+
+def test_gk_tensor_guard_above_k3():
+    tables = [np.ones((1, 8))] * 4
     with pytest.raises(SizeError):
-        oracle.iterated_sum(unit_kernel(4, IV), path, (1, 1, 1, 1))
+        oracle.gk_correction_tensor(tables, [np.ones(8)] * 4)
 
 
 def test_partition_mismatch_rejected():
