@@ -17,13 +17,13 @@ from .drivers import (GaussianMartingalePath, IntensityMeasure, Partition,
 from .errors import ConfigError, QuadratureError, SizeError, StochexpandError
 from .expansions import (BasisVariables, ExpansionSample, expand, expand_weighted,
                          martingale_variables, pi_from_realization, poisson_variables,
-                         wiener_variables, xi_from_path, zeta_from_path)
+                         wiener_variables, zeta_from_path)
 from .harness import (DriverConfig, ExperimentSpec, MCReport, moment_suite,
                       power_mark, run_experiment)
 from .kernel import (CoeffTensor, Factor, Kernel, coeff, coeff_tensor,
                      kernel_norm_sq, parseval_partial, tensor_from_csv,
                      tensor_from_json, tensor_to_csv, tensor_to_json, unit_kernel)
-from .oracle import iterated_sum, prelimit_gk_sum
+from .oracle import iterated_sum
 
 __version__ = "0.1.0"
 
@@ -36,12 +36,12 @@ __all__ = [
     "ConfigError", "QuadratureError", "SizeError", "StochexpandError",
     "BasisVariables", "ExpansionSample", "expand", "expand_weighted",
     "martingale_variables", "pi_from_realization", "poisson_variables",
-    "wiener_variables", "xi_from_path", "zeta_from_path",
+    "wiener_variables", "zeta_from_path",
     "DriverConfig", "ExperimentSpec", "MCReport", "moment_suite", "power_mark",
     "run_experiment",
     "CoeffTensor", "Factor", "Kernel", "coeff", "coeff_tensor", "kernel_norm_sq",
     "parseval_partial", "tensor_from_csv", "tensor_from_json", "tensor_to_csv",
     "tensor_to_json", "unit_kernel",
-    "iterated_sum", "prelimit_gk_sum",
+    "iterated_sum",
     "__version__",
 ]

@@ -20,8 +20,8 @@ import numpy as np
 from .basis import Interval, OrthonormalSystem, gram_matrix
 from .drivers import exponential_measure
 from .errors import ConfigError, SizeError
-from .harness import (DriverConfig, ExperimentSpec, _integers, power_mark, report_to_csv,
-                      report_to_json, run_experiment)
+from .harness import (DriverConfig, ExperimentSpec, _check_tensor_config, _integer, _integers,
+                      power_mark, report_to_csv, report_to_json, run_experiment)
 from .kernel import Factor, Kernel, coeff_tensor, tensor_to_csv, tensor_to_json
 
 EXIT_OK = 0
@@ -63,9 +63,9 @@ def _system_from_config(doc: dict, interval: Interval) -> OrthonormalSystem:
     kind = doc.get("kind")
     if kind not in _SYSTEM_KINDS:
         raise ConfigError(f"system kind must be one of {_SYSTEM_KINDS}, got {kind!r}")
-    return OrthonormalSystem(kind, interval,
-                             bessel_order=int(doc.get("bessel_order", 0)),
-                             max_walsh_bits=int(doc.get("max_walsh_bits", 10)))
+    ints = {key: _integer(key, doc.get(key, default), 0)
+            for key, default in (("bessel_order", 0), ("max_walsh_bits", 10))}
+    return OrthonormalSystem(kind, interval, **ints)
 
 
 def _kernel_from_config(doc: dict, interval: Interval) -> Kernel:
@@ -149,7 +149,9 @@ def cmd_coeffs(args) -> int:
     box = _integers("box", doc.get("box"))
     if len(box) != kern.multiplicity:
         raise ConfigError("box must list one truncation order per kernel factor")
-    tensor = coeff_tensor(kern, system, box, weighted=bool(doc.get("weighted", False)))
+    weighted = bool(doc.get("weighted", False))
+    _check_tensor_config(system, [box], weighted)
+    tensor = coeff_tensor(kern, system, box, weighted=weighted)
     out = doc.get("out", "coeffs")
     tensor_to_csv(tensor, f"{out}.csv")
     tensor_to_json(tensor, f"{out}.json")

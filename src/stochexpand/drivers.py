@@ -46,13 +46,13 @@ class Partition:
     """Nodes tau_0 < ... < tau_N spanning the interval.
 
     The step lengths and left nodes are computed once and are read-only;
-    step variances of Gaussian martingales are memoized per density."""
+    step variances of Gaussian martingales are memoized for the last density."""
 
     interval: Interval
     nodes: np.ndarray
     deltas: np.ndarray = field(init=False, repr=False, compare=False)
     left_nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    _variances: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _variances: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -77,11 +77,11 @@ class Partition:
     def step_variances(self, rho) -> np.ndarray:
         """int rho over every step (32-node Gauss-Legendre per step).
 
-        Memoized per rho object, so rho is evaluated in one call per
-        partition; a density must not change after its first use here."""
-        hit = self._variances.get(id(rho))
-        if hit is not None and hit[0] is rho:
-            return hit[1]
+        Memoized for the last rho object only (a pass uses one density), so
+        rho is evaluated in one call per pass; a density must not change
+        after its first use here."""
+        if self._variances and self._variances[0] is rho:
+            return self._variances[1]
         density = _as_callable(rho)
         ref_x, ref_w = np.polynomial.legendre.leggauss(32)
         a = self.left_nodes[:, None]
@@ -97,7 +97,7 @@ class Partition:
         else:
             variances = np.sum((b - a) / 2.0 * ref_w[None, :] * vals, axis=1)
         variances.flags.writeable = False
-        self._variances[id(rho)] = (rho, variances)  # holding rho keeps its id unique
+        self._variances[:] = (rho, variances)
         return variances
 
 
@@ -273,9 +273,9 @@ def sample_poisson(interval: Interval, m: int, measure: IntensityMeasure, seed,
     return PoissonRealization(interval, m, tuple(times), tuple(marks), measure)
 
 
-def interval_measures(realization: PoissonRealization, i: int, phi, partition: Partition,
-                      compensated: bool = True) -> np.ndarray:
-    """Per-step values of int phi(y) nu~(i)([tau_l, tau_l+1), dy) (or plain nu).
+def interval_measures(realization: PoissonRealization, i: int, phi,
+                      partition: Partition) -> np.ndarray:
+    """Per-step values of int phi(y) nu~(i)([tau_l, tau_l+1), dy).
 
     For i = 0 the measure is Pi(dy) dt, i.e. delta_t * int phi dPi per step."""
     m1 = realization.intensity.mark_integral(phi)
@@ -287,9 +287,7 @@ def interval_measures(realization: PoissonRealization, i: int, phi, partition: P
         bins = np.clip(np.searchsorted(partition.nodes, times, side="right") - 1,
                        0, partition.n_steps - 1)
         np.add.at(vals, bins, phi(marks))
-    if compensated:
-        vals = vals - partition.deltas * m1
-    return vals
+    return vals - partition.deltas * m1
 
 
 def compensated_integral(realization: PoissonRealization, i: int, h, phi,

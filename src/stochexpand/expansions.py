@@ -2,17 +2,18 @@
 
 From a driver realization we form the basis variables (projections of the
 driver onto basis members), then evaluate the truncated multiple series
-with one of three diagonal-correction modes:
+with one of three diagonal-correction modes, all Moebius sums over the set
+partitions of the slots (``oracle.set_partitions``):
 
-* ``pairing_general`` -- sum over partitions of the slots into singletons
-  and disjoint pairs, each pair contributing -1{i_a=i_b!=0} 1{j_a=j_b}
-  (``pairing_bracket``);
+* ``pairing_general`` -- over the partitions into singletons and pairs with equal
+  nonzero components, pairs tied (j_a = j_b): the quadratic variation of Wiener
+  drivers and of martingales with rho == 1 (``pairing_bracket``);
 * ``explicit_k_le_4`` -- the same bracket restricted to k = 1..4, where it
   is the transformed indicator formulas; those formulas, written out, are
   the independent oracle for it in ``validation.explicit_bracket``;
-* ``prelimit`` -- subtract the coincident-index sum evaluated on the
-  realization's partition, the universal (finite-N) fallback and the only
-  mode for Poisson combos with coincident components.
+* ``prelimit`` -- subtract the coincident-index sum over all partitions on the
+  realization's partition (``oracle.gk_correction_tensor``, any k), the finite-N
+  fallback and the only mode for repeated Poisson or rho != 1 martingale components.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .kernel import CoeffTensor
 __all__ = [
     "BasisVariables",
     "zeta_from_path",
-    "xi_from_path",
     "pi_from_realization",
     "gaussian_variables",
     "wiener_variables",
@@ -77,9 +77,6 @@ def zeta_from_path(path: WienerPath | GaussianMartingalePath, system: Orthonorma
     """Left-point discretization of int phi_j dw^(i) (or of int phi_j dM^(i),
     xi_j^(i), on a Gaussian-martingale path); i = 0 integrates against dt."""
     return float(np.dot(system.eval(j, path.partition.left_nodes), path.increment(i)))
-
-
-xi_from_path = zeta_from_path
 
 
 def gaussian_variables(kind: str, increments: np.ndarray, phi: np.ndarray) -> BasisVariables:
@@ -170,23 +167,12 @@ class ExpansionSample:
 
 @functools.lru_cache(maxsize=None)
 def _pairings(combo: tuple[int, ...]) -> tuple:
-    """The ways to split the slots into singletons and disjoint pairs whose
-    pairs have equal nonzero components (the others contribute nothing)."""
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        # first stays a singleton
-        yield from rec(rest)
-        for other in rest:
-            if combo[first] == combo[other] != 0:
-                reduced = tuple(s for s in rest if s != other)
-                for tail in rec(reduced):
-                    yield ((first, other),) + tail
-
-    return tuple(rec(tuple(range(len(combo)))))
+    """(pairs, mu) for the set partitions of the slots into singletons and
+    pairs with equal nonzero components (the others contribute nothing)."""
+    return tuple((tuple(b for b in blocks if len(b) == 2), mu)
+                 for blocks, mu in oracle.set_partitions(len(combo))
+                 if all(len(b) == 1 or len(b) == 2 and combo[b[0]] == combo[b[1]] != 0
+                        for b in blocks))
 
 
 def _contract(values: np.ndarray, vectors, pairs=()) -> np.ndarray:
@@ -223,12 +209,13 @@ def _scalar(value):
 def pairing_bracket(values: np.ndarray, vectors, combo):
     """sum_J C[J] * (prod zeta - pair corrections) via the pairing expansion.
 
-    vectors[g] is the basis-variable vector for slot g; pairs (a, b)
-    contribute a factor -1{i_a = i_b != 0} (with j_a = j_b contracted).
+    vectors[g] is the basis-variable vector for slot g; each partition into
+    singletons and pairs (a, b) with i_a = i_b != 0, j_a = j_b contracted,
+    enters with its Moebius weight mu = (-1)^#pairs.
     Returns a float, or an array over the vectors' leading axes."""
     total = 0.0
-    for pairs in _pairings(tuple(combo)):
-        total = total + (-1.0) ** len(pairs) * _contract(values, vectors, pairs)
+    for pairs, mu in _pairings(tuple(combo)):
+        total = total + mu * _contract(values, vectors, pairs)
     return _scalar(total)
 
 

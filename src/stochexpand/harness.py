@@ -96,8 +96,10 @@ class DriverConfig:
         if self.kind not in ("wiener", "martingale", "poisson"):
             raise ConfigError(f"unknown driver kind: {self.kind}")
         object.__setattr__(self, "m", _integer("m", self.m, 1))
-        if self.kind == "martingale" and self.rho is None:
-            raise ConfigError("martingale driver requires a variance density rho")
+        if self.kind == "martingale" and not (
+                callable(self.rho) or self.rho is not None and 0 <= self.rho < math.inf):
+            raise ConfigError(f"martingale driver requires a variance density rho, finite and "
+                              f">= 0 if constant, got {self.rho!r}")
         if self.kind == "poisson" and self.intensity is None:
             raise ConfigError("poisson driver requires an intensity measure")
 
@@ -133,20 +135,24 @@ class ExperimentSpec:
             raise ConfigError("boxes and combo must match the kernel multiplicity")
         if any(not 0 <= i <= self.driver.m for i in self.combo):
             raise ConfigError(f"combo components must lie in 0..{self.driver.m}")
-        correction = _resolve_correction(self)
-        if self.driver.kind == "poisson":
-            mf = self.driver.mark_factors
-            if mf is None or len(mf) != k:
-                raise ConfigError("poisson experiments need one mark factor per slot")
-            if correction != "prelimit" and not expansions._distinct_nonzero(self.combo):
-                raise ConfigError(f"a poisson combo with repeated components needs the "
-                                  f"prelimit correction, not {correction}")
-        limit = {"explicit_k_le_4": 4, "prelimit": oracle.MAX_NESTING}.get(correction, k)
-        if k > limit:
-            raise ConfigError(f"the {correction} correction covers multiplicities 1..{limit} only")
-        bits = self.system.max_walsh_bits
-        if self.system.kind == "walsh" and max(map(max, self.boxes)) >= 2**bits:
-            raise ConfigError(f"Walsh box orders must be below 2^{bits}")
+        mf = self.driver.mark_factors
+        if self.driver.kind == "poisson" and (mf is None or len(mf) != k):
+            raise ConfigError("poisson experiments need one mark factor per slot")
+        if self.correction not in ("auto", "prelimit") and _needs_prelimit(self):
+            raise ConfigError(f"this {self.driver.kind} combo with repeated components needs "
+                              f"the prelimit correction, not {self.correction}")
+        if self.correction == "explicit_k_le_4" and k > 4:
+            raise ConfigError("the explicit_k_le_4 correction covers multiplicities 1..4 only")
+        _check_tensor_config(self.system, self.boxes, self.weighted)
+
+
+def _check_tensor_config(system: OrthonormalSystem, boxes, weighted: bool) -> None:
+    """ConfigError for weighted coefficients on a unit-weight system or a Walsh order >= 2^bits."""
+    if weighted and not system.weighted:
+        raise ConfigError("weighted coefficients require a weighted system")
+    bits = system.max_walsh_bits
+    if system.kind == "walsh" and max(map(max, boxes)) >= 2**bits:
+        raise ConfigError(f"Walsh box orders must be below 2^{bits}")
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,14 @@ class MCReport:
 def _resolve_correction(spec: ExperimentSpec) -> str:
     if spec.correction != "auto":
         return spec.correction
-    if spec.driver.kind != "poisson" or expansions._distinct_nonzero(spec.combo):
-        return "pairing_general"
-    return "prelimit"
+    return "prelimit" if _needs_prelimit(spec) else "pairing_general"
+
+
+def _needs_prelimit(spec: ExperimentSpec) -> bool:
+    """Whether the pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation."""
+    kind = spec.driver.kind
+    return not expansions._distinct_nonzero(spec.combo) and (
+        kind == "poisson" or kind == "martingale" and _density_scale(spec) != 1.0)
 
 
 def _residual_scale(spec: ExperimentSpec) -> float:
@@ -199,14 +210,18 @@ def _residual_scale(spec: ExperimentSpec) -> float:
         for phi in spec.driver.mark_factors:
             scale *= spec.driver.intensity.moment(phi, 2.0)
         return scale
-    # martingale: constant density has scale rho^k; a density matching the
-    # system weight is already absorbed by the weighted kernel norm
+    return _density_scale(spec) ** spec.kernel.multiplicity
+
+
+def _density_scale(spec: ExperimentSpec) -> float:
+    """Per-slot isometry factor of a martingale: rho if constant, 1 if it equals the system
+    weight on the weighted route (absorbed by the weighted kernel norm), else NaN."""
     rho = spec.driver.rho
     iv = spec.kernel.interval
     x = np.linspace(iv.start, iv.end, 257)
     vals = np.asarray(rho(x), dtype=float) if callable(rho) else np.full_like(x, float(rho))
     if np.allclose(vals, vals[0], rtol=1e-12, atol=1e-12):
-        return float(vals[0]) ** spec.kernel.multiplicity
+        return float(vals[0])
     if spec.weighted and np.allclose(vals, spec.system.weight(x), rtol=1e-12, atol=1e-12):
         return 1.0
     return float("nan")
@@ -223,17 +238,21 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     Raises SizeError, before anything is allocated, when the partition, the
     left-node tables, one chunk's buffers in each worker process and the
     kept_per_trial result floats of every trial (twice when sharded: the
-    workers' rows and the gathered array) would exceed MEMORY_BUDGET."""
+    workers' rows and the gathered array) would exceed MEMORY_BUDGET; under prelimit
+    also each worker's slot tables and largest block product of the G_k sum."""
     k = spec.kernel.multiplicity
     rows = spec.driver.m + 1 if spec.driver.kind != "poisson" else 0
-    per_trial = 8 * n_steps * (rows + k)  # increments and slot increments
+    prelimit = _resolve_correction(spec) == "prelimit"
+    # increments and slot increments; G_k tensors listed, stacked and in expand's product
+    per_trial = 8 * n_steps * (rows + k) + prelimit * 3 * 8 * (p_max + 1) ** k
+    temp = prelimit * 8 * n_steps * (k * (p_max + 1) + (p_max + 1) ** (k - 1))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
     # nodes, deltas, step variances, basis table, kernel factors; forked
     # workers share them with the parent
     tables = 8 * (n_steps + 1) * (3 + p_max + 1 + k)
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
-    need = tables + workers * chunk * per_trial + results
+    need = tables + workers * (chunk * per_trial + temp) + results
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")

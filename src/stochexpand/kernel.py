@@ -53,7 +53,7 @@ class Factor:
     """One whitelisted kernel factor psi(s), parameterized by the interval start.
 
     const: c; pow: (s - t)^a; sqrt_shift: sqrt(s - t); exp: e^(c (s - t)).
-    Tabulated factors interpolate samples and are flagged unverified.
+    Tabulated factors interpolate samples.
     """
 
     name: str
@@ -63,10 +63,6 @@ class Factor:
     def __post_init__(self):
         if self.name not in _FACTOR_NAMES:
             raise ValueError(f"factor {self.name!r} is not in the whitelist {_FACTOR_NAMES}")
-
-    @property
-    def verified(self) -> bool:
-        return self.name != "tabulated"
 
     def power(self):
         """Exponent when the factor is a pure power of (s - t), else None."""
@@ -153,10 +149,6 @@ class CoeffTensor:
             box = self.box
         sl = tuple(slice(0, p + 1) for p in box)
         return float(np.sum(self.values[sl] ** 2))
-
-    def sparsity(self, tol: float = 1e-13) -> float:
-        """Fraction of entries below tol in magnitude (reporting only)."""
-        return float(np.mean(np.abs(self.values) <= tol))
 
 
 def _check_box(box) -> tuple[int, ...]:

@@ -3,17 +3,19 @@
 Ground truth for all expansion tests: the strictly nested left-point sum
 over a partition, computed in O(k N) by running prefix accumulation, plus
 the coincident-index ("diagonal") sums over G_k = H_k \\ L_k used by the
-pre-limit correction of the expansions.
+pre-limit correction of the expansions.  Both it and the pairing bracket are
+Moebius sums over the set partitions of the k slots (Rota 1964): set_partitions.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drivers import GaussianMartingalePath, Partition, PoissonRealization, WienerPath, interval_measures
-from .errors import SizeError
 from .kernel import Kernel
 
 __all__ = [
@@ -22,11 +24,9 @@ __all__ = [
     "iterated_sum",
     "nested_sum",
     "iterated_sum_naive",
-    "prelimit_gk_sum",
+    "set_partitions",
     "gk_correction_tensor",
 ]
-
-MAX_NESTING = 3  # largest multiplicity of gk_correction_tensor
 
 
 @dataclass(frozen=True)
@@ -115,36 +115,38 @@ def iterated_sum_naive(kernel: Kernel, realization, combo, partition: Partition 
     return float(rec_outer(k - 1, n))
 
 
+@functools.lru_cache(maxsize=None)
+def set_partitions(k: int) -> tuple:
+    """(blocks, mu) for every set partition of the slots 0..k-1, finest first; blocks by
+    smallest slot, slots increasing, and the Moebius weight mu = prod_B (-1)^(|B|-1) (|B|-1)!."""
+    parts = [()]
+    for s in range(k):  # slot s joins one block of each partition, or opens its own
+        parts = [p[:b] + (p[b] + (s,),) + p[b + 1:] for p in parts for b in range(len(p))] \
+            + [p + ((s,),) for p in parts]
+    return tuple((p, math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in p))
+                 for p in sorted(parts, key=len, reverse=True))
+
+
 def gk_correction_tensor(phi_tables, incs) -> np.ndarray:
     """Sum over coincident index tuples (G_k) for every multi-index in a box.
 
     phi_tables[g] has shape (p_g + 1, N): basis values at the left nodes;
-    incs[g] has shape (N,).  Returns an array of shape (p_1+1, ..., p_k+1)
-    via inclusion-exclusion on the distinct-tuple set L_k (k <= 3)."""
-    k = len(phi_tables)
-    f = [phi_tables[g] * incs[g][None, :] for g in range(k)]
-    if k == 1:
-        return np.zeros(f[0].shape[0])
-    if k == 2:
-        return f[0] @ f[1].T
-    if k == 3:
-        s = [fg.sum(axis=1) for fg in f]
-        d12 = f[0] @ f[1].T
-        d13 = f[0] @ f[2].T
-        d23 = f[1] @ f[2].T
-        d123 = np.einsum("al,bl,cl->abc", f[0], f[1], f[2])
-        return (d12[:, :, None] * s[2][None, None, :]
-                + d13[:, None, :] * s[1][None, :, None]
-                + d23[None, :, :] * s[0][:, None, None]
-                - 2.0 * d123)
-    raise SizeError(f"coincident-index sums are limited to multiplicity {MAX_NESTING}")
-
-
-def prelimit_gk_sum(realization, system, js, combo, partition: Partition | None = None,
-                    mark_factors=None) -> float:
-    """G_k sum for one multi-index (j_1, ..., j_k), computed exactly."""
-    combo = tuple(int(i) for i in combo)
-    part, incs = slot_increments(realization, combo, partition, mark_factors)
-    left = part.left_nodes
-    tables = [system.eval(j, left)[None, :] for j in js]
-    return float(gk_correction_tensor(tables, incs).ravel()[0])
+    incs[g] has shape (N,).  Returns an array of shape (p_1+1, ..., p_k+1), all tuples minus the
+    distinct ones: -sum_{pi not finest} mu(pi) prod_{B in pi} X_B, with
+    X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}."""
+    f = [table * inc[None, :] for table, inc in zip(phi_tables, incs)]
+    shape = tuple(len(fg) for fg in f)
+    blocks = {}
+    total = np.zeros(shape)
+    for partition, mu in set_partitions(len(f))[1:]:
+        term = 1.0
+        for b in partition:
+            if b not in blocks:  # its slots increase, so its axes broadcast in slot order
+                head = f[b[0]]
+                for g in b[1:-1]:  # all slots but the last multiplied out, then one matmul
+                    head = (head[:, None, :] * f[g]).reshape(-1, head.shape[1])
+                x = head @ f[b[-1]].T if len(b) > 1 else head.sum(axis=1)
+                blocks[b] = x.reshape([n if g in b else 1 for g, n in enumerate(shape)])
+            term = term * blocks[b]
+        total -= mu * term
+    return total

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import basis, expansions, kernel as kernel_mod, oracle
 from .basis import Interval, bessel_roots, bessel_unit, bessel_weighted, gram_matrix
-from .drivers import (exponential_measure, interval_measures, make_partition,
-                      martingale_from_wiener, sample_gaussian_martingale,
-                      sample_poisson, sample_wiener, trial_seed)
+from .drivers import (exponential_measure, make_partition, martingale_from_wiener,
+                      sample_gaussian_martingale, sample_poisson, sample_wiener, trial_seed)
 from .expansions import expand, expand_weighted, martingale_variables, wiener_variables
 from .harness import DriverConfig, ExperimentSpec, moment_suite, power_mark, run_experiment
 from .kernel import coeff_tensor, kernel_norm_sq, unit_kernel

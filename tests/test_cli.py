@@ -85,8 +85,14 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["coeffs", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("overrides", [dict(box=[5.5, 5]), dict(box=5), dict(interval=[1.0, 0.0])],
-                         ids=["fractional_box", "scalar_box", "reversed_interval"])
+@pytest.mark.parametrize("overrides", [
+    dict(box=[5.5, 5]), dict(box=5), dict(interval=[1.0, 0.0]),
+    dict(kernel={"factors": [{"name": "const"}]}, system={"kind": "walsh"}, box=[1024]),
+    dict(system={"kind": "bessel_unit", "bessel_order": 1.5}),
+    dict(system={"kind": "walsh", "max_walsh_bits": 2.7}, box=[1, 1]),
+    dict(weighted=True),
+], ids=["fractional_box", "scalar_box", "reversed_interval", "walsh_order_over_bits",
+        "fractional_bessel_order", "fractional_walsh_bits", "weighted_unit_weight_system"])
 def test_coeffs_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides):
     assert run(["coeffs", "--config", coeffs_config(tmp_path, **overrides)]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -133,7 +139,7 @@ def test_usage_error_exit_code():
 
 
 POISSON_REPEATED = dict(driver={"kind": "poisson", "m": 1}, combo=[1, 1])
-K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[1, 1, 1, 1]])
+MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1, 1])
 
 
 @pytest.mark.parametrize("overrides, code", [
@@ -159,21 +165,62 @@ K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[1, 1, 1, 1]])
     (dict(boxes=[[-1, 1]]), 2),
     (dict(boxes=3), 2),
     (dict(boxes=[3]), 2),
-    (dict(K4, driver={"kind": "poisson", "m": 1}, combo=[1, 1, 1, 1]), 2),
-    (dict(K4, combo=[1, 2, 1, 2], correction="prelimit"), 2),
     (dict(interval=[1.0, 0.0]), 2),
     (dict(interval=[0.5, 1.0], system={"kind": "bessel_unit"}), 2),
     (dict(system={"kind": "walsh"}, boxes=[[1024, 1]]), 2),
+    (dict(MARTINGALE_RHO2, correction="pairing_general"), 2),
+    (dict(MARTINGALE_RHO2, correction="explicit_k_le_4"), 2),
+    (dict(weighted=True), 2),
+    (dict(driver={"kind": "martingale", "m": 2, "rho": -1}), 2),
+    (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
+    (dict(system={"kind": "walsh", "max_walsh_bits": 2.7}), 2),
 ], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
         "poisson_repeated_pairing", "poisson_repeated_explicit", "fractional_trials",
         "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
         "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
         "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
-        "scalar_box", "poisson_k4_auto_prelimit", "wiener_k4_prelimit", "reversed_interval",
-        "shifted_bessel_interval", "walsh_order_over_bits"])
+        "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
+        "martingale_rho2_repeated_pairing", "martingale_rho2_repeated_explicit",
+        "weighted_unit_weight_system", "negative_rho", "fractional_bessel_order",
+        "fractional_walsh_bits"])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "conv.json").exists()
+
+
+K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[0, 0, 0, 0], [1, 1, 1, 1]],
+          n_steps=1024, trials=200, seed=5)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(K4, combo=[1, 1, 1, 1], correction="prelimit"),
+    dict(K4, driver={"kind": "poisson", "m": 1}, combo=[1, 1, 1, 1]),
+    dict(MARTINGALE_RHO2, kernel={"factors": [{"name": "const"}] * 2},
+         boxes=[[0, 0], [3, 3], [7, 7]], n_steps=1024, trials=400),
+], ids=["wiener_k4_prelimit", "poisson_k4_auto_prelimit", "martingale_rho2_repeated_auto"])
+def test_converge_prelimit_is_exact_for_unit_kernels(tmp_path, overrides):
+    # the unit kernel is phi_0-constant, so the prelimit expansion is the left-point sum
+    assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == 0
+    doc = json.loads((tmp_path / "conv.json").read_text())
+    assert doc["correction"] == "prelimit"
+    assert all(b["mse"] < 1e-20 for b in doc["boxes"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_converge_k5_prelimit_block_products_trip_the_guard(tmp_path, capsys, monkeypatch, workers):
+    # G_k's five-slot block multiplies out 8^4 x 2^18 floats (8.6 GB) per worker
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(harness, "sample_wiener", no_draw)
+    monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: min(workers, n_chunks))
+    cfg = converge_config(tmp_path, kernel={"factors": [{"name": "const"}] * 5},
+                          driver={"kind": "wiener", "m": 1}, combo=[1] * 5,
+                          boxes=[[7] * 5], n_steps=2**18, trials=4, correction="prelimit")
+    assert run(["converge", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "Traceback" not in err
     assert not (tmp_path / "conv.json").exists()
 
 

@@ -34,7 +34,11 @@ def test_partition_tables_are_computed_once_and_read_only():
     assert np.array_equal(part.deltas, np.diff(part.nodes))
     assert np.array_equal(part.left_nodes, part.nodes[:-1])
     rho = lambda t: 1.0 + t  # noqa: E731
-    assert part.step_variances(rho) is part.step_variances(rho)
+    first = part.step_variances(rho)
+    assert part.step_variances(rho) is first
+    part.step_variances(lambda t: 2.0 + t)
+    again = part.step_variances(rho)  # only the last density is kept
+    assert again is not first and np.array_equal(again, first)
     for table in (part.deltas, part.step_variances(rho)):
         with pytest.raises(ValueError):
             table[0] = 1.0
@@ -81,9 +85,9 @@ class TestMartingale:
     def test_linear_density_variance(self):
         # rho(tau) = tau on [0,1], single step: Var = 1/2
         part = make_partition(IV, 1)
-        draws = np.array([
-            sample_gaussian_martingale(part, 1, lambda x: x, trial_seed(6, t)).increment(1)[0]
-            for t in range(10**4)])
+        rho = lambda x: x  # noqa: E731 -- one object: its step variances are computed once
+        draws = np.array([sample_gaussian_martingale(part, 1, rho, trial_seed(6, t)).increment(1)[0]
+                          for t in range(10**4)])
         se = np.sqrt(2.0 / 10**4) * 0.5  # se of the variance of N(0, 1/2)
         assert abs(np.var(draws) - 0.5) < 3 * se
 

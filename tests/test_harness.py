@@ -78,6 +78,31 @@ def test_coincident_poisson_uses_prelimit():
     assert np.isnan(report.stats[0].residual)
 
 
+def test_martingale_pairs_need_the_systems_measure():
+    # rho == 1: the pairing bracket holds, and the stats are the Wiener driver's
+    report = run_experiment(_wiener_spec(driver=DriverConfig("martingale", m=2, rho=1.0),
+                                         combo=(1, 1), trials=50))
+    assert report.correction == "pairing_general"
+    np.testing.assert_array_equal(_stats(report),
+                                  _stats(run_experiment(_wiener_spec(combo=(1, 1), trials=50))))
+    # any other density needs prelimit for tied pairs, and refuses the pairing bracket
+    for rho in (2.0, _rho_one_plus_t):
+        driver = DriverConfig("martingale", m=2, rho=rho)
+        assert harness._resolve_correction(_wiener_spec(driver=driver, combo=(1, 1))) == "prelimit"
+        assert harness._resolve_correction(_wiener_spec(driver=driver)) == "pairing_general"
+        for correction in ("pairing_general", "explicit_k_le_4"):
+            with pytest.raises(ConfigError):
+                _wiener_spec(driver=driver, combo=(1, 1), correction=correction)
+    # on the weighted route a density equal to the system weight is the system's measure
+    spec = _wiener_spec(system=basis.bessel_weighted(1.0), weighted=True, combo=(1, 1),
+                        driver=DriverConfig("martingale", m=2, rho=lambda t: t))
+    assert harness._resolve_correction(spec) == "pairing_general"
+    with pytest.raises(ConfigError):
+        _wiener_spec(weighted=True)  # unit-weight system
+    with pytest.raises(ConfigError):
+        DriverConfig("martingale", m=2, rho=-1.0)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         _wiener_spec(trials=0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from stochexpand import basis, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import (exponential_measure, make_partition, sample_poisson,
                                  sample_wiener, trial_seed)
-from stochexpand.errors import SizeError
 from stochexpand.kernel import Factor, Kernel, unit_kernel
 
 IV = Interval(0.0, 1.0)
@@ -67,10 +68,42 @@ def test_k4_matches_naive():
     assert fast == pytest.approx(slow, abs=1e-12)
 
 
-def test_gk_tensor_guard_above_k3():
-    tables = [np.ones((1, 8))] * 4
-    with pytest.raises(SizeError):
-        oracle.gk_correction_tensor(tables, [np.ones(8)] * 4)
+def test_set_partitions_enumerate_the_lattice_with_moebius_weights():
+    for k, bell in enumerate((1, 1, 2, 5, 15, 52)):
+        parts = oracle.set_partitions(k)
+        assert len(parts) == len(set(p for p, _ in parts)) == bell
+        assert parts[0] == (tuple((g,) for g in range(k)), 1)  # finest first
+        for blocks, mu in parts:
+            assert sorted(g for b in blocks for g in b) == list(range(k))
+            assert all(list(b) == sorted(b) for b in blocks)
+        if k >= 2:
+            assert sum(mu for _, mu in parts) == 0  # sum of mu over the lattice
+    assert dict(oracle.set_partitions(3))[((0, 1, 2),)] == 2
+    assert dict(oracle.set_partitions(4))[((0, 1), (2, 3))] == 1
+
+
+def _gk_brute_force(tables, incs):
+    """Sum of prod_g f_g[:, q_g] over every index tuple with a coincidence."""
+    f = [t * inc[None, :] for t, inc in zip(tables, incs)]
+    want = np.zeros([len(t) for t in tables])
+    for qs in itertools.product(range(len(incs[0])), repeat=len(f)):
+        if len(set(qs)) < len(qs):
+            want += np.einsum(",".join("abcdefgh"[:len(f)]), *(fg[:, q] for fg, q in zip(f, qs)))
+    return want
+
+
+def test_gk_tensor_k4_matches_brute_force():
+    sys = basis.legendre(IV)
+    part = make_partition(IV, 8)
+    tables = [sys.eval_table(p, part.left_nodes) for p in (1, 2, 1, 2)]
+    path = sample_wiener(part, 2, 41)
+    real = sample_poisson(IV, 1, exponential_measure(20.0), 8)
+    _, poisson_incs = oracle.slot_increments(real, (1,) * 4, part, (_mark_one,) * 4)
+    for incs in ([path.increment(i) for i in (1, 1, 2, 2)], poisson_incs):
+        got = oracle.gk_correction_tensor(tables, incs)
+        want = _gk_brute_force(tables, incs)
+        assert got.shape == (2, 3, 2, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_partition_mismatch_rejected():
@@ -80,6 +113,13 @@ def test_partition_mismatch_rejected():
         oracle.iterated_sum(unit_kernel(1, IV), path, (1,), other)
 
 
+def _gk_single(path, system, js, combo):
+    """G_k sum of one multi-index, from one-row basis tables."""
+    part, incs = oracle.slot_increments(path, combo)
+    tables = [system.eval(j, part.left_nodes)[None, :] for j in js]
+    return float(oracle.gk_correction_tensor(tables, incs).ravel()[0])
+
+
 def test_gk_diagonal_k2_same_index():
     # quadratic-variation flavor: sum phi_j(tau_l)^2 (dw_l)^2 has mean ~ 1
     sys = basis.legendre(IV)
@@ -87,7 +127,7 @@ def test_gk_diagonal_k2_same_index():
     vals = []
     for t in range(500):
         path = sample_wiener(part, 1, trial_seed(23, t))
-        vals.append(oracle.prelimit_gk_sum(path, sys, (2, 2), (1, 1)))
+        vals.append(_gk_single(path, sys, (2, 2), (1, 1)))
     se = np.std(vals) / np.sqrt(len(vals))
     assert abs(np.mean(vals) - 1.0) < 3 * se
 
@@ -97,8 +137,7 @@ def test_gk_cross_component_shrinks_with_n():
     second_moments = []
     for n in (2**8, 2**10, 2**12):
         part = make_partition(IV, n)
-        vals = [oracle.prelimit_gk_sum(sample_wiener(part, 2, trial_seed(31, t)),
-                                       sys, (0, 0), (1, 2))
+        vals = [_gk_single(sample_wiener(part, 2, trial_seed(31, t)), sys, (0, 0), (1, 2))
                 for t in range(400)]
         second_moments.append(np.mean(np.square(vals)))
     assert second_moments[0] > second_moments[1] > second_moments[2]
@@ -115,7 +154,7 @@ def test_gk_tensor_matches_scalar_entries():
     assert full.shape == (3, 4)
     for j1 in range(3):
         for j2 in range(4):
-            single = oracle.prelimit_gk_sum(path, sys, (j1, j2), (1, 1))
+            single = _gk_single(path, sys, (j1, j2), (1, 1))
             assert full[j1, j2] == pytest.approx(single, abs=1e-13)
 
 
@@ -128,13 +167,4 @@ def test_gk_tensor_k3_inclusion_exclusion():
     tables = [sys.eval_table(1, left) for _ in range(3)]
     incs = [path.increment(i) for i in (1, 2, 1)]
     got = oracle.gk_correction_tensor(tables, incs)
-    n = part.n_steps
-    f = [tables[g] * incs[g][None, :] for g in range(3)]
-    want = np.zeros_like(got)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if a != b and b != c and a != c:
-                    continue
-                want += np.einsum("i,j,k->ijk", f[0][:, a], f[1][:, b], f[2][:, c])
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(got, _gk_brute_force(tables, incs), atol=1e-12)
