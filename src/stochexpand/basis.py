@@ -31,9 +31,14 @@ __all__ = [
     "bessel_unit",
     "gram_matrix",
     "haar_index",
+    "GRAM_TOLERANCES",
 ]
 
 ROOT_TOL = 1e-13
+# bound on max |Gram - I| (gram_matrix, default quadrature) for each system kind;
+# OrthonormalSystem accepts exactly these kinds
+GRAM_TOLERANCES = {"legendre": 1e-12, "trigonometric": 1e-12, "haar": 1e-13, "walsh": 1e-13,
+                   "bessel_weighted": 1e-8, "bessel_unit": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,10 @@ class Interval:
     end: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.start) and np.isfinite(self.end)):
-            raise ValueError("interval endpoints must be finite")
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "end", float(self.end))
+        if not np.isfinite(self.end - self.start):
+            raise ValueError("interval endpoints and length must be finite")
         if not self.start < self.end:
             raise ValueError(f"interval start must be below end, got [{self.start}, {self.end}]")
 
@@ -114,14 +121,12 @@ class OrthonormalSystem:
     _roots: BesselRootTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("legendre", "trigonometric", "haar", "walsh",
-                             "bessel_weighted", "bessel_unit"):
+        if self.kind not in GRAM_TOLERANCES:
             raise ValueError(f"unknown system kind: {self.kind}")
-        if self.kind.startswith("bessel"):
-            if self.interval.start != 0.0:
-                raise ValueError("Bessel systems require the interval to start at 0")
-            if self.bessel_order < 0:
-                raise ValueError("Bessel order must be nonnegative")
+        if self.kind.startswith("bessel") and self.interval.start != 0.0:
+            raise ValueError("Bessel systems require the interval to start at 0")
+        if self.bessel_order < 0 or self.max_walsh_bits < 0:
+            raise ValueError("bessel_order and max_walsh_bits must be nonnegative")
 
     @property
     def weighted(self) -> bool:

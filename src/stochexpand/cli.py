@@ -4,8 +4,11 @@ Subcommands: ``basis`` (Gram-matrix check of an orthonormal system),
 ``coeffs`` (coefficient tensor export), ``converge`` (Monte Carlo
 oracle-vs-expansion table) and ``validate`` (built-in check suites).
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error,
-3 resource guard tripped.
+Exit codes: 0 success; 1 validation failure; 2 usage or config error (an
+unknown key, a value of the wrong JSON type or out of range, an output
+directory that does not exist); 3 resource guard tripped or numerical
+failure (quadrature that does not converge, a result beyond the float
+range).
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
 
-from .basis import Interval, OrthonormalSystem, gram_matrix
+from .basis import GRAM_TOLERANCES, Interval, OrthonormalSystem, gram_matrix
 from .drivers import exponential_measure
-from .errors import ConfigError, SizeError
-from .harness import (DriverConfig, ExperimentSpec, _check_tensor_config, _integer, _integers,
-                      power_mark, report_to_csv, report_to_json, run_experiment)
+from .errors import ConfigError, SizeError, StochexpandError
+from .harness import (DriverConfig, ExperimentSpec, _check_tensor_config, power_mark,
+                      report_to_csv, report_to_json, run_experiment)
 from .kernel import Factor, Kernel, coeff_tensor, tensor_to_csv, tensor_to_json
 
 EXIT_OK = 0
@@ -29,17 +33,54 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_SYSTEM_KINDS = ("legendre", "trigonometric", "haar", "walsh",
-                 "bessel_weighted", "bessel_unit")
-
-_GRAM_TOLERANCES = {
-    "legendre": 1e-12,
-    "trigonometric": 1e-12,
-    "haar": 1e-13,
-    "walsh": 1e-13,
-    "bessel_weighted": 1e-8,
-    "bessel_unit": 1e-8,
+# The keys each config section may hold and the JSON type of each; [t] is a
+# list of t.  A number is finite, and a bool is never a number.
+_SCHEMA = {
+    "coeffs": {"interval": "[number]", "kernel": "object", "system": "object",
+               "box": "[integer]", "weighted": "boolean", "out": "string"},
+    "converge": {"interval": "[number]", "kernel": "object", "system": "object",
+                 "driver": "object", "combo": "[integer]", "boxes": "[[integer]]",
+                 "n_steps": "integer", "trials": "integer", "seed": "integer",
+                 "correction": "string", "weighted": "boolean", "richardson": "boolean",
+                 "out": "string"},
+    "kernel": {"factors": "[object]"},
+    "kernel factor": {"name": "string", "param": "number"},
+    "system": {"kind": "string", "bessel_order": "integer", "max_walsh_bits": "integer"},
+    "driver": {"kind": "string", "m": "integer", "rho": "number", "total_mass": "number",
+               "mark_powers": "[number]"},
 }
+# a seed is required because all randomness must be reproducible
+_REQUIRED = {"coeffs": ("interval", "kernel", "system", "box"),
+             "converge": ("interval", "kernel", "system", "seed")}
+
+
+def _conforms(value, json_type: str) -> bool:
+    if json_type.startswith("["):
+        return isinstance(value, list) and all(_conforms(v, json_type[1:-1]) for v in value)
+    if isinstance(value, bool) or json_type == "boolean":
+        return isinstance(value, bool) and json_type == "boolean"
+    if json_type == "number":
+        return isinstance(value, (int, float)) and -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, {"integer": int, "string": str, "object": dict}[json_type])
+
+
+def _section(doc, name: str) -> dict:
+    """doc, checked against the schema of config section name.
+
+    Raises ConfigError if doc is not an object, holds an unknown key or a
+    value of the wrong JSON type, or lacks a required key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    schema = _SCHEMA[name]
+    for key, value in doc.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+        if not _conforms(value, schema[key]):
+            raise ConfigError(f"{name} {key} must be of JSON type {schema[key]}, got {value!r}")
+    missing = [key for key in _REQUIRED.get(name, ()) if key not in doc]
+    if missing:
+        raise ConfigError(f"{name} is missing the required keys {missing}")
+    return doc
 
 
 @contextlib.contextmanager
@@ -52,55 +93,8 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _require_keys(doc: dict, allowed, where: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _system_from_config(doc: dict, interval: Interval) -> OrthonormalSystem:
-    _require_keys(doc, {"kind", "bessel_order", "max_walsh_bits"}, "system")
-    kind = doc.get("kind")
-    if kind not in _SYSTEM_KINDS:
-        raise ConfigError(f"system kind must be one of {_SYSTEM_KINDS}, got {kind!r}")
-    ints = {key: _integer(key, doc.get(key, default), 0)
-            for key, default in (("bessel_order", 0), ("max_walsh_bits", 10))}
-    return OrthonormalSystem(kind, interval, **ints)
-
-
-def _kernel_from_config(doc: dict, interval: Interval) -> Kernel:
-    _require_keys(doc, {"factors"}, "kernel")
-    factors = []
-    for entry in doc.get("factors", ()):
-        _require_keys(entry, {"name", "param"}, "kernel factor")
-        name = entry.get("name")
-        if name not in ("const", "pow", "sqrt_shift", "exp"):
-            raise ConfigError(f"kernel factor {name!r} is not in the config whitelist")
-        factors.append(Factor(name, float(entry.get("param", 1.0))))
-    if not factors:
-        raise ConfigError("kernel needs at least one factor")
-    return Kernel(tuple(factors), interval)
-
-
-def _driver_from_config(doc: dict, k: int) -> DriverConfig:
-    _require_keys(doc, {"kind", "m", "rho", "total_mass", "mark_powers"}, "driver")
-    kind = doc.get("kind")
-    m = doc.get("m", 2)
-    if kind == "martingale":
-        return DriverConfig("martingale", m=m, rho=float(doc.get("rho", 1.0)))
-    if kind == "poisson":
-        powers = doc.get("mark_powers", [1.0] * k)
-        if len(powers) != k:
-            raise ConfigError("mark_powers must list one exponent per slot")
-        return DriverConfig("poisson", m=m,
-                            intensity=exponential_measure(float(doc.get("total_mass", 5.0))),
-                            mark_factors=tuple(power_mark(a) for a in powers))
-    if kind == "wiener":
-        return DriverConfig("wiener", m=m)
-    raise ConfigError(f"driver kind must be wiener, martingale or poisson, got {kind!r}")
-
-
-def _load_config(path: str, allowed) -> dict:
+def _read_config(path: str, command: str):
+    """(document, kernel, system, output stem) of a coeffs or converge config."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -108,31 +102,40 @@ def _load_config(path: str, allowed) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(doc, allowed, "config")
-    for key in ("interval", "kernel", "system"):
-        if key not in doc:
-            raise ConfigError(f"config is missing the required key {key!r}")
-    return doc
-
-
-def _interval_from_config(doc) -> Interval:
-    pair = doc.get("interval")
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+    _section(doc, command)
+    if len(doc["interval"]) != 2:
         raise ConfigError("interval must be a [start, end] pair")
-    return Interval(float(pair[0]), float(pair[1]))
+    factors = [_section(f, "kernel factor")
+               for f in _section(doc["kernel"], "kernel").get("factors", [])]
+    out = doc.get("out", command)
+    folder = os.path.dirname(out) or "."
+    # open() would reject a NUL byte only after all the work
+    if "\0" in out or not os.path.isdir(folder):
+        raise ConfigError(f"out must name a file in an existing directory, got {out!r}")
+    with _config_values():
+        interval = Interval(*doc["interval"])
+        kern = Kernel(tuple(Factor(**f) for f in factors), interval)
+        system = OrthonormalSystem(interval=interval, **_section(doc["system"], "system"))
+    return doc, kern, system, out
+
+
+def _driver_from_config(doc: dict, k: int) -> DriverConfig:
+    kind, m = doc.get("kind"), doc.get("m", 2)
+    if kind == "martingale":
+        return DriverConfig(kind, m=m, rho=doc.get("rho", 1.0))
+    if kind == "poisson":
+        return DriverConfig(kind, m=m, intensity=exponential_measure(doc.get("total_mass", 5.0)),
+                            mark_factors=tuple(map(power_mark, doc.get("mark_powers", [1.0] * k))))
+    return DriverConfig(kind, m=m)
 
 
 def cmd_basis(args) -> int:
-    if args.system not in _SYSTEM_KINDS:
-        raise ConfigError(f"unknown system {args.system!r} (choose from {_SYSTEM_KINDS})")
     with _config_values():
         interval = Interval(args.interval[0], args.interval[1])
         system = OrthonormalSystem(args.system, interval, bessel_order=args.bessel_order)
         gram = gram_matrix(system, args.count)
     deviation = float(np.max(np.abs(gram - np.eye(args.count))))
-    tol = _GRAM_TOLERANCES[args.system]
+    tol = GRAM_TOLERANCES[system.kind]
     if args.out:
         np.savetxt(args.out, gram, delimiter=",", fmt="%.17g")
     print(f"system={args.system} count={args.count} max_gram_deviation={deviation:.3e} "
@@ -141,18 +144,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    doc = _load_config(args.config, {"interval", "kernel", "system", "box", "weighted", "out"})
-    with _config_values():
-        interval = _interval_from_config(doc)
-        kern = _kernel_from_config(doc["kernel"], interval)
-        system = _system_from_config(doc["system"], interval)
-    box = _integers("box", doc.get("box"))
-    if len(box) != kern.multiplicity:
-        raise ConfigError("box must list one truncation order per kernel factor")
-    weighted = bool(doc.get("weighted", False))
-    _check_tensor_config(system, [box], weighted)
-    tensor = coeff_tensor(kern, system, box, weighted=weighted)
-    out = doc.get("out", "coeffs")
+    doc, kern, system, out = _read_config(args.config, "coeffs")
+    weighted = doc.get("weighted", False)
+    _check_tensor_config(kern, system, [doc["box"]], weighted)
+    tensor = coeff_tensor(kern, system, doc["box"], weighted=weighted)
     tensor_to_csv(tensor, f"{out}.csv")
     tensor_to_json(tensor, f"{out}.json")
     print(f"wrote {out}.csv and {out}.json "
@@ -162,29 +157,21 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    doc = _load_config(args.config, {"interval", "kernel", "system", "driver", "combo",
-                                     "boxes", "n_steps", "trials", "seed", "correction",
-                                     "weighted", "richardson", "out"})
-    if "seed" not in doc:
-        raise ConfigError("a seed is required: all randomness must be reproducible")
+    doc, kern, system, out = _read_config(args.config, "converge")
+    driver = _section(doc.get("driver", {"kind": "wiener"}), "driver")
     with _config_values():
-        interval = _interval_from_config(doc)
-        kern = _kernel_from_config(doc["kernel"], interval)
-        system = _system_from_config(doc["system"], interval)
-        driver = _driver_from_config(doc.get("driver", {"kind": "wiener"}), kern.multiplicity)
         spec = ExperimentSpec(
             kernel=kern, system=system,
             combo=doc.get("combo", ()),
             boxes=doc.get("boxes", ()),
-            driver=driver,
+            driver=_driver_from_config(driver, kern.multiplicity),
             n_steps=doc.get("n_steps", 1024),
             trials=doc.get("trials", 1000),
             seed=doc["seed"],
             correction=doc.get("correction", "auto"),
-            weighted=bool(doc.get("weighted", False)),
-            richardson=bool(doc.get("richardson", False)))
+            weighted=doc.get("weighted", False),
+            richardson=doc.get("richardson", False))
     report = run_experiment(spec)
-    out = doc.get("out", "converge")
     report_to_csv(report, f"{out}.csv")
     report_to_json(report, f"{out}.json")
     for s in report.stats:
@@ -241,6 +228,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (StochexpandError, OverflowError) as exc:
+        # quadrature that did not converge, a Bessel zero that could not be
+        # bracketed, or a result beyond the float range
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 JUMP_BUDGET = 10**6
+LAGUERRE_NODES = 80  # Gauss-Laguerre nodes of exponential_measure's mark integral
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,10 @@ class Partition:
         return variances
 
 
-def make_partition(interval: Interval, n: int, scheme: str = "uniform") -> Partition:
+def make_partition(interval: Interval, n: int) -> Partition:
+    """Uniform partition of the interval into n steps."""
     if n < 1:
         raise ValueError("partition needs at least one step")
-    if scheme != "uniform":
-        raise ValueError(f"unsupported partition scheme: {scheme}")
     return Partition(interval, np.linspace(interval.start, interval.end, n + 1))
 
 
@@ -200,7 +200,7 @@ def _as_callable(rho):
 
 @dataclass(frozen=True)
 class IntensityMeasure:
-    """Finite intensity measure Pi on the mark space.
+    """Finite intensity measure Pi on the (one-dimensional) mark space.
 
     total_mass is Pi(Y); sampler(rng, size) draws marks from Pi / total_mass;
     mark_integral(f) evaluates int f(y) Pi(dy).
@@ -209,7 +209,6 @@ class IntensityMeasure:
     total_mass: float
     sampler: "callable" = field(repr=False)
     mark_integral: "callable" = field(repr=False)
-    mark_dim: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.total_mass) and self.total_mass > 0):
@@ -223,9 +222,9 @@ class IntensityMeasure:
         return value
 
 
-def exponential_measure(total_mass: float, n_nodes: int = 80) -> IntensityMeasure:
+def exponential_measure(total_mass: float) -> IntensityMeasure:
     """Pi = total_mass * Exp(1) on the positive half-line (default mark space)."""
-    lag_x, lag_w = np.polynomial.laguerre.laggauss(n_nodes)
+    lag_x, lag_w = np.polynomial.laguerre.laggauss(LAGUERRE_NODES)
 
     def mark_integral(f):
         return float(total_mass * np.sum(lag_w * f(lag_x)))

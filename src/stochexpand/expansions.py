@@ -43,6 +43,8 @@ __all__ = [
     "pairing_bracket",
 ]
 
+RATIO_GRID = 2048  # interior points on which expand_weighted checks sup rho / r
+
 
 @dataclass(frozen=True)
 class BasisVariables:
@@ -269,7 +271,7 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
 
 def expand_weighted(tensor: CoeffTensor, variables: BasisVariables, combo, rho,
                     correction: str = "pairing_general", ratio_bound: float = 1e6,
-                    grid_size: int = 2048, **kw) -> ExpansionSample:
+                    **kw) -> ExpansionSample:
     """Expansion with weighted coefficients and a weighted basis.
 
     Checks the compatibility condition sup rho / r < bound on a dense grid
@@ -279,7 +281,7 @@ def expand_weighted(tensor: CoeffTensor, variables: BasisVariables, combo, rho,
         rho = lambda x: np.full_like(np.asarray(x, dtype=float), rho_val)
     interval = tensor.system.interval
     # avoid the endpoints where a vanishing weight is harmless (measure zero)
-    x = np.linspace(interval.start, interval.end, grid_size + 2)[1:-1]
+    x = np.linspace(interval.start, interval.end, RATIO_GRID + 2)[1:-1]
     r = tensor.system.weight(x)
     ratio = np.asarray(rho(x), dtype=float) / np.where(r > 0, r, np.inf)
     if np.max(ratio) > ratio_bound:

@@ -131,23 +131,30 @@ class ExperimentSpec:
         if not self.boxes:
             raise ConfigError("at least one truncation box is required")
         k = self.kernel.multiplicity
-        if any(len(b) != k for b in self.boxes) or len(self.combo) != k:
-            raise ConfigError("boxes and combo must match the kernel multiplicity")
+        if len(self.combo) != k:
+            raise ConfigError("combo must match the kernel multiplicity")
         if any(not 0 <= i <= self.driver.m for i in self.combo):
             raise ConfigError(f"combo components must lie in 0..{self.driver.m}")
         mf = self.driver.mark_factors
-        if self.driver.kind == "poisson" and (mf is None or len(mf) != k):
-            raise ConfigError("poisson experiments need one mark factor per slot")
+        if self.driver.kind == "poisson":
+            if mf is None or len(mf) != k:
+                raise ConfigError("poisson experiments need one mark factor per slot")
+            for phi in mf:  # ValueError unless finite, as poisson_variables requires
+                self.driver.intensity.moment(phi, 2.0 ** (k + 1))
         if self.correction not in ("auto", "prelimit") and _needs_prelimit(self):
             raise ConfigError(f"this {self.driver.kind} combo with repeated components needs "
                               f"the prelimit correction, not {self.correction}")
         if self.correction == "explicit_k_le_4" and k > 4:
             raise ConfigError("the explicit_k_le_4 correction covers multiplicities 1..4 only")
-        _check_tensor_config(self.system, self.boxes, self.weighted)
+        _check_tensor_config(self.kernel, self.system, self.boxes, self.weighted)
 
 
-def _check_tensor_config(system: OrthonormalSystem, boxes, weighted: bool) -> None:
-    """ConfigError for weighted coefficients on a unit-weight system or a Walsh order >= 2^bits."""
+def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes,
+                         weighted: bool) -> None:
+    """ConfigError unless every box lists one order >= 0 per kernel factor, Walsh
+    orders stay below 2^bits, and weighted coefficients have a weighted system."""
+    if any(len(b) != kernel.multiplicity or min(b) < 0 for b in boxes):
+        raise ConfigError("a box must list one truncation order >= 0 per kernel factor")
     if weighted and not system.weighted:
         raise ConfigError("weighted coefficients require a weighted system")
     bits = system.max_walsh_bits

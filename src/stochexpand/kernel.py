@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .quadrature import PanelGrid, QuadratureSpec
 
 __all__ = [
     "Factor",
-    "tabulated_factor",
     "Kernel",
     "unit_kernel",
     "CoeffTensor",
@@ -45,54 +44,50 @@ __all__ = [
 
 MEMORY_BUDGET = 10**7  # tensor entries
 
-_FACTOR_NAMES = ("const", "pow", "sqrt_shift", "exp", "tabulated")
+_FACTOR_NAMES = ("const", "pow", "sqrt_shift", "exp")
 
 
 @dataclass(frozen=True)
 class Factor:
     """One whitelisted kernel factor psi(s), parameterized by the interval start.
 
-    const: c; pow: (s - t)^a; sqrt_shift: sqrt(s - t); exp: e^(c (s - t)).
-    Tabulated factors interpolate samples.
+    const: c; pow: (s - t)^a with a > -1/2, so that psi^2 is integrable;
+    sqrt_shift: sqrt(s - t); exp: e^(c (s - t)).
     """
 
     name: str
     param: float = 1.0
-    table: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.name not in _FACTOR_NAMES:
             raise ValueError(f"factor {self.name!r} is not in the whitelist {_FACTOR_NAMES}")
+        object.__setattr__(self, "param", float(self.param))
+        if self.name == "pow" and not self.param > -0.5:
+            raise ValueError(f"pow exponent must be above -1/2 (psi^2 integrable), "
+                             f"got {self.param}")
 
     def power(self):
         """Exponent when the factor is a pure power of (s - t), else None."""
         if self.name == "const":
             return 0.0
         if self.name == "pow":
-            return float(self.param)
+            return self.param
         if self.name == "sqrt_shift":
             return 0.5
         return None
 
     def scale(self) -> float:
-        return float(self.param) if self.name == "const" else 1.0
+        return self.param if self.name == "const" else 1.0
 
     def __call__(self, x, start: float):
         x = np.asarray(x, dtype=float)
         if self.name == "const":
-            return np.full_like(x, float(self.param))
+            return np.full_like(x, self.param)
         if self.name == "pow":
             return (x - start) ** self.param
         if self.name == "sqrt_shift":
             return np.sqrt(np.maximum(x - start, 0.0))
-        if self.name == "exp":
-            return np.exp(self.param * (x - start))
-        xs, ys = np.asarray(self.table[0]), np.asarray(self.table[1])
-        return np.interp(x, xs, ys)
-
-
-def tabulated_factor(xs, ys) -> Factor:
-    return Factor("tabulated", table=(tuple(map(float, xs)), tuple(map(float, ys))))
+        return np.exp(self.param * (x - start))
 
 
 @dataclass(frozen=True)
@@ -101,6 +96,10 @@ class Kernel:
 
     factors: tuple[Factor, ...]
     interval: Interval
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ValueError("a kernel needs at least one factor")
 
     @property
     def multiplicity(self) -> int:
@@ -295,20 +294,13 @@ def parseval_partial(tensor: CoeffTensor, box: tuple[int, ...] | None = None) ->
 def _kernel_meta(kernel: Kernel) -> dict:
     return {
         "interval": [kernel.interval.start, kernel.interval.end],
-        "factors": [
-            {"name": f.name, "param": f.param, **({"table": list(map(list, f.table))} if f.table else {})}
-            for f in kernel.factors
-        ],
+        "factors": [{"name": f.name, "param": f.param} for f in kernel.factors],
     }
 
 
 def _kernel_from_meta(meta: dict) -> Kernel:
     interval = Interval(*meta["interval"])
-    factors = tuple(
-        Factor(d["name"], d.get("param", 1.0),
-               table=tuple(tuple(col) for col in d.get("table", ())))
-        for d in meta["factors"]
-    )
+    factors = tuple(Factor(d["name"], d.get("param", 1.0)) for d in meta["factors"])
     return Kernel(factors, interval)
 
 

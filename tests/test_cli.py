@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stochexpand import cli, harness
 from stochexpand.errors import SizeError
@@ -74,6 +81,18 @@ def test_coeffs_writes_pattern(tmp_path):
     assert (tmp_path / "coeffs.json").exists()
 
 
+def test_coeffs_reads_integer_numbers_as_floats(tmp_path):
+    # JSON integers are numbers: the interval and factor params give the same files as floats
+    outputs = []
+    for name, interval, param in (("floats", [0.0, 2.0], 3.0), ("ints", [0, 2], 3)):
+        out = str(tmp_path / name)
+        cfg = coeffs_config(tmp_path, interval=interval, out=out,
+                            kernel=factors(("const", param), ("pow", param)))
+        assert run(["coeffs", "--config", cfg]) == 0
+        outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_coeffs_oversize_box_is_resource_error(tmp_path):
     cfg = coeffs_config(tmp_path, box=[9999, 9999])
     assert run(["coeffs", "--config", cfg]) == 3
@@ -85,17 +104,49 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["coeffs", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(box=[5.5, 5]), dict(box=5), dict(interval=[1.0, 0.0]),
-    dict(kernel={"factors": [{"name": "const"}]}, system={"kind": "walsh"}, box=[1024]),
-    dict(system={"kind": "bessel_unit", "bessel_order": 1.5}),
-    dict(system={"kind": "walsh", "max_walsh_bits": 2.7}, box=[1, 1]),
-    dict(weighted=True),
+def factors(*pairs):
+    return {"factors": [{"name": name, "param": param} for name, param in pairs]}
+
+
+# Probes shared by coeffs and converge: values of the wrong JSON type (a string
+# or a bool where a number or flag belongs), a NaN parameter, a kernel that is
+# not an object, an output directory that does not exist, a pow exponent whose
+# square is not integrable (exit 2), and kernels whose quadrature does not
+# converge (exit 3).
+SHARED_PROBES = [
+    (dict(interval=["0", "1"]), 2),
+    (dict(kernel=factors(("const", True), ("const", 1.0))), 2),
+    (dict(kernel=[]), 2),
+    (dict(kernel=factors(("const", float("nan")), ("const", 1.0))), 2),
+    (dict(system={"kind": "bessel_weighted"}, weighted="false"), 2),
+    (dict(out=5), 2),
+    (dict(kernel={"factors": [5, 6]}), 2),
+    (dict(out="/nonexistent/dir/x"), 2),
+    (dict(kernel=factors(("pow", -2.0), ("const", 1.0))), 2),
+    (dict(kernel=factors(("pow", -0.4), ("const", 1.0))), 3),
+    (dict(kernel=factors(("pow", 0.3), ("const", 1.0))), 3),
+    (dict(kernel=factors(("exp", 1e6), ("const", 1.0))), 3),
+]
+SHARED_PROBE_IDS = ["string_interval", "bool_param", "list_kernel", "nan_param", "string_weighted",
+                    "integer_out", "integer_factors", "missing_out_directory",
+                    "pow_exponent_not_square_integrable", "pow_exponent_quadrature_fails",
+                    "fractional_pow_quadrature_fails", "exp_overflow_quadrature_fails"]
+
+
+@pytest.mark.parametrize("overrides, code", [
+    (dict(box=[5.5, 5]), 2), (dict(box=5), 2), (dict(interval=[1.0, 0.0]), 2),
+    (dict(kernel={"factors": [{"name": "const"}]}, system={"kind": "walsh"}, box=[1024]), 2),
+    (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
+    (dict(system={"kind": "walsh", "max_walsh_bits": 2.7}, box=[1, 1]), 2),
+    (dict(weighted=True), 2),
+    *SHARED_PROBES,
 ], ids=["fractional_box", "scalar_box", "reversed_interval", "walsh_order_over_bits",
-        "fractional_bessel_order", "fractional_walsh_bits", "weighted_unit_weight_system"])
-def test_coeffs_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides):
-    assert run(["coeffs", "--config", coeffs_config(tmp_path, **overrides)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+        "fractional_bessel_order", "fractional_walsh_bits", "weighted_unit_weight_system",
+        *SHARED_PROBE_IDS])
+def test_coeffs_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
+    assert run(["coeffs", "--config", coeffs_config(tmp_path, **overrides)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "coeffs.csv").exists()
 
 
@@ -174,6 +225,16 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(driver={"kind": "martingale", "m": 2, "rho": -1}), 2),
     (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
     (dict(system={"kind": "walsh", "max_walsh_bits": 2.7}), 2),
+    (dict(richardson="false"), 2),
+    (dict(driver={"kind": "martingale", "m": 2, "rho": "2"}), 2),
+    (dict(driver={"kind": "poisson", "m": 2, "total_mass": "5"}), 2),
+    (dict(driver={"kind": "poisson", "m": 2, "mark_powers": [True, 1]}), 2),
+    (dict(driver=[1]), 2),
+    (dict(interval=[-1e308, 1e308]), 2),
+    (dict(driver={"kind": "poisson", "m": 2, "mark_powers": [1e300, 1.0]}), 2),
+    (dict(kernel=factors(("const", 1e300), ("const", 1.0))), 3),
+    (dict(interval=[0.0, 1.0], system={"kind": "bessel_unit", "bessel_order": 15}), 3),
+    *SHARED_PROBES,
 ], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
         "poisson_repeated_pairing", "poisson_repeated_explicit", "fractional_trials",
         "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
@@ -182,11 +243,103 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
         "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
         "martingale_rho2_repeated_pairing", "martingale_rho2_repeated_explicit",
         "weighted_unit_weight_system", "negative_rho", "fractional_bessel_order",
-        "fractional_walsh_bits"])
+        "fractional_walsh_bits", "string_richardson", "string_rho", "string_total_mass",
+        "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
+        "kernel_norm_overflow", "bessel_zero_not_bracketed", *SHARED_PROBE_IDS])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "conv.json").exists()
+
+
+BASE_CONFIGS = {
+    "coeffs": {
+        "interval": [0.0, 1.0],
+        "kernel": factors(("const", 1.0), ("pow", 1.0)),
+        "system": {"kind": "legendre", "bessel_order": 0, "max_walsh_bits": 10},
+        "box": [3, 3],
+        "weighted": False,
+        "out": "result",
+    },
+    "converge": {
+        "interval": [0.0, 1.0],
+        "kernel": factors(("const", 1.0), ("pow", 1.0)),
+        "system": {"kind": "legendre", "bessel_order": 0, "max_walsh_bits": 10},
+        "driver": {"kind": "wiener", "m": 2, "rho": 1.0, "total_mass": 5.0,
+                   "mark_powers": [1.0, 1.0]},
+        "combo": [1, 2],
+        "boxes": [[1, 1], [2, 2]],
+        "n_steps": 32,
+        "trials": 4,
+        "seed": 3,
+        "correction": "auto",
+        "weighted": False,
+        "richardson": True,
+        "out": "result",
+    },
+}
+DROP = "<drop>"
+
+
+def _paths(doc, prefix=()):
+    """Path of every key and list position in doc, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, value) -> None:
+    """Replace the entry at path by value, or delete it for DROP; skip a path
+    that an earlier mutation removed."""
+    *head, last = path
+    try:
+        parent = functools.reduce(operator.getitem, head, doc)
+        if value == DROP:
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(value)  # a value inserted twice must not nest in itself
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+# Text has no "/", so every output path stays in the working directory;
+# integers are small, or large enough to trip a budget guard at once, so every
+# run stays small.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(10**18) | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4)
+MUTATED_CONFIGS = st.sampled_from(sorted(BASE_CONFIGS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.lists(st.tuples(st.sampled_from(list(_paths(BASE_CONFIGS[command]))),
+                       st.just(DROP) | JSON_VALUES),
+             min_size=1, max_size=3, unique_by=lambda mutation: mutation[0])))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(MUTATED_CONFIGS)
+@example(("coeffs", [(("kernel",), [])]))
+@example(("converge", [(("kernel", "factors", 0, "param"), float("nan"))]))
+def test_mutated_configs_exit_cleanly(case):
+    command, mutations = case
+    doc = copy.deepcopy(BASE_CONFIGS[command])
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setattr(harness, "_worker_count", lambda n_chunks: 1)
+        with open("config.json", "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", "config.json"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[0, 0, 0, 0], [1, 1, 1, 1]],
