@@ -154,19 +154,8 @@ class OrthonormalSystem:
         x = np.atleast_1d(x)
         t0, t1 = self.interval.start, self.interval.end
         span = self.interval.length
-        if self.kind == "legendre":
-            u = (x - (t1 + t0) / 2.0) * 2.0 / span
-            out = math.sqrt((2 * j + 1) / span) * special.eval_legendre(j, u)
-        elif self.kind == "trigonometric":
-            u = (x - t0) / span
-            if j == 0:
-                out = np.full_like(x, 1.0 / math.sqrt(span))
-            elif j % 2 == 1:
-                r = (j + 1) // 2
-                out = math.sqrt(2.0 / span) * np.sin(2.0 * math.pi * r * u)
-            else:
-                r = j // 2
-                out = math.sqrt(2.0 / span) * np.cos(2.0 * math.pi * r * u)
+        if self.kind in ("legendre", "trigonometric"):
+            out = self._rows(np.array([j]), x)[0]
         elif self.kind == "haar":
             if j == 0:
                 out = np.full_like(x, 1.0 / math.sqrt(span))
@@ -183,14 +172,15 @@ class OrthonormalSystem:
             if j == 0:
                 out = np.full_like(x, 1.0 / math.sqrt(span))
             else:
-                if j >= 2**self.max_walsh_bits:
+                bits = int(j).bit_length()  # j < 2^max_walsh_bits, without the power
+                if bits > self.max_walsh_bits:
                     raise IndexError(
                         f"Walsh index {j} exceeds configured max order "
                         f"({self.max_walsh_bits} bits)"
                     )
                 u = (x - t0) / span
                 out = np.full_like(x, 1.0 / math.sqrt(span))
-                for bit in range(self.max_walsh_bits):
+                for bit in range(bits):
                     if j >> bit & 1:
                         m = bit + 1
                         out = out * (-1.0) ** np.floor(2.0**m * u)
@@ -204,8 +194,28 @@ class OrthonormalSystem:
         return out[0] if scalar else out
 
     def eval_table(self, j_max: int, x) -> np.ndarray:
-        """Stacked values, shape (j_max + 1, len(x))."""
+        """Stacked values, shape (j_max + 1, len(x)); bitwise eval's rows."""
+        if self.kind in ("legendre", "trigonometric"):
+            return self._rows(np.arange(j_max + 1), np.asarray(x, dtype=float))
         return np.stack([self.eval(j, x) for j in range(j_max + 1)])
+
+    def _rows(self, js: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """phi_j(x) for the Legendre or trigonometric degrees js, shape (len(js),
+        *x.shape): one ufunc call per kind, each element by the scalar kernel."""
+        t0, t1 = self.interval.start, self.interval.end
+        span = self.interval.length
+        col = js.reshape((-1,) + (1,) * x.ndim)
+        if self.kind == "legendre":
+            u = (x - (t1 + t0) / 2.0) * 2.0 / span
+            return np.sqrt((2 * col + 1) / span) * special.eval_legendre(col, u)
+        arg = 2.0 * math.pi * ((col + 1) // 2) * ((x - t0) / span)
+        odd = js % 2 == 1
+        out = np.empty(arg.shape)
+        out[odd] = np.sin(arg[odd])
+        out[~odd] = np.cos(arg[~odd])
+        out *= math.sqrt(2.0 / span)
+        out[js == 0] = 1.0 / math.sqrt(span)
+        return out
 
     def breakpoints(self, j_max: int):
         """Jump locations of members with index <= j_max (empty for smooth systems)."""

@@ -30,6 +30,7 @@ __all__ = [
     "sample_wiener",
     "sample_gaussian_martingale",
     "martingale_from_wiener",
+    "scale_draws",
     "sample_poisson",
     "interval_measures",
     "compensated_integral",
@@ -47,13 +48,15 @@ class Partition:
     """Nodes tau_0 < ... < tau_N spanning the interval.
 
     The step lengths and left nodes are computed once and are read-only;
-    step variances of Gaussian martingales are memoized for the last density."""
+    step variances of Gaussian martingales, and the square roots the samplers
+    scale by, are memoized for the last density."""
 
     interval: Interval
     nodes: np.ndarray
     deltas: np.ndarray = field(init=False, repr=False, compare=False)
     left_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _variances: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _scales: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -101,6 +104,16 @@ class Partition:
         self._variances[:] = (rho, variances)
         return variances
 
+    def step_scales(self, rho=None) -> np.ndarray:
+        """Square roots of the step variances (of the step lengths when rho is
+        None), read-only; memoized for the last variances only."""
+        variances = self.deltas if rho is None else self.step_variances(rho)
+        if not (self._scales and self._scales[0] is variances):
+            scales = np.sqrt(variances)
+            scales.flags.writeable = False
+            self._scales[:] = (variances, scales)
+        return self._scales[1]
+
 
 def make_partition(interval: Interval, n: int) -> Partition:
     """Uniform partition of the interval into n steps."""
@@ -125,11 +138,14 @@ def trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class WienerPath:
-    """Increments of an m-dimensional Wiener path; row 0 holds the time deltas."""
+    """Increments of an m-dimensional Wiener path; row 0 holds the time deltas.
+
+    A sampled path keeps its unit normal draws, read-only, for scale_draws."""
 
     partition: Partition
     m: int
     increments: np.ndarray  # (m + 1, N)
+    unit_draws: np.ndarray | None = field(default=None, repr=False, compare=False)  # (m, N)
 
     def increment(self, i: int) -> np.ndarray:
         return self.increments[i]
@@ -143,36 +159,53 @@ class GaussianMartingalePath:
     m: int
     increments: np.ndarray  # (m + 1, N)
     variances: np.ndarray  # (N,)
+    unit_draws: np.ndarray | None = field(default=None, repr=False, compare=False)  # (m, N)
 
     def increment(self, i: int) -> np.ndarray:
         return self.increments[i]
 
 
-def _gaussian_increments(partition: Partition, m: int, seed, variances: np.ndarray) -> np.ndarray:
-    n = partition.n_steps
-    inc = np.empty((m + 1, n))
-    inc[0] = partition.deltas
-    sig = np.sqrt(variances)
+def _unit_draws(partition: Partition, m: int, seed) -> np.ndarray:
+    """(m, N) standard normals, read-only; component i draws from its own substream."""
+    if m < 1:
+        raise ValueError("need at least one stochastic component")
+    z = np.empty((m, partition.n_steps))
     for i in range(1, m + 1):
-        inc[i] = component_rng(seed, i).standard_normal(n) * sig
-    return inc
+        component_rng(seed, i).standard_normal(out=z[i - 1])
+    z.flags.writeable = False
+    return z
+
+
+def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """(m + 1, n) increments on a partition of n steps from (m, N >= n) unit
+    draws: the step lengths, then the first n draws of each component times the
+    square roots of the step variances (with density rho; None for Wiener).
+
+    A substream fills its normals in sequence, so a sampled path's unit draws
+    scaled onto a partition of fewer steps are bitwise the increments that the
+    sampler returns there from the same seed, without drawing again."""
+    n = partition.n_steps
+    if n > unit_draws.shape[1]:
+        raise ValueError(f"cannot scale {unit_draws.shape[1]} draws onto {n} steps")
+    if out is None:
+        out = np.empty((len(unit_draws) + 1, n))
+    out[0] = partition.deltas
+    np.multiply(unit_draws[:, :n], partition.step_scales(rho), out=out[1:])
+    return out
 
 
 def sample_wiener(partition: Partition, m: int, seed) -> WienerPath:
-    if m < 1:
-        raise ValueError("need at least one stochastic component")
-    inc = _gaussian_increments(partition, m, seed, partition.deltas)
-    return WienerPath(partition, m, inc)
+    z = _unit_draws(partition, m, seed)
+    return WienerPath(partition, m, scale_draws(z, partition), z)
 
 
 def sample_gaussian_martingale(partition: Partition, m: int, rho, seed) -> GaussianMartingalePath:
     """Gaussian martingale with E[(M_s - M_t)^2] = int_t^s rho; rho == 1 reproduces
     sample_wiener exactly (same seed, same increments)."""
-    if m < 1:
-        raise ValueError("need at least one stochastic component")
     variances = partition.step_variances(rho)
-    inc = _gaussian_increments(partition, m, seed, variances)
-    return GaussianMartingalePath(partition, m, inc, variances)
+    z = _unit_draws(partition, m, seed)
+    return GaussianMartingalePath(partition, m, scale_draws(z, partition, rho), variances, z)
 
 
 def martingale_from_wiener(path: WienerPath, rho) -> GaussianMartingalePath:

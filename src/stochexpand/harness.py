@@ -12,6 +12,11 @@ buffer of at most CHUNK_BYTES, and each chunk is evaluated by batched
 operations that treat every trial alike.  A pass is split into contiguous
 trial ranges, one per worker process (see _sharded).  Results do not depend
 on the chunk size or the worker count, bitwise.
+
+An experiment is one pass, with or without Richardson extrapolation: each
+trial is seeded and drawn once, on N steps, and the half resolution N // 2
+uses the first N // 2 draws of each of the trial's substreams, which are
+exactly what a separate draw on N // 2 steps would give.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .basis import OrthonormalSystem
 # samplers and it here); the trial loop reaches it through oracle.slot_increments
 from .drivers import (IntensityMeasure, interval_measures, make_partition,  # noqa: F401
                       sample_gaussian_martingale, sample_poisson, sample_wiener,
-                      trial_seed)
+                      scale_draws, trial_seed)
 from .errors import ConfigError, SizeError
 from .expansions import BasisVariables
 from .kernel import CoeffTensor, Kernel, coeff_tensor, kernel_norm_sq
@@ -158,7 +163,7 @@ def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes,
     if weighted and not system.weighted:
         raise ConfigError("weighted coefficients require a weighted system")
     bits = system.max_walsh_bits
-    if system.kind == "walsh" and max(map(max, boxes)) >= 2**bits:
+    if system.kind == "walsh" and max(map(max, boxes)).bit_length() > bits:
         raise ConfigError(f"Walsh box orders must be below 2^{bits}")
 
 
@@ -239,25 +244,32 @@ def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
     return replace(tensor, box=tuple(box), values=tensor.values[sl])
 
 
-def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial: int) -> int:
-    """Trials per chunk of a trial loop over n_steps with basis orders up to p_max.
+def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial: int,
+                  coarse=()) -> int:
+    """Trials per chunk of a trial loop over n_steps, and over the coarser step
+    counts `coarse` on the same draws, with basis orders up to p_max.
 
-    Raises SizeError, before anything is allocated, when the partition, the
-    left-node tables, one chunk's buffers in each worker process and the
-    kept_per_trial result floats of every trial (twice when sharded: the
-    workers' rows and the gathered array) would exceed MEMORY_BUDGET; under prelimit
-    also each worker's slot tables and largest block product of the G_k sum."""
+    Raises SizeError, before anything is allocated, when the partitions, their
+    left-node tables, one chunk's buffers in each worker process (one trial's
+    unit draws among them) and the kept_per_trial result floats of every trial
+    (twice when sharded: the workers' rows and the gathered array) would exceed
+    MEMORY_BUDGET; under prelimit also each worker's slot tables and largest
+    block product of the G_k sum."""
     k = spec.kernel.multiplicity
-    rows = spec.driver.m + 1 if spec.driver.kind != "poisson" else 0
+    gaussian = spec.driver.kind != "poisson"
+    rows = spec.driver.m + 1 if gaussian else 0
     prelimit = _resolve_correction(spec) == "prelimit"
-    # increments and slot increments; G_k tensors listed, stacked and in expand's product
-    per_trial = 8 * n_steps * (rows + k) + prelimit * 3 * 8 * (p_max + 1) ** k
-    temp = prelimit * 8 * n_steps * (k * (p_max + 1) + (p_max + 1) ** (k - 1))
+    steps = (n_steps, *coarse)
+    # per partition: increments and slot increments; G_k tensors listed, stacked and
+    # in expand's product
+    per_trial = sum(8 * n * (rows + k) + prelimit * 3 * 8 * (p_max + 1) ** k for n in steps)
+    temp = (gaussian * 8 * n_steps * spec.driver.m
+            + prelimit * 8 * n_steps * (k * (p_max + 1) + (p_max + 1) ** (k - 1)))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
-    # nodes, deltas, step variances, basis table, kernel factors; forked
-    # workers share them with the parent
-    tables = 8 * (n_steps + 1) * (3 + p_max + 1 + k)
+    # nodes, deltas, step variances and their square roots, basis table, kernel
+    # factors; forked workers share them with the parent
+    tables = sum(8 * (n + 1) * (4 + p_max + 1 + k) for n in steps)
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
     need = tables + workers * (chunk * per_trial + temp) + results
     if need > MEMORY_BUDGET:
@@ -321,69 +333,99 @@ def _sharded(shard, trials: int, chunk: int) -> tuple:
     return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
-def _trial_chunks(spec: ExperimentSpec, part, phi: np.ndarray, chunk: int, lo: int, hi: int):
-    """Yield (offset of the first trial from lo, basis variables, slot
-    increments) per chunk of trials lo..hi-1.
+def _prepared(spec: ExperimentSpec, steps, p_max: int) -> list:
+    """(partition, basis table on its left nodes) for each step count.
 
-    Trials are drawn one by one through the public samplers from their
-    trial_seed substreams into the chunk's buffers; the variables have a
-    leading trial axis and the slot increments shape (trials, k, N).
-    phi is the basis table on the partition's left nodes."""
+    Built in the parent before any fork, with the square roots of the step
+    variances that the samplers scale by, so a martingale's rho is evaluated
+    once per partition and the workers inherit it all."""
+    parts = [make_partition(spec.kernel.interval, n) for n in steps]
+    if spec.driver.kind != "poisson":
+        for part in parts:
+            part.step_scales(spec.driver.rho)
+    return [(part, spec.system.eval_table(p_max, part.left_nodes)) for part in parts]
+
+
+def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
+    """Yield (offset of the first trial from lo, [(basis variables, slot
+    increments) for each partition]) per chunk of trials lo..hi-1.
+
+    tables lists (partition, basis table on its left nodes), finest first.
+    Each trial is seeded and drawn once, through the public sampler, on the
+    finest partition.  A Gaussian path's unit draws are scaled onto the others
+    (drivers.scale_draws: bitwise the sampler's increments there), and its
+    slot increments are rows of the increments; a Poisson realization and its
+    variables do not depend on the partition, and only its slot increments
+    are taken on each.  Trials go one by one into the chunk's buffers; the
+    variables have a leading trial axis and the slot increments shape
+    (trials, k, N)."""
     drv, combo = spec.driver, spec.combo
     gaussian = drv.kind != "poisson"
-    p_max = phi.shape[0] - 1
+    p_max = tables[0][1].shape[0] - 1
     for start in range(lo, hi, chunk):
         size = min(chunk, hi - start)
-        incs = np.empty((size, len(combo), part.n_steps))
-        # Gaussian increments, or the Poisson variable tables
-        draws = np.empty((size, drv.m + 1, part.n_steps) if gaussian
-                         else (size, len(combo), p_max + 1))
+        if gaussian:  # increments per partition
+            draws = [np.empty((size, drv.m + 1, part.n_steps)) for part, _ in tables]
+        else:  # the variable table, and slot increments per partition
+            draws = np.empty((size, len(combo), p_max + 1))
+            incs = [np.empty((size, len(combo), part.n_steps)) for part, _ in tables]
         for c in range(size):
             seed_t = trial_seed(spec.seed, start + c)
             if drv.kind == "wiener":
-                real = sample_wiener(part, drv.m, seed_t)
+                real = sample_wiener(tables[0][0], drv.m, seed_t)
             elif drv.kind == "martingale":
-                real = sample_gaussian_martingale(part, drv.m, drv.rho, seed_t)
+                real = sample_gaussian_martingale(tables[0][0], drv.m, drv.rho, seed_t)
             else:
                 real = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed_t)
-            _, incs[c] = oracle.slot_increments(real, combo, None if gaussian else part,
-                                                drv.mark_factors)
-            draws[c] = real.increments if gaussian else expansions.poisson_variables(
-                real, spec.system, drv.mark_factors, combo, p_max).table
+            if gaussian:
+                draws[0][c] = real.increments
+                for d, (part, _) in zip(draws[1:], tables[1:]):
+                    scale_draws(real.unit_draws, part, drv.rho, out=d[c])
+            else:
+                draws[c] = expansions.poisson_variables(real, spec.system, drv.mark_factors,
+                                                        combo, p_max).table
+                for inc, (part, _) in zip(incs, tables):
+                    _, inc[c] = oracle.slot_increments(real, combo, part, drv.mark_factors)
         if gaussian:
-            variables = expansions.gaussian_variables(drv.kind, draws, phi)
+            variables = [expansions.gaussian_variables(drv.kind, d, phi)
+                         for d, (_, phi) in zip(draws, tables)]
+            incs = [d[:, list(combo)] for d in draws]
         else:
-            variables = BasisVariables("poisson", draws, by_slot=True, combo=combo)
-        yield start - lo, variables, incs
+            variables = [BasisVariables("poisson", draws, by_slot=True, combo=combo)] * len(tables)
+        yield start - lo, list(zip(variables, incs))
 
 
-def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, n_steps: int, correction: str,
-             chunk: int):
-    """One full trial loop at a given resolution.
+def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, steps, correction: str, chunk: int):
+    """One trial loop that evaluates every trial at each step count in steps,
+    finest first, on the same draws.
 
-    Returns (diffs, samples): arrays of shape (trials, n_boxes) holding the
-    oracle-minus-expansion differences and the raw expansion samples."""
+    Returns (samples, diffs at steps[0], diffs at steps[1], ...): arrays of
+    shape (trials, n_boxes) holding the raw expansion samples at the finest
+    resolution and the oracle-minus-expansion differences at each."""
     k = spec.kernel.multiplicity
-    part = make_partition(spec.kernel.interval, n_steps)
-    p_all = max(max(b) for b in spec.boxes)
-    phi = spec.system.eval_table(p_all, part.left_nodes)
-    psi = np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
+    tables = _prepared(spec, steps, max(max(b) for b in spec.boxes))
+    psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
+            for part, _ in tables]
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
 
     def shard(lo, hi):
-        diffs = np.empty((hi - lo, len(subs)))
-        samples = np.empty_like(diffs)
-        for first, variables, incs in _trial_chunks(spec, part, phi, chunk, lo, hi):
-            rows = slice(first, first + len(incs))
-            gk_sums = None
-            if correction == "prelimit":
-                gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k, inc) for inc in incs])
-            for b, sub in enumerate(subs):
-                samples[rows, b] = expansions.expand(sub, variables, spec.combo,
+        samples = np.empty((hi - lo, len(subs)))
+        diffs = [np.empty_like(samples) for _ in tables]
+        for first, resolutions in _trial_chunks(spec, tables, chunk, lo, hi):
+            for r, ((variables, incs), (_, phi), psi) in enumerate(zip(resolutions, tables, psis)):
+                rows = slice(first, first + len(incs))
+                gk_sums = None
+                if correction == "prelimit":
+                    gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k, inc)
+                                        for inc in incs])
+                values = np.stack([expansions.expand(sub, variables, spec.combo,
                                                      correction=correction,
                                                      gk_sums=gk_sums).value
-            diffs[rows] = oracle.nested_sum(psi * incs)[:, None] - samples[rows]
-        return diffs, samples
+                                   for sub in subs], axis=1)
+                if r == 0:
+                    samples[rows] = values
+                diffs[r][rows] = oracle.nested_sum(psi * incs)[:, None] - values
+        return (samples, *diffs)
 
     return _sharded(shard, spec.trials, chunk)
 
@@ -392,25 +434,26 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     """Coupled oracle/expansion Monte Carlo over all truncation boxes."""
     t0 = time.perf_counter()
     correction = _resolve_correction(spec)
-    # diffs and samples of the full pass, and those of the half-resolution one
+    steps = (spec.n_steps,)
+    if spec.richardson and spec.n_steps >= 2:
+        steps += (spec.n_steps // 2,)
+    # the samples, and the diffs at each resolution
     chunk = _chunk_trials(spec, spec.n_steps, max(max(b) for b in spec.boxes),
-                          4 * len(spec.boxes))
+                          (1 + len(steps)) * len(spec.boxes), steps[1:])
     box_max = tuple(max(b[l] for b in spec.boxes) for l in range(spec.kernel.multiplicity))
     tensor = coeff_tensor(spec.kernel, spec.system, box_max, weighted=spec.weighted)
     scale = _residual_scale(spec)
     weighted_system = spec.system if spec.weighted else None
     norm = kernel_norm_sq(spec.kernel, weighted_system=weighted_system)
-    diffs, samples = _mc_pass(spec, tensor, spec.n_steps, correction, chunk)
+    samples, *diffs = _mc_pass(spec, tensor, steps, correction, chunk)
     allowances = np.zeros(len(spec.boxes))
-    if spec.richardson and spec.n_steps >= 2:
-        half_diffs, _ = _mc_pass(spec, tensor, spec.n_steps // 2, correction, chunk)
-        mse_half = np.mean(half_diffs**2, axis=0)
-        mse_full = np.mean(diffs**2, axis=0)
+    if len(diffs) > 1:
+        mse_full, mse_half = (np.mean(d**2, axis=0) for d in diffs)
         # first-order bias model: error(N) ~ c * dt, so error(N) ~ mse(N/2) - mse(N)
         allowances = np.abs(mse_half - mse_full)
     stats = []
     for b, box in enumerate(spec.boxes):
-        d2 = diffs[:, b] ** 2
+        d2 = diffs[0][:, b] ** 2
         mse = float(np.mean(d2))
         se = float(np.std(d2, ddof=1) / math.sqrt(spec.trials)) if spec.trials > 1 else 0.0
         residual = scale * (norm - tensor.partial_sum(box))
@@ -469,12 +512,12 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     gaussian = drv.kind != "poisson"
     rows = drv.m + 1 if gaussian else len(spec.combo)
     chunk = _chunk_trials(spec, spec.n_steps, j_max, rows * (j_max + 1))
-    part = make_partition(spec.kernel.interval, spec.n_steps)
-    phi = spec.system.eval_table(j_max, part.left_nodes)
+    tables = _prepared(spec, (spec.n_steps,), j_max)
+    part, phi = tables[0]
 
     def shard(lo, hi):
         out = np.empty((hi - lo, rows, j_max + 1))
-        for first, variables, _ in _trial_chunks(spec, part, phi, chunk, lo, hi):
+        for first, [(variables, _)] in _trial_chunks(spec, tables, chunk, lo, hi):
             out[first:first + len(variables.table)] = variables.table
         return (out,)
 

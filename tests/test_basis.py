@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from stochexpand import basis, quadrature
 from stochexpand.basis import Interval, bessel_roots, gram_matrix, haar_index
@@ -57,6 +58,37 @@ class TestEvaluation:
         sys = basis.walsh(IV, max_bits=3)
         with pytest.raises(IndexError):
             sys.eval(8, 0.5)
+
+    def test_walsh_bit_count_is_not_a_power(self):
+        x = np.linspace(0.01, 0.99, 37)
+        huge = basis.walsh(IV, max_bits=10**18)  # 2**bits would never finish
+        np.testing.assert_array_equal(huge.eval_table(5, x), basis.walsh(IV).eval_table(5, x))
+
+    @pytest.mark.parametrize("kind", ["legendre", "trigonometric"])
+    @pytest.mark.parametrize("interval", [IV, Interval(-0.3, 1.7)])
+    def test_table_is_the_per_degree_formula_bitwise(self, kind, interval):
+        t0, t1, span = interval.start, interval.end, interval.length
+        x = np.concatenate([np.linspace(t0, t1, 1025),
+                            np.random.default_rng(4).uniform(t0, t1, 333)])
+
+        def member(j):  # one degree at a time, by the scalar kernel
+            if kind == "legendre":
+                u = (x - (t1 + t0) / 2.0) * 2.0 / span
+                return math.sqrt((2 * j + 1) / span) * special.eval_legendre(j, u)
+            if j == 0:
+                return np.full_like(x, 1.0 / math.sqrt(span))
+            trig = np.sin if j % 2 else np.cos
+            return math.sqrt(2.0 / span) * trig(2.0 * math.pi * ((j + 1) // 2) * ((x - t0) / span))
+
+        sys = basis.OrthonormalSystem(kind, interval)
+        table = sys.eval_table(63, x)
+        np.testing.assert_array_equal(table, np.stack([member(j) for j in range(64)]))
+        for j in (0, 1, 2, 63):
+            np.testing.assert_array_equal(sys.eval(j, x), table[j])
+            assert sys.eval(j, x[5]) == table[j, 5]
+        grid = x.reshape(2, -1)  # any shape of x, as eval takes it
+        np.testing.assert_array_equal(sys.eval_table(63, grid), table.reshape(64, 2, -1))
+        np.testing.assert_array_equal(sys.eval(2, grid), table[2].reshape(2, -1))
 
     def test_negative_index_rejected(self):
         with pytest.raises(IndexError):

@@ -93,6 +93,17 @@ def test_coeffs_reads_integer_numbers_as_floats(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_coeffs_walsh_bit_count_is_not_computed_as_a_power(tmp_path):
+    tensors = []
+    for bits in (10**18, 10):
+        out = str(tmp_path / f"bits{bits}")
+        cfg = coeffs_config(tmp_path, system={"kind": "walsh", "max_walsh_bits": bits},
+                            box=[1, 1], out=out)
+        assert run(["coeffs", "--config", cfg]) == 0
+        tensors.append(json.loads((tmp_path / f"bits{bits}.json").read_text()))
+    assert tensors[0]["values"] == tensors[1]["values"]
+
+
 def test_coeffs_oversize_box_is_resource_error(tmp_path):
     cfg = coeffs_config(tmp_path, box=[9999, 9999])
     assert run(["coeffs", "--config", cfg]) == 3

@@ -7,7 +7,7 @@ from stochexpand.drivers import (compensated_integral, exponential_measure,
                                  interval_measures, make_partition,
                                  martingale_from_wiener, realization_from_json,
                                  realization_to_json, sample_gaussian_martingale,
-                                 sample_poisson, sample_wiener, trial_seed)
+                                 sample_poisson, sample_wiener, scale_draws, trial_seed)
 from stochexpand.errors import SizeError
 
 IV = Interval(0.0, 1.0)
@@ -39,7 +39,10 @@ def test_partition_tables_are_computed_once_and_read_only():
     part.step_variances(lambda t: 2.0 + t)
     again = part.step_variances(rho)  # only the last density is kept
     assert again is not first and np.array_equal(again, first)
-    for table in (part.deltas, part.step_variances(rho)):
+    scales = part.step_scales(rho)
+    assert part.step_scales(rho) is scales and np.array_equal(scales, np.sqrt(again))
+    assert np.array_equal(part.step_scales(), np.sqrt(part.deltas))
+    for table in (part.deltas, part.step_variances(rho), scales, part.step_scales()):
         with pytest.raises(ValueError):
             table[0] = 1.0
 
@@ -109,6 +112,38 @@ class TestMartingale:
         m = martingale_from_wiener(w, lambda x: x)
         expect = w.increment(1) * np.sqrt(part.left_nodes)
         assert np.allclose(m.increment(1), expect)
+
+
+def _one_plus_t(t):
+    return 1.0 + np.asarray(t, dtype=float)
+
+
+@pytest.mark.parametrize("rho", [None, 2.0, _one_plus_t], ids=["wiener", "rho_2", "rho_1_plus_t"])
+@pytest.mark.parametrize("n_steps", [4096, 1025])
+def test_scaled_unit_draws_are_the_samplers_increments_bitwise(rho, n_steps):
+    seed = trial_seed(123, 5)
+
+    def sample(part):
+        if rho is None:
+            return sample_wiener(part, 2, seed)
+        return sample_gaussian_martingale(part, 2, rho, seed)
+
+    path = sample(make_partition(IV, n_steps))
+    assert path.unit_draws.shape == (2, n_steps) and not path.unit_draws.flags.writeable
+    for coarse in (n_steps // 2, 3):
+        part = make_partition(IV, coarse)
+        out = np.empty((3, coarse))
+        assert scale_draws(path.unit_draws, part, rho, out=out) is out
+        np.testing.assert_array_equal(out, sample(part).increments)
+        np.testing.assert_array_equal(scale_draws(path.unit_draws, part, rho), out)
+
+
+def test_unit_draws_are_kept_out_of_comparison_and_repr():
+    path = sample_wiener(make_partition(IV, 8), 1, 3)
+    assert "unit_draws" not in repr(path)
+    assert path == drivers.WienerPath(path.partition, 1, path.increments)
+    with pytest.raises(ValueError):
+        scale_draws(path.unit_draws, make_partition(IV, 9))
 
 
 class TestPoisson:

@@ -147,11 +147,12 @@ def _rho_one_plus_t(t):
 
 LOOP_SPECS = {
     "wiener": dict(boxes=((1, 1), (3, 3), (7, 7)), trials=23, richardson=True),
-    "martingale": dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t), trials=23),
+    "martingale": dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t), trials=23,
+                       richardson=True),
     "poisson_prelimit": dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
                                                  mark_factors=(power_mark(1.0),) * 2),
                              combo=(1, 1), trials=23,
-                             boxes=((1, 1), (3, 3), (7, 7))),
+                             boxes=((1, 1), (3, 3), (7, 7)), richardson=True),
     "wiener_k3_explicit": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
                                boxes=((2, 2, 2), (1, 3, 2)), correction="explicit_k_le_4"),
 }
@@ -268,11 +269,49 @@ def test_rho_is_evaluated_once_per_pass():
     for trials in (3, 30):
         calls.clear()
         run_experiment(_wiener_spec(driver=driver, trials=trials, richardson=True))
-        # one probe for the residual scale, then one call per pass (N and N/2)
+        # one probe for the residual scale, then one call per partition (N and N/2)
         assert len(calls) == 3
     calls.clear()
     moment_suite(_wiener_spec(driver=driver, trials=1000, n_steps=64), j_max=2)
     assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name, from now on, in this process and in forked workers."""
+    import multiprocessing
+    count = multiprocessing.Value("i", 0)  # shared memory, inherited by forked workers
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        with count.get_lock():
+            count.value += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit"])
+def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
+    import concurrent.futures
+    spec = _wiener_spec(**LOOP_SPECS[name])
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    full, half = (run_experiment(dataclasses.replace(spec, n_steps=n, richardson=False))
+                  for n in (spec.n_steps, spec.n_steps // 2))
+    allowance = [abs(h.mse - f.mse) for f, h in zip(full.stats, half.stats)]
+    sampler = {"wiener": "sample_wiener", "martingale": "sample_gaussian_martingale",
+               "poisson_prelimit": "sample_poisson"}[name]
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        counts = [_count_calls(monkeypatch, harness, sampler),
+                  _count_calls(monkeypatch, harness, "trial_seed"),
+                  _count_calls(monkeypatch, drivers, "component_rng"),
+                  _count_calls(monkeypatch, concurrent.futures, "ProcessPoolExecutor")]
+        report = run_experiment(spec)
+        assert [s.allowance for s in report.stats] == allowance
+        np.testing.assert_array_equal(_stats(report)[:, :5], _stats(full)[:, :5])
+        assert [c.value for c in counts] == [spec.trials, spec.trials,
+                                             spec.driver.m * spec.trials, workers > 1]
 
 
 def test_config_defects_are_rejected_up_front():
