@@ -5,6 +5,11 @@ functions, Rademacher-Walsh functions (all with unit weight), the Bessel
 system orthonormal with weight x on [0, T], and its sqrt(x)-scaled variant
 which is orthonormal with unit weight.  All members with finite index are
 right-continuous with finitely many finite jumps.
+
+Legendre rows come from Bonnet's three-term recurrence (DLMF 18.9.1) in
+float64, not from a closed form; for degrees up to 63 on [-1, 1] they agree
+with 40-digit values to 3e-14 in P_n.  scipy is imported only by the Bessel
+systems, which need J_n and its zeros.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import quadrature
 from .errors import StochexpandError
@@ -72,28 +76,28 @@ class BesselRootTable:
 
 
 def bessel_roots(order: int, count: int) -> BesselRootTable:
-    """First `count` positive zeros of J_order, bracketed by McMahon asymptotics
-    and polished with Brent's method on the direct evaluation."""
+    """First `count` positive zeros of J_order, polished with Brent's method.
+
+    The j-th zero is located by scanning J_order for sign changes on a step
+    of 1 from x = order: j_{n,1} > n and consecutive zeros are more than 3
+    apart, so each step holds at most one zero."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    from scipy import optimize  # only the root search needs it; it costs ~0.3 s to import
+    from scipy import optimize, special  # ~0.3 s to import; only Bessel systems need them
+
+    def f(x):
+        return special.jv(order, x)
+
     roots = []
-    for j in range(1, count + 1):
-        beta = (j + order / 2.0 - 0.25) * math.pi
-        guess = beta - (4.0 * order**2 - 1.0) / (8.0 * beta)
-        lo, hi = guess - 0.5, guess + 0.5
-        flo, fhi = special.jv(order, lo), special.jv(order, hi)
-        if flo * fhi > 0:  # widen once; McMahon is tight for all n, j used here
-            lo, hi = guess - 1.5, guess + 1.5
-            flo, fhi = special.jv(order, lo), special.jv(order, hi)
-            if flo * fhi > 0:
-                raise StochexpandError(
-                    f"failed to bracket zero {j} of J_{order} near {guess:.6f}"
-                )
-        root = optimize.brentq(lambda x: special.jv(order, x), lo, hi, xtol=1e-14, rtol=1e-15)
-        if abs(special.jv(order, root)) > ROOT_TOL * max(1.0, root):
-            raise StochexpandError(f"zero {j} of J_{order} not polished: {root}")
-        roots.append(root)
+    lo, flo = float(order), f(order)
+    while len(roots) < count:
+        hi, fhi = lo + 1.0, f(lo + 1.0)
+        if flo * fhi < 0 or fhi == 0:
+            root = optimize.brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
+            if abs(f(root)) > ROOT_TOL * max(1.0, root):
+                raise StochexpandError(f"zero {len(roots) + 1} of J_{order} not polished: {root}")
+            roots.append(root)
+        lo, flo = hi, fhi
     return BesselRootTable(order, np.asarray(roots))
 
 
@@ -155,7 +159,7 @@ class OrthonormalSystem:
         t0, t1 = self.interval.start, self.interval.end
         span = self.interval.length
         if self.kind in ("legendre", "trigonometric"):
-            out = self._rows(np.array([j]), x)[0]
+            out = self._rows(j, j, x)[0]
         elif self.kind == "haar":
             if j == 0:
                 out = np.full_like(x, 1.0 / math.sqrt(span))
@@ -185,6 +189,7 @@ class OrthonormalSystem:
                         m = bit + 1
                         out = out * (-1.0) ** np.floor(2.0**m * u)
         else:  # bessel_weighted / bessel_unit
+            from scipy import special
             mu = self._root_table(j)[j]
             n = self.bessel_order
             out = (math.sqrt(2.0) / (t1 * special.jv(n + 1, mu))) * special.jv(n, mu * x / t1)
@@ -196,18 +201,38 @@ class OrthonormalSystem:
     def eval_table(self, j_max: int, x) -> np.ndarray:
         """Stacked values, shape (j_max + 1, len(x)); bitwise eval's rows."""
         if self.kind in ("legendre", "trigonometric"):
-            return self._rows(np.arange(j_max + 1), np.asarray(x, dtype=float))
+            return self._rows(0, j_max, np.asarray(x, dtype=float))
         return np.stack([self.eval(j, x) for j in range(j_max + 1)])
 
-    def _rows(self, js: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """phi_j(x) for the Legendre or trigonometric degrees js, shape (len(js),
-        *x.shape): one ufunc call per kind, each element by the scalar kernel."""
+    def _rows(self, j_lo: int, j_hi: int, x: np.ndarray) -> np.ndarray:
+        """phi_j(x) for the Legendre or trigonometric degrees j_lo..j_hi, shape
+        (j_hi - j_lo + 1, *x.shape).
+
+        Legendre: Bonnet's recurrence P_{n+1} = u P_n + n/(n+1) (u P_n - P_{n-1})
+        in place on u, two rolling rows and one scratch row; only the requested
+        degrees are stored, so memory is O((j_hi - j_lo + 5) len(x)) for any
+        degree.  Every degree runs the same operations whatever j_lo is, so
+        eval(j, x) is bitwise row j of eval_table.  Against 40-digit values,
+        |P_n error| <= 3e-14 for n <= 63 (tests/test_basis.py).  Trigonometric:
+        one ufunc call, each element by the scalar kernel."""
         t0, t1 = self.interval.start, self.interval.end
         span = self.interval.length
-        col = js.reshape((-1,) + (1,) * x.ndim)
         if self.kind == "legendre":
             u = (x - (t1 + t0) / 2.0) * 2.0 / span
-            return np.sqrt((2 * col + 1) / span) * special.eval_legendre(col, u)
+            out = np.empty((j_hi - j_lo + 1,) + x.shape)
+            prev, cur, scratch = np.zeros_like(u), np.ones_like(u), np.empty_like(u)
+            for n in range(j_hi + 1):
+                if n:  # cur = P_{n-1}, prev = P_{n-2}  ->  cur = P_n, prev = P_{n-1}
+                    np.multiply(u, cur, out=scratch)
+                    np.subtract(scratch, prev, out=prev)
+                    np.multiply(prev, (n - 1) / n, out=prev)
+                    np.add(scratch, prev, out=prev)
+                    prev, cur = cur, prev
+                if n >= j_lo:
+                    np.multiply(cur, math.sqrt((2 * n + 1) / span), out=out[n - j_lo])
+            return out
+        js = np.arange(j_lo, j_hi + 1)
+        col = js.reshape((-1,) + (1,) * x.ndim)
         arg = 2.0 * math.pi * ((col + 1) // 2) * ((x - t0) / span)
         odd = js % 2 == 1
         out = np.empty(arg.shape)

@@ -143,6 +143,7 @@ def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem
         raise ValueError("one mark factor per slot is required")
     k = len(combo)
     table = np.empty((k, p_max + 1))
+    jump_tables = {}  # component -> basis on its jump times, shared by its slots
     for g, (i, phi) in enumerate(zip(combo, mark_factors)):
         row = _compensator_row(system, p_max, realization.intensity, phi, 2.0 ** (k + 1))
         if i == 0:
@@ -150,7 +151,9 @@ def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem
             continue
         times, marks = realization.jumps(i)
         if len(times):
-            table[g] = system.eval_table(p_max, times) @ phi(marks) - row
+            if i not in jump_tables:
+                jump_tables[i] = system.eval_table(p_max, times)
+            table[g] = jump_tables[i] @ phi(marks) - row
         else:
             table[g] = -row
     return BasisVariables("poisson", table, by_slot=True, combo=combo)

@@ -446,15 +446,17 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     weighted_system = spec.system if spec.weighted else None
     norm = kernel_norm_sq(spec.kernel, weighted_system=weighted_system)
     samples, *diffs = _mc_pass(spec, tensor, steps, correction, chunk)
+    # mse per resolution and box, each summed as a run at that resolution alone
+    # sums it, so the allowance is exactly the difference of two runs' mse
+    mses = np.array([[np.mean(d[:, b] ** 2) for b in range(len(spec.boxes))] for d in diffs])
     allowances = np.zeros(len(spec.boxes))
     if len(diffs) > 1:
-        mse_full, mse_half = (np.mean(d**2, axis=0) for d in diffs)
         # first-order bias model: error(N) ~ c * dt, so error(N) ~ mse(N/2) - mse(N)
-        allowances = np.abs(mse_half - mse_full)
+        allowances = np.abs(mses[1] - mses[0])
     stats = []
     for b, box in enumerate(spec.boxes):
         d2 = diffs[0][:, b] ** 2
-        mse = float(np.mean(d2))
+        mse = float(mses[0, b])
         se = float(np.std(d2, ddof=1) / math.sqrt(spec.trials)) if spec.trials > 1 else 0.0
         residual = scale * (norm - tensor.partial_sum(box))
         stats.append(BoxStats(

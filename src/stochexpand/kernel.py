@@ -175,6 +175,11 @@ def _level_factor(kernel: Kernel, system: OrthonormalSystem, level: int, j: int,
 def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box, weighted: bool,
                     grid: PanelGrid) -> np.ndarray:
     x = grid.nodes.ravel()
+    # the basis table bounds the last level's table too, which holds its first rows
+    entries = (max(box) + 1) * x.size
+    if entries > MEMORY_BUDGET:
+        raise SizeError(f"the basis table would hold {entries} node values, "
+                        f"over the budget {MEMORY_BUDGET}")
     phi = system.eval_table(max(box), x)
     if weighted:
         phi = phi * system.weight(x)

@@ -1,13 +1,28 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
 from stochexpand import basis, quadrature
 from stochexpand.basis import Interval, bessel_roots, gram_matrix, haar_index
 
 IV = Interval(0.0, 1.0)
+
+
+def legendre_40_digits(n_max, u):
+    """P_0..P_{n_max} at the float points u, computed at 40 digits by
+    (n+1) P_{n+1} = (2n+1) u P_n - n P_{n-1} and anchored to mpmath.legendre."""
+    with mpmath.workdps(40):
+        us = [mpmath.mpf(float(v)) for v in u]
+        rows = [[mpmath.mpf(1)] * len(us), us]
+        for n in range(1, n_max):
+            rows.append([((2 * n + 1) * v * a - n * b) / (n + 1)
+                         for v, a, b in zip(us, rows[n], rows[n - 1])])
+        for n, i in ((n_max, 0), (n_max, len(us) // 2), (n_max // 2, len(us) - 1)):
+            assert abs(rows[n][i] - mpmath.legendre(n, us[i])) < mpmath.mpf(10) ** -35
+        return np.array([[float(v) for v in row] for row in rows[:n_max + 1]])
 
 
 class TestEvaluation:
@@ -70,25 +85,44 @@ class TestEvaluation:
         t0, t1, span = interval.start, interval.end, interval.length
         x = np.concatenate([np.linspace(t0, t1, 1025),
                             np.random.default_rng(4).uniform(t0, t1, 333)])
-
-        def member(j):  # one degree at a time, by the scalar kernel
-            if kind == "legendre":
-                u = (x - (t1 + t0) / 2.0) * 2.0 / span
-                return math.sqrt((2 * j + 1) / span) * special.eval_legendre(j, u)
-            if j == 0:
-                return np.full_like(x, 1.0 / math.sqrt(span))
-            trig = np.sin if j % 2 else np.cos
-            return math.sqrt(2.0 / span) * trig(2.0 * math.pi * ((j + 1) // 2) * ((x - t0) / span))
-
         sys = basis.OrthonormalSystem(kind, interval)
-        table = sys.eval_table(63, x)
-        np.testing.assert_array_equal(table, np.stack([member(j) for j in range(64)]))
+        if kind == "legendre":
+            # Bonnet's recurrence is not bitwise any closed form: its rows are held
+            # to 40-digit values of P_n instead, at u = 0, +-1e-6 and +-1 too
+            x = np.concatenate([x, (t1 + t0) / 2.0 + span / 2.0 * np.array(
+                [0.0, 1e-6, -1e-6, 1.0, -1.0])])
+            table = sys.eval_table(63, x)
+            u = (x - (t1 + t0) / 2.0) * 2.0 / span
+            scale = np.sqrt((2 * np.arange(64) + 1) / span)[:, None]
+            assert np.max(np.abs(table / scale - legendre_40_digits(63, u))) <= 3e-14
+        else:  # one degree at a time, by the scalar kernel
+            def member(j):
+                if j == 0:
+                    return np.full_like(x, 1.0 / math.sqrt(span))
+                trig = np.sin if j % 2 else np.cos
+                return math.sqrt(2.0 / span) * trig(2.0 * math.pi * ((j + 1) // 2)
+                                                    * ((x - t0) / span))
+
+            table = sys.eval_table(63, x)
+            np.testing.assert_array_equal(table, np.stack([member(j) for j in range(64)]))
         for j in (0, 1, 2, 63):
             np.testing.assert_array_equal(sys.eval(j, x), table[j])
             assert sys.eval(j, x[5]) == table[j, 5]
-        grid = x.reshape(2, -1)  # any shape of x, as eval takes it
-        np.testing.assert_array_equal(sys.eval_table(63, grid), table.reshape(64, 2, -1))
-        np.testing.assert_array_equal(sys.eval(2, grid), table[2].reshape(2, -1))
+        grid = x[:1358].reshape(2, -1)  # any shape of x, as eval takes it
+        np.testing.assert_array_equal(sys.eval_table(63, grid), table[:, :1358].reshape(64, 2, -1))
+        np.testing.assert_array_equal(sys.eval(2, grid), table[2, :1358].reshape(2, -1))
+
+    def test_legendre_high_degree_keeps_two_rows(self):
+        sys = basis.legendre(IV)
+        x = np.array([0.1, 0.5, 0.97])
+        tracemalloc.start()
+        try:
+            row = sys.eval(10**5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a few work rows of 3 points, not 10**5 rows
+        np.testing.assert_array_equal(row, sys.eval_table(10**5, x)[-1])
 
     def test_negative_index_rejected(self):
         with pytest.raises(IndexError):
@@ -139,6 +173,12 @@ class TestRoots:
 
     def test_j1_first_zero(self):
         assert bessel_roots(1, 1).roots[0] == pytest.approx(3.831705970207512, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 14, 15, 20, 40, 100])
+    def test_first_zeros_match_mpmath(self, order):
+        roots = bessel_roots(order, 5).roots
+        exact = [float(mpmath.besseljzero(order, j)) for j in range(1, 6)]
+        np.testing.assert_allclose(roots, exact, rtol=1e-12, atol=0)
 
     def test_roots_increase(self):
         roots = bessel_roots(2, 20).roots

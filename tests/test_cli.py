@@ -110,6 +110,23 @@ def test_coeffs_oversize_box_is_resource_error(tmp_path):
     assert not (tmp_path / "coeffs.csv").exists()
 
 
+def test_coeffs_huge_box_order_trips_the_basis_table_guard(tmp_path, capsys):
+    # 10**6 + 1 tensor entries pass the box check; the basis table on the nodes would not
+    cfg = coeffs_config(tmp_path, box=[0, 10**6])
+    assert run(["coeffs", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "basis table" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "coeffs.csv").exists()
+
+
+@pytest.mark.parametrize("order", [0, 15])
+def test_coeffs_bessel_system_runs(tmp_path, order):
+    cfg = coeffs_config(tmp_path, system={"kind": "bessel_unit", "bessel_order": order},
+                        box=[2, 2])
+    assert run(["coeffs", "--config", cfg]) == 0
+    assert (tmp_path / "coeffs.csv").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = coeffs_config(tmp_path, bogus=1)
     assert run(["coeffs", "--config", cfg]) == 2
@@ -244,7 +261,7 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(interval=[-1e308, 1e308]), 2),
     (dict(driver={"kind": "poisson", "m": 2, "mark_powers": [1e300, 1.0]}), 2),
     (dict(kernel=factors(("const", 1e300), ("const", 1.0))), 3),
-    (dict(interval=[0.0, 1.0], system={"kind": "bessel_unit", "bessel_order": 15}), 3),
+    (dict(boxes=[[0, 10**6]]), 3),
     *SHARED_PROBES,
 ], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
         "poisson_repeated_pairing", "poisson_repeated_explicit", "fractional_trials",
@@ -256,7 +273,7 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
         "weighted_unit_weight_system", "negative_rho", "fractional_bessel_order",
         "fractional_walsh_bits", "string_richardson", "string_rho", "string_total_mass",
         "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
-        "kernel_norm_overflow", "bessel_zero_not_bracketed", *SHARED_PROBE_IDS])
+        "kernel_norm_overflow", "huge_box_basis_table", *SHARED_PROBE_IDS])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == code
     err = capsys.readouterr().err
@@ -406,14 +423,34 @@ def test_converge_worker_error_exits_3_without_traceback(tmp_path, capsys, monke
     assert not (tmp_path / "conv.json").exists()
 
 
-def test_cli_import_leaves_heavy_modules_out():
+def _subprocess_env():
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # concurrent.futures itself is not listed: numpy.testing, which scipy.special loads, imports it
-    lazy = ("stochexpand.validation", "mpmath", "scipy.optimize", "multiprocessing",
-            "concurrent.futures.process")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    lazy = ("stochexpand.validation", "mpmath", "scipy", "scipy.special", "scipy.optimize",
+            "multiprocessing", "concurrent.futures", "concurrent.futures.process")
     code = ("import sys, stochexpand.cli; "
             f"print(','.join(m for m in {lazy!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout.strip()
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+                         text=True, check=True).stdout.strip()
     assert out == ""
+
+
+def test_runs_without_bessel_systems_load_no_scipy(tmp_path):
+    for name in ("wiener", "poisson", "haar"):
+        (tmp_path / name).mkdir()
+    poisson = {"kind": "poisson", "m": 2, "total_mass": 5.0, "mark_powers": [1.0, 1.0]}
+    configs = [
+        ("converge", converge_config(tmp_path / "wiener", trials=20)),
+        ("converge", converge_config(tmp_path / "poisson", trials=20, driver=poisson,
+                                     combo=[1, 1], correction="prelimit")),
+        ("coeffs", coeffs_config(tmp_path / "haar", system={"kind": "haar"}, box=[3, 3])),
+    ]
+    code = ("import sys; from stochexpand import cli; "
+            f"codes = [cli.main([cmd, '--config', cfg]) for cmd, cfg in {configs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+                         text=True, check=True).stdout.strip().splitlines()[-1]
+    assert out == "[0, 0, 0] []"
