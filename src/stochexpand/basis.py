@@ -6,10 +6,13 @@ system orthonormal with weight x on [0, T], and its sqrt(x)-scaled variant
 which is orthonormal with unit weight.  All members with finite index are
 right-continuous with finitely many finite jumps.
 
-Legendre rows come from Bonnet's three-term recurrence (DLMF 18.9.1) in
-float64, not from a closed form; for degrees up to 63 on [-1, 1] they agree
-with 40-digit values to 3e-14 in P_n.  scipy is imported only by the Bessel
-systems, which need J_n and its zeros.
+Every system has one evaluator, OrthonormalSystem._rows, which fills a
+range of degrees at once: eval_table is the range 0..j_max and eval(j, x)
+its one-row case.  Legendre rows come from Bonnet's three-term recurrence
+(DLMF 18.9.1) in float64, not from a closed form; for degrees up to 63 on
+[-1, 1] they agree with 40-digit values to 3e-14 in P_n.  The other systems
+broadcast their closed form over the degree axis.  scipy is imported only
+by the Bessel systems, which need J_n and its zeros.
 """
 
 from __future__ import annotations
@@ -150,71 +153,30 @@ class OrthonormalSystem:
         return table.roots
 
     def eval(self, j: int, x) -> np.ndarray:
-        """phi_j(x) (or Psi_j for the weighted Bessel system), vectorized in x."""
+        """phi_j(x) (or Psi_j for the weighted Bessel system), vectorized in x:
+        row j of eval_table, bitwise."""
         if j < 0:
             raise IndexError("basis index must be nonnegative")
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        t0, t1 = self.interval.start, self.interval.end
-        span = self.interval.length
-        if self.kind in ("legendre", "trigonometric"):
-            out = self._rows(j, j, x)[0]
-        elif self.kind == "haar":
-            if j == 0:
-                out = np.full_like(x, 1.0 / math.sqrt(span))
-            else:
-                n, k = haar_index(j)
-                u = (x - t0) / span
-                left = (k - 1) / 2.0**n
-                mid = left + 1.0 / 2.0 ** (n + 1)
-                right = k / 2.0**n
-                amp = 2.0 ** (n / 2.0) / math.sqrt(span)
-                out = np.where((u >= left) & (u < mid), amp,
-                               np.where((u >= mid) & (u < right), -amp, 0.0))
-        elif self.kind == "walsh":
-            if j == 0:
-                out = np.full_like(x, 1.0 / math.sqrt(span))
-            else:
-                bits = int(j).bit_length()  # j < 2^max_walsh_bits, without the power
-                if bits > self.max_walsh_bits:
-                    raise IndexError(
-                        f"Walsh index {j} exceeds configured max order "
-                        f"({self.max_walsh_bits} bits)"
-                    )
-                u = (x - t0) / span
-                out = np.full_like(x, 1.0 / math.sqrt(span))
-                for bit in range(bits):
-                    if j >> bit & 1:
-                        m = bit + 1
-                        out = out * (-1.0) ** np.floor(2.0**m * u)
-        else:  # bessel_weighted / bessel_unit
-            from scipy import special
-            mu = self._root_table(j)[j]
-            n = self.bessel_order
-            out = (math.sqrt(2.0) / (t1 * special.jv(n + 1, mu))) * special.jv(n, mu * x / t1)
-            if self.kind == "bessel_unit":
-                out = np.sqrt(np.maximum(x, 0.0)) * out
-            # weighted system returns Psi_j itself; the weight x lives in the inner product
-        return out[0] if scalar else out
+        out = self._rows(j, j, np.atleast_1d(x))[0]
+        return out[0] if x.ndim == 0 else out
 
     def eval_table(self, j_max: int, x) -> np.ndarray:
-        """Stacked values, shape (j_max + 1, len(x)); bitwise eval's rows."""
-        if self.kind in ("legendre", "trigonometric"):
-            return self._rows(0, j_max, np.asarray(x, dtype=float))
-        return np.stack([self.eval(j, x) for j in range(j_max + 1)])
+        """Stacked values phi_0..phi_{j_max} at x, shape (j_max + 1, *x.shape)."""
+        return self._rows(0, j_max, np.asarray(x, dtype=float))
 
     def _rows(self, j_lo: int, j_hi: int, x: np.ndarray) -> np.ndarray:
-        """phi_j(x) for the Legendre or trigonometric degrees j_lo..j_hi, shape
-        (j_hi - j_lo + 1, *x.shape).
+        """phi_j(x) for the degrees j_lo..j_hi, shape (j_hi - j_lo + 1, *x.shape);
+        the one evaluator of every system.
 
         Legendre: Bonnet's recurrence P_{n+1} = u P_n + n/(n+1) (u P_n - P_{n-1})
         in place on u, two rolling rows and one scratch row; only the requested
         degrees are stored, so memory is O((j_hi - j_lo + 5) len(x)) for any
         degree.  Every degree runs the same operations whatever j_lo is, so
         eval(j, x) is bitwise row j of eval_table.  Against 40-digit values,
-        |P_n error| <= 3e-14 for n <= 63 (tests/test_basis.py).  Trigonometric:
-        one ufunc call, each element by the scalar kernel."""
+        |P_n error| <= 3e-14 for n <= 63 (tests/test_basis.py).  The other
+        systems broadcast their closed form over the degree axis, so each
+        element is the scalar formula of its degree whatever the range."""
         t0, t1 = self.interval.start, self.interval.end
         span = self.interval.length
         if self.kind == "legendre":
@@ -229,35 +191,57 @@ class OrthonormalSystem:
                     np.add(scratch, prev, out=prev)
                     prev, cur = cur, prev
                 if n >= j_lo:
-                    np.multiply(cur, math.sqrt((2 * n + 1) / span), out=out[n - j_lo])
+                    np.multiply(cur, math.sqrt((2 * n + 1) / span), out=out[n - j_lo, ...])
             return out
         js = np.arange(j_lo, j_hi + 1)
         col = js.reshape((-1,) + (1,) * x.ndim)
-        arg = 2.0 * math.pi * ((col + 1) // 2) * ((x - t0) / span)
-        odd = js % 2 == 1
-        out = np.empty(arg.shape)
-        out[odd] = np.sin(arg[odd])
-        out[~odd] = np.cos(arg[~odd])
-        out *= math.sqrt(2.0 / span)
+        if self.kind.startswith("bessel"):
+            from scipy import special
+            mu = self._root_table(j_hi)[j_lo:j_hi + 1].reshape(col.shape)
+            n = self.bessel_order
+            out = (math.sqrt(2.0) / (t1 * special.jv(n + 1, mu))) * special.jv(n, mu * x / t1)
+            # the weighted system returns Psi_j itself; the weight x lives in the inner product
+            return np.sqrt(np.maximum(x, 0.0)) * out if self.kind == "bessel_unit" else out
+        u = (x - t0) / span
+        if self.kind == "trigonometric":
+            arg = 2.0 * math.pi * ((col + 1) // 2) * u
+            odd = js % 2 == 1
+            out = np.empty(arg.shape)
+            out[odd] = np.sin(arg[odd])
+            out[~odd] = np.cos(arg[~odd])
+            out *= math.sqrt(2.0 / span)
+        elif self.kind == "haar":
+            # level n holds j = 2^n .. 2^(n+1) - 1.  u lies in its half-interval
+            # h = floor(2^(n+1) u), exactly (a power-of-2 scaling), where member
+            # j = 2^n + h // 2 is +amp for even h (u in [left, mid)) and -amp for
+            # odd h (u in [mid, right)); every other member of the level is 0
+            out = np.zeros((len(js), u.size))
+            for n in range(int(max(j_lo, 1)).bit_length() - 1, int(j_hi).bit_length()):
+                lo, hi = max(j_lo, 2**n) - 2**n, min(j_hi + 1, 2 ** (n + 1)) - 2**n
+                h = np.floor(2.0 ** (n + 1) * u.ravel())
+                at = np.flatnonzero((h >= 2 * lo) & (h < 2 * hi))  # members in j_lo..j_hi
+                h = h[at].astype(np.int64)
+                amp = 2.0 ** (n / 2.0) / math.sqrt(span)
+                out[2**n + (h >> 1) - j_lo, at] = np.where(h & 1, -amp, amp)
+            out = out.reshape((len(js),) + x.shape)
+        else:  # walsh: the product of the Rademacher functions r_{bit+1} over j's set bits
+            bits = int(j_hi).bit_length()  # j < 2^max_walsh_bits, without the power
+            if bits > self.max_walsh_bits:
+                raise IndexError(f"Walsh index {j_hi} exceeds configured max order "
+                                 f"({self.max_walsh_bits} bits)")
+            out = np.full((len(js),) + x.shape, 1.0 / math.sqrt(span))
+            for bit in range(bits):
+                np.multiply(out, (-1.0) ** np.floor(2.0 ** (bit + 1) * u), out=out,
+                            where=(col >> bit & 1) == 1)
         out[js == 0] = 1.0 / math.sqrt(span)
         return out
 
     def breakpoints(self, j_max: int):
         """Jump locations of members with index <= j_max (empty for smooth systems)."""
-        t0, span = self.interval.start, self.interval.length
-        if self.kind == "haar":
-            if j_max < 1:
-                return ()
-            n_max = haar_index(j_max)[0]
-            grid = np.arange(1, 2 ** (n_max + 1)) / 2.0 ** (n_max + 1)
-            return tuple(t0 + span * grid)
-        if self.kind == "walsh":
-            if j_max < 1:
-                return ()
-            m_max = j_max.bit_length()
-            grid = np.arange(1, 2**m_max) / 2.0**m_max
-            return tuple(t0 + span * grid)
-        return ()
+        if self.kind not in ("haar", "walsh") or j_max < 1:
+            return ()
+        m = int(j_max).bit_length()  # members up to j_max jump on the dyadic grid of level m
+        return tuple(self.interval.start + self.interval.length * (np.arange(1, 2**m) / 2.0**m))
 
 
 def legendre(interval: Interval) -> OrthonormalSystem:

@@ -87,10 +87,10 @@ class Partition:
         if self._variances and self._variances[0] is rho:
             return self._variances[1]
         density = _as_callable(rho)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(32)
+        ref_u, ref_w, _ = quadrature._reference_rule(32)  # on [0, 1]
         a = self.left_nodes[:, None]
         b = self.nodes[1:][:, None]
-        pts = a + (b - a) * (ref_x[None, :] + 1.0) / 2.0
+        pts = a + (b - a) * ref_u[None, :]
         vals = density(pts.ravel()).reshape(pts.shape)
         if np.any(vals < 0):
             raise ValueError("variance density rho is negative on the interval")
@@ -99,7 +99,7 @@ class Partition:
             # to the plain Wiener step variances
             variances = self.deltas * vals.flat[0]
         else:
-            variances = np.sum((b - a) / 2.0 * ref_w[None, :] * vals, axis=1)
+            variances = np.sum((b - a) * ref_w[None, :] * vals, axis=1)
         variances.flags.writeable = False
         self._variances[:] = (rho, variances)
         return variances

@@ -26,7 +26,7 @@ import numpy as np
 from . import oracle, quadrature
 from .basis import OrthonormalSystem
 from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, WienerPath,
-                      compensated_integral)
+                      _as_callable, compensated_integral)
 from .kernel import CoeffTensor
 
 __all__ = [
@@ -59,12 +59,15 @@ class BasisVariables:
 
     kind: str  # "wiener" | "martingale" | "poisson"
     table: np.ndarray
-    by_slot: bool
     combo: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.table)):
             raise ValueError("basis variable table contains non-finite values")
+
+    @property
+    def by_slot(self) -> bool:
+        return self.kind == "poisson"
 
     @property
     def p_max(self) -> int:
@@ -87,7 +90,7 @@ def gaussian_variables(kind: str, increments: np.ndarray, phi: np.ndarray) -> Ba
     increments has shape (..., m + 1, N) and phi (p_max + 1, N) holds the
     basis on the partition's left nodes; leading axes are multiplied slice
     by slice, so a trial's table does not depend on what it is batched with."""
-    return BasisVariables(kind, increments @ phi.T, by_slot=False)
+    return BasisVariables(kind, increments @ phi.T)
 
 
 def wiener_variables(path: WienerPath | GaussianMartingalePath, system: OrthonormalSystem,
@@ -105,17 +108,16 @@ martingale_variables = wiener_variables
 @functools.lru_cache(maxsize=64)
 def _compensator_row(system: OrthonormalSystem, p_max: int, intensity, mark_factor,
                      moment_order: float) -> np.ndarray:
-    """int phi_j dt * int phi dPi for j = 0..p_max, read-only.
+    """int phi_j dt * int phi dPi for j = 0..p_max, read-only; one adaptive
+    quadrature over the basis table serves every degree.
 
     Checks first that the mark moment of the given order is finite; a failed
     check raises ValueError and is not cached, so it raises on every call."""
     intensity.moment(mark_factor, moment_order)
     m1 = intensity.mark_integral(mark_factor)
-    a, b = system.interval.start, system.interval.end
-    brk = system.breakpoints(p_max)
-    time_ints = np.empty(p_max + 1)
-    for j in range(p_max + 1):
-        time_ints[j], _ = quadrature.integrate(lambda x, j=j: system.eval(j, x), a, b, brk)
+    time_ints, _, _ = quadrature.adaptive(
+        lambda grid: np.sum(grid.weights * system.eval_table(p_max, grid.nodes), axis=(1, 2)),
+        system.interval.start, system.interval.end, system.breakpoints(p_max))
     row = time_ints * m1
     row.flags.writeable = False
     return row
@@ -156,7 +158,7 @@ def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem
             table[g] = jump_tables[i] @ phi(marks) - row
         else:
             table[g] = -row
-    return BasisVariables("poisson", table, by_slot=True, combo=combo)
+    return BasisVariables("poisson", table, combo=combo)
 
 
 CORRECTIONS = ("explicit_k_le_4", "pairing_general", "prelimit")
@@ -279,14 +281,12 @@ def expand_weighted(tensor: CoeffTensor, variables: BasisVariables, combo, rho,
 
     Checks the compatibility condition sup rho / r < bound on a dense grid
     before delegating to expand; with rho == r == 1 this is exactly expand."""
-    if not callable(rho):
-        rho_val = float(rho)
-        rho = lambda x: np.full_like(np.asarray(x, dtype=float), rho_val)
+    rho = _as_callable(rho)
     interval = tensor.system.interval
     # avoid the endpoints where a vanishing weight is harmless (measure zero)
     x = np.linspace(interval.start, interval.end, RATIO_GRID + 2)[1:-1]
     r = tensor.system.weight(x)
-    ratio = np.asarray(rho(x), dtype=float) / np.where(r > 0, r, np.inf)
+    ratio = rho(x) / np.where(r > 0, r, np.inf)
     if np.max(ratio) > ratio_bound:
         raise ValueError(
             f"variance density / weight ratio appears unbounded (sup over grid "

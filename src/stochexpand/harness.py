@@ -35,8 +35,8 @@ from . import expansions, oracle
 from .basis import OrthonormalSystem
 # interval_measures stays a module attribute (perfbench/tracer.py wraps the
 # samplers and it here); the trial loop reaches it through oracle.slot_increments
-from .drivers import (IntensityMeasure, interval_measures, make_partition,  # noqa: F401
-                      sample_gaussian_martingale, sample_poisson, sample_wiener,
+from .drivers import (IntensityMeasure, _as_callable, interval_measures,  # noqa: F401
+                      make_partition, sample_gaussian_martingale, sample_poisson, sample_wiener,
                       scale_draws, trial_seed)
 from .errors import ConfigError, SizeError
 from .expansions import BasisVariables
@@ -228,10 +228,9 @@ def _residual_scale(spec: ExperimentSpec) -> float:
 def _density_scale(spec: ExperimentSpec) -> float:
     """Per-slot isometry factor of a martingale: rho if constant, 1 if it equals the system
     weight on the weighted route (absorbed by the weighted kernel norm), else NaN."""
-    rho = spec.driver.rho
     iv = spec.kernel.interval
     x = np.linspace(iv.start, iv.end, 257)
-    vals = np.asarray(rho(x), dtype=float) if callable(rho) else np.full_like(x, float(rho))
+    vals = _as_callable(spec.driver.rho)(x)
     if np.allclose(vals, vals[0], rtol=1e-12, atol=1e-12):
         return float(vals[0])
     if spec.weighted and np.allclose(vals, spec.system.weight(x), rtol=1e-12, atol=1e-12):
@@ -391,7 +390,7 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
                          for d, (_, phi) in zip(draws, tables)]
             incs = [d[:, list(combo)] for d in draws]
         else:
-            variables = [BasisVariables("poisson", draws, by_slot=True, combo=combo)] * len(tables)
+            variables = [BasisVariables("poisson", draws, combo=combo)] * len(tables)
         yield start - lo, list(zip(variables, incs))
 
 

@@ -79,13 +79,17 @@ class TestEvaluation:
         huge = basis.walsh(IV, max_bits=10**18)  # 2**bits would never finish
         np.testing.assert_array_equal(huge.eval_table(5, x), basis.walsh(IV).eval_table(5, x))
 
-    @pytest.mark.parametrize("kind", ["legendre", "trigonometric"])
+    @pytest.mark.parametrize("kind", ["legendre", "trigonometric", "haar", "walsh",
+                                      "bessel_weighted", "bessel_unit"])
     @pytest.mark.parametrize("interval", [IV, Interval(-0.3, 1.7)])
     def test_table_is_the_per_degree_formula_bitwise(self, kind, interval):
+        if kind.startswith("bessel"):  # Bessel systems live on [0, T]
+            interval = Interval(0.0, interval.length)
         t0, t1, span = interval.start, interval.end, interval.length
         x = np.concatenate([np.linspace(t0, t1, 1025),
                             np.random.default_rng(4).uniform(t0, t1, 333)])
         sys = basis.OrthonormalSystem(kind, interval)
+        grid = x[:1358].reshape(2, -1)  # any shape of x, as eval takes it
         if kind == "legendre":
             # Bonnet's recurrence is not bitwise any closed form: its rows are held
             # to 40-digit values of P_n instead, at u = 0, +-1e-6 and +-1 too
@@ -95,22 +99,55 @@ class TestEvaluation:
             u = (x - (t1 + t0) / 2.0) * 2.0 / span
             scale = np.sqrt((2 * np.arange(64) + 1) / span)[:, None]
             assert np.max(np.abs(table / scale - legendre_40_digits(63, u))) <= 3e-14
-        else:  # one degree at a time, by the scalar kernel
-            def member(j):
-                if j == 0:
-                    return np.full_like(x, 1.0 / math.sqrt(span))
-                trig = np.sin if j % 2 else np.cos
-                return math.sqrt(2.0 / span) * trig(2.0 * math.pi * ((j + 1) // 2)
-                                                    * ((x - t0) / span))
+        else:  # one degree at a time, by the scalar formula
+            mu = bessel_roots(0, 64).roots if kind.startswith("bessel") else None
+
+            def member(j, x):
+                u = (x - t0) / span
+                if kind == "trigonometric" and j:
+                    trig = np.sin if j % 2 else np.cos
+                    return math.sqrt(2.0 / span) * trig(2.0 * math.pi * ((j + 1) // 2) * u)
+                if kind == "haar" and j:
+                    n, k = haar_index(j)
+                    left = (k - 1) / 2.0**n
+                    mid = left + 1.0 / 2.0 ** (n + 1)
+                    right = k / 2.0**n
+                    amp = 2.0 ** (n / 2.0) / math.sqrt(span)
+                    return np.where((u >= left) & (u < mid), amp,
+                                    np.where((u >= mid) & (u < right), -amp, 0.0))
+                if kind == "walsh":
+                    out = np.full_like(x, 1.0 / math.sqrt(span))
+                    for bit in range(j.bit_length()):
+                        if j >> bit & 1:
+                            out = out * (-1.0) ** np.floor(2.0 ** (bit + 1) * u)
+                    return out
+                if mu is not None:
+                    from scipy import special
+                    out = (math.sqrt(2.0) / (t1 * special.jv(1, mu[j]))) * special.jv(
+                        0, mu[j] * x / t1)
+                    return np.sqrt(np.maximum(x, 0.0)) * out if kind == "bessel_unit" else out
+                return np.full_like(x, 1.0 / math.sqrt(span))
 
             table = sys.eval_table(63, x)
-            np.testing.assert_array_equal(table, np.stack([member(j) for j in range(64)]))
+            np.testing.assert_array_equal(table, np.stack([member(j, x) for j in range(64)]))
+            np.testing.assert_array_equal(sys.eval_table(63, grid),
+                                          np.stack([member(j, grid) for j in range(64)]))
         for j in (0, 1, 2, 63):
             np.testing.assert_array_equal(sys.eval(j, x), table[j])
-            assert sys.eval(j, x[5]) == table[j, 5]
-        grid = x[:1358].reshape(2, -1)  # any shape of x, as eval takes it
+            assert sys.eval(j, x[5]) == table[j, 5] == sys.eval_table(j, x[5])[j]
         np.testing.assert_array_equal(sys.eval_table(63, grid), table[:, :1358].reshape(64, 2, -1))
         np.testing.assert_array_equal(sys.eval(2, grid), table[2, :1358].reshape(2, -1))
+
+    @pytest.mark.parametrize("kind", sorted(basis.GRAM_TOLERANCES))
+    def test_table_makes_no_per_degree_call(self, kind, monkeypatch):
+        def per_degree(self, j, x):
+            raise AssertionError("eval_table called eval")
+
+        sys = basis.OrthonormalSystem(kind, Interval(0.0, 1.7))
+        x = np.linspace(0.0, 1.7, 9)
+        want = np.stack([sys.eval(j, x) for j in range(9)])
+        monkeypatch.setattr(basis.OrthonormalSystem, "eval", per_degree)
+        np.testing.assert_array_equal(sys.eval_table(8, x), want)
 
     def test_legendre_high_degree_keeps_two_rows(self):
         sys = basis.legendre(IV)
