@@ -3,15 +3,21 @@
 Drivers: multidimensional Wiener paths, marked Poisson random measures with
 finite intensity, and Gaussian martingales with variance density rho.
 Component 0 of every path-like driver is deterministic time.  All samplers
-are pure functions of (arguments, seed); substreams are derived from the
-root seed by (component,) or (trial, component) spawn keys, so trials and
-components are independent and reproducible.
+are pure functions of (arguments, seed).  Component i of a sample draws from
+its own substream, bit for bit numpy's
+Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key + (i,)))): spawn key
+(i,) under an int seed, (trial, i) under trial_seed(seed, trial), so trials
+and components are independent and reproducible.  seed_words runs
+SeedSequence's hash for many spawn keys at once, and the Monte Carlo loop
+hands each trial its precomputed words in a TrialSeed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +41,9 @@ __all__ = [
     "interval_measures",
     "compensated_integral",
     "component_rng",
+    "seed_words",
+    "TrialSeed",
+    "trial_seed",
     "realization_to_json",
     "realization_from_json",
 ]
@@ -122,18 +131,143 @@ def make_partition(interval: Interval, n: int) -> Partition:
     return Partition(interval, np.linspace(interval.start, interval.end, n + 1))
 
 
-def component_rng(seed, component: int) -> np.random.Generator:
-    """Independent substream for one component (counter-based spawn key)."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = np.random.SeedSequence(seed.entropy, spawn_key=tuple(seed.spawn_key) + (component,))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in uint32 arithmetic
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_HASH_B = [_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(9)]
+
+
+def _words(x) -> list[int]:
+    """The uint32 words SeedSequence assembles from an int or a sequence of ints."""
+    if isinstance(x, (str, bytes)):  # iterating one would recurse without end
+        raise TypeError(f"seed entropy and spawn keys must be integers, got {x!r}")
+    if not isinstance(x, (int, np.integer)):  # a one-word int entry skips the call
+        return [w for v in x
+                for w in ((v,) if type(v) is int and 0 <= v <= _MASK32 else _words(v))]
+    x = int(x)
+    if x < 0:
+        raise ValueError("seed entropy and spawn keys must be non-negative integers")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value: int, const: int):
+    """(hashed value, next hash constant)."""
+    value = (value ^ const) * (const := const * _MULT_A & _MASK32) & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+@functools.lru_cache(maxsize=64)
+def _entropy_pool(entropy: tuple) -> tuple:
+    """(pool, hash constant) after the entropy words, padded with zeros to 4: the part of
+    SeedSequence's pool mixing that every spawn key of one entropy shares."""
+    entropy = entropy + (0,) * (4 - len(entropy))
+    pool, const = [], _INIT_A
+    for w in entropy[:4]:
+        value, const = _hashmix(w, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    const = _absorb(pool, const, entropy[4:])
+    return tuple(pool), const
+
+
+def _absorb(pool: list, const: int, words) -> int:
+    """Mix each word into every pool word in place (SeedSequence's loop over the
+    entropy beyond the pool, _hashmix and _mix inlined); returns the next hash
+    constant.  The words and pool entries are ints or uint32 arrays alike."""
+    for w in words:
+        for dst in range(4):
+            value = (w ^ const) * (const := const * _MULT_A & _MASK32) & _MASK32
+            value = (_MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16)) & _MASK32
+            pool[dst] = value ^ value >> 16
+    return const
+
+
+def seed_words(entropy, keys) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seed words of n substreams of one root entropy, in one pass.
+
+    Row r is bitwise SeedSequence(entropy, spawn_key=keys[r]).generate_state(4, np.uint64).
+    keys is an (n, L) array of integers in [0, 2**32), one word each, or one spawn key
+    of any non-negative integers as a tuple (n = 1).  The pool mixing of the entropy
+    words is shared by every key and computed once; each key word then enters every
+    pool word, vectorized over the keys."""
+    pool, const = _entropy_pool(tuple(_words(entropy)))
+    if isinstance(keys, tuple):  # one key: plain ints throughout
+        n, columns, pool = 1, _words(keys), list(pool)
     else:
-        ss = np.random.SeedSequence(seed, spawn_key=(component,))
-    return np.random.Generator(np.random.PCG64(ss))
+        keys = np.asarray(keys)
+        if keys.ndim != 2 or keys.dtype.kind not in "iu" or keys.size and not (
+                keys.min() >= 0 and keys.max() <= _MASK32):
+            raise ValueError("keys must be an (n, L) array of integers in [0, 2**32)")
+        n, columns = len(keys), np.ascontiguousarray(keys.T, dtype=np.uint32)
+        pool = [np.full(n, w, np.uint32) for w in pool]
+    _absorb(pool, const, columns)
+    # generate_state: 8 uint32 words from the cycled pool (its hash constants are fixed),
+    # read as 4 little-endian uint64 words
+    state = [(v := (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32) ^ v >> 16
+             for i in range(8)]
+    state = np.ascontiguousarray(np.array(state, dtype="<u4").reshape(8, n).T)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
-def trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
-    """Seed object for one Monte Carlo trial, derived from the root seed."""
-    return np.random.SeedSequence(seed, spawn_key=(trial,))
+@functools.cache
+def _words_seed_class():
+    """An ISeedSequence that hands PCG64 words already derived (numpy.random loads on
+    first use, not at import)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("seed words hold exactly 4 uint64 words")
+            return self.words
+
+    return SeedWords
+
+
+class TrialSeed(NamedTuple):
+    """Root entropy and spawn key of one trial's substreams, as SeedSequence names
+    them, and optionally the seed words of its components 1..len(words)."""
+
+    entropy: int
+    spawn_key: tuple
+    words: np.ndarray | None = None
+
+
+def component_rng(seed, component: int) -> np.random.Generator:
+    """Independent substream for one component: the generator of
+    PCG64(SeedSequence(entropy, spawn_key=spawn_key + (component,))), bitwise, for
+    seed an int (the entropy; no spawn key), a SeedSequence or a TrialSeed."""
+    words = getattr(seed, "words", None)
+    if words is not None and 1 <= component <= len(words):
+        words = words[component - 1]
+    elif hasattr(seed, "spawn_key"):
+        words = seed_words(seed.entropy, (*seed.spawn_key, component))[0]
+    else:
+        words = seed_words(seed, (component,))[0]
+    return np.random.Generator(np.random.PCG64(_words_seed_class()(words)))
+
+
+def trial_seed(seed: int, trial: int) -> TrialSeed:
+    """Seed of one Monte Carlo trial: spawn key (trial,) under the root seed."""
+    return TrialSeed(seed, (trial,))
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ from . import expansions, oracle
 from .basis import OrthonormalSystem
 # interval_measures stays a module attribute (perfbench/tracer.py wraps the
 # samplers and it here); the trial loop reaches it through oracle.slot_increments
-from .drivers import (IntensityMeasure, _as_callable, interval_measures,  # noqa: F401
-                      make_partition, sample_gaussian_martingale, sample_poisson, sample_wiener,
-                      scale_draws, trial_seed)
+from .drivers import (IntensityMeasure, TrialSeed, _as_callable,  # noqa: F401
+                      interval_measures, make_partition, sample_gaussian_martingale,
+                      sample_poisson, sample_wiener, scale_draws, seed_words)
 from .errors import ConfigError, SizeError
 from .expansions import BasisVariables
 from .kernel import CoeffTensor, Kernel, coeff_tensor, kernel_norm_sq
@@ -59,6 +59,8 @@ __all__ = [
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 CHUNK_BYTES = 2**20  # increment buffers of one chunk of trials
 MEMORY_BUDGET = 2**32  # bytes a trial loop may hold: partition, left-node tables, one chunk
+SEED_STREAMS = 2**13  # substreams whose seed words one derivation computes
+STREAM_BYTES = 160  # per substream at a derivation's peak: 32 bytes of words, key, hash temporaries
 
 
 def power_mark(a: float = 1.0):
@@ -249,8 +251,9 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     counts `coarse` on the same draws, with basis orders up to p_max.
 
     Raises SizeError, before anything is allocated, when the partitions, their
-    left-node tables, one chunk's buffers in each worker process (one trial's
-    unit draws among them) and the kept_per_trial result floats of every trial
+    left-node tables, one chunk's buffers and one seed-word derivation
+    (_trial_seeds) in each worker process (one trial's unit draws among the
+    buffers) and the kept_per_trial result floats of every trial
     (twice when sharded: the workers' rows and the gathered array) would exceed
     MEMORY_BUDGET; under prelimit also each worker's slot tables and largest
     block product of the G_k sum."""
@@ -270,7 +273,9 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     # factors; forked workers share them with the parent
     tables = sum(8 * (n + 1) * (4 + p_max + 1 + k) for n in steps)
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
-    need = tables + workers * (chunk * per_trial + temp) + results
+    m = spec.driver.m
+    seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
+    need = tables + workers * (chunk * per_trial + temp + seeds) + results
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
@@ -345,13 +350,27 @@ def _prepared(spec: ExperimentSpec, steps, p_max: int) -> list:
     return [(part, spec.system.eval_table(p_max, part.left_nodes)) for part in parts]
 
 
+def _trial_seeds(seed: int, m: int, lo: int, hi: int):
+    """Yield the TrialSeed of each trial lo..hi-1, holding the seed words of its
+    substreams 1..m.  The words of up to SEED_STREAMS substreams, all of them for
+    a range of up to SEED_STREAMS // m trials, come from one drivers.seed_words call."""
+    block = max(1, SEED_STREAMS // m)
+    for first in range(lo, hi, block):
+        n = min(block, hi - first)
+        keys = np.indices((n, m)).reshape(2, -1).T + (first, 1)  # (trial, component) rows
+        words = seed_words(seed, keys).reshape(n, m, 4)
+        for t in range(n):
+            yield TrialSeed(seed, (first + t,), words[t])
+
+
 def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     """Yield (offset of the first trial from lo, [(basis variables, slot
     increments) for each partition]) per chunk of trials lo..hi-1.
 
     tables lists (partition, basis table on its left nodes), finest first.
-    Each trial is seeded and drawn once, through the public sampler, on the
-    finest partition.  A Gaussian path's unit draws are scaled onto the others
+    Each trial is seeded with its substreams' derived words (_trial_seeds) and
+    drawn once, through the public sampler, on the finest partition.  A
+    Gaussian path's unit draws are scaled onto the others
     (drivers.scale_draws: bitwise the sampler's increments there), and its
     slot increments are rows of the increments; a Poisson realization and its
     variables do not depend on the partition, and only its slot increments
@@ -361,6 +380,7 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     drv, combo = spec.driver, spec.combo
     gaussian = drv.kind != "poisson"
     p_max = tables[0][1].shape[0] - 1
+    seeds = _trial_seeds(spec.seed, drv.m, lo, hi)
     for start in range(lo, hi, chunk):
         size = min(chunk, hi - start)
         if gaussian:  # increments per partition
@@ -369,13 +389,13 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
             draws = np.empty((size, len(combo), p_max + 1))
             incs = [np.empty((size, len(combo), part.n_steps)) for part, _ in tables]
         for c in range(size):
-            seed_t = trial_seed(spec.seed, start + c)
+            seed = next(seeds)
             if drv.kind == "wiener":
-                real = sample_wiener(tables[0][0], drv.m, seed_t)
+                real = sample_wiener(tables[0][0], drv.m, seed)
             elif drv.kind == "martingale":
-                real = sample_gaussian_martingale(tables[0][0], drv.m, drv.rho, seed_t)
+                real = sample_gaussian_martingale(tables[0][0], drv.m, drv.rho, seed)
             else:
-                real = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed_t)
+                real = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed)
             if gaussian:
                 draws[0][c] = real.increments
                 for d, (part, _) in zip(draws[1:], tables[1:]):

@@ -133,8 +133,14 @@ def gk_correction_tensor(phi_tables, incs) -> np.ndarray:
     phi_tables[g] has shape (p_g + 1, N): basis values at the left nodes;
     incs[g] has shape (N,).  Returns an array of shape (p_1+1, ..., p_k+1), all tuples minus the
     distinct ones: -sum_{pi not finest} mu(pi) prod_{B in pi} X_B, with
-    X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}."""
-    f = [table * inc[None, :] for table, inc in zip(phi_tables, incs)]
+    X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}.
+
+    Slots that share their table (the same object) and increments (equal values)
+    share one product table * inc, with results bitwise those of separate products."""
+    f = []
+    for g, (table, inc) in enumerate(zip(phi_tables, incs)):
+        shared = [f[h] for h in range(g) if phi_tables[h] is table and np.array_equal(incs[h], inc)]
+        f.append(shared[0] if shared else table * inc[None, :])
     shape = tuple(len(fg) for fg in f)
     blocks = {}
     total = np.zeros(shape)
@@ -145,7 +151,12 @@ def gk_correction_tensor(phi_tables, incs) -> np.ndarray:
                 head = f[b[0]]
                 for g in b[1:-1]:  # all slots but the last multiplied out, then one matmul
                     head = (head[:, None, :] * f[g]).reshape(-1, head.shape[1])
-                x = head @ f[b[-1]].T if len(b) > 1 else head.sum(axis=1)
+                if len(b) == 1:
+                    x = head.sum(axis=1)
+                else:  # a shared product times its own transpose would run BLAS syrk,
+                    # which rounds unlike the gemm of two distinct products: copy it
+                    last = f[b[-1]]
+                    x = head @ (last.copy() if last is head else last).T
                 blocks[b] = x.reshape([n if g in b else 1 for g, n in enumerate(shape)])
             term = term * blocks[b]
         total -= mu * term

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stochexpand import cli, harness
+from stochexpand import cli, drivers, harness
 from stochexpand.errors import SizeError
 
 
@@ -405,6 +405,29 @@ def test_converge_k5_prelimit_block_products_trip_the_guard(tmp_path, capsys, mo
     assert not (tmp_path / "conv.json").exists()
 
 
+@pytest.mark.parametrize("seed", [7, 2**130])
+def test_converge_draws_numpys_seed_sequence_streams(seed, tmp_path, monkeypatch):
+    """Reports are bitwise those drawn from PCG64(SeedSequence(seed, spawn_key=(trial,
+    component))) streams built by numpy, with Wiener and Poisson drivers."""
+    poisson = {"kind": "poisson", "m": 2, "total_mass": 5.0, "mark_powers": [1.0, 1.0]}
+    for name, driver in (("wiener", {"kind": "wiener", "m": 2}), ("poisson", poisson)):
+        (tmp_path / name).mkdir()
+        cfg = converge_config(tmp_path / name, seed=seed, trials=30, driver=driver,
+                              richardson=True)
+        docs = []
+        for streams in ("derived", "numpy"):
+            if streams == "numpy":
+                monkeypatch.setattr(drivers, "component_rng", lambda s, c: np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(s.entropy,
+                                                           spawn_key=(*s.spawn_key, c)))))
+            assert run(["converge", "--config", cfg]) == 0
+            doc = json.loads((tmp_path / name / "conv.json").read_text())
+            doc.pop("runtime_seconds")
+            docs.append(doc)
+        monkeypatch.undo()
+        assert docs[0] == docs[1] and docs[0]["seed"] == seed
+
+
 def test_converge_worker_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     sample = harness.sample_wiener
 
@@ -430,7 +453,7 @@ def _subprocess_env():
 
 def test_cli_import_leaves_heavy_modules_out():
     lazy = ("stochexpand.validation", "mpmath", "scipy", "scipy.special", "scipy.optimize",
-            "multiprocessing", "concurrent.futures", "concurrent.futures.process")
+            "multiprocessing", "concurrent.futures", "concurrent.futures.process", "numpy.random")
     code = ("import sys, stochexpand.cli; "
             f"print(','.join(m for m in {lazy!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,

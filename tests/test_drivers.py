@@ -47,6 +47,75 @@ def test_partition_tables_are_computed_once_and_read_only():
             table[0] = 1.0
 
 
+ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130]  # 2**130: five entropy words
+TRIALS = [0, 1, 2**31, 2**32 - 1]
+
+
+def _numpy_stream(entropy, key):
+    return np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key))
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_streams_are_numpys_seed_sequence_bitwise(entropy):
+    keys = [(t, c) for t in TRIALS for c in range(1, 6)]
+    words = drivers.seed_words(entropy, np.array(keys))
+    for key, row in zip(keys, words):
+        np.testing.assert_array_equal(
+            row, np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64))
+        ref = _numpy_stream(entropy, key)
+        normals = np.random.Generator(ref).standard_normal(8)
+        t, c = key
+        # the trial as trial_seed gives it, as a SeedSequence, and as a TrialSeed with words
+        for seed in (trial_seed(entropy, t), np.random.SeedSequence(entropy, spawn_key=(t,)),
+                     drivers.TrialSeed(entropy, (t,), words[5 * TRIALS.index(t):][:5])):
+            rng = drivers.component_rng(seed, c)
+            assert rng.bit_generator.state == _numpy_stream(entropy, key).state
+            np.testing.assert_array_equal(rng.standard_normal(8), normals)
+    for c in range(1, 6):
+        np.testing.assert_array_equal(drivers.component_rng(entropy, c).standard_normal(8),
+                                      np.random.Generator(_numpy_stream(entropy, (c,)))
+                                      .standard_normal(8))
+
+
+@pytest.mark.parametrize("key", [(), (0,), (2**40,), (3, 2**70, 1), (np.uint64(2**63), 2)])
+def test_seed_words_of_any_key(key):
+    for entropy in (5, [1, 2, 3], [2**40, 7, 0, 0, 9]):
+        want = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(drivers.seed_words(entropy, key)[0], want)
+
+
+@pytest.mark.parametrize("entropy, keys", [(9, np.array([[1, -2]])), (9, np.array([[2**32, 1]])),
+                                           (9, np.array([1, 2])), (9, np.array([[1.5, 2]])),
+                                           (-1, (1,)), (9, (1, -1))])
+def test_seed_words_rejects_what_it_cannot_hash(entropy, keys):
+    with pytest.raises(ValueError):  # key arrays hold one-word entries
+        drivers.seed_words(entropy, keys)
+
+
+def test_component_rng_rejects_string_seeds_as_seed_sequence_does():
+    for seed in ("7", trial_seed("7", 0)):
+        with pytest.raises(TypeError):
+            drivers.component_rng(seed, 1)
+
+
+def test_readme_stream_snippet_is_trial_5_component_2():
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(42, spawn_key=(5, 2))))
+    z = rng.standard_normal(4096)
+    np.testing.assert_array_equal(
+        sample_wiener(make_partition(IV, 4096), 2, trial_seed(42, 5)).unit_draws[1], z)
+
+
+def test_single_key_stream_is_no_slower_than_a_seed_sequence():
+    import timeit
+    seed = trial_seed(11, 4)
+    ours, numpys = [], []
+    for _ in range(7):  # interleaved, so a slow spell of the host hits both
+        ours.append(timeit.timeit(lambda: drivers.component_rng(seed, 2), number=500))
+        numpys.append(timeit.timeit(lambda: np.random.Generator(_numpy_stream(11, (4, 2))),
+                                    number=500))
+    assert min(ours) <= 1.5 * min(numpys)
+
+
 class TestWiener:
     def test_determinism(self):
         part = make_partition(IV, 256)

@@ -303,14 +303,17 @@ def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
                "poisson_prelimit": "sample_poisson"}[name]
     for workers in (1, 2, 3):
         _force_workers(monkeypatch, workers)
+        # one seed-word derivation per shard (harness.seed_words), none per substream
+        # (drivers.seed_words, which component_rng calls for a seed without words)
         counts = [_count_calls(monkeypatch, harness, sampler),
-                  _count_calls(monkeypatch, harness, "trial_seed"),
+                  _count_calls(monkeypatch, harness, "seed_words"),
+                  _count_calls(monkeypatch, drivers, "seed_words"),
                   _count_calls(monkeypatch, drivers, "component_rng"),
                   _count_calls(monkeypatch, concurrent.futures, "ProcessPoolExecutor")]
         report = run_experiment(spec)
         assert [s.allowance for s in report.stats] == allowance
         np.testing.assert_array_equal(_stats(report)[:, :5], _stats(full)[:, :5])
-        assert [c.value for c in counts] == [spec.trials, spec.trials,
+        assert [c.value for c in counts] == [spec.trials, workers, 0,
                                              spec.driver.m * spec.trials, workers > 1]
 
 
@@ -329,6 +332,29 @@ def test_cost_guard_trips_before_allocation(overrides):
         run_experiment(_wiener_spec(**overrides))
     with pytest.raises(SizeError):
         moment_suite(_wiener_spec(**{"trials": 1000, **overrides}))
+
+
+def test_memory_guard_counts_one_seed_word_derivation_per_worker(monkeypatch):
+    # m = 64 substreams per trial on one step: the seed words outweigh the chunk buffers
+    spec = _wiener_spec(driver=DriverConfig("wiener", m=64), n_steps=1, trials=1000,
+                        boxes=((0, 0),))
+    monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: 1)
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**20)
+    with pytest.raises(SizeError):  # 8192 substreams of 160 bytes in one derivation
+        harness._chunk_trials(spec, 1, 0, 2)
+    monkeypatch.setattr(harness, "SEED_STREAMS", 64)  # one trial per derivation
+    assert harness._chunk_trials(spec, 1, 0, 2) == 1000
+
+
+@pytest.mark.parametrize("streams", [1, 5])
+def test_seed_word_blocks_do_not_change_results(streams, monkeypatch):
+    spec = _wiener_spec(**LOOP_SPECS["wiener"])
+    default = _stats(run_experiment(spec))
+    monkeypatch.setattr(harness, "SEED_STREAMS", streams)  # blocks of 1 and 2 trials at m=2
+    _force_workers(monkeypatch, 1)
+    derivations = _count_calls(monkeypatch, harness, "seed_words")
+    np.testing.assert_array_equal(_stats(run_experiment(spec)), default)
+    assert derivations.value == -(-spec.trials // max(1, streams // spec.driver.m))
 
 
 def _fail_on_last_trial(monkeypatch, trials, failure):

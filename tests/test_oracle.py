@@ -168,3 +168,17 @@ def test_gk_tensor_k3_inclusion_exclusion():
     incs = [path.increment(i) for i in (1, 2, 1)]
     got = oracle.gk_correction_tensor(tables, incs)
     assert np.allclose(got, _gk_brute_force(tables, incs), atol=1e-12)
+
+
+@pytest.mark.parametrize("combo", [(1, 1), (1, 1, 2), (1, 2, 1), (1, 1, 1), (2, 1, 1, 2)])
+def test_gk_tensor_shares_equal_slot_products_bitwise(combo):
+    # slots with one table object and equal increments share a product; results must be
+    # bitwise those of separate products (distinct table objects share nothing)
+    sys = basis.legendre(IV)
+    part = make_partition(IV, 256)
+    path = sample_wiener(part, 2, 5)
+    table = sys.eval_table(3, part.left_nodes)
+    incs = [path.increment(i).copy() for i in combo]  # equal values, distinct arrays
+    shared = oracle.gk_correction_tensor([table] * len(combo), incs)
+    separate = oracle.gk_correction_tensor([table.copy() for _ in combo], incs)
+    np.testing.assert_array_equal(shared, separate)
