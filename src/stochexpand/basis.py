@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .errors import StochexpandError
+from .errors import SizeError, StochexpandError
 
 __all__ = [
     "Interval",
@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-13
-# bound on max |Gram - I| (gram_matrix, default quadrature) for each system kind;
+MEMORY_BUDGET = 10**7  # entries of one basis table, Gram matrix or coefficient tensor
+# bound on max |Gram - I| (gram_matrix) for each system kind;
 # OrthonormalSystem accepts exactly these kinds
 GRAM_TOLERANCES = {"legendre": 1e-12, "trigonometric": 1e-12, "haar": 1e-13, "walsh": 1e-13,
                    "bessel_weighted": 1e-8, "bessel_unit": 1e-8}
@@ -125,7 +126,7 @@ class OrthonormalSystem:
     interval: Interval
     bessel_order: int = 0
     max_walsh_bits: int = 10
-    _roots: BesselRootTable | None = field(default=None, repr=False, compare=False)
+    _roots: BesselRootTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in GRAM_TOLERANCES:
@@ -270,19 +271,31 @@ def bessel_unit(end: float, order: int = 0) -> OrthonormalSystem:
     return OrthonormalSystem("bessel_unit", Interval(0.0, end), bessel_order=order)
 
 
-def gram_matrix(system: OrthonormalSystem, count: int,
-                spec: quadrature.QuadratureSpec = quadrature.DEFAULT_SPEC) -> np.ndarray:
-    """Matrix of inner products int phi_i phi_j weight dx over the interval."""
+def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
+    """Matrix of inner products int phi_i phi_j weight dx over the interval.
+
+    Raises ValueError for a count the system does not have, and SizeError,
+    before the breakpoints or a basis table are built, when the count x count
+    matrix or the count x nodes table of a grid would exceed MEMORY_BUDGET."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if system.kind == "walsh" and int(count - 1).bit_length() > system.max_walsh_bits:
+        raise ValueError(f"count must be at most 2^{system.max_walsh_bits}, the members "
+                         f"of a Walsh system of {system.max_walsh_bits} bits")
+    if count * count > MEMORY_BUDGET:
+        raise SizeError(f"the Gram matrix would hold {count * count} entries, "
+                        f"over the budget {MEMORY_BUDGET}")
     a, b = system.interval.start, system.interval.end
     brk = system.breakpoints(count - 1)
 
     def value_on(grid):
         x = grid.nodes.ravel()
+        if count * x.size > MEMORY_BUDGET:
+            raise SizeError(f"the basis table would hold {count * x.size} node values, "
+                            f"over the budget {MEMORY_BUDGET}")
         vals = system.eval_table(count - 1, x) * np.sqrt(system.weight(x))[None, :]
         w = grid.weights.ravel()
         return (vals * w[None, :]) @ vals.T
 
-    gram, _, _ = quadrature.adaptive(value_on, a, b, brk, spec)
+    gram, _, _ = quadrature.adaptive(value_on, a, b, brk)
     return gram

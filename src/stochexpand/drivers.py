@@ -419,19 +419,19 @@ class PoissonRealization:
         return self.times[i - 1], self.marks[i - 1]
 
 
-def sample_poisson(interval: Interval, m: int, measure: IntensityMeasure, seed,
-                   jump_budget: int = JUMP_BUDGET) -> PoissonRealization:
+def sample_poisson(interval: Interval, m: int, measure: IntensityMeasure,
+                   seed) -> PoissonRealization:
     if m < 1:
         raise ValueError("need at least one component")
     mean_jumps = measure.total_mass * interval.length
-    if mean_jumps > jump_budget:
-        raise SizeError(f"expected jump count {mean_jumps:.3g} exceeds the budget {jump_budget}")
+    if mean_jumps > JUMP_BUDGET:
+        raise SizeError(f"expected jump count {mean_jumps:.3g} exceeds the budget {JUMP_BUDGET}")
     times, marks = [], []
     for i in range(1, m + 1):
         rng = component_rng(seed, i)
         count = int(rng.poisson(mean_jumps))
-        if count > jump_budget:
-            raise SizeError(f"jump count {count} exceeds the budget {jump_budget}")
+        if count > JUMP_BUDGET:
+            raise SizeError(f"jump count {count} exceeds the budget {JUMP_BUDGET}")
         s = np.sort(rng.uniform(interval.start, interval.end, count))
         y = measure.sampler(rng, count)
         times.append(s)

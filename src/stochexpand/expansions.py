@@ -2,15 +2,14 @@
 
 From a driver realization we form the basis variables (projections of the
 driver onto basis members), then evaluate the truncated multiple series
-with one of three diagonal-correction modes, all Moebius sums over the set
+with one of two diagonal-correction modes, both Moebius sums over the set
 partitions of the slots (``oracle.set_partitions``):
 
 * ``pairing_general`` -- over the partitions into singletons and pairs with equal
   nonzero components, pairs tied (j_a = j_b): the quadratic variation of Wiener
-  drivers and of martingales with rho == 1 (``pairing_bracket``);
-* ``explicit_k_le_4`` -- the same bracket restricted to k = 1..4, where it
-  is the transformed indicator formulas; those formulas, written out, are
-  the independent oracle for it in ``validation.explicit_bracket``;
+  drivers and of martingales with rho == 1 (``pairing_bracket``, any k).  For
+  k <= 4 it equals the transformed indicator formulas, which are written out
+  as its independent oracle in ``validation.explicit_bracket``;
 * ``prelimit`` -- subtract the coincident-index sum over all partitions on the
   realization's partition (``oracle.gk_correction_tensor``, any k), the finite-N
   fallback and the only mode for repeated Poisson or rho != 1 martingale components.
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 RATIO_GRID = 2048  # interior points on which expand_weighted checks sup rho / r
+RATIO_BOUND = 1e6  # largest sup rho / r that expand_weighted accepts as bounded
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem
     return BasisVariables("poisson", table, combo=combo)
 
 
-CORRECTIONS = ("explicit_k_le_4", "pairing_general", "prelimit")
+CORRECTIONS = ("pairing_general", "prelimit")
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
            gk_sums: np.ndarray | None = None) -> ExpansionSample:
     """Truncated expansion sample for one component combination.
 
-    correction is "explicit_k_le_4", "pairing_general" or "prelimit".
+    correction is "pairing_general" or "prelimit".
     Variables with leading trial axes give an array of values, one per
     trial.  The prelimit correction takes the realization's G_k sums from
     gk_sums (covering the box, with the variables' leading axes) or
@@ -252,12 +252,10 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
         raise ValueError("variable table does not cover the truncation box")
     vectors = [variables.slot_vector(g, combo[g], tensor.box[g]) for g in range(k)]
     gaussian = variables.kind in ("wiener", "martingale")
-    if correction in ("explicit_k_le_4", "pairing_general"):
+    if correction == "pairing_general":
         if not (gaussian or _distinct_nonzero(combo)):
-            raise ValueError(f"the {correction} correction requires a Gaussian driver "
+            raise ValueError("the pairing_general correction requires a Gaussian driver "
                              "or pairwise-distinct nonzero components")
-        if correction == "explicit_k_le_4" and k > 4:
-            raise ValueError("explicit correction covers multiplicities 1..4 only")
         value = pairing_bracket(tensor.values, vectors, combo)
     elif correction == "prelimit":
         if gk_sums is None:
@@ -275,11 +273,10 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
 
 
 def expand_weighted(tensor: CoeffTensor, variables: BasisVariables, combo, rho,
-                    correction: str = "pairing_general", ratio_bound: float = 1e6,
-                    **kw) -> ExpansionSample:
+                    correction: str = "pairing_general", **kw) -> ExpansionSample:
     """Expansion with weighted coefficients and a weighted basis.
 
-    Checks the compatibility condition sup rho / r < bound on a dense grid
+    Checks the compatibility condition sup rho / r <= RATIO_BOUND on a dense grid
     before delegating to expand; with rho == r == 1 this is exactly expand."""
     rho = _as_callable(rho)
     interval = tensor.system.interval
@@ -287,8 +284,8 @@ def expand_weighted(tensor: CoeffTensor, variables: BasisVariables, combo, rho,
     x = np.linspace(interval.start, interval.end, RATIO_GRID + 2)[1:-1]
     r = tensor.system.weight(x)
     ratio = rho(x) / np.where(r > 0, r, np.inf)
-    if np.max(ratio) > ratio_bound:
+    if np.max(ratio) > RATIO_BOUND:
         raise ValueError(
             f"variance density / weight ratio appears unbounded (sup over grid "
-            f"{np.max(ratio):.3g} exceeds {ratio_bound:.3g})")
+            f"{np.max(ratio):.3g} exceeds {RATIO_BOUND:.3g})")
     return expand(tensor, variables, combo, correction=correction, **kw)

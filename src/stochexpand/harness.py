@@ -22,6 +22,7 @@ exactly what a separate draw on N // 2 steps would give.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -64,8 +65,14 @@ STREAM_BYTES = 160  # per substream at a derivation's peak: 32 bytes of words, k
 
 
 def power_mark(a: float = 1.0):
-    """Mark factor phi(y) = y^a (a = 0 gives the indicator of the mark space)."""
-    a = float(a)
+    """Mark factor phi(y) = y^a (a = 0 gives the indicator of the mark space);
+    one callable per exponent, so that equal slots share their measures
+    (oracle.slot_increments)."""
+    return _power_mark(float(a))
+
+
+@functools.cache
+def _power_mark(a: float):
     if a == 0.0:
         return lambda y: np.ones_like(np.asarray(y, dtype=float))
     return lambda y: np.asarray(y, dtype=float) ** a
@@ -151,8 +158,6 @@ class ExperimentSpec:
         if self.correction not in ("auto", "prelimit") and _needs_prelimit(self):
             raise ConfigError(f"this {self.driver.kind} combo with repeated components needs "
                               f"the prelimit correction, not {self.correction}")
-        if self.correction == "explicit_k_le_4" and k > 4:
-            raise ConfigError("the explicit_k_le_4 correction covers multiplicities 1..4 only")
         _check_tensor_config(self.kernel, self.system, self.boxes, self.weighted)
 
 

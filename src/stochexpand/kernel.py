@@ -22,27 +22,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .basis import Interval, OrthonormalSystem
+from .basis import MEMORY_BUDGET, Interval, OrthonormalSystem
 from .errors import SizeError
-from .quadrature import PanelGrid, QuadratureSpec
+from .quadrature import PanelGrid
 
 __all__ = [
     "Factor",
     "Kernel",
     "unit_kernel",
     "CoeffTensor",
-    "ParsevalReport",
     "coeff",
     "coeff_tensor",
     "kernel_norm_sq",
-    "parseval_partial",
     "tensor_to_csv",
     "tensor_from_csv",
     "tensor_to_json",
     "tensor_from_json",
 ]
-
-MEMORY_BUDGET = 10**7  # tensor entries
 
 _FACTOR_NAMES = ("const", "pow", "sqrt_shift", "exp")
 
@@ -197,8 +193,8 @@ def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box, weighted: bo
     return (prim @ top.T).reshape(tuple(p + 1 for p in box))
 
 
-def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box, weighted: bool = False,
-                 spec: QuadratureSpec = quadrature.DEFAULT_SPEC) -> CoeffTensor:
+def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box,
+                 weighted: bool = False) -> CoeffTensor:
     """Dense tensor of Fourier coefficients over the truncation box."""
     box = _check_box(box)
     if len(box) != kernel.multiplicity:
@@ -210,13 +206,12 @@ def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box, weighted: bool 
     brk = system.breakpoints(max(box))
     values, err, grid = quadrature.adaptive(
         lambda g: _tensor_on_grid(kernel, system, box, weighted, g),
-        kernel.interval.start, kernel.interval.end, brk, spec)
-    info = {"order": spec.order, "panels": grid.n_panels, "estimated_error": err}
+        kernel.interval.start, kernel.interval.end, brk)
+    info = {"order": grid.order, "panels": grid.n_panels, "estimated_error": err}
     return CoeffTensor(kernel, system, weighted, box, values, err, info)
 
 
-def coeff(kernel: Kernel, system: OrthonormalSystem, idx, weighted: bool = False,
-          spec: QuadratureSpec = quadrature.DEFAULT_SPEC) -> float:
+def coeff(kernel: Kernel, system: OrthonormalSystem, idx, weighted: bool = False) -> float:
     """Single Fourier coefficient C_{j_k ... j_1} for idx = (j_1, ..., j_k)."""
     idx = tuple(int(j) for j in idx)
     if len(idx) != kernel.multiplicity:
@@ -228,27 +223,22 @@ def coeff(kernel: Kernel, system: OrthonormalSystem, idx, weighted: bool = False
         factors.append(_level_factor(kernel, system, level, j, weighted))
     value, _ = quadrature.nested_simplex_integral(
         factors, kernel.interval.start, kernel.interval.end,
-        system.breakpoints(max(idx)), spec)
+        system.breakpoints(max(idx)))
     return value
 
 
-def kernel_norm_sq(kernel: Kernel, weighted_system: OrthonormalSystem | None = None,
-                   method: str = "auto",
-                   spec: QuadratureSpec = quadrature.DEFAULT_SPEC) -> float:
+def kernel_norm_sq(kernel: Kernel, weighted_system: OrthonormalSystem | None = None) -> float:
     """Squared L2 norm of K over the hypercube, optionally with weight prod r(t_l).
 
     Pure-power factor products (with the weight x of the Bessel system) have
     the closed form span^(sum b + k) / prod_l (l + sum_{q<=l} b_q); anything
     else falls back to iterated quadrature of prod psi_l^2 r.
     """
-    powers = [f.power() for f in kernel.factors]
+    # first, so that a scale beyond the float range raises OverflowError for every kernel
     scale = math.prod(f.scale() ** 2 for f in kernel.factors)
-    analytic_ok = all(p is not None for p in powers)
     if weighted_system is not None and not weighted_system.weighted:
         raise ValueError("weighted norm requires a weighted system")
-    if method == "analytic" and not analytic_ok:
-        raise ValueError("analytic norm is only available for pure power factors")
-    if analytic_ok and method in ("auto", "analytic"):
+    if all(f.power() is not None for f in kernel.factors):
         span = kernel.interval.length
         # b holds the psi_l^2 exponent plus 1 for the weight x when present
         b = []
@@ -272,25 +262,8 @@ def kernel_norm_sq(kernel: Kernel, weighted_system: OrthonormalSystem | None = N
             return v
         factors.append(f)
     value, _ = quadrature.nested_simplex_integral(
-        factors, kernel.interval.start, kernel.interval.end, (), spec)
+        factors, kernel.interval.start, kernel.interval.end)
     return value
-
-
-@dataclass(frozen=True)
-class ParsevalReport:
-    partial_sum: float
-    norm_sq: float
-
-    @property
-    def residual(self) -> float:
-        return self.norm_sq - self.partial_sum
-
-
-def parseval_partial(tensor: CoeffTensor, box: tuple[int, ...] | None = None) -> ParsevalReport:
-    """Partial sum of squared coefficients over a sub-box, with the kernel norm."""
-    system = tensor.system if tensor.weighted else None
-    norm = kernel_norm_sq(tensor.kernel, weighted_system=system)
-    return ParsevalReport(tensor.partial_sum(box), norm)
 
 
 # ----------------------------------------------------------------------------

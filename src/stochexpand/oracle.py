@@ -53,16 +53,20 @@ def slot_increments(realization, combo, partition: Partition | None = None,
 
     Wiener/martingale paths carry their own partition; Poisson realizations
     are discretized onto the given partition with one compensated interval
-    measure per slot (slot l uses mark factor phi_l)."""
+    measure per distinct (component, mark factor) pair (slot l uses mark
+    factor phi_l); slots of one pair get the same read-only array."""
     kind = _driver_kind(realization)
     if kind == "poisson":
         if partition is None:
             raise ValueError("a partition is required to discretize a Poisson realization")
         if mark_factors is None or len(mark_factors) != len(combo):
             raise ValueError("one mark factor per slot is required for Poisson drivers")
-        incs = [interval_measures(realization, i, phi, partition)
-                for i, phi in zip(combo, mark_factors)]
-        return partition, incs
+        measures = {}
+        for i, phi in zip(combo, mark_factors):
+            if (i, phi) not in measures:
+                inc = measures[i, phi] = interval_measures(realization, i, phi, partition)
+                inc.flags.writeable = False
+        return partition, [measures[i, phi] for i, phi in zip(combo, mark_factors)]
     if partition is not None and not np.array_equal(partition.nodes, realization.partition.nodes):
         raise ValueError("path realizations can only be summed on their own partition")
     return realization.partition, [realization.increment(i) for i in combo]

@@ -9,19 +9,21 @@ matrix applied to the integrand samples, plus an exclusive prefix sum of the
 earlier panels (Greengard, "Spectral integration and two-point boundary value
 problems", SIAM J. Numer. Anal. 28, 1991).  Primitive.__call__ evaluates a
 primitive at arbitrary points for callers outside the package.
+
+There is one rule: panels of ORDER nodes, at least MIN_PANELS of them,
+halved until two successive values agree to REL_TOL (or ABS_TOL), at most
+MAX_REFINEMENTS times.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError
 
 __all__ = [
-    "QuadratureSpec",
     "PanelGrid",
     "Primitive",
     "integrate",
@@ -30,28 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Gauss-Legendre parameters and convergence targets."""
-
-    order: int = 32
-    min_panels: int = 4
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_refinements: int = 12
+ORDER = 32  # Gauss-Legendre nodes per panel
+MIN_PANELS = 4  # panels of the first grid, besides the splits at breakpoints
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
+MAX_REFINEMENTS = 12
 
 
-DEFAULT_SPEC = QuadratureSpec()
-
-
-def _panel_edges(a: float, b: float, breakpoints, min_panels: int) -> np.ndarray:
+def _panel_edges(a: float, b: float, breakpoints) -> np.ndarray:
     """Sorted panel edges: breakpoints in (a, b), each gap split to the target width."""
     pts = [a, b]
     for x in breakpoints:
         if a < x < b:
             pts.append(float(x))
     pts = np.unique(np.asarray(pts, dtype=float))
-    target = (b - a) / max(min_panels, 1)
+    target = (b - a) / MIN_PANELS
     edges = [pts[0]]
     for left, right in zip(pts[:-1], pts[1:]):
         nsub = max(1, int(np.ceil((right - left) / target - 1e-12)))
@@ -159,42 +154,42 @@ class Primitive:
         return self._prefix[idx] + partial
 
 
-def _converged(cur, prev, spec: QuadratureSpec):
+def _converged(cur, prev):
     err = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
     scale = float(np.max(np.abs(np.asarray(cur))))
-    return err, err <= max(spec.abs_tol, spec.rel_tol * max(scale, 1.0))
+    return err, err <= max(ABS_TOL, REL_TOL * max(scale, 1.0))
 
 
-def adaptive(value_on_grid, a: float, b: float, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC):
+def adaptive(value_on_grid, a: float, b: float, breakpoints=()):
     """Evaluate value_on_grid(grid) on successively refined grids until stable.
 
     Returns (value, error_estimate, grid).  Raises QuadratureError (carrying
-    the partial value) if max_refinements is exhausted.
+    the partial value) if MAX_REFINEMENTS refinements do not converge.
     """
-    grid = PanelGrid(_panel_edges(a, b, breakpoints, spec.min_panels), spec.order)
+    grid = PanelGrid(_panel_edges(a, b, breakpoints), ORDER)
     prev = value_on_grid(grid)
-    for _ in range(spec.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         grid = grid.refined()
         cur = value_on_grid(grid)
-        err, ok = _converged(cur, prev, spec)
+        err, ok = _converged(cur, prev)
         if ok:
             return cur, err, grid
         prev = cur
     raise QuadratureError(
-        f"quadrature did not converge after {spec.max_refinements} refinements "
+        f"quadrature did not converge after {MAX_REFINEMENTS} refinements "
         f"(last change {err:.3e})",
         partial=cur,
         error_estimate=err,
     )
 
 
-def integrate(f, a: float, b: float, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate(f, a: float, b: float, breakpoints=()):
     """Adaptive integral of f over [a, b]; returns (value, error_estimate)."""
-    value, err, _ = adaptive(lambda g: g.integrate_values(g.eval_on_nodes(f)), a, b, breakpoints, spec)
+    value, err, _ = adaptive(lambda g: g.integrate_values(g.eval_on_nodes(f)), a, b, breakpoints)
     return float(value), err
 
 
-def nested_simplex_integral(factors, a: float, b: float, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC):
+def nested_simplex_integral(factors, a: float, b: float, breakpoints=()):
     """Iterated integral of factors f_1..f_k over the simplex a < t_1 < ... < t_k < b.
 
     Computes int_a^b f_k(s) int_a^s f_{k-1}(u) ... ds by chaining running
@@ -207,5 +202,5 @@ def nested_simplex_integral(factors, a: float, b: float, breakpoints=(), spec: Q
             inner = grid.primitive_node_values(grid.eval_on_nodes(f) * inner)
         return grid.integrate_values(grid.eval_on_nodes(factors[-1]) * inner)
 
-    value, err, _ = adaptive(value_on, a, b, breakpoints, spec)
+    value, err, _ = adaptive(value_on, a, b, breakpoints)
     return float(value), err

@@ -200,8 +200,7 @@ def check_same_component_pathwise_identity(full: bool = True) -> CriterionResult
         diffs = np.empty(trials)
         for trial in range(trials):
             path = sample_wiener(part, 1, trial_seed(SEED, trial))
-            sample = expand(tensor, wiener_variables(path, system, 0), (1, 1),
-                            correction="explicit_k_le_4")
+            sample = expand(tensor, wiener_variables(path, system, 0), (1, 1))
             dw = path.increment(1)
             oracle_val = (np.sum(dw) ** 2 - np.sum(dw**2)) / 2.0
             diffs[trial] = sample.value - oracle_val

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stochexpand import cli, drivers, harness
+from stochexpand.basis import OrthonormalSystem
 from stochexpand.errors import SizeError
 
 
@@ -68,6 +69,21 @@ def test_basis_bessel():
 
 def test_basis_unknown_system():
     assert run(["basis", "--system", "nosuch"]) == 2
+
+
+@pytest.mark.parametrize("system, count, code", [
+    ("walsh", 2000, 2),  # a Walsh system of 10 bits has 1024 members
+    ("legendre", 10**5, 3),  # the Gram matrix alone would hold 10**10 entries
+    ("haar", 2048, 3),  # 2048 members on the first grid's 65536 nodes
+], ids=["walsh_count_over_bits", "huge_gram_matrix", "huge_basis_table"])
+def test_basis_rejects_counts_cleanly(monkeypatch, capsys, system, count, code):
+    def refuse(self, j_max, x):
+        raise AssertionError("basis table built before the count was checked")
+
+    monkeypatch.setattr(OrthonormalSystem, "eval_table", refuse)
+    assert run(["basis", "--system", system, "--count", str(count)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_coeffs_writes_pattern(tmp_path):
@@ -227,7 +243,7 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(n_steps=10**12), 3),
     (dict(trials=10**12), 3),
     (dict(POISSON_REPEATED, correction="pairing_general"), 2),
-    (dict(POISSON_REPEATED, correction="explicit_k_le_4"), 2),
+    (dict(correction="explicit_k_le_4"), 2),
     (dict(trials=10.7), 2),
     (dict(trials=True), 2),
     (dict(trials="10"), 2),
@@ -248,7 +264,7 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(interval=[0.5, 1.0], system={"kind": "bessel_unit"}), 2),
     (dict(system={"kind": "walsh"}, boxes=[[1024, 1]]), 2),
     (dict(MARTINGALE_RHO2, correction="pairing_general"), 2),
-    (dict(MARTINGALE_RHO2, correction="explicit_k_le_4"), 2),
+    (dict(MARTINGALE_RHO2, correction=None), 2),
     (dict(weighted=True), 2),
     (dict(driver={"kind": "martingale", "m": 2, "rho": -1}), 2),
     (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
@@ -264,12 +280,12 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(boxes=[[0, 10**6]]), 3),
     *SHARED_PROBES,
 ], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
-        "poisson_repeated_pairing", "poisson_repeated_explicit", "fractional_trials",
+        "poisson_repeated_pairing", "removed_explicit_correction", "fractional_trials",
         "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
         "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
         "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
         "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
-        "martingale_rho2_repeated_pairing", "martingale_rho2_repeated_explicit",
+        "martingale_rho2_repeated_pairing", "null_correction",
         "weighted_unit_weight_system", "negative_rho", "fractional_bessel_order",
         "fractional_walsh_bits", "string_richardson", "string_rho", "string_total_mass",
         "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",

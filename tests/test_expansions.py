@@ -225,6 +225,6 @@ class TestExpandWeighted:
         tensor = coeff_tensor(unit_kernel(2, Interval(0.0, 1.0)), sys, (1, 1),
                               weighted=True)
         variables = BasisVariables("martingale", np.zeros((2, 2)))
-        # rho == 1 against weight tau: ratio blows up near 0
-        with pytest.raises(ValueError):
-            expand_weighted(tensor, variables, (1, 2), rho=1.0, ratio_bound=100.0)
+        # rho == 1e4 against weight tau: sup rho / tau on the grid is 2.05e7
+        with pytest.raises(ValueError, match="appears unbounded"):
+            expand_weighted(tensor, variables, (1, 2), rho=1e4)

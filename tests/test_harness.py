@@ -90,9 +90,8 @@ def test_martingale_pairs_need_the_systems_measure():
         driver = DriverConfig("martingale", m=2, rho=rho)
         assert harness._resolve_correction(_wiener_spec(driver=driver, combo=(1, 1))) == "prelimit"
         assert harness._resolve_correction(_wiener_spec(driver=driver)) == "pairing_general"
-        for correction in ("pairing_general", "explicit_k_le_4"):
-            with pytest.raises(ConfigError):
-                _wiener_spec(driver=driver, combo=(1, 1), correction=correction)
+        with pytest.raises(ConfigError):
+            _wiener_spec(driver=driver, combo=(1, 1), correction="pairing_general")
     # on the weighted route a density equal to the system weight is the system's measure
     spec = _wiener_spec(system=basis.bessel_weighted(1.0), weighted=True, combo=(1, 1),
                         driver=DriverConfig("martingale", m=2, rho=lambda t: t))
@@ -153,8 +152,8 @@ LOOP_SPECS = {
                                                  mark_factors=(power_mark(1.0),) * 2),
                              combo=(1, 1), trials=23,
                              boxes=((1, 1), (3, 3), (7, 7)), richardson=True),
-    "wiener_k3_explicit": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
-                               boxes=((2, 2, 2), (1, 3, 2)), correction="explicit_k_le_4"),
+    "wiener_k3": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
+                      boxes=((2, 2, 2), (1, 3, 2)), correction="pairing_general"),
 }
 
 
@@ -193,6 +192,17 @@ def test_stats_do_not_depend_on_chunk_size(name, monkeypatch):
             np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
             assert used and used[0] != chunk  # the default chunk differs from the forced one
             assert max(shards) == workers
+
+
+def test_equal_poisson_slots_take_one_measure_per_trial_and_partition(monkeypatch):
+    measure = oracle.interval_measures
+    calls = []
+    monkeypatch.setattr(oracle, "interval_measures",
+                        lambda *args: calls.append(args[1]) or measure(*args))
+    _force_workers(monkeypatch, 1)
+    spec = _wiener_spec(**LOOP_SPECS["poisson_prelimit"])  # combo (1, 1), equal marks
+    run_experiment(spec)
+    assert calls == [1] * spec.trials * 2  # n_steps and the Richardson n_steps // 2
 
 
 def test_moment_suite_does_not_depend_on_chunk_size(monkeypatch):

@@ -7,10 +7,17 @@ from stochexpand import basis, kernel, quadrature
 from stochexpand.basis import Interval
 from stochexpand.errors import SizeError
 from stochexpand.kernel import (Factor, Kernel, coeff, coeff_tensor, kernel_norm_sq,
-                                parseval_partial, tensor_from_csv, tensor_from_json,
-                                tensor_to_csv, tensor_to_json, unit_kernel)
+                                tensor_from_csv, tensor_from_json, tensor_to_csv,
+                                tensor_to_json, unit_kernel)
 
 IV = Interval(0.0, 1.0)
+
+
+def _norm_by_quadrature(k: Kernel) -> float:
+    """Iterated integral of prod psi_l^2 over the simplex, beside kernel_norm_sq's closed form."""
+    squares = [lambda x, f=f: f(x, k.interval.start) ** 2 for f in k.factors]
+    value, _ = quadrature.nested_simplex_integral(squares, k.interval.start, k.interval.end)
+    return value
 
 
 def test_kernel_eval_simplex_indicator():
@@ -98,8 +105,7 @@ def test_coefficients_stay_on_grid_nodes(monkeypatch):
     coeff_tensor(unit_kernel(4, IV), basis.legendre(IV), (2, 2, 2, 2))
     assert coeff(unit_kernel(3, IV), basis.legendre(IV), (0, 0, 0)) == pytest.approx(1.0 / 6.0)
     k = Kernel((Factor("pow", 1.0), Factor("sqrt_shift"), Factor("const", 2.0)), IV)
-    assert kernel_norm_sq(k, method="quadrature") == pytest.approx(
-        kernel_norm_sq(k, method="analytic"), rel=1e-9)
+    assert kernel_norm_sq(k) == pytest.approx(_norm_by_quadrature(k), rel=1e-9)
 
 
 def test_triple_integral_constant_term():
@@ -129,9 +135,13 @@ class TestNormAndParseval:
 
     def test_analytic_vs_quadrature(self):
         k = Kernel((Factor("pow", 1.0), Factor("sqrt_shift")), IV)
-        a = kernel_norm_sq(k, method="analytic")
-        q = kernel_norm_sq(k, method="quadrature")
-        assert a == pytest.approx(q, rel=1e-9)
+        assert kernel_norm_sq(k) == pytest.approx(_norm_by_quadrature(k), rel=1e-9)
+
+    def test_non_power_factor_uses_quadrature(self):
+        # int_0^1 e^(1.4 t) dt, one ulp apart from the closed form
+        k = Kernel((Factor("exp", 0.7),), IV)
+        exact = (math.exp(1.4) - 1.0) / 1.4
+        assert abs(kernel_norm_sq(k) - exact) <= math.ulp(exact)
 
     def test_weighted_norm(self):
         sys = basis.bessel_weighted(1.0, 0)
@@ -144,10 +154,10 @@ class TestNormAndParseval:
         assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
         assert sums[-1] <= kernel_norm_sq(tensor.kernel) + 1e-9
 
-    def test_parseval_report(self):
+    def test_parseval_residual(self):
         tensor = coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (10, 10))
-        report = parseval_partial(tensor)
-        assert report.residual == pytest.approx(1.0 / 84.0, abs=1e-9)
+        residual = kernel_norm_sq(tensor.kernel) - tensor.partial_sum()
+        assert residual == pytest.approx(1.0 / 84.0, abs=1e-9)
 
     def test_symmetry_decomposition(self):
         # C_ab + C_ba recovers the full-square product of 1-D projections

@@ -7,6 +7,7 @@ from stochexpand import basis, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import (exponential_measure, make_partition, sample_poisson,
                                  sample_wiener, trial_seed)
+from stochexpand.harness import power_mark
 from stochexpand.kernel import Factor, Kernel, unit_kernel
 
 IV = Interval(0.0, 1.0)
@@ -182,3 +183,21 @@ def test_gk_tensor_shares_equal_slot_products_bitwise(combo):
     shared = oracle.gk_correction_tensor([table] * len(combo), incs)
     separate = oracle.gk_correction_tensor([table.copy() for _ in combo], incs)
     np.testing.assert_array_equal(shared, separate)
+
+
+def test_poisson_slots_share_one_measure_per_component_and_mark(monkeypatch):
+    real = sample_poisson(IV, 2, exponential_measure(4.0), 5)
+    part = make_partition(IV, 48)
+    measure = oracle.interval_measures
+    calls = []
+    monkeypatch.setattr(oracle, "interval_measures",
+                        lambda *args: calls.append(args[1:3]) or measure(*args))
+    y = power_mark(1.0)
+    assert power_mark(1) is y  # the CLI's "mark_powers": [1, 1.0] give one callable
+    _, incs = oracle.slot_increments(real, (1, 1, 2), part, (y, power_mark(1), y))
+    assert calls == [(1, y), (2, y)]
+    assert incs[0] is incs[1] and not incs[0].flags.writeable
+    for i, inc in zip((1, 1, 2), incs):
+        np.testing.assert_array_equal(inc, measure(real, i, y, part))
+    _, incs = oracle.slot_increments(real, (1, 1), part, (y, power_mark(2.0)))
+    assert incs[0] is not incs[1] and len(calls) == 4
