@@ -43,6 +43,7 @@ __all__ = [
 
 ROOT_TOL = 1e-13
 MEMORY_BUDGET = 10**7  # entries of one basis table, Gram matrix or coefficient tensor
+WALSH_BITS = 10  # a Walsh system has the 2^WALSH_BITS members of indices below it
 # bound on max |Gram - I| (gram_matrix) for each system kind;
 # OrthonormalSystem accepts exactly these kinds
 GRAM_TOLERANCES = {"legendre": 1e-12, "trigonometric": 1e-12, "haar": 1e-13, "walsh": 1e-13,
@@ -125,7 +126,6 @@ class OrthonormalSystem:
     kind: str
     interval: Interval
     bessel_order: int = 0
-    max_walsh_bits: int = 10
     _roots: BesselRootTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,8 +133,8 @@ class OrthonormalSystem:
             raise ValueError(f"unknown system kind: {self.kind}")
         if self.kind.startswith("bessel") and self.interval.start != 0.0:
             raise ValueError("Bessel systems require the interval to start at 0")
-        if self.bessel_order < 0 or self.max_walsh_bits < 0:
-            raise ValueError("bessel_order and max_walsh_bits must be nonnegative")
+        if self.bessel_order < 0:
+            raise ValueError("bessel_order must be nonnegative")
 
     @property
     def weighted(self) -> bool:
@@ -226,10 +226,9 @@ class OrthonormalSystem:
                 out[2**n + (h >> 1) - j_lo, at] = np.where(h & 1, -amp, amp)
             out = out.reshape((len(js),) + x.shape)
         else:  # walsh: the product of the Rademacher functions r_{bit+1} over j's set bits
-            bits = int(j_hi).bit_length()  # j < 2^max_walsh_bits, without the power
-            if bits > self.max_walsh_bits:
-                raise IndexError(f"Walsh index {j_hi} exceeds configured max order "
-                                 f"({self.max_walsh_bits} bits)")
+            bits = int(j_hi).bit_length()
+            if bits > WALSH_BITS:
+                raise IndexError(f"Walsh index {j_hi} exceeds the max order ({WALSH_BITS} bits)")
             out = np.full((len(js),) + x.shape, 1.0 / math.sqrt(span))
             for bit in range(bits):
                 np.multiply(out, (-1.0) ** np.floor(2.0 ** (bit + 1) * u), out=out,
@@ -244,6 +243,12 @@ class OrthonormalSystem:
         m = int(j_max).bit_length()  # members up to j_max jump on the dyadic grid of level m
         return tuple(self.interval.start + self.interval.length * (np.arange(1, 2**m) / 2.0**m))
 
+    def first_grid_nodes(self, j_max: int) -> int:
+        """Nodes of quadrature.adaptive's first grid over the members up to j_max,
+        one panel per gap between the breakpoints, without building them."""
+        gaps = 2 ** int(j_max).bit_length() if self.kind in ("haar", "walsh") else 1
+        return max(quadrature.MIN_PANELS, gaps) * quadrature.ORDER
+
 
 def legendre(interval: Interval) -> OrthonormalSystem:
     return OrthonormalSystem("legendre", interval)
@@ -257,8 +262,8 @@ def haar(interval: Interval) -> OrthonormalSystem:
     return OrthonormalSystem("haar", interval)
 
 
-def walsh(interval: Interval, max_bits: int = 10) -> OrthonormalSystem:
-    return OrthonormalSystem("walsh", interval, max_walsh_bits=max_bits)
+def walsh(interval: Interval) -> OrthonormalSystem:
+    return OrthonormalSystem("walsh", interval)
 
 
 def bessel_weighted(end: float, order: int = 0) -> OrthonormalSystem:
@@ -271,6 +276,13 @@ def bessel_unit(end: float, order: int = 0) -> OrthonormalSystem:
     return OrthonormalSystem("bessel_unit", Interval(0.0, end), bessel_order=order)
 
 
+def check_table(rows: int, nodes: int) -> None:
+    """SizeError when a basis table of rows x nodes values would exceed MEMORY_BUDGET."""
+    if rows * nodes > MEMORY_BUDGET:
+        raise SizeError(f"the basis table would hold {rows * nodes} node values, "
+                        f"over the budget {MEMORY_BUDGET}")
+
+
 def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
     """Matrix of inner products int phi_i phi_j weight dx over the interval.
 
@@ -279,9 +291,9 @@ def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
     matrix or the count x nodes table of a grid would exceed MEMORY_BUDGET."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if system.kind == "walsh" and int(count - 1).bit_length() > system.max_walsh_bits:
-        raise ValueError(f"count must be at most 2^{system.max_walsh_bits}, the members "
-                         f"of a Walsh system of {system.max_walsh_bits} bits")
+    if system.kind == "walsh" and int(count - 1).bit_length() > WALSH_BITS:
+        raise ValueError(f"count must be at most 2^{WALSH_BITS}, the members "
+                         f"of a Walsh system of {WALSH_BITS} bits")
     if count * count > MEMORY_BUDGET:
         raise SizeError(f"the Gram matrix would hold {count * count} entries, "
                         f"over the budget {MEMORY_BUDGET}")
@@ -290,9 +302,7 @@ def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
 
     def value_on(grid):
         x = grid.nodes.ravel()
-        if count * x.size > MEMORY_BUDGET:
-            raise SizeError(f"the basis table would hold {count * x.size} node values, "
-                            f"over the budget {MEMORY_BUDGET}")
+        check_table(count, x.size)
         vals = system.eval_table(count - 1, x) * np.sqrt(system.weight(x))[None, :]
         w = grid.weights.ravel()
         return (vals * w[None, :]) @ vals.T

@@ -37,15 +37,14 @@ EXIT_RESOURCE = 3
 # list of t.  A number is finite, and a bool is never a number.
 _SCHEMA = {
     "coeffs": {"interval": "[number]", "kernel": "object", "system": "object",
-               "box": "[integer]", "weighted": "boolean", "out": "string"},
+               "box": "[integer]", "out": "string"},
     "converge": {"interval": "[number]", "kernel": "object", "system": "object",
                  "driver": "object", "combo": "[integer]", "boxes": "[[integer]]",
                  "n_steps": "integer", "trials": "integer", "seed": "integer",
-                 "correction": "string", "weighted": "boolean", "richardson": "boolean",
-                 "out": "string"},
+                 "correction": "string", "richardson": "boolean", "out": "string"},
     "kernel": {"factors": "[object]"},
     "kernel factor": {"name": "string", "param": "number"},
-    "system": {"kind": "string", "bessel_order": "integer", "max_walsh_bits": "integer"},
+    "system": {"kind": "string", "bessel_order": "integer"},
     "driver": {"kind": "string", "m": "integer", "rho": "number", "total_mass": "number",
                "mark_powers": "[number]"},
 }
@@ -145,9 +144,8 @@ def cmd_basis(args) -> int:
 
 def cmd_coeffs(args) -> int:
     doc, kern, system, out = _read_config(args.config, "coeffs")
-    weighted = doc.get("weighted", False)
-    _check_tensor_config(kern, system, [doc["box"]], weighted)
-    tensor = coeff_tensor(kern, system, doc["box"], weighted=weighted)
+    _check_tensor_config(kern, system, [doc["box"]])
+    tensor = coeff_tensor(kern, system, doc["box"])
     tensor_to_csv(tensor, f"{out}.csv")
     tensor_to_json(tensor, f"{out}.json")
     print(f"wrote {out}.csv and {out}.json "
@@ -169,7 +167,6 @@ def cmd_converge(args) -> int:
             trials=doc.get("trials", 1000),
             seed=doc["seed"],
             correction=doc.get("correction", "auto"),
-            weighted=doc.get("weighted", False),
             richardson=doc.get("richardson", False))
     report = run_experiment(spec)
     report_to_csv(report, f"{out}.csv")

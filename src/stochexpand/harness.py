@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expansions, oracle
-from .basis import OrthonormalSystem
+from .basis import WALSH_BITS, OrthonormalSystem
 # interval_measures stays a module attribute (perfbench/tracer.py wraps the
 # samplers and it here); the trial loop reaches it through oracle.slot_increments
 from .drivers import (IntensityMeasure, TrialSeed, _as_callable,  # noqa: F401
@@ -129,7 +129,6 @@ class ExperimentSpec:
     trials: int
     seed: int
     correction: str = "auto"
-    weighted: bool = False
     richardson: bool = False
 
     def __post_init__(self):
@@ -158,20 +157,16 @@ class ExperimentSpec:
         if self.correction not in ("auto", "prelimit") and _needs_prelimit(self):
             raise ConfigError(f"this {self.driver.kind} combo with repeated components needs "
                               f"the prelimit correction, not {self.correction}")
-        _check_tensor_config(self.kernel, self.system, self.boxes, self.weighted)
+        _check_tensor_config(self.kernel, self.system, self.boxes)
 
 
-def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes,
-                         weighted: bool) -> None:
-    """ConfigError unless every box lists one order >= 0 per kernel factor, Walsh
-    orders stay below 2^bits, and weighted coefficients have a weighted system."""
+def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes) -> None:
+    """ConfigError unless every box lists one order >= 0 per kernel factor and
+    Walsh orders stay below 2^WALSH_BITS."""
     if any(len(b) != kernel.multiplicity or min(b) < 0 for b in boxes):
         raise ConfigError("a box must list one truncation order >= 0 per kernel factor")
-    if weighted and not system.weighted:
-        raise ConfigError("weighted coefficients require a weighted system")
-    bits = system.max_walsh_bits
-    if system.kind == "walsh" and max(map(max, boxes)).bit_length() > bits:
-        raise ConfigError(f"Walsh box orders must be below 2^{bits}")
+    if system.kind == "walsh" and max(map(max, boxes)).bit_length() > WALSH_BITS:
+        raise ConfigError(f"Walsh box orders must be below 2^{WALSH_BITS}")
 
 
 @dataclass(frozen=True)
@@ -211,9 +206,8 @@ def _resolve_correction(spec: ExperimentSpec) -> str:
 
 def _needs_prelimit(spec: ExperimentSpec) -> bool:
     """Whether the pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation."""
-    kind = spec.driver.kind
     return not expansions._distinct_nonzero(spec.combo) and (
-        kind == "poisson" or kind == "martingale" and _density_scale(spec) != 1.0)
+        spec.driver.kind == "poisson" or _density_scale(spec) != 1.0)
 
 
 def _residual_scale(spec: ExperimentSpec) -> float:
@@ -222,26 +216,26 @@ def _residual_scale(spec: ExperimentSpec) -> float:
     nz = [i for i in spec.combo if i != 0]
     if len(nz) != len(set(nz)) or len(nz) != len(spec.combo):
         return float("nan")
-    if spec.driver.kind == "wiener":
-        return 1.0
-    if spec.driver.kind == "poisson":
-        scale = 1.0
-        for phi in spec.driver.mark_factors:
-            scale *= spec.driver.intensity.moment(phi, 2.0)
-        return scale
-    return _density_scale(spec) ** spec.kernel.multiplicity
+    if spec.driver.kind != "poisson":
+        return _density_scale(spec) ** spec.kernel.multiplicity
+    scale = float("nan") if spec.system.weighted else 1.0
+    for phi in spec.driver.mark_factors:
+        scale *= spec.driver.intensity.moment(phi, 2.0)
+    return scale
 
 
 def _density_scale(spec: ExperimentSpec) -> float:
-    """Per-slot isometry factor of a martingale: rho if constant, 1 if it equals the system
-    weight on the weighted route (absorbed by the weighted kernel norm), else NaN."""
+    """Per-slot isometry factor of a Wiener driver (rho == 1) or a martingale: on a
+    weighted system 1 if rho is the weight, which the coefficients and the norm carry;
+    on a unit-weight one rho if constant.  Else NaN, and the basis variables are not
+    orthonormal, so the pairing bracket's delta_{j_a j_b} misses their covariance."""
     iv = spec.kernel.interval
     x = np.linspace(iv.start, iv.end, 257)
-    vals = _as_callable(spec.driver.rho)(x)
-    if np.allclose(vals, vals[0], rtol=1e-12, atol=1e-12):
-        return float(vals[0])
-    if spec.weighted and np.allclose(vals, spec.system.weight(x), rtol=1e-12, atol=1e-12):
-        return 1.0
+    rho = 1.0 if spec.driver.kind == "wiener" else spec.driver.rho
+    vals = _as_callable(rho)(x)
+    want = spec.system.weight(x) if spec.system.weighted else vals[0]
+    if np.allclose(vals, want, rtol=1e-12, atol=1e-12):
+        return 1.0 if spec.system.weighted else float(vals[0])
     return float("nan")
 
 
@@ -465,10 +459,9 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     chunk = _chunk_trials(spec, spec.n_steps, max(max(b) for b in spec.boxes),
                           (1 + len(steps)) * len(spec.boxes), steps[1:])
     box_max = tuple(max(b[l] for b in spec.boxes) for l in range(spec.kernel.multiplicity))
-    tensor = coeff_tensor(spec.kernel, spec.system, box_max, weighted=spec.weighted)
+    tensor = coeff_tensor(spec.kernel, spec.system, box_max)
     scale = _residual_scale(spec)
-    weighted_system = spec.system if spec.weighted else None
-    norm = kernel_norm_sq(spec.kernel, weighted_system=weighted_system)
+    norm = kernel_norm_sq(spec.kernel, spec.system)
     samples, *diffs = _mc_pass(spec, tensor, steps, correction, chunk)
     # mse per resolution and box, each summed as a run at that resolution alone
     # sums it, so the allowance is exactly the difference of two runs' mse

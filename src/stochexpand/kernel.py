@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .basis import MEMORY_BUDGET, Interval, OrthonormalSystem
+from .basis import MEMORY_BUDGET, WALSH_BITS, Interval, OrthonormalSystem, check_table
 from .errors import SizeError
 from .quadrature import PanelGrid
 
@@ -128,7 +128,6 @@ class CoeffTensor:
 
     kernel: Kernel
     system: OrthonormalSystem
-    weighted: bool
     box: tuple[int, ...]
     values: np.ndarray
     quad_error: float
@@ -156,28 +155,25 @@ def _check_box(box) -> tuple[int, ...]:
     return box
 
 
-def _level_factor(kernel: Kernel, system: OrthonormalSystem, level: int, j: int, weighted: bool):
+def _level_factor(kernel: Kernel, system: OrthonormalSystem, level: int, j: int):
     """Integrand of one nesting level for a single basis index, as a plain callable."""
 
     def f(x):
         v = kernel.factor_values(level, x) * system.eval(j, x)
-        if weighted:
+        if system.weighted:
             v = v * system.weight(x)
         return v
 
     return f
 
 
-def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box, weighted: bool,
+def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box,
                     grid: PanelGrid) -> np.ndarray:
     x = grid.nodes.ravel()
     # the basis table bounds the last level's table too, which holds its first rows
-    entries = (max(box) + 1) * x.size
-    if entries > MEMORY_BUDGET:
-        raise SizeError(f"the basis table would hold {entries} node values, "
-                        f"over the budget {MEMORY_BUDGET}")
+    check_table(max(box) + 1, x.size)
     phi = system.eval_table(max(box), x)
-    if weighted:
+    if system.weighted:
         phi = phi * system.weight(x)
     # prim[J, :] is the level primitive for index prefix J on the nodes
     prim = np.ones((1, x.size))
@@ -193,42 +189,40 @@ def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box, weighted: bo
     return (prim @ top.T).reshape(tuple(p + 1 for p in box))
 
 
-def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box,
-                 weighted: bool = False) -> CoeffTensor:
-    """Dense tensor of Fourier coefficients over the truncation box."""
+def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box) -> CoeffTensor:
+    """Dense tensor of Fourier coefficients over the truncation box, in the system's
+    inner product: each level carries the weight r of a weighted system."""
     box = _check_box(box)
     if len(box) != kernel.multiplicity:
         raise ValueError("box length must equal kernel multiplicity")
-    if weighted and not system.weighted:
-        raise ValueError("weighted coefficients require a weighted system")
     if system.interval != kernel.interval:
         raise ValueError("system and kernel intervals differ")
+    check_table(max(box) + 1, system.first_grid_nodes(max(box)))
     brk = system.breakpoints(max(box))
     values, err, grid = quadrature.adaptive(
-        lambda g: _tensor_on_grid(kernel, system, box, weighted, g),
+        lambda g: _tensor_on_grid(kernel, system, box, g),
         kernel.interval.start, kernel.interval.end, brk)
     info = {"order": grid.order, "panels": grid.n_panels, "estimated_error": err}
-    return CoeffTensor(kernel, system, weighted, box, values, err, info)
+    return CoeffTensor(kernel, system, box, values, err, info)
 
 
-def coeff(kernel: Kernel, system: OrthonormalSystem, idx, weighted: bool = False) -> float:
+def coeff(kernel: Kernel, system: OrthonormalSystem, idx) -> float:
     """Single Fourier coefficient C_{j_k ... j_1} for idx = (j_1, ..., j_k)."""
     idx = tuple(int(j) for j in idx)
     if len(idx) != kernel.multiplicity:
         raise ValueError("index length must equal kernel multiplicity")
-    if weighted and not system.weighted:
-        raise ValueError("weighted coefficients require a weighted system")
     factors = []
     for level, j in enumerate(idx):
-        factors.append(_level_factor(kernel, system, level, j, weighted))
+        factors.append(_level_factor(kernel, system, level, j))
     value, _ = quadrature.nested_simplex_integral(
         factors, kernel.interval.start, kernel.interval.end,
         system.breakpoints(max(idx)))
     return value
 
 
-def kernel_norm_sq(kernel: Kernel, weighted_system: OrthonormalSystem | None = None) -> float:
-    """Squared L2 norm of K over the hypercube, optionally with weight prod r(t_l).
+def kernel_norm_sq(kernel: Kernel, system: OrthonormalSystem | None = None) -> float:
+    """Squared L2 norm of K over the hypercube, with weight prod r(t_l) when
+    `system` is weighted (as coeff_tensor's coefficients carry it).
 
     Pure-power factor products (with the weight x of the Bessel system) have
     the closed form span^(sum b + k) / prod_l (l + sum_{q<=l} b_q); anything
@@ -236,17 +230,11 @@ def kernel_norm_sq(kernel: Kernel, weighted_system: OrthonormalSystem | None = N
     """
     # first, so that a scale beyond the float range raises OverflowError for every kernel
     scale = math.prod(f.scale() ** 2 for f in kernel.factors)
-    if weighted_system is not None and not weighted_system.weighted:
-        raise ValueError("weighted norm requires a weighted system")
+    weighted = system is not None and system.weighted
     if all(f.power() is not None for f in kernel.factors):
         span = kernel.interval.length
         # b holds the psi_l^2 exponent plus 1 for the weight x when present
-        b = []
-        for f in kernel.factors:
-            e = 2 * f.power()
-            if weighted_system is not None:
-                e += 1
-            b.append(e)
+        b = [2 * f.power() + (1 if weighted else 0) for f in kernel.factors]
         denom = 1.0
         acc = 0.0
         for l, e in enumerate(b, start=1):
@@ -257,8 +245,8 @@ def kernel_norm_sq(kernel: Kernel, weighted_system: OrthonormalSystem | None = N
     for level in range(kernel.multiplicity):
         def f(x, level=level):
             v = kernel.factor_values(level, x) ** 2
-            if weighted_system is not None:
-                v = v * weighted_system.weight(x)
+            if weighted:
+                v = v * system.weight(x)
             return v
         factors.append(f)
     value, _ = quadrature.nested_simplex_integral(
@@ -287,14 +275,13 @@ def _system_meta(system: OrthonormalSystem) -> dict:
         "kind": system.kind,
         "interval": [system.interval.start, system.interval.end],
         "bessel_order": system.bessel_order,
-        "max_walsh_bits": system.max_walsh_bits,
+        "max_walsh_bits": WALSH_BITS,
     }
 
 
 def _system_from_meta(meta: dict) -> OrthonormalSystem:
     return OrthonormalSystem(meta["kind"], Interval(*meta["interval"]),
-                             bessel_order=meta.get("bessel_order", 0),
-                             max_walsh_bits=meta.get("max_walsh_bits", 10))
+                             bessel_order=meta.get("bessel_order", 0))
 
 
 def tensor_to_csv(tensor: CoeffTensor, path) -> None:
@@ -325,7 +312,7 @@ def tensor_to_json(tensor: CoeffTensor, path) -> None:
     doc = {
         "kernel": _kernel_meta(tensor.kernel),
         "system": _system_meta(tensor.system),
-        "weighted": tensor.weighted,
+        "weighted": tensor.system.weighted,
         "box": list(tensor.box),
         "quadrature": tensor.quad_info,
         "values": tensor.values.ravel().tolist(),
@@ -335,11 +322,16 @@ def tensor_to_json(tensor: CoeffTensor, path) -> None:
 
 
 def tensor_from_json(path) -> CoeffTensor:
+    """Read back a coefficient JSON; ValueError when its "weighted" flag disagrees
+    with its system, whose coefficients coeff_tensor takes in the other convention."""
     with open(path) as fh:
         doc = json.load(fh)
+    system = _system_from_meta(doc["system"])
+    if doc["weighted"] != system.weighted:
+        raise ValueError(f"\"weighted\": {json.dumps(doc['weighted'])} disagrees with "
+                         f"the {system.kind} system")
     box = tuple(doc["box"])
     values = np.asarray(doc["values"]).reshape(tuple(p + 1 for p in box))
-    return CoeffTensor(_kernel_from_meta(doc["kernel"]), _system_from_meta(doc["system"]),
-                       doc["weighted"], box, values,
+    return CoeffTensor(_kernel_from_meta(doc["kernel"]), system, box, values,
                        doc["quadrature"].get("estimated_error", float("nan")),
                        doc["quadrature"])

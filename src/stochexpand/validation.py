@@ -301,7 +301,7 @@ def check_weighted_two_route_equivalence(full: bool = True) -> CriterionResult:
     # route A: martingale with variance density tau, unit kernel, weighted
     # system; route B: the same integral rewritten over the Wiener path,
     # which puts a sqrt(tau) factor into each kernel level
-    weighted_tensor = coeff_tensor(unit_kernel(2, iv), weighted_sys, box, weighted=True)
+    weighted_tensor = coeff_tensor(unit_kernel(2, iv), weighted_sys, box)
     sqrt_kern = kernel_mod.Kernel((kernel_mod.Factor("sqrt_shift"),
                                    kernel_mod.Factor("sqrt_shift")), iv)
     plain_tensor = coeff_tensor(sqrt_kern, plain_sys, box)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stochexpand import cli, drivers, harness
-from stochexpand.basis import OrthonormalSystem
+from stochexpand.basis import Interval, OrthonormalSystem, bessel_weighted
+from stochexpand.kernel import coeff_tensor, unit_kernel
 from stochexpand.errors import SizeError
 
 
@@ -109,15 +110,14 @@ def test_coeffs_reads_integer_numbers_as_floats(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_coeffs_walsh_bit_count_is_not_computed_as_a_power(tmp_path):
-    tensors = []
-    for bits in (10**18, 10):
-        out = str(tmp_path / f"bits{bits}")
-        cfg = coeffs_config(tmp_path, system={"kind": "walsh", "max_walsh_bits": bits},
-                            box=[1, 1], out=out)
-        assert run(["coeffs", "--config", cfg]) == 0
-        tensors.append(json.loads((tmp_path / f"bits{bits}.json").read_text()))
-    assert tensors[0]["values"] == tensors[1]["values"]
+def test_coeffs_weights_a_weighted_system(tmp_path):
+    cfg = coeffs_config(tmp_path, system={"kind": "bessel_weighted", "bessel_order": 1},
+                        box=[3, 3])
+    assert run(["coeffs", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "coeffs.json").read_text())
+    assert doc["weighted"] is True
+    want = coeff_tensor(unit_kernel(2, Interval(0.0, 1.0)), bessel_weighted(1.0, 1), (3, 3))
+    assert doc["values"] == want.values.ravel().tolist()
 
 
 def test_coeffs_oversize_box_is_resource_error(tmp_path):
@@ -153,8 +153,10 @@ def factors(*pairs):
 
 
 # Probes shared by coeffs and converge: values of the wrong JSON type (a string
-# or a bool where a number or flag belongs), a NaN parameter, a kernel that is
-# not an object, an output directory that does not exist, a pow exponent whose
+# or a bool where a number belongs), a NaN parameter, a kernel that is not an
+# object, the removed keys "weighted" and system "max_walsh_bits" (a system
+# weights itself; the Walsh cap is basis.WALSH_BITS), an output directory that
+# does not exist, a pow exponent whose
 # square is not integrable (exit 2), and kernels whose quadrature does not
 # converge (exit 3).
 SHARED_PROBES = [
@@ -162,7 +164,8 @@ SHARED_PROBES = [
     (dict(kernel=factors(("const", True), ("const", 1.0))), 2),
     (dict(kernel=[]), 2),
     (dict(kernel=factors(("const", float("nan")), ("const", 1.0))), 2),
-    (dict(system={"kind": "bessel_weighted"}, weighted="false"), 2),
+    (dict(system={"kind": "bessel_weighted"}, weighted=True), 2),
+    (dict(system={"kind": "walsh", "max_walsh_bits": 10}), 2),
     (dict(out=5), 2),
     (dict(kernel={"factors": [5, 6]}), 2),
     (dict(out="/nonexistent/dir/x"), 2),
@@ -171,8 +174,9 @@ SHARED_PROBES = [
     (dict(kernel=factors(("pow", 0.3), ("const", 1.0))), 3),
     (dict(kernel=factors(("exp", 1e6), ("const", 1.0))), 3),
 ]
-SHARED_PROBE_IDS = ["string_interval", "bool_param", "list_kernel", "nan_param", "string_weighted",
-                    "integer_out", "integer_factors", "missing_out_directory",
+SHARED_PROBE_IDS = ["string_interval", "bool_param", "list_kernel", "nan_param",
+                    "removed_weighted_key", "removed_walsh_bits_key", "integer_out",
+                    "integer_factors", "missing_out_directory",
                     "pow_exponent_not_square_integrable", "pow_exponent_quadrature_fails",
                     "fractional_pow_quadrature_fails", "exp_overflow_quadrature_fails"]
 
@@ -181,12 +185,9 @@ SHARED_PROBE_IDS = ["string_interval", "bool_param", "list_kernel", "nan_param",
     (dict(box=[5.5, 5]), 2), (dict(box=5), 2), (dict(interval=[1.0, 0.0]), 2),
     (dict(kernel={"factors": [{"name": "const"}]}, system={"kind": "walsh"}, box=[1024]), 2),
     (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
-    (dict(system={"kind": "walsh", "max_walsh_bits": 2.7}, box=[1, 1]), 2),
-    (dict(weighted=True), 2),
     *SHARED_PROBES,
 ], ids=["fractional_box", "scalar_box", "reversed_interval", "walsh_order_over_bits",
-        "fractional_bessel_order", "fractional_walsh_bits", "weighted_unit_weight_system",
-        *SHARED_PROBE_IDS])
+        "fractional_bessel_order", *SHARED_PROBE_IDS])
 def test_coeffs_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["coeffs", "--config", coeffs_config(tmp_path, **overrides)]) == code
     err = capsys.readouterr().err
@@ -265,10 +266,8 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(system={"kind": "walsh"}, boxes=[[1024, 1]]), 2),
     (dict(MARTINGALE_RHO2, correction="pairing_general"), 2),
     (dict(MARTINGALE_RHO2, correction=None), 2),
-    (dict(weighted=True), 2),
     (dict(driver={"kind": "martingale", "m": 2, "rho": -1}), 2),
     (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
-    (dict(system={"kind": "walsh", "max_walsh_bits": 2.7}), 2),
     (dict(richardson="false"), 2),
     (dict(driver={"kind": "martingale", "m": 2, "rho": "2"}), 2),
     (dict(driver={"kind": "poisson", "m": 2, "total_mass": "5"}), 2),
@@ -285,9 +284,8 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
         "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
         "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
         "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
-        "martingale_rho2_repeated_pairing", "null_correction",
-        "weighted_unit_weight_system", "negative_rho", "fractional_bessel_order",
-        "fractional_walsh_bits", "string_richardson", "string_rho", "string_total_mass",
+        "martingale_rho2_repeated_pairing", "null_correction", "negative_rho",
+        "fractional_bessel_order", "string_richardson", "string_rho", "string_total_mass",
         "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
         "kernel_norm_overflow", "huge_box_basis_table", *SHARED_PROBE_IDS])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
@@ -301,15 +299,14 @@ BASE_CONFIGS = {
     "coeffs": {
         "interval": [0.0, 1.0],
         "kernel": factors(("const", 1.0), ("pow", 1.0)),
-        "system": {"kind": "legendre", "bessel_order": 0, "max_walsh_bits": 10},
+        "system": {"kind": "legendre", "bessel_order": 0},
         "box": [3, 3],
-        "weighted": False,
         "out": "result",
     },
     "converge": {
         "interval": [0.0, 1.0],
         "kernel": factors(("const", 1.0), ("pow", 1.0)),
-        "system": {"kind": "legendre", "bessel_order": 0, "max_walsh_bits": 10},
+        "system": {"kind": "legendre", "bessel_order": 0},
         "driver": {"kind": "wiener", "m": 2, "rho": 1.0, "total_mass": 5.0,
                    "mark_powers": [1.0, 1.0]},
         "combo": [1, 2],
@@ -318,12 +315,25 @@ BASE_CONFIGS = {
         "trials": 4,
         "seed": 3,
         "correction": "auto",
-        "weighted": False,
         "richardson": True,
         "out": "result",
     },
 }
 DROP = "<drop>"
+
+
+def test_base_configs_list_every_schema_key():
+    # a key the schema lacks would make every mutated config exit 2, and one the
+    # base configs lack would never be mutated
+    listed = {}
+    for command, doc in BASE_CONFIGS.items():
+        sections = [(command, doc), ("kernel", doc["kernel"]), ("system", doc["system"]),
+                    *(("kernel factor", f) for f in doc["kernel"]["factors"])]
+        if "driver" in doc:
+            sections.append(("driver", doc["driver"]))
+        for name, section in sections:
+            listed.setdefault(name, set()).update(section)
+    assert listed == {name: set(keys) for name, keys in cli._SCHEMA.items()}
 
 
 def _paths(doc, prefix=()):

@@ -222,8 +222,7 @@ class TestExpandWeighted:
 
     def test_unbounded_ratio_rejected(self):
         sys = basis.bessel_weighted(1.0, 0)
-        tensor = coeff_tensor(unit_kernel(2, Interval(0.0, 1.0)), sys, (1, 1),
-                              weighted=True)
+        tensor = coeff_tensor(unit_kernel(2, Interval(0.0, 1.0)), sys, (1, 1))
         variables = BasisVariables("martingale", np.zeros((2, 2)))
         # rho == 1e4 against weight tau: sup rho / tau on the grid is 2.05e7
         with pytest.raises(ValueError, match="appears unbounded"):

@@ -11,7 +11,7 @@ from stochexpand.errors import ConfigError, SizeError
 from stochexpand.harness import (DriverConfig, ExperimentSpec, moment_suite,
                                  power_mark, report_to_csv, report_to_json,
                                  run_experiment)
-from stochexpand.kernel import coeff_tensor, unit_kernel
+from stochexpand.kernel import coeff_tensor, kernel_norm_sq, unit_kernel
 
 IV = Interval(0.0, 1.0)
 SYS = basis.legendre(IV)
@@ -92,14 +92,46 @@ def test_martingale_pairs_need_the_systems_measure():
         assert harness._resolve_correction(_wiener_spec(driver=driver)) == "pairing_general"
         with pytest.raises(ConfigError):
             _wiener_spec(driver=driver, combo=(1, 1), correction="pairing_general")
-    # on the weighted route a density equal to the system weight is the system's measure
-    spec = _wiener_spec(system=basis.bessel_weighted(1.0), weighted=True, combo=(1, 1),
+    # on a weighted system the system's measure is its weight: rho == t pairs,
+    # rho == 1 (a Wiener driver among them) does not
+    weighted = basis.bessel_weighted(1.0)
+    spec = _wiener_spec(system=weighted, combo=(1, 1),
                         driver=DriverConfig("martingale", m=2, rho=lambda t: t))
     assert harness._resolve_correction(spec) == "pairing_general"
-    with pytest.raises(ConfigError):
-        _wiener_spec(weighted=True)  # unit-weight system
+    for driver in (DriverConfig("wiener", m=2), DriverConfig("martingale", m=2, rho=1.0)):
+        spec = _wiener_spec(system=weighted, driver=driver, combo=(1, 1))
+        assert harness._resolve_correction(spec) == "prelimit"
+        with pytest.raises(ConfigError):
+            _wiener_spec(system=weighted, driver=driver, combo=(1, 1),
+                         correction="pairing_general")
     with pytest.raises(ConfigError):
         DriverConfig("martingale", m=2, rho=-1.0)
+
+
+def test_residual_follows_the_systems_weight():
+    poisson = DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                           mark_factors=(power_mark(1.0), power_mark(1.0)))
+    moment = poisson.intensity.moment(power_mark(1.0), 2.0)
+    # unit weight: the coefficient residual, times rho^k or the mark second moments
+    tensor = coeff_tensor(unit_kernel(2, IV), SYS, (3, 3))
+    for driver, scale in ((DriverConfig("wiener", m=2), 1.0),
+                          (DriverConfig("martingale", m=2, rho=2.0), 4.0),
+                          (poisson, moment * moment)):
+        report = run_experiment(_wiener_spec(driver=driver, trials=20))
+        for s in report.stats:
+            assert s.residual == scale * (kernel_norm_sq(tensor.kernel) - tensor.partial_sum(s.box))
+    # weight x: only rho == x, the system's measure, has a closed form, in the weighted norm
+    weighted = basis.bessel_weighted(1.0)
+    tensor = coeff_tensor(unit_kernel(2, IV), weighted, (3, 3))
+    report = run_experiment(_wiener_spec(
+        system=weighted, driver=DriverConfig("martingale", m=2, rho=lambda t: t), trials=20))
+    assert report.correction == "pairing_general"
+    for s in report.stats:
+        assert s.residual == kernel_norm_sq(tensor.kernel, weighted) - tensor.partial_sum(s.box)
+        assert s.residual > 0
+    for driver in (DriverConfig("wiener", m=2), DriverConfig("martingale", m=2, rho=1.0), poisson):
+        report = run_experiment(_wiener_spec(system=weighted, driver=driver, trials=20))
+        assert all(np.isnan(s.residual) and np.isfinite(s.mse) for s in report.stats)
 
 
 def test_spec_validation():

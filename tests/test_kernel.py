@@ -1,4 +1,6 @@
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -61,19 +63,26 @@ def test_double_integral_closed_form():
     assert np.max(np.abs(tensor.values[mask])) < 1e-10
 
 
-@pytest.mark.parametrize("sys, box, idxs, weighted", [
-    pytest.param(basis.trigonometric(IV), (3, 3), ((0, 0), (1, 2), (3, 1)), False,
-                 id="trigonometric_k2"),
-    pytest.param(basis.haar(IV), (3, 3, 3), ((0, 0, 0), (1, 2, 3), (3, 1, 2)), False,
-                 id="haar_k3"),
-    pytest.param(basis.bessel_weighted(1.0), (3, 3), ((0, 0), (1, 2), (3, 1)), True,
+@pytest.mark.parametrize("sys, box, idxs", [
+    pytest.param(basis.trigonometric(IV), (3, 3), ((0, 0), (1, 2), (3, 1)), id="trigonometric_k2"),
+    pytest.param(basis.haar(IV), (3, 3, 3), ((0, 0, 0), (1, 2, 3), (3, 1, 2)), id="haar_k3"),
+    pytest.param(basis.bessel_weighted(1.0), (3, 3), ((0, 0), (1, 2), (3, 1)),
                  id="bessel_weighted_k2"),
 ])
-def test_tensor_matches_single_coeff(sys, box, idxs, weighted):
+def test_tensor_matches_single_coeff(sys, box, idxs):
     k = unit_kernel(len(box), IV)
-    tensor = coeff_tensor(k, sys, box, weighted=weighted)
+    tensor = coeff_tensor(k, sys, box)
     for idx in idxs:
-        assert tensor.values[idx] == pytest.approx(coeff(k, sys, idx, weighted=weighted), abs=1e-10)
+        assert tensor.values[idx] == pytest.approx(coeff(k, sys, idx), abs=1e-10)
+
+
+def test_weighted_system_weights_its_coefficients():
+    # unit kernel, k = 1, on the weight-x Bessel system: C_j = int_0^1 Psi_j(t) t dt,
+    # which bessel_unit's coefficients of sqrt(t) equal
+    k1 = unit_kernel(1, IV)
+    weighted = coeff_tensor(k1, basis.bessel_weighted(1.0), (3,)).values
+    want = coeff_tensor(Kernel((Factor("sqrt_shift"),), IV), basis.bessel_unit(1.0), (3,)).values
+    np.testing.assert_allclose(weighted, want, rtol=0, atol=1e-9)
 
 
 def _legendre_simplex_coeff(idx, iv):
@@ -146,7 +155,10 @@ class TestNormAndParseval:
     def test_weighted_norm(self):
         sys = basis.bessel_weighted(1.0, 0)
         # ||K||^2 with weight t1 t2 over the simplex: int t2 int t1 = 1/8
-        assert kernel_norm_sq(unit_kernel(2, IV), weighted_system=sys) == pytest.approx(0.125)
+        assert kernel_norm_sq(unit_kernel(2, IV), sys) == pytest.approx(0.125)
+        # a unit-weight system takes the unweighted path: 1/2
+        assert kernel_norm_sq(unit_kernel(2, IV), basis.legendre(IV)) == kernel_norm_sq(
+            unit_kernel(2, IV)) == 0.5
 
     def test_partial_sums_monotone_and_bounded(self):
         tensor = coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (8, 8))
@@ -182,9 +194,26 @@ def test_intermediate_memory_guard():
         coeff_tensor(unit_kernel(3, IV), basis.legendre(IV), (511, 511, 0))
 
 
-def test_weighted_requires_weighted_system():
-    with pytest.raises(ValueError):
-        coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (2, 2), weighted=True)
+def test_first_grid_table_guard_runs_before_the_breakpoints(monkeypatch):
+    # 65537 Haar members on the first grid's 2^17 panels: building the breakpoints
+    # and panel edges alone takes about a second, so the guard predicts the grid
+    def refuse(self, j_max):
+        raise AssertionError("breakpoints built before the basis table was checked")
+
+    monkeypatch.setattr(basis.OrthonormalSystem, "breakpoints", refuse)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeError, match="basis table"):
+        coeff_tensor(unit_kernel(1, IV), basis.haar(IV), (65536,))
+    assert time.perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("kind, box", [("haar", 0), ("haar", 1), ("haar", 5), ("walsh", 64),
+                                       ("legendre", 40)])
+def test_first_grid_nodes_is_the_first_grids_size(kind, box):
+    system = basis.OrthonormalSystem(kind, Interval(-0.3, 1.7))
+    grid = quadrature.PanelGrid(quadrature._panel_edges(-0.3, 1.7, system.breakpoints(box)),
+                                quadrature.ORDER)
+    assert system.first_grid_nodes(box) == grid.nodes.size
 
 
 def test_csv_json_round_trip(tmp_path):
@@ -201,3 +230,17 @@ def test_csv_json_round_trip(tmp_path):
     assert np.array_equal(back.values, tensor.values)
     assert back.system.kind == "legendre"
     assert back.kernel.factors == tensor.kernel.factors
+
+
+@pytest.mark.parametrize("system, flag", [(basis.legendre(IV), True),
+                                          (basis.bessel_weighted(1.0), False)])
+def test_json_whose_flag_disagrees_with_its_system_rejected(tmp_path, system, flag):
+    # such a file holds coefficients from the other convention
+    path = tmp_path / "t.json"
+    tensor_to_json(coeff_tensor(unit_kernel(2, IV), system, (1, 1)), path)
+    doc = json.loads(path.read_text())
+    assert doc["weighted"] is not flag and doc["system"]["max_walsh_bits"] == basis.WALSH_BITS
+    tensor_from_json(path)
+    path.write_text(json.dumps(dict(doc, weighted=flag)))
+    with pytest.raises(ValueError, match="disagrees"):
+        tensor_from_json(path)
