@@ -1,7 +1,7 @@
 """Truncated series expansion of multiple (iterated) stochastic integrals.
 
-Expand integrals driven by Wiener processes, compensated Poisson random
-measures and Gaussian martingales into truncated multiple Fourier series
+Expand integrals driven by Gaussian martingales (the Wiener process among
+them) and compensated Poisson random measures into truncated multiple Fourier series
 over orthonormal (optionally weighted) function systems, compute the
 coefficient tensors, sample the drivers, and validate the mean-square
 convergence against brute-force discretized sums.
@@ -11,9 +11,9 @@ from .basis import (Interval, OrthonormalSystem, bessel_roots, bessel_unit,
                     bessel_weighted, gram_matrix, haar, legendre, trigonometric,
                     walsh)
 from .drivers import (GaussianMartingalePath, IntensityMeasure, Partition,
-                      PoissonRealization, WienerPath, exponential_measure,
-                      make_partition, sample_gaussian_martingale, sample_poisson,
-                      sample_wiener, trial_seed)
+                      PoissonRealization, exponential_measure, make_partition,
+                      sample_gaussian_martingale, sample_poisson, sample_wiener,
+                      trial_seed)
 from .errors import ConfigError, QuadratureError, SizeError, StochexpandError
 from .expansions import (BasisVariables, ExpansionSample, expand, expand_weighted,
                          martingale_variables, pi_from_realization, poisson_variables,
@@ -31,7 +31,7 @@ __all__ = [
     "Interval", "OrthonormalSystem", "bessel_roots", "bessel_unit",
     "bessel_weighted", "gram_matrix", "haar", "legendre", "trigonometric", "walsh",
     "GaussianMartingalePath", "IntensityMeasure", "Partition", "PoissonRealization",
-    "WienerPath", "exponential_measure", "make_partition",
+    "exponential_measure", "make_partition",
     "sample_gaussian_martingale", "sample_poisson", "sample_wiener", "trial_seed",
     "ConfigError", "QuadratureError", "SizeError", "StochexpandError",
     "BasisVariables", "ExpansionSample", "expand", "expand_weighted",

@@ -1,10 +1,10 @@
-"""Sampled realizations of the three driver classes.
+"""Sampled realizations of the two driver classes.
 
-Drivers: multidimensional Wiener paths, marked Poisson random measures with
-finite intensity, and Gaussian martingales with variance density rho.
-Component 0 of every path-like driver is deterministic time.  All samplers
-are pure functions of (arguments, seed).  Component i of a sample draws from
-its own substream, bit for bit numpy's
+Drivers: Gaussian martingales with variance density rho, among them the
+multidimensional Wiener path (rho == 1, one path type for both), and marked
+Poisson random measures with finite intensity.  Component 0 of a Gaussian
+path is deterministic time.  All samplers are pure functions of (arguments,
+seed).  Component i of a sample draws from its own substream, bit for bit numpy's
 Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key + (i,)))): spawn key
 (i,) under an int seed, (trial, i) under trial_seed(seed, trial), so trials
 and components are independent and reproducible.  seed_words runs
@@ -28,7 +28,6 @@ from .errors import SizeError
 __all__ = [
     "Partition",
     "make_partition",
-    "WienerPath",
     "GaussianMartingalePath",
     "IntensityMeasure",
     "exponential_measure",
@@ -87,12 +86,15 @@ class Partition:
     def max_delta(self) -> float:
         return float(np.max(self.deltas))
 
-    def step_variances(self, rho) -> np.ndarray:
-        """int rho over every step (32-node Gauss-Legendre per step).
+    def step_variances(self, rho=None) -> np.ndarray:
+        """int rho over every step (32-node Gauss-Legendre per step); the step
+        lengths when rho is None (a Wiener path).
 
         Memoized for the last rho object only (a pass uses one density), so
         rho is evaluated in one call per pass; a density must not change
         after its first use here."""
+        if rho is None:
+            return self.deltas
         if self._variances and self._variances[0] is rho:
             return self._variances[1]
         density = _as_callable(rho)
@@ -114,9 +116,9 @@ class Partition:
         return variances
 
     def step_scales(self, rho=None) -> np.ndarray:
-        """Square roots of the step variances (of the step lengths when rho is
-        None), read-only; memoized for the last variances only."""
-        variances = self.deltas if rho is None else self.step_variances(rho)
+        """Square roots of the step variances, read-only; memoized for the last
+        variances only."""
+        variances = self.step_variances(rho)
         if not (self._scales and self._scales[0] is variances):
             scales = np.sqrt(variances)
             scales.flags.writeable = False
@@ -271,23 +273,12 @@ def trial_seed(seed: int, trial: int) -> TrialSeed:
 
 
 @dataclass(frozen=True)
-class WienerPath:
-    """Increments of an m-dimensional Wiener path; row 0 holds the time deltas.
+class GaussianMartingalePath:
+    """Increments of an m-dimensional Gaussian martingale with per-step variances
+    int rho; row 0 holds the time deltas.  A Wiener path is the rho == 1 case,
+    with the step lengths as its variances.
 
     A sampled path keeps its unit normal draws, read-only, for scale_draws."""
-
-    partition: Partition
-    m: int
-    increments: np.ndarray  # (m + 1, N)
-    unit_draws: np.ndarray | None = field(default=None, repr=False, compare=False)  # (m, N)
-
-    def increment(self, i: int) -> np.ndarray:
-        return self.increments[i]
-
-
-@dataclass(frozen=True)
-class GaussianMartingalePath:
-    """Gaussian-martingale increments with per-step variances int rho."""
 
     partition: Partition
     m: int
@@ -314,7 +305,8 @@ def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """(m + 1, n) increments on a partition of n steps from (m, N >= n) unit
     draws: the step lengths, then the first n draws of each component times the
-    square roots of the step variances (with density rho; None for Wiener).
+    square roots of the step variances (with density rho; None, the step lengths
+    themselves, for a Wiener path).
 
     A substream fills its normals in sequence, so a sampled path's unit draws
     scaled onto a partition of fewer steps are bitwise the increments that the
@@ -329,20 +321,20 @@ def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None,
     return out
 
 
-def sample_wiener(partition: Partition, m: int, seed) -> WienerPath:
-    z = _unit_draws(partition, m, seed)
-    return WienerPath(partition, m, scale_draws(z, partition), z)
+def sample_wiener(partition: Partition, m: int, seed) -> GaussianMartingalePath:
+    """Wiener path: the Gaussian martingale with rho == 1."""
+    return sample_gaussian_martingale(partition, m, None, seed)
 
 
 def sample_gaussian_martingale(partition: Partition, m: int, rho, seed) -> GaussianMartingalePath:
-    """Gaussian martingale with E[(M_s - M_t)^2] = int_t^s rho; rho == 1 reproduces
-    sample_wiener exactly (same seed, same increments)."""
+    """Gaussian martingale with E[(M_s - M_t)^2] = int_t^s rho; rho None is the
+    Wiener path, and a constant rho == 1 gives its increments bitwise."""
     variances = partition.step_variances(rho)
     z = _unit_draws(partition, m, seed)
     return GaussianMartingalePath(partition, m, scale_draws(z, partition, rho), variances, z)
 
 
-def martingale_from_wiener(path: WienerPath, rho) -> GaussianMartingalePath:
+def martingale_from_wiener(path: GaussianMartingalePath, rho) -> GaussianMartingalePath:
     """Left-point coupling dM = sqrt(rho(tau_l)) dW on the path's partition.
 
     Used for pathwise two-route comparisons; variances are the Euler ones."""
@@ -476,10 +468,7 @@ def compensated_integral(realization: PoissonRealization, i: int, h, phi,
 # JSON dump/load for replay and cross-implementation comparison
 
 def realization_to_json(obj, path) -> None:
-    if isinstance(obj, WienerPath):
-        doc = {"kind": "wiener", "nodes": obj.partition.nodes.tolist(), "m": obj.m,
-               "increments": obj.increments.tolist()}
-    elif isinstance(obj, GaussianMartingalePath):
+    if isinstance(obj, GaussianMartingalePath):
         doc = {"kind": "martingale", "nodes": obj.partition.nodes.tolist(), "m": obj.m,
                "increments": obj.increments.tolist(), "variances": obj.variances.tolist()}
     elif isinstance(obj, PoissonRealization):
@@ -498,13 +487,12 @@ def realization_to_json(obj, path) -> None:
 def realization_from_json(path, intensity: IntensityMeasure | None = None):
     with open(path) as fh:
         doc = json.load(fh)
-    if doc["kind"] in ("wiener", "martingale"):
+    if doc["kind"] in ("wiener", "martingale"):  # "wiener" files carry no variances
         nodes = np.asarray(doc["nodes"])
         part = Partition(Interval(nodes[0], nodes[-1]), nodes)
-        inc = np.asarray(doc["increments"])
-        if doc["kind"] == "wiener":
-            return WienerPath(part, doc["m"], inc)
-        return GaussianMartingalePath(part, doc["m"], inc, np.asarray(doc["variances"]))
+        variances = doc.get("variances")
+        return GaussianMartingalePath(part, doc["m"], np.asarray(doc["increments"]),
+                                      part.deltas if variances is None else np.asarray(variances))
     if intensity is None:
         intensity = exponential_measure(doc["total_mass"])
     return PoissonRealization(Interval(*doc["interval"]), doc["m"],

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import oracle, quadrature
 from .basis import OrthonormalSystem
-from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, WienerPath,
-                      _as_callable, compensated_integral)
+from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, _as_callable,
+                      compensated_integral)
 from .kernel import CoeffTensor
 
 __all__ = [
@@ -57,11 +57,14 @@ class BasisVariables:
     evaluates all of them).
     """
 
-    kind: str  # "wiener" | "martingale" | "poisson"
+    kind: str  # "gaussian" | "poisson"
     table: np.ndarray
     combo: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.kind not in ("gaussian", "poisson"):
+            raise ValueError(f"basis variable kind must be 'gaussian' or 'poisson', "
+                             f"got {self.kind!r}")
         if not np.all(np.isfinite(self.table)):
             raise ValueError("basis variable table contains non-finite values")
 
@@ -77,29 +80,27 @@ class BasisVariables:
         return self.table[..., slot if self.by_slot else component, : p + 1]
 
 
-def zeta_from_path(path: WienerPath | GaussianMartingalePath, system: OrthonormalSystem,
+def zeta_from_path(path: GaussianMartingalePath, system: OrthonormalSystem,
                    j: int, i: int) -> float:
-    """Left-point discretization of int phi_j dw^(i) (or of int phi_j dM^(i),
-    xi_j^(i), on a Gaussian-martingale path); i = 0 integrates against dt."""
+    """Left-point discretization of int phi_j dM^(i), xi_j^(i) (zeta_j^(i) of
+    int phi_j dw^(i) on a Wiener path); i = 0 integrates against dt."""
     return float(np.dot(system.eval(j, path.partition.left_nodes), path.increment(i)))
 
 
-def gaussian_variables(kind: str, increments: np.ndarray, phi: np.ndarray) -> BasisVariables:
+def gaussian_variables(increments: np.ndarray, phi: np.ndarray) -> BasisVariables:
     """Component-keyed table sum_l phi_j(tau_l) Delta D^(i)_l.
 
     increments has shape (..., m + 1, N) and phi (p_max + 1, N) holds the
     basis on the partition's left nodes; leading axes are multiplied slice
     by slice, so a trial's table does not depend on what it is batched with."""
-    return BasisVariables(kind, increments @ phi.T)
+    return BasisVariables("gaussian", increments @ phi.T)
 
 
-def wiener_variables(path: WienerPath | GaussianMartingalePath, system: OrthonormalSystem,
+def wiener_variables(path: GaussianMartingalePath, system: OrthonormalSystem,
                      p_max: int) -> BasisVariables:
-    """Basis variables zeta_j^(i) of a Wiener path, or xi_j^(i) of a
-    Gaussian-martingale path, for j = 0..p_max."""
-    kind = "martingale" if isinstance(path, GaussianMartingalePath) else "wiener"
-    return gaussian_variables(kind, path.increments,
-                              system.eval_table(p_max, path.partition.left_nodes))
+    """Basis variables xi_j^(i) of a Gaussian path (zeta_j^(i) of a Wiener
+    path) for j = 0..p_max."""
+    return gaussian_variables(path.increments, system.eval_table(p_max, path.partition.left_nodes))
 
 
 martingale_variables = wiener_variables
@@ -251,9 +252,8 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
     if any(p > variables.p_max for p in tensor.box):
         raise ValueError("variable table does not cover the truncation box")
     vectors = [variables.slot_vector(g, combo[g], tensor.box[g]) for g in range(k)]
-    gaussian = variables.kind in ("wiener", "martingale")
     if correction == "pairing_general":
-        if not (gaussian or _distinct_nonzero(combo)):
+        if not (variables.kind == "gaussian" or _distinct_nonzero(combo)):
             raise ValueError("the pairing_general correction requires a Gaussian driver "
                              "or pairwise-distinct nonzero components")
         value = pairing_bracket(tensor.values, vectors, combo)

@@ -96,8 +96,9 @@ def _integers(name: str, values) -> tuple[int, ...]:
 class DriverConfig:
     """Which driver feeds the experiment and with what parameters.
 
-    kind "wiener" needs m; "martingale" adds the variance density rho;
-    "poisson" adds the intensity measure and one mark factor per slot.
+    kind "wiener" needs m, and is the martingale with rho == 1; "martingale"
+    adds the variance density rho, which no other kind takes; "poisson" adds
+    the intensity measure and one mark factor per slot.
     """
 
     kind: str
@@ -110,6 +111,9 @@ class DriverConfig:
         if self.kind not in ("wiener", "martingale", "poisson"):
             raise ConfigError(f"unknown driver kind: {self.kind}")
         object.__setattr__(self, "m", _integer("m", self.m, 1))
+        if self.kind != "martingale" and self.rho is not None:
+            raise ConfigError(f"only a martingale driver takes a variance density rho, "
+                              f"not a {self.kind} driver")
         if self.kind == "martingale" and not (
                 callable(self.rho) or self.rho is not None and 0 <= self.rho < math.inf):
             raise ConfigError(f"martingale driver requires a variance density rho, finite and "
@@ -225,14 +229,14 @@ def _residual_scale(spec: ExperimentSpec) -> float:
 
 
 def _density_scale(spec: ExperimentSpec) -> float:
-    """Per-slot isometry factor of a Wiener driver (rho == 1) or a martingale: on a
-    weighted system 1 if rho is the weight, which the coefficients and the norm carry;
-    on a unit-weight one rho if constant.  Else NaN, and the basis variables are not
-    orthonormal, so the pairing bracket's delta_{j_a j_b} misses their covariance."""
+    """Per-slot isometry factor of a Gaussian driver (rho None, a Wiener driver,
+    means rho == 1): on a weighted system 1 if rho is the weight, which the
+    coefficients and the norm carry; on a unit-weight one rho if constant.  Else
+    NaN, and the basis variables are not orthonormal, so the pairing bracket's
+    delta_{j_a j_b} misses their covariance."""
     iv = spec.kernel.interval
     x = np.linspace(iv.start, iv.end, 257)
-    rho = 1.0 if spec.driver.kind == "wiener" else spec.driver.rho
-    vals = _as_callable(rho)(x)
+    vals = _as_callable(1.0 if spec.driver.rho is None else spec.driver.rho)(x)
     want = spec.system.weight(x) if spec.system.weighted else vals[0]
     if np.allclose(vals, want, rtol=1e-12, atol=1e-12):
         return 1.0 if spec.system.weighted else float(vals[0])
@@ -405,7 +409,7 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
                 for inc, (part, _) in zip(incs, tables):
                     _, inc[c] = oracle.slot_increments(real, combo, part, drv.mark_factors)
         if gaussian:
-            variables = [expansions.gaussian_variables(drv.kind, d, phi)
+            variables = [expansions.gaussian_variables(d, phi)
                          for d, (_, phi) in zip(draws, tables)]
             incs = [d[:, list(combo)] for d in draws]
         else:
@@ -544,8 +548,7 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     tests: list[MomentTest] = []
     if gaussian:
         tables = tables[:, 1:]
-        steps = part.step_variances(drv.rho) if drv.kind == "martingale" else part.deltas
-        var_target = phi**2 @ steps  # exact for the sampler
+        var_target = phi**2 @ part.step_variances(drv.rho)  # exact for the sampler
         for i in range(drv.m):
             for j in range(j_max + 1):
                 _ztest(f"mean[i={i + 1},j={j}]", tables[:, i, j], 0.0, tests)

@@ -207,10 +207,14 @@ def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box) -> CoeffTensor:
 
 
 def coeff(kernel: Kernel, system: OrthonormalSystem, idx) -> float:
-    """Single Fourier coefficient C_{j_k ... j_1} for idx = (j_1, ..., j_k)."""
+    """Single Fourier coefficient C_{j_k ... j_1} for idx = (j_1, ..., j_k).
+
+    Raises SizeError, before the breakpoints are built, when one basis row on
+    the first quadrature grid would exceed MEMORY_BUDGET."""
     idx = tuple(int(j) for j in idx)
     if len(idx) != kernel.multiplicity:
         raise ValueError("index length must equal kernel multiplicity")
+    check_table(1, system.first_grid_nodes(max(idx)))
     factors = []
     for level, j in enumerate(idx):
         factors.append(_level_factor(kernel, system, level, j))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import GaussianMartingalePath, Partition, PoissonRealization, WienerPath, interval_measures
+from .drivers import GaussianMartingalePath, Partition, PoissonRealization, interval_measures
 from .kernel import Kernel
 
 __all__ = [
@@ -33,30 +33,18 @@ __all__ = [
 class OracleResult:
     value: float
     n_steps: int
-    driver_kind: str
     combo: tuple[int, ...]
-
-
-def _driver_kind(realization) -> str:
-    if isinstance(realization, WienerPath):
-        return "wiener"
-    if isinstance(realization, GaussianMartingalePath):
-        return "martingale"
-    if isinstance(realization, PoissonRealization):
-        return "poisson"
-    raise TypeError(f"unsupported realization type {type(realization).__name__}")
 
 
 def slot_increments(realization, combo, partition: Partition | None = None,
                     mark_factors=None) -> tuple[Partition, list[np.ndarray]]:
     """Per-slot driver increments Delta D^(i_l) on the partition.
 
-    Wiener/martingale paths carry their own partition; Poisson realizations
-    are discretized onto the given partition with one compensated interval
-    measure per distinct (component, mark factor) pair (slot l uses mark
-    factor phi_l); slots of one pair get the same read-only array."""
-    kind = _driver_kind(realization)
-    if kind == "poisson":
+    Gaussian paths (Wiener or martingale) carry their own partition; Poisson
+    realizations are discretized onto the given partition with one compensated
+    interval measure per distinct (component, mark factor) pair (slot l uses
+    mark factor phi_l); slots of one pair get the same read-only array."""
+    if isinstance(realization, PoissonRealization):
         if partition is None:
             raise ValueError("a partition is required to discretize a Poisson realization")
         if mark_factors is None or len(mark_factors) != len(combo):
@@ -67,6 +55,8 @@ def slot_increments(realization, combo, partition: Partition | None = None,
                 inc = measures[i, phi] = interval_measures(realization, i, phi, partition)
                 inc.flags.writeable = False
         return partition, [measures[i, phi] for i, phi in zip(combo, mark_factors)]
+    if not isinstance(realization, GaussianMartingalePath):
+        raise TypeError(f"unsupported realization type {type(realization).__name__}")
     if partition is not None and not np.array_equal(partition.nodes, realization.partition.nodes):
         raise ValueError("path realizations can only be summed on their own partition")
     return realization.partition, [realization.increment(i) for i in combo]
@@ -82,7 +72,7 @@ def iterated_sum(kernel: Kernel, realization, combo, partition: Partition | None
     part, incs = slot_increments(realization, combo, partition, mark_factors)
     left = part.left_nodes
     f = np.stack([kernel.factor_values(l, left) * incs[l] for l in range(k)])
-    return OracleResult(float(nested_sum(f)), part.n_steps, _driver_kind(realization), combo)
+    return OracleResult(float(nested_sum(f)), part.n_steps, combo)
 
 
 def nested_sum(f: np.ndarray) -> np.ndarray:

@@ -40,18 +40,21 @@ MAX_REFINEMENTS = 12
 
 
 def _panel_edges(a: float, b: float, breakpoints) -> np.ndarray:
-    """Sorted panel edges: breakpoints in (a, b), each gap split to the target width."""
-    pts = [a, b]
-    for x in breakpoints:
-        if a < x < b:
-            pts.append(float(x))
-    pts = np.unique(np.asarray(pts, dtype=float))
-    target = (b - a) / MIN_PANELS
-    edges = [pts[0]]
-    for left, right in zip(pts[:-1], pts[1:]):
-        nsub = max(1, int(np.ceil((right - left) / target - 1e-12)))
-        edges.extend(np.linspace(left, right, nsub + 1)[1:])
-    return np.asarray(edges)
+    """Sorted panel edges: breakpoints in (a, b), each gap split to the target width.
+
+    All gaps in one pass; edge i of a gap split into nsub panels is
+    left + i * ((right - left) / nsub), and its last edge is right: the values
+    np.linspace(left, right, nsub + 1) gives, bitwise."""
+    brk = np.asarray(breakpoints, dtype=float).ravel()
+    pts = np.unique(np.concatenate(([a, b], brk[(a < brk) & (brk < b)])))
+    left, width = pts[:-1], np.diff(pts)
+    nsub = np.maximum(1, np.ceil(width / ((b - a) / MIN_PANELS) - 1e-12)).astype(np.int64)
+    gap = np.repeat(np.arange(len(nsub)), nsub)
+    ends = np.cumsum(nsub)
+    i = np.arange(1, ends[-1] + 1) - (ends - nsub)[gap]  # 1..nsub within each gap
+    edges = left[gap] + i * (width / nsub)[gap]
+    edges[ends - 1] = pts[1:]
+    return np.concatenate((pts[:1], edges))
 
 
 @functools.lru_cache(maxsize=None)

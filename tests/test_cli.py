@@ -234,6 +234,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("driver", [{"kind": "wiener", "m": 2},
+                                    {"kind": "poisson", "m": 2, "total_mass": 5.0}])
+def test_converge_passes_rho_only_to_a_martingale(tmp_path, driver):
+    # the schema admits rho in every driver block; only a martingale reads it
+    reports = []
+    for rho in ((), (("rho", 2.0),)):
+        out = tmp_path / f"conv{len(rho)}"
+        cfg = converge_config(tmp_path, driver=dict(driver, **dict(rho)), out=str(out),
+                              richardson=True)
+        assert run(["converge", "--config", cfg]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        doc.pop("runtime_seconds")
+        reports.append(doc)
+    assert reports[0] == reports[1]
+
+
 POISSON_REPEATED = dict(driver={"kind": "poisson", "m": 1}, combo=[1, 1])
 MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1, 1])
 

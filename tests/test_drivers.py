@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from stochexpand import drivers
 from stochexpand.basis import Interval
-from stochexpand.drivers import (compensated_integral, exponential_measure,
-                                 interval_measures, make_partition,
+from stochexpand.drivers import (GaussianMartingalePath, compensated_integral,
+                                 exponential_measure, interval_measures, make_partition,
                                  martingale_from_wiener, realization_from_json,
                                  realization_to_json, sample_gaussian_martingale,
                                  sample_poisson, sample_wiener, scale_draws, trial_seed)
@@ -41,6 +43,7 @@ def test_partition_tables_are_computed_once_and_read_only():
     assert again is not first and np.array_equal(again, first)
     scales = part.step_scales(rho)
     assert part.step_scales(rho) is scales and np.array_equal(scales, np.sqrt(again))
+    assert part.step_variances() is part.deltas  # no density: a Wiener path's variances
     assert np.array_equal(part.step_scales(), np.sqrt(part.deltas))
     for table in (part.deltas, part.step_variances(rho), scales, part.step_scales()):
         with pytest.raises(ValueError):
@@ -153,6 +156,13 @@ class TestMartingale:
         w = sample_wiener(part, 2, seed)
         m = sample_gaussian_martingale(part, 2, 1.0, seed)
         assert np.array_equal(w.increments, m.increments)
+        # a Wiener path is the rho == 1 martingale path, variances the step lengths
+        none = sample_gaussian_martingale(part, 2, None, seed)
+        assert type(w) is type(none) is GaussianMartingalePath
+        assert np.array_equal(w.increments, none.increments)
+        assert np.array_equal(w.unit_draws, none.unit_draws)
+        assert w.variances is part.deltas and none.variances is part.deltas
+        assert np.array_equal(m.variances, part.deltas)
 
     def test_linear_density_variance(self):
         # rho(tau) = tau on [0,1], single step: Var = 1/2
@@ -210,7 +220,7 @@ def test_scaled_unit_draws_are_the_samplers_increments_bitwise(rho, n_steps):
 def test_unit_draws_are_kept_out_of_comparison_and_repr():
     path = sample_wiener(make_partition(IV, 8), 1, 3)
     assert "unit_draws" not in repr(path)
-    assert path == drivers.WienerPath(path.partition, 1, path.increments)
+    assert path == GaussianMartingalePath(path.partition, 1, path.increments, path.variances)
     with pytest.raises(ValueError):
         scale_draws(path.unit_draws, make_partition(IV, 9))
 
@@ -291,6 +301,17 @@ def test_json_round_trip(tmp_path):
         back = realization_from_json(path)
         assert type(back) is type(obj)
     back_w = realization_from_json(tmp_path / "w.json")
+    assert json.loads((tmp_path / "w.json").read_text())["kind"] == "martingale"
     assert np.array_equal(back_w.increments, w.increments)
+    assert np.array_equal(back_w.variances, part.deltas)
+    assert np.array_equal(realization_from_json(tmp_path / "m.json").variances, m.variances)
+    # a Wiener document of the earlier format carries no variances: the step lengths
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"kind": "wiener", "nodes": part.nodes.tolist(), "m": 2,
+                                  "increments": w.increments.tolist()}))
+    back_l = realization_from_json(legacy)
+    assert type(back_l) is GaussianMartingalePath and back_l.m == 2
+    assert np.array_equal(back_l.increments, w.increments)
+    assert np.array_equal(back_l.variances, back_l.partition.deltas)
     back_p = realization_from_json(tmp_path / "p.json")
     assert np.array_equal(back_p.jumps(2)[1], p.jumps(2)[1])

@@ -103,7 +103,12 @@ class TestBasisVariables:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            BasisVariables("wiener", np.array([[np.nan]]))
+            BasisVariables("gaussian", np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("kind", ["wiener", "martingale", "Gaussian", ""])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="kind"):
+            BasisVariables(kind, np.zeros((2, 2)))
 
 
 @st.composite
@@ -142,7 +147,7 @@ class TestExpand:
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (2, 2))
         rng = np.random.default_rng(0)
         table = rng.standard_normal((3, 3))
-        variables = BasisVariables("wiener", table)
+        variables = BasisVariables("gaussian", table)
         got = expand(tensor, variables, (1, 2)).value
         want = float(table[1, :3] @ tensor.values @ table[2, :3])
         assert got == pytest.approx(want, abs=1e-13)
@@ -151,7 +156,7 @@ class TestExpand:
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (2, 2))
         rng = np.random.default_rng(1)
         table = rng.standard_normal((2, 3))
-        variables = BasisVariables("wiener", table)
+        variables = BasisVariables("gaussian", table)
         got = expand(tensor, variables, (1, 1)).value
         want = float(table[1] @ tensor.values @ table[1]) - np.trace(tensor.values)
         assert got == pytest.approx(want, abs=1e-13)
@@ -200,13 +205,13 @@ class TestExpand:
 
     def test_box_must_fit_table(self):
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (5, 5))
-        variables = BasisVariables("wiener", np.zeros((2, 3)))
+        variables = BasisVariables("gaussian", np.zeros((2, 3)))
         with pytest.raises(ValueError):
             expand(tensor, variables, (1, 1))
 
     def test_unknown_correction(self):
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (1, 1))
-        variables = BasisVariables("wiener", np.zeros((2, 2)))
+        variables = BasisVariables("gaussian", np.zeros((2, 2)))
         with pytest.raises(ValueError):
             expand(tensor, variables, (1, 1), correction="nope")
 
@@ -215,7 +220,7 @@ class TestExpandWeighted:
     def test_unit_weight_reduces_to_expand(self):
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (3, 3))
         rng = np.random.default_rng(2)
-        variables = BasisVariables("wiener", rng.standard_normal((2, 4)))
+        variables = BasisVariables("gaussian", rng.standard_normal((2, 4)))
         a = expand(tensor, variables, (1, 1)).value
         b = expand_weighted(tensor, variables, (1, 1), rho=1.0).value
         assert a == b
@@ -223,7 +228,7 @@ class TestExpandWeighted:
     def test_unbounded_ratio_rejected(self):
         sys = basis.bessel_weighted(1.0, 0)
         tensor = coeff_tensor(unit_kernel(2, Interval(0.0, 1.0)), sys, (1, 1))
-        variables = BasisVariables("martingale", np.zeros((2, 2)))
+        variables = BasisVariables("gaussian", np.zeros((2, 2)))
         # rho == 1e4 against weight tau: sup rho / tau on the grid is 2.05e7
         with pytest.raises(ValueError, match="appears unbounded"):
             expand_weighted(tensor, variables, (1, 2), rho=1e4)

@@ -108,6 +108,18 @@ def test_martingale_pairs_need_the_systems_measure():
         DriverConfig("martingale", m=2, rho=-1.0)
 
 
+def test_only_a_martingale_takes_rho():
+    # a Wiener driver is the rho == 1 martingale: a density given to it (or to a
+    # Poisson driver) would reach the residual and the half pass, not the sampler
+    for rho in (1.0, 2.0, _rho_one_plus_t):
+        with pytest.raises(ConfigError, match="only a martingale"):
+            DriverConfig("wiener", m=2, rho=rho)
+        with pytest.raises(ConfigError, match="only a martingale"):
+            DriverConfig("poisson", m=2, rho=rho, intensity=exponential_measure(5.0),
+                         mark_factors=(power_mark(1.0), power_mark(1.0)))
+        assert DriverConfig("martingale", m=2, rho=rho).rho is rho
+
+
 def test_residual_follows_the_systems_weight():
     poisson = DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
                            mark_factors=(power_mark(1.0), power_mark(1.0)))

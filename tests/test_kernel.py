@@ -207,6 +207,18 @@ def test_first_grid_table_guard_runs_before_the_breakpoints(monkeypatch):
     assert time.perf_counter() - t0 < 0.05
 
 
+def test_coeff_table_guard_runs_before_the_breakpoints(monkeypatch):
+    # Haar member 2^18 lives on 2^19 first-grid panels: 2^24 nodes of its one row
+    def refuse(self, j_max):
+        raise AssertionError("breakpoints built before the basis table was checked")
+
+    monkeypatch.setattr(basis.OrthonormalSystem, "breakpoints", refuse)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeError, match="basis table"):
+        coeff(unit_kernel(1, IV), basis.haar(IV), (2**18,))
+    assert time.perf_counter() - t0 < 0.05
+
+
 @pytest.mark.parametrize("kind, box", [("haar", 0), ("haar", 1), ("haar", 5), ("walsh", 64),
                                        ("legendre", 40)])
 def test_first_grid_nodes_is_the_first_grids_size(kind, box):

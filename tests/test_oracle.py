@@ -114,6 +114,14 @@ def test_partition_mismatch_rejected():
         oracle.iterated_sum(unit_kernel(1, IV), path, (1,), other)
 
 
+def test_unknown_realization_type_rejected():
+    part = make_partition(IV, 8)
+    with pytest.raises(TypeError, match="unsupported realization"):
+        oracle.slot_increments(part.deltas, (1,), part)
+    with pytest.raises(TypeError, match="unsupported realization"):
+        oracle.iterated_sum(unit_kernel(1, IV), object(), (1,))
+
+
 def _gk_single(path, system, js, combo):
     """G_k sum of one multi-index, from one-row basis tables."""
     part, incs = oracle.slot_increments(path, combo)

@@ -66,3 +66,29 @@ def test_nonconvergence_carries_partial_value():
 def test_refinement_splits_panels():
     grid = quadrature.PanelGrid(np.array([0.0, 1.0]), 8)
     assert grid.refined().n_panels == 2 * grid.n_panels
+
+
+def _linspace_edges(a, b, breakpoints):
+    """Reference panel edges: one np.linspace per gap between the breakpoints."""
+    pts = np.unique([a, b, *(float(x) for x in breakpoints if a < x < b)])
+    target = (b - a) / quadrature.MIN_PANELS
+    edges = [pts[0]]
+    for left, right in zip(pts[:-1], pts[1:]):
+        nsub = max(1, int(np.ceil((right - left) / target - 1e-12)))
+        edges.extend(np.linspace(left, right, nsub + 1)[1:])
+    return np.asarray(edges)
+
+
+@pytest.mark.parametrize("a, b, breakpoints", [
+    (0.0, 1.0, ()),
+    (-0.3, 1.7, (0.1, 0.2, 1.5)),
+    (0.0, 1.0, (0.5, -1.0, 2.0, 0.5, 1.0, 0.0)),  # repeats and points outside (a, b)
+    (2.0, 3.0, (2.0000001, 2.999999)),
+    (-0.731, 0.9, tuple(np.random.default_rng(0).uniform(-1.0, 1.0, 40))),
+    (-0.37, 1.41, tuple(-0.37 + 1.78 * np.arange(1, 2**15) / 2**15)),  # Haar j = 16384
+])
+def test_panel_edges_are_per_gap_linspace_bitwise(a, b, breakpoints):
+    got = quadrature._panel_edges(a, b, breakpoints)
+    want = _linspace_edges(a, b, breakpoints)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
