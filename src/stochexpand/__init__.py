@@ -15,9 +15,9 @@ from .drivers import (GaussianMartingalePath, IntensityMeasure, Partition,
                       sample_gaussian_martingale, sample_poisson, sample_wiener,
                       trial_seed)
 from .errors import ConfigError, QuadratureError, SizeError, StochexpandError
-from .expansions import (BasisVariables, ExpansionSample, expand, expand_weighted,
-                         martingale_variables, pi_from_realization, poisson_variables,
-                         wiener_variables, zeta_from_path)
+from .expansions import (BasisVariables, ExpansionSample, expand, martingale_variables,
+                         pi_from_realization, poisson_variables, wiener_variables,
+                         zeta_from_path)
 from .harness import (DriverConfig, ExperimentSpec, MCReport, moment_suite,
                       power_mark, run_experiment)
 from .kernel import (CoeffTensor, Factor, Kernel, coeff, coeff_tensor,
@@ -34,9 +34,8 @@ __all__ = [
     "exponential_measure", "make_partition",
     "sample_gaussian_martingale", "sample_poisson", "sample_wiener", "trial_seed",
     "ConfigError", "QuadratureError", "SizeError", "StochexpandError",
-    "BasisVariables", "ExpansionSample", "expand", "expand_weighted",
-    "martingale_variables", "pi_from_realization", "poisson_variables",
-    "wiener_variables", "zeta_from_path",
+    "BasisVariables", "ExpansionSample", "expand", "martingale_variables",
+    "pi_from_realization", "poisson_variables", "wiener_variables", "zeta_from_path",
     "DriverConfig", "ExperimentSpec", "MCReport", "moment_suite", "power_mark",
     "run_experiment",
     "CoeffTensor", "Factor", "Kernel", "coeff", "coeff_tensor", "kernel_norm_sq",

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-13
+MAX_BESSEL_ORDER = 2**52  # bessel_roots steps x by 1.0 from x = order, exact below 2^53
 MEMORY_BUDGET = 10**7  # entries of one basis table, Gram matrix or coefficient tensor
 WALSH_BITS = 10  # a Walsh system has the 2^WALSH_BITS members of indices below it
 # bound on max |Gram - I| (gram_matrix) for each system kind;
@@ -133,8 +134,8 @@ class OrthonormalSystem:
             raise ValueError(f"unknown system kind: {self.kind}")
         if self.kind.startswith("bessel") and self.interval.start != 0.0:
             raise ValueError("Bessel systems require the interval to start at 0")
-        if self.bessel_order < 0:
-            raise ValueError("bessel_order must be nonnegative")
+        if not 0 <= self.bessel_order <= MAX_BESSEL_ORDER:
+            raise ValueError(f"bessel_order must lie in 0..2^52, got {self.bessel_order}")
 
     @property
     def weighted(self) -> bool:

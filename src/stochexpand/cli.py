@@ -34,7 +34,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # The keys each config section may hold and the JSON type of each; [t] is a
-# list of t.  A number is finite, and a bool is never a number.
+# list of t.  A number is finite, and a bool is never a number.  A driver
+# block holds only the keys its kind reads.
 _SCHEMA = {
     "coeffs": {"interval": "[number]", "kernel": "object", "system": "object",
                "box": "[integer]", "out": "string"},
@@ -45,8 +46,10 @@ _SCHEMA = {
     "kernel": {"factors": "[object]"},
     "kernel factor": {"name": "string", "param": "number"},
     "system": {"kind": "string", "bessel_order": "integer"},
-    "driver": {"kind": "string", "m": "integer", "rho": "number", "total_mass": "number",
-               "mark_powers": "[number]"},
+    "driver wiener": {"kind": "string", "m": "integer"},
+    "driver martingale": {"kind": "string", "m": "integer", "rho": "number"},
+    "driver poisson": {"kind": "string", "m": "integer", "total_mass": "number",
+                       "mark_powers": "[number]"},
 }
 # a seed is required because all randomness must be reproducible
 _REQUIRED = {"coeffs": ("interval", "kernel", "system", "box"),
@@ -118,8 +121,13 @@ def _read_config(path: str, command: str):
     return doc, kern, system, out
 
 
-def _driver_from_config(doc: dict, k: int) -> DriverConfig:
-    kind, m = doc.get("kind"), doc.get("m", 2)
+def _driver_from_config(doc, k: int) -> DriverConfig:
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if f"driver {kind}" not in _SCHEMA:
+        raise ConfigError(f"driver must be an object of kind wiener, martingale or poisson, "
+                          f"got {doc!r}")
+    _section(doc, f"driver {kind}")
+    m = doc.get("m", 2)
     if kind == "martingale":
         return DriverConfig(kind, m=m, rho=doc.get("rho", 1.0))
     if kind == "poisson":
@@ -156,13 +164,12 @@ def cmd_coeffs(args) -> int:
 
 def cmd_converge(args) -> int:
     doc, kern, system, out = _read_config(args.config, "converge")
-    driver = _section(doc.get("driver", {"kind": "wiener"}), "driver")
     with _config_values():
         spec = ExperimentSpec(
             kernel=kern, system=system,
             combo=doc.get("combo", ()),
             boxes=doc.get("boxes", ()),
-            driver=_driver_from_config(driver, kern.multiplicity),
+            driver=_driver_from_config(doc.get("driver", {"kind": "wiener"}), kern.multiplicity),
             n_steps=doc.get("n_steps", 1024),
             trials=doc.get("trials", 1000),
             seed=doc["seed"],

@@ -6,13 +6,19 @@ with one of two diagonal-correction modes, both Moebius sums over the set
 partitions of the slots (``oracle.set_partitions``):
 
 * ``pairing_general`` -- over the partitions into singletons and pairs with equal
-  nonzero components, pairs tied (j_a = j_b): the quadratic variation of Wiener
-  drivers and of martingales with rho == 1 (``pairing_bracket``, any k).  For
-  k <= 4 it equals the transformed indicator formulas, which are written out
-  as its independent oracle in ``validation.explicit_bracket``;
+  nonzero components, pairs tied (j_a = j_b): the quadratic variation when the
+  basis variables are orthonormal (``pairing_bracket``, any k).  For k <= 4 it
+  equals the transformed indicator formulas, which are written out as its
+  independent oracle in ``validation.explicit_bracket``;
 * ``prelimit`` -- subtract the coincident-index sum over all partitions on the
   realization's partition (``oracle.gk_correction_tensor``, any k), the finite-N
-  fallback and the only mode for repeated Poisson or rho != 1 martingale components.
+  fallback and the only mode for repeated Poisson components, and for repeated
+  Gaussian components whose variables are not orthonormal.
+
+expand does not see rho or the system's weight.  Whether the variables are
+orthonormal (rho == 1 on a unit-weight system, rho equal to the weight on the
+weighted one) and whether rho is compatible with the weight at all is decided
+by ``harness.ExperimentSpec.slot_scales``.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ import numpy as np
 
 from . import oracle, quadrature
 from .basis import OrthonormalSystem
-from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, _as_callable,
-                      compensated_integral)
+from .drivers import GaussianMartingalePath, Partition, PoissonRealization, compensated_integral
 from .kernel import CoeffTensor
 
 __all__ = [
@@ -38,12 +43,8 @@ __all__ = [
     "poisson_variables",
     "ExpansionSample",
     "expand",
-    "expand_weighted",
     "pairing_bracket",
 ]
-
-RATIO_GRID = 2048  # interior points on which expand_weighted checks sup rho / r
-RATIO_BOUND = 1e6  # largest sup rho / r that expand_weighted accepts as bounded
 
 
 @dataclass(frozen=True)
@@ -271,21 +272,3 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
         raise ValueError(f"unknown correction mode: {correction}")
     return ExpansionSample(value, tensor.box, combo, correction)
 
-
-def expand_weighted(tensor: CoeffTensor, variables: BasisVariables, combo, rho,
-                    correction: str = "pairing_general", **kw) -> ExpansionSample:
-    """Expansion with weighted coefficients and a weighted basis.
-
-    Checks the compatibility condition sup rho / r <= RATIO_BOUND on a dense grid
-    before delegating to expand; with rho == r == 1 this is exactly expand."""
-    rho = _as_callable(rho)
-    interval = tensor.system.interval
-    # avoid the endpoints where a vanishing weight is harmless (measure zero)
-    x = np.linspace(interval.start, interval.end, RATIO_GRID + 2)[1:-1]
-    r = tensor.system.weight(x)
-    ratio = rho(x) / np.where(r > 0, r, np.inf)
-    if np.max(ratio) > RATIO_BOUND:
-        raise ValueError(
-            f"variance density / weight ratio appears unbounded (sup over grid "
-            f"{np.max(ratio):.3g} exceeds {RATIO_BOUND:.3g})")
-    return expand(tensor, variables, combo, correction=correction, **kw)

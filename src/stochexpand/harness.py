@@ -17,6 +17,10 @@ An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
 uses the first N // 2 draws of each of the trial's substreams, which are
 exactly what a separate draw on N // 2 steps would give.
+
+How a driver meets its system is decided once, by ExperimentSpec.slot_scales
+(one evaluation of rho against the system's weight): the residual's factor,
+the `auto` correction and the weighted system's ratio check all read it.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ CHUNK_BYTES = 2**20  # increment buffers of one chunk of trials
 MEMORY_BUDGET = 2**32  # bytes a trial loop may hold: partition, left-node tables, one chunk
 SEED_STREAMS = 2**13  # substreams whose seed words one derivation computes
 STREAM_BYTES = 160  # per substream at a derivation's peak: 32 bytes of words, key, hash temporaries
+RATIO_GRID = 2048  # interior points of the one grid on which slot_scales evaluates rho and r
+RATIO_BOUND = 1e6  # largest sup rho / r over them that a weighted system accepts as bounded
+# the parameters beyond m that each driver kind takes
+DRIVER_PARAMETERS = {"wiener": (), "martingale": ("rho",), "poisson": ("intensity", "mark_factors")}
 
 
 def power_mark(a: float = 1.0):
@@ -98,7 +106,7 @@ class DriverConfig:
 
     kind "wiener" needs m, and is the martingale with rho == 1; "martingale"
     adds the variance density rho, which no other kind takes; "poisson" adds
-    the intensity measure and one mark factor per slot.
+    the intensity measure and one mark factor per slot, which only it takes.
     """
 
     kind: str
@@ -111,9 +119,10 @@ class DriverConfig:
         if self.kind not in ("wiener", "martingale", "poisson"):
             raise ConfigError(f"unknown driver kind: {self.kind}")
         object.__setattr__(self, "m", _integer("m", self.m, 1))
-        if self.kind != "martingale" and self.rho is not None:
-            raise ConfigError(f"only a martingale driver takes a variance density rho, "
-                              f"not a {self.kind} driver")
+        extra = [key for key in ("rho", "intensity", "mark_factors")
+                 if getattr(self, key) is not None and key not in DRIVER_PARAMETERS[self.kind]]
+        if extra:
+            raise ConfigError(f"a {self.kind} driver does not take {', '.join(extra)}")
         if self.kind == "martingale" and not (
                 callable(self.rho) or self.rho is not None and 0 <= self.rho < math.inf):
             raise ConfigError(f"martingale driver requires a variance density rho, finite and "
@@ -158,10 +167,37 @@ class ExperimentSpec:
                 raise ConfigError("poisson experiments need one mark factor per slot")
             for phi in mf:  # ValueError unless finite, as poisson_variables requires
                 self.driver.intensity.moment(phi, 2.0 ** (k + 1))
+        if self.system.weighted:  # the ratio check, before any work
+            self.slot_scales
         if self.correction not in ("auto", "prelimit") and _needs_prelimit(self):
             raise ConfigError(f"this {self.driver.kind} combo with repeated components needs "
                               f"the prelimit correction, not {self.correction}")
         _check_tensor_config(self.kernel, self.system, self.boxes)
+
+    @functools.cached_property
+    def slot_scales(self) -> tuple[float, ...]:
+        """Per-slot isometry factor s_g, E[X_j X_j'] = s_g delta_jj' for slot g's
+        basis variables: a Gaussian driver's constant rho on a unit-weight
+        system, or 1 on the weighted one if rho is its weight (which the
+        coefficients and the norm carry); a Poisson driver's mark second moment
+        on a unit-weight system; else NaN.  The one place that evaluates rho (1
+        if None) against the weight r, on one grid; on the weighted system a
+        ConfigError unless sup rho / r over its interior is at most RATIO_BOUND."""
+        iv, weighted = self.kernel.interval, self.system.weighted
+        x = np.linspace(iv.start, iv.end, RATIO_GRID + 2)
+        rho = _as_callable(1.0 if self.driver.rho is None else self.driver.rho)(x)
+        r = self.system.weight(x)
+        ratio = np.max(rho[1:-1] / np.where(r[1:-1] > 0, r[1:-1], np.inf))
+        if weighted and ratio > RATIO_BOUND:
+            raise ConfigError(f"variance density / weight ratio appears unbounded (sup over "
+                              f"the grid {ratio:.3g} exceeds {RATIO_BOUND:.3g})")
+        if self.driver.kind == "poisson" and not weighted:
+            return tuple(self.driver.intensity.moment(phi, 2.0) for phi in self.driver.mark_factors)
+        scale = float("nan")
+        if self.driver.kind != "poisson" and np.allclose(rho, r if weighted else rho[0],
+                                                         rtol=1e-12, atol=1e-12):
+            scale = 1.0 if weighted else float(rho[0])
+        return (scale,) * self.kernel.multiplicity
 
 
 def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes) -> None:
@@ -211,36 +247,7 @@ def _resolve_correction(spec: ExperimentSpec) -> str:
 def _needs_prelimit(spec: ExperimentSpec) -> bool:
     """Whether the pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation."""
     return not expansions._distinct_nonzero(spec.combo) and (
-        spec.driver.kind == "poisson" or _density_scale(spec) != 1.0)
-
-
-def _residual_scale(spec: ExperimentSpec) -> float:
-    """Per-slot isometry factor turning the coefficient residual into the
-    mean-square truncation error; NaN when no closed form applies."""
-    nz = [i for i in spec.combo if i != 0]
-    if len(nz) != len(set(nz)) or len(nz) != len(spec.combo):
-        return float("nan")
-    if spec.driver.kind != "poisson":
-        return _density_scale(spec) ** spec.kernel.multiplicity
-    scale = float("nan") if spec.system.weighted else 1.0
-    for phi in spec.driver.mark_factors:
-        scale *= spec.driver.intensity.moment(phi, 2.0)
-    return scale
-
-
-def _density_scale(spec: ExperimentSpec) -> float:
-    """Per-slot isometry factor of a Gaussian driver (rho None, a Wiener driver,
-    means rho == 1): on a weighted system 1 if rho is the weight, which the
-    coefficients and the norm carry; on a unit-weight one rho if constant.  Else
-    NaN, and the basis variables are not orthonormal, so the pairing bracket's
-    delta_{j_a j_b} misses their covariance."""
-    iv = spec.kernel.interval
-    x = np.linspace(iv.start, iv.end, 257)
-    vals = _as_callable(1.0 if spec.driver.rho is None else spec.driver.rho)(x)
-    want = spec.system.weight(x) if spec.system.weighted else vals[0]
-    if np.allclose(vals, want, rtol=1e-12, atol=1e-12):
-        return 1.0 if spec.system.weighted else float(vals[0])
-    return float("nan")
+        spec.driver.kind == "poisson" or spec.slot_scales[0] != 1.0)
 
 
 def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
@@ -464,7 +471,11 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
                           (1 + len(steps)) * len(spec.boxes), steps[1:])
     box_max = tuple(max(b[l] for b in spec.boxes) for l in range(spec.kernel.multiplicity))
     tensor = coeff_tensor(spec.kernel, spec.system, box_max)
-    scale = _residual_scale(spec)
+    # a Gaussian residual takes s^k: the product over the slots differs in the last bits
+    scales = spec.slot_scales
+    scale = math.prod(scales) if spec.driver.kind == "poisson" else scales[0] ** len(scales)
+    if 0 in spec.combo or not expansions._distinct_nonzero(spec.combo):
+        scale = float("nan")
     norm = kernel_norm_sq(spec.kernel, spec.system)
     samples, *diffs = _mc_pass(spec, tensor, steps, correction, chunk)
     # mse per resolution and box, each summed as a run at that resolution alone

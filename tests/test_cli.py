@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stochexpand import cli, drivers, harness
+from stochexpand import basis, cli, drivers, harness
 from stochexpand.basis import Interval, OrthonormalSystem, bessel_weighted
 from stochexpand.kernel import coeff_tensor, unit_kernel
 from stochexpand.errors import SizeError
@@ -85,6 +86,20 @@ def test_basis_rejects_counts_cleanly(monkeypatch, capsys, system, count, code):
     assert run(["basis", "--system", system, "--count", str(count)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_basis_rejects_a_huge_bessel_order_at_once(monkeypatch, capsys):
+    # the root scan steps by 1.0 from x = order, which cannot step from 2^53 on
+    def refuse(order, count):
+        raise AssertionError("the root scan was reached")
+
+    monkeypatch.setattr(basis, "bessel_roots", refuse)
+    t0 = time.perf_counter()
+    assert run(["basis", "--system", "bessel_unit", "--bessel-order", str(10**20),
+                "--count", "2"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "bessel_order" in err and len(err.strip().splitlines()) == 1
 
 
 def test_coeffs_writes_pattern(tmp_path):
@@ -173,12 +188,14 @@ SHARED_PROBES = [
     (dict(kernel=factors(("pow", -0.4), ("const", 1.0))), 3),
     (dict(kernel=factors(("pow", 0.3), ("const", 1.0))), 3),
     (dict(kernel=factors(("exp", 1e6), ("const", 1.0))), 3),
+    (dict(system={"kind": "bessel_unit", "bessel_order": 10**20}), 2),
 ]
 SHARED_PROBE_IDS = ["string_interval", "bool_param", "list_kernel", "nan_param",
                     "removed_weighted_key", "removed_walsh_bits_key", "integer_out",
                     "integer_factors", "missing_out_directory",
                     "pow_exponent_not_square_integrable", "pow_exponent_quadrature_fails",
-                    "fractional_pow_quadrature_fails", "exp_overflow_quadrature_fails"]
+                    "fractional_pow_quadrature_fails", "exp_overflow_quadrature_fails",
+                    "huge_bessel_order"]
 
 
 @pytest.mark.parametrize("overrides, code", [
@@ -234,20 +251,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("driver", [{"kind": "wiener", "m": 2},
-                                    {"kind": "poisson", "m": 2, "total_mass": 5.0}])
-def test_converge_passes_rho_only_to_a_martingale(tmp_path, driver):
-    # the schema admits rho in every driver block; only a martingale reads it
-    reports = []
-    for rho in ((), (("rho", 2.0),)):
-        out = tmp_path / f"conv{len(rho)}"
-        cfg = converge_config(tmp_path, driver=dict(driver, **dict(rho)), out=str(out),
-                              richardson=True)
-        assert run(["converge", "--config", cfg]) == 0
-        doc = json.loads(out.with_suffix(".json").read_text())
-        doc.pop("runtime_seconds")
-        reports.append(doc)
-    assert reports[0] == reports[1]
+@pytest.mark.parametrize("driver, key", [
+    ({"kind": "wiener", "m": 2}, {"rho": 2.0}),
+    ({"kind": "wiener", "m": 2}, {"total_mass": 5.0}),
+    ({"kind": "wiener", "m": 2}, {"mark_powers": [1.0, 1.0]}),
+    ({"kind": "martingale", "m": 2, "rho": 2.0}, {"total_mass": 5.0}),
+    ({"kind": "martingale", "m": 2, "rho": 2.0}, {"mark_powers": [1.0, 1.0]}),
+    ({"kind": "poisson", "m": 2, "total_mass": 5.0}, {"rho": 2.0}),
+], ids=["wiener_rho", "wiener_total_mass", "wiener_mark_powers", "martingale_total_mass",
+        "martingale_mark_powers", "poisson_rho"])
+def test_converge_rejects_driver_keys_of_other_kinds(tmp_path, capsys, driver, key):
+    # each driver kind has its own schema: a key it would not read is an unknown key
+    assert run(["converge", "--config", converge_config(tmp_path, driver=driver)]) == 0
+    os.remove(tmp_path / "conv.json")
+    capsys.readouterr()
+    assert run(["converge", "--config", converge_config(tmp_path, driver={**driver, **key})]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {next(iter(key))!r}" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "conv.json").exists()
 
 
 POISSON_REPEATED = dict(driver={"kind": "poisson", "m": 1}, combo=[1, 1])
@@ -293,6 +314,9 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(driver={"kind": "poisson", "m": 2, "mark_powers": [1e300, 1.0]}), 2),
     (dict(kernel=factors(("const", 1e300), ("const", 1.0))), 3),
     (dict(boxes=[[0, 10**6]]), 3),
+    (dict(driver={"kind": "bogus", "m": 2}), 2),
+    (dict(system={"kind": "bessel_weighted"},
+          driver={"kind": "martingale", "m": 2, "rho": 1e4}), 2),
     *SHARED_PROBES,
 ], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
         "poisson_repeated_pairing", "removed_explicit_correction", "fractional_trials",
@@ -303,7 +327,8 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
         "martingale_rho2_repeated_pairing", "null_correction", "negative_rho",
         "fractional_bessel_order", "string_richardson", "string_rho", "string_total_mass",
         "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
-        "kernel_norm_overflow", "huge_box_basis_table", *SHARED_PROBE_IDS])
+        "kernel_norm_overflow", "huge_box_basis_table", "unknown_driver_kind",
+        "weighted_rho_ratio_unbounded", *SHARED_PROBE_IDS])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == code
     err = capsys.readouterr().err
@@ -311,29 +336,40 @@ def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides,
     assert not (tmp_path / "conv.json").exists()
 
 
+CONVERGE_BASE = {
+    "interval": [0.0, 1.0],
+    "kernel": factors(("const", 1.0), ("pow", 1.0)),
+    "system": {"kind": "legendre", "bessel_order": 0},
+    "combo": [1, 2],
+    "boxes": [[1, 1], [2, 2]],
+    "n_steps": 32,
+    "trials": 4,
+    "seed": 3,
+    "correction": "auto",
+    "richardson": True,
+    "out": "result",
+}
+# one base per coeffs system family and per converge driver kind, named
+# "<command> <variant>"; every mutation of a base starts from a config that runs
 BASE_CONFIGS = {
-    "coeffs": {
+    "coeffs legendre": {
         "interval": [0.0, 1.0],
         "kernel": factors(("const", 1.0), ("pow", 1.0)),
         "system": {"kind": "legendre", "bessel_order": 0},
         "box": [3, 3],
         "out": "result",
     },
-    "converge": {
+    "coeffs bessel_unit": {
         "interval": [0.0, 1.0],
         "kernel": factors(("const", 1.0), ("pow", 1.0)),
-        "system": {"kind": "legendre", "bessel_order": 0},
-        "driver": {"kind": "wiener", "m": 2, "rho": 1.0, "total_mass": 5.0,
-                   "mark_powers": [1.0, 1.0]},
-        "combo": [1, 2],
-        "boxes": [[1, 1], [2, 2]],
-        "n_steps": 32,
-        "trials": 4,
-        "seed": 3,
-        "correction": "auto",
-        "richardson": True,
+        "system": {"kind": "bessel_unit", "bessel_order": 1},
+        "box": [2, 2],
         "out": "result",
     },
+    "converge wiener": dict(CONVERGE_BASE, driver={"kind": "wiener", "m": 2}),
+    "converge martingale": dict(CONVERGE_BASE, driver={"kind": "martingale", "m": 2, "rho": 1.0}),
+    "converge poisson": dict(CONVERGE_BASE, driver={"kind": "poisson", "m": 2, "total_mass": 5.0,
+                                                    "mark_powers": [1.0, 1.0]}),
 }
 DROP = "<drop>"
 
@@ -341,14 +377,16 @@ DROP = "<drop>"
 def test_base_configs_list_every_schema_key():
     # a key the schema lacks would make every mutated config exit 2, and one the
     # base configs lack would never be mutated
+    for name in BASE_CONFIGS:
+        assert _run_mutated((name, [])) == 0, name
     listed = {}
-    for command, doc in BASE_CONFIGS.items():
-        sections = [(command, doc), ("kernel", doc["kernel"]), ("system", doc["system"]),
+    for name, doc in BASE_CONFIGS.items():
+        sections = [(name.split()[0], doc), ("kernel", doc["kernel"]), ("system", doc["system"]),
                     *(("kernel factor", f) for f in doc["kernel"]["factors"])]
         if "driver" in doc:
-            sections.append(("driver", doc["driver"]))
-        for name, section in sections:
-            listed.setdefault(name, set()).update(section)
+            sections.append((f"driver {doc['driver']['kind']}", doc["driver"]))
+        for section, keys in sections:
+            listed.setdefault(section, set()).update(keys)
     assert listed == {name: set(keys) for name, keys in cli._SCHEMA.items()}
 
 
@@ -383,21 +421,18 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=4)
-MUTATED_CONFIGS = st.sampled_from(sorted(BASE_CONFIGS)).flatmap(lambda command: st.tuples(
-    st.just(command),
-    st.lists(st.tuples(st.sampled_from(list(_paths(BASE_CONFIGS[command]))),
+MUTATED_CONFIGS = st.sampled_from(sorted(BASE_CONFIGS)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.tuples(st.sampled_from(list(_paths(BASE_CONFIGS[name]))),
                        st.just(DROP) | JSON_VALUES),
              min_size=1, max_size=3, unique_by=lambda mutation: mutation[0])))
 
 
-@settings(max_examples=120, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(MUTATED_CONFIGS)
-@example(("coeffs", [(("kernel",), [])]))
-@example(("converge", [(("kernel", "factors", 0, "param"), float("nan"))]))
-def test_mutated_configs_exit_cleanly(case):
-    command, mutations = case
-    doc = copy.deepcopy(BASE_CONFIGS[command])
+def _run_mutated(case) -> int:
+    """Exit code of the CLI on base config case[0] with the mutations case[1],
+    run in a temporary directory; asserts that stderr holds no traceback."""
+    name, mutations = case
+    doc = copy.deepcopy(BASE_CONFIGS[name])
     for path, value in mutations:
         _mutate(doc, path, value)
     err = io.StringIO()
@@ -407,9 +442,19 @@ def test_mutated_configs_exit_cleanly(case):
         with open("config.json", "w") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([command, "--config", "config.json"])
-    assert code in (0, 1, 2, 3)
+            code = cli.main([name.split()[0], "--config", "config.json"])
     assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(MUTATED_CONFIGS)
+@example(("coeffs legendre", [(("kernel",), [])]))
+@example(("converge wiener", [(("kernel", "factors", 0, "param"), float("nan"))]))
+@example(("coeffs bessel_unit", [(("system", "bessel_order"), 10**18)]))
+def test_mutated_configs_exit_cleanly(case):
+    assert _run_mutated(case) in (0, 1, 2, 3)
 
 
 K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[0, 0, 0, 0], [1, 1, 1, 1]],

@@ -7,9 +7,8 @@ from stochexpand import basis, expansions, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import (PoissonRealization, compensated_integral, exponential_measure,
                                  make_partition, sample_poisson, sample_wiener, trial_seed)
-from stochexpand.expansions import (BasisVariables, expand, expand_weighted,
-                                    pairing_bracket, pi_from_realization,
-                                    poisson_variables, wiener_variables,
+from stochexpand.expansions import (BasisVariables, expand, pairing_bracket,
+                                    pi_from_realization, poisson_variables, wiener_variables,
                                     zeta_from_path)
 from stochexpand.kernel import coeff_tensor, unit_kernel
 from stochexpand.validation import explicit_bracket
@@ -215,20 +214,3 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(tensor, variables, (1, 1), correction="nope")
 
-
-class TestExpandWeighted:
-    def test_unit_weight_reduces_to_expand(self):
-        tensor = coeff_tensor(unit_kernel(2, IV), SYS, (3, 3))
-        rng = np.random.default_rng(2)
-        variables = BasisVariables("gaussian", rng.standard_normal((2, 4)))
-        a = expand(tensor, variables, (1, 1)).value
-        b = expand_weighted(tensor, variables, (1, 1), rho=1.0).value
-        assert a == b
-
-    def test_unbounded_ratio_rejected(self):
-        sys = basis.bessel_weighted(1.0, 0)
-        tensor = coeff_tensor(unit_kernel(2, Interval(0.0, 1.0)), sys, (1, 1))
-        variables = BasisVariables("gaussian", np.zeros((2, 2)))
-        # rho == 1e4 against weight tau: sup rho / tau on the grid is 2.05e7
-        with pytest.raises(ValueError, match="appears unbounded"):
-            expand_weighted(tensor, variables, (1, 2), rho=1e4)

@@ -17,6 +17,10 @@ IV = Interval(0.0, 1.0)
 SYS = basis.legendre(IV)
 
 
+def _rho_one_plus_t(t):
+    return 1.0 + np.asarray(t, dtype=float)
+
+
 def _wiener_spec(**overrides):
     kw = dict(kernel=unit_kernel(2, IV), system=SYS, combo=(1, 2),
               boxes=((1, 1), (3, 3)), driver=DriverConfig("wiener", m=2),
@@ -85,65 +89,109 @@ def test_martingale_pairs_need_the_systems_measure():
     assert report.correction == "pairing_general"
     np.testing.assert_array_equal(_stats(report),
                                   _stats(run_experiment(_wiener_spec(combo=(1, 1), trials=50))))
-    # any other density needs prelimit for tied pairs, and refuses the pairing bracket
-    for rho in (2.0, _rho_one_plus_t):
-        driver = DriverConfig("martingale", m=2, rho=rho)
-        assert harness._resolve_correction(_wiener_spec(driver=driver, combo=(1, 1))) == "prelimit"
-        assert harness._resolve_correction(_wiener_spec(driver=driver)) == "pairing_general"
-        with pytest.raises(ConfigError):
-            _wiener_spec(driver=driver, combo=(1, 1), correction="pairing_general")
-    # on a weighted system the system's measure is its weight: rho == t pairs,
-    # rho == 1 (a Wiener driver among them) does not
-    weighted = basis.bessel_weighted(1.0)
-    spec = _wiener_spec(system=weighted, combo=(1, 1),
-                        driver=DriverConfig("martingale", m=2, rho=lambda t: t))
-    assert harness._resolve_correction(spec) == "pairing_general"
-    for driver in (DriverConfig("wiener", m=2), DriverConfig("martingale", m=2, rho=1.0)):
-        spec = _wiener_spec(system=weighted, driver=driver, combo=(1, 1))
-        assert harness._resolve_correction(spec) == "prelimit"
-        with pytest.raises(ConfigError):
-            _wiener_spec(system=weighted, driver=driver, combo=(1, 1),
-                         correction="pairing_general")
+    # on a weighted system the system's measure is its weight, which rho == 1 is not
+    spec = _wiener_spec(system=basis.bessel_weighted(1.0), combo=(1, 1),
+                        driver=DriverConfig("martingale", m=2, rho=1.0))
+    assert harness._resolve_correction(spec) == "prelimit"
     with pytest.raises(ConfigError):
         DriverConfig("martingale", m=2, rho=-1.0)
 
 
-def test_only_a_martingale_takes_rho():
+def test_each_driver_kind_takes_only_its_parameters():
     # a Wiener driver is the rho == 1 martingale: a density given to it (or to a
     # Poisson driver) would reach the residual and the half pass, not the sampler
+    poisson = dict(intensity=exponential_measure(5.0), mark_factors=(power_mark(1.0),) * 2)
     for rho in (1.0, 2.0, _rho_one_plus_t):
-        with pytest.raises(ConfigError, match="only a martingale"):
+        with pytest.raises(ConfigError, match="does not take rho"):
             DriverConfig("wiener", m=2, rho=rho)
-        with pytest.raises(ConfigError, match="only a martingale"):
-            DriverConfig("poisson", m=2, rho=rho, intensity=exponential_measure(5.0),
-                         mark_factors=(power_mark(1.0), power_mark(1.0)))
+        with pytest.raises(ConfigError, match="does not take rho"):
+            DriverConfig("poisson", m=2, rho=rho, **poisson)
         assert DriverConfig("martingale", m=2, rho=rho).rho is rho
+    # and the intensity measure and mark factors belong to a Poisson driver alone
+    for key, value in poisson.items():
+        with pytest.raises(ConfigError, match=f"wiener driver does not take {key}"):
+            DriverConfig("wiener", m=2, **{key: value})
+        with pytest.raises(ConfigError, match=f"martingale driver does not take {key}"):
+            DriverConfig("martingale", m=2, rho=2.0, **{key: value})
 
 
-def test_residual_follows_the_systems_weight():
-    poisson = DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
-                           mark_factors=(power_mark(1.0), power_mark(1.0)))
-    moment = poisson.intensity.moment(power_mark(1.0), 2.0)
-    # unit weight: the coefficient residual, times rho^k or the mark second moments
-    tensor = coeff_tensor(unit_kernel(2, IV), SYS, (3, 3))
-    for driver, scale in ((DriverConfig("wiener", m=2), 1.0),
-                          (DriverConfig("martingale", m=2, rho=2.0), 4.0),
-                          (poisson, moment * moment)):
-        report = run_experiment(_wiener_spec(driver=driver, trials=20))
-        for s in report.stats:
-            assert s.residual == scale * (kernel_norm_sq(tensor.kernel) - tensor.partial_sum(s.box))
-    # weight x: only rho == x, the system's measure, has a closed form, in the weighted norm
-    weighted = basis.bessel_weighted(1.0)
-    tensor = coeff_tensor(unit_kernel(2, IV), weighted, (3, 3))
-    report = run_experiment(_wiener_spec(
-        system=weighted, driver=DriverConfig("martingale", m=2, rho=lambda t: t), trials=20))
-    assert report.correction == "pairing_general"
+def _rho_t(t):
+    return np.asarray(t, dtype=float)
+
+
+RULE_DRIVERS = {
+    "wiener": DriverConfig("wiener", m=2),
+    "rho=2": DriverConfig("martingale", m=2, rho=2.0),
+    "rho=1+t": DriverConfig("martingale", m=2, rho=_rho_one_plus_t),
+    "rho=t": DriverConfig("martingale", m=2, rho=_rho_t),
+    "rho=1e4": DriverConfig("martingale", m=2, rho=1e4),
+    "poisson": DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                            mark_factors=(power_mark(1.0),) * 2),
+}
+RULE_SYSTEMS = {"legendre": SYS, "bessel_weighted": basis.bessel_weighted(1.0)}
+NAN = float("nan")
+MOMENT = RULE_DRIVERS["poisson"].intensity.moment(power_mark(1.0), 2.0)  # int y^2 dPi
+# driver, system, combo -> the correction that auto resolves to (an explicit
+# pairing_general is accepted exactly where it is this one) and the residual's
+# factor on the coefficient residual (NaN: no closed form); None: the spec is
+# rejected, sup rho / r being unbounded
+ONE_RULE = {
+    ("wiener", "legendre", (1, 2)): ("pairing_general", 1.0),
+    ("wiener", "legendre", (1, 1)): ("pairing_general", NAN),
+    ("rho=2", "legendre", (1, 2)): ("pairing_general", 4.0),
+    ("rho=2", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=1+t", "legendre", (1, 2)): ("pairing_general", NAN),
+    ("rho=1+t", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=t", "legendre", (1, 2)): ("pairing_general", NAN),
+    ("rho=t", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=1e4", "legendre", (1, 2)): ("pairing_general", 1e8),
+    ("rho=1e4", "legendre", (1, 1)): ("prelimit", NAN),
+    ("poisson", "legendre", (1, 2)): ("pairing_general", MOMENT * MOMENT),
+    ("poisson", "legendre", (1, 1)): ("prelimit", NAN),
+    ("wiener", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
+    ("wiener", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+    ("rho=2", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
+    ("rho=2", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+    ("rho=1+t", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
+    ("rho=1+t", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+    ("rho=t", "bessel_weighted", (1, 2)): ("pairing_general", 1.0),
+    ("rho=t", "bessel_weighted", (1, 1)): ("pairing_general", NAN),
+    ("rho=1e4", "bessel_weighted", (1, 2)): None,
+    ("rho=1e4", "bessel_weighted", (1, 1)): None,
+    ("poisson", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
+    ("poisson", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+}
+
+
+@pytest.mark.parametrize("driver, system, combo", ONE_RULE,
+                         ids=[f"{d}-{s}-{''.join(map(str, c))}" for d, s, c in ONE_RULE])
+def test_driver_meets_system_by_one_rule(driver, system, combo):
+    kw = dict(driver=RULE_DRIVERS[driver], system=RULE_SYSTEMS[system], combo=combo,
+              trials=3, n_steps=16)
+    if ONE_RULE[driver, system, combo] is None:
+        for correction in ("auto", "prelimit"):
+            with pytest.raises(ConfigError, match="appears unbounded"):
+                _wiener_spec(correction=correction, **kw)
+        return
+    auto, factor = ONE_RULE[driver, system, combo]
+    spec = _wiener_spec(**kw)
+    report = run_experiment(spec)
+    assert report.correction == auto
+    # the coefficient residual in the system's own (weighted) norm, times the factor
+    tensor = coeff_tensor(spec.kernel, spec.system, (3, 3))
+    norm = kernel_norm_sq(spec.kernel, spec.system)
     for s in report.stats:
-        assert s.residual == kernel_norm_sq(tensor.kernel, weighted) - tensor.partial_sum(s.box)
-        assert s.residual > 0
-    for driver in (DriverConfig("wiener", m=2), DriverConfig("martingale", m=2, rho=1.0), poisson):
-        report = run_experiment(_wiener_spec(system=weighted, driver=driver, trials=20))
-        assert all(np.isnan(s.residual) and np.isfinite(s.mse) for s in report.stats)
+        assert np.isfinite(s.mse)
+        if np.isnan(factor):
+            assert np.isnan(s.residual)
+        else:
+            assert s.residual == factor * (norm - tensor.partial_sum(s.box)) > 0
+    if auto == "pairing_general":
+        explicit = run_experiment(_wiener_spec(correction="pairing_general", **kw))
+        np.testing.assert_array_equal(_stats(explicit), _stats(report))
+    else:
+        with pytest.raises(ConfigError, match="needs the prelimit correction"):
+            _wiener_spec(correction="pairing_general", **kw)
 
 
 def test_spec_validation():
@@ -182,10 +230,6 @@ def test_report_export(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["trials"] == 20
     assert len(doc["boxes"]) == len(report.stats)
-
-
-def _rho_one_plus_t(t):
-    return 1.0 + np.asarray(t, dtype=float)
 
 
 LOOP_SPECS = {
@@ -320,11 +364,15 @@ def test_rho_is_evaluated_once_per_pass():
         return _rho_one_plus_t(t)
 
     driver = DriverConfig("martingale", m=2, rho=rho)
-    for trials in (3, 30):
-        calls.clear()
-        run_experiment(_wiener_spec(driver=driver, trials=trials, richardson=True))
-        # one probe for the residual scale, then one call per partition (N and N/2)
-        assert len(calls) == 3
+    for system in (SYS, basis.bessel_weighted(1.0)):
+        for trials in (3, 30):
+            calls.clear()
+            spec = _wiener_spec(system=system, driver=driver, trials=trials, richardson=True)
+            # the weighted system's ratio check probes rho (slot_scales) at construction
+            assert len(calls) == system.weighted
+            run_experiment(spec)
+            # one probe for the residual scale, then one call per partition (N and N/2)
+            assert len(calls) == 3
     calls.clear()
     moment_suite(_wiener_spec(driver=driver, trials=1000, n_steps=64), j_max=2)
     assert len(calls) == 1
