@@ -42,7 +42,7 @@ _SCHEMA = {
     "converge": {"interval": "[number]", "kernel": "object", "system": "object",
                  "driver": "object", "combo": "[integer]", "boxes": "[[integer]]",
                  "n_steps": "integer", "trials": "integer", "seed": "integer",
-                 "correction": "string", "richardson": "boolean", "out": "string"},
+                 "richardson": "boolean", "out": "string"},
     "kernel": {"factors": "[object]"},
     "kernel factor": {"name": "string", "param": "number"},
     "system": {"kind": "string", "bessel_order": "integer"},
@@ -173,7 +173,6 @@ def cmd_converge(args) -> int:
             n_steps=doc.get("n_steps", 1024),
             trials=doc.get("trials", 1000),
             seed=doc["seed"],
-            correction=doc.get("correction", "auto"),
             richardson=doc.get("richardson", False))
     report = run_experiment(spec)
     report_to_csv(report, f"{out}.csv")

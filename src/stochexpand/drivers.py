@@ -87,8 +87,9 @@ class Partition:
         return float(np.max(self.deltas))
 
     def step_variances(self, rho=None) -> np.ndarray:
-        """int rho over every step (32-node Gauss-Legendre per step); the step
-        lengths when rho is None (a Wiener path).
+        """int rho over every step: the step lengths when rho is None (a Wiener
+        path), times rho when it is a number, else by 32-node Gauss-Legendre
+        per step.  ValueError if rho is negative or not finite somewhere.
 
         Memoized for the last rho object only (a pass uses one density), so
         rho is evaluated in one call per pass; a density must not change
@@ -97,14 +98,16 @@ class Partition:
             return self.deltas
         if self._variances and self._variances[0] is rho:
             return self._variances[1]
-        density = _as_callable(rho)
-        ref_u, ref_w, _ = quadrature._reference_rule(32)  # on [0, 1]
-        a = self.left_nodes[:, None]
-        b = self.nodes[1:][:, None]
-        pts = a + (b - a) * ref_u[None, :]
-        vals = density(pts.ravel()).reshape(pts.shape)
-        if np.any(vals < 0):
-            raise ValueError("variance density rho is negative on the interval")
+        if callable(rho):
+            ref_u, ref_w, _ = quadrature._reference_rule(32)  # on [0, 1]
+            a = self.left_nodes[:, None]
+            b = self.nodes[1:][:, None]
+            pts = a + (b - a) * ref_u[None, :]
+            vals = _as_callable(rho)(pts.ravel()).reshape(pts.shape)
+        else:
+            vals = np.array([float(rho)])
+        if not np.all((vals >= 0) & (vals < np.inf)):
+            raise ValueError("variance density rho is negative or not finite on the interval")
         if np.all(vals == vals.flat[0]):
             # constant density integrates exactly; keeps rho == 1 bitwise equal
             # to the plain Wiener step variances

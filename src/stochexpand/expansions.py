@@ -163,9 +163,6 @@ def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem
     return BasisVariables("poisson", table, combo=combo)
 
 
-CORRECTIONS = ("pairing_general", "prelimit")
-
-
 @dataclass(frozen=True)
 class ExpansionSample:
     value: float  # or an array over the variables' leading trial axes

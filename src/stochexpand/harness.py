@@ -18,9 +18,10 @@ trial is seeded and drawn once, on N steps, and the half resolution N // 2
 uses the first N // 2 draws of each of the trial's substreams, which are
 exactly what a separate draw on N // 2 steps would give.
 
-How a driver meets its system is decided once, by ExperimentSpec.slot_scales
-(one evaluation of rho against the system's weight): the residual's factor,
-the `auto` correction and the weighted system's ratio check all read it.
+How a driver meets its system is decided once, when the spec is built, by
+ExperimentSpec.slot_scales (one evaluation of rho against the system's
+weight): the residual's factor, the diagonal correction
+(ExperimentSpec.correction) and the checks of rho all read it.
 """
 
 from __future__ import annotations
@@ -141,15 +142,11 @@ class ExperimentSpec:
     n_steps: int
     trials: int
     seed: int
-    correction: str = "auto"
     richardson: bool = False
 
     def __post_init__(self):
         for name, minimum in (("seed", 0), ("trials", 1), ("n_steps", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        if self.correction not in ("auto", *expansions.CORRECTIONS):
-            raise ConfigError(f"correction must be 'auto' or one of {expansions.CORRECTIONS}, "
-                              f"got {self.correction!r}")
         object.__setattr__(self, "combo", _integers("combo", self.combo))
         if not isinstance(self.boxes, (list, tuple)):
             raise ConfigError(f"boxes must be a list of truncation boxes, got {self.boxes!r}")
@@ -165,13 +162,12 @@ class ExperimentSpec:
         if self.driver.kind == "poisson":
             if mf is None or len(mf) != k:
                 raise ConfigError("poisson experiments need one mark factor per slot")
-            for phi in mf:  # ValueError unless finite, as poisson_variables requires
-                self.driver.intensity.moment(phi, 2.0 ** (k + 1))
-        if self.system.weighted:  # the ratio check, before any work
-            self.slot_scales
-        if self.correction not in ("auto", "prelimit") and _needs_prelimit(self):
-            raise ConfigError(f"this {self.driver.kind} combo with repeated components needs "
-                              f"the prelimit correction, not {self.correction}")
+            try:  # finite, as poisson_variables requires
+                for phi in mf:
+                    self.driver.intensity.moment(phi, 2.0 ** (k + 1))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        self.slot_scales  # the checks of rho, before any work
         _check_tensor_config(self.kernel, self.system, self.boxes)
 
     @functools.cached_property
@@ -181,14 +177,17 @@ class ExperimentSpec:
         system, or 1 on the weighted one if rho is its weight (which the
         coefficients and the norm carry); a Poisson driver's mark second moment
         on a unit-weight system; else NaN.  The one place that evaluates rho (1
-        if None) against the weight r, on one grid; on the weighted system a
-        ConfigError unless sup rho / r over its interior is at most RATIO_BOUND."""
+        if None) against the weight r, on one grid; a ConfigError unless rho is
+        finite and >= 0 there and, on the weighted system, unless sup rho / r
+        over its interior is at most RATIO_BOUND."""
         iv, weighted = self.kernel.interval, self.system.weighted
         x = np.linspace(iv.start, iv.end, RATIO_GRID + 2)
         rho = _as_callable(1.0 if self.driver.rho is None else self.driver.rho)(x)
+        if not np.all((rho >= 0) & (rho < np.inf)):
+            raise ConfigError("variance density rho is negative or not finite on the interval")
         r = self.system.weight(x)
         ratio = np.max(rho[1:-1] / np.where(r[1:-1] > 0, r[1:-1], np.inf))
-        if weighted and ratio > RATIO_BOUND:
+        if weighted and not ratio <= RATIO_BOUND:  # NaN counts as unbounded
             raise ConfigError(f"variance density / weight ratio appears unbounded (sup over "
                               f"the grid {ratio:.3g} exceeds {RATIO_BOUND:.3g})")
         if self.driver.kind == "poisson" and not weighted:
@@ -198,6 +197,17 @@ class ExperimentSpec:
                                                          rtol=1e-12, atol=1e-12):
             scale = 1.0 if weighted else float(rho[0])
         return (scale,) * self.kernel.multiplicity
+
+    @functools.cached_property
+    def correction(self) -> str:
+        """The diagonal correction the driver decides: "prelimit" where the
+        pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation
+        (repeated components of a Poisson driver, or of a Gaussian one whose
+        slot_scales are not 1), else "pairing_general"."""
+        if expansions._distinct_nonzero(self.combo) or (
+                self.driver.kind != "poisson" and self.slot_scales[0] == 1.0):
+            return "pairing_general"
+        return "prelimit"
 
 
 def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes) -> None:
@@ -238,18 +248,6 @@ class MCReport:
     runtime: float
 
 
-def _resolve_correction(spec: ExperimentSpec) -> str:
-    if spec.correction != "auto":
-        return spec.correction
-    return "prelimit" if _needs_prelimit(spec) else "pairing_general"
-
-
-def _needs_prelimit(spec: ExperimentSpec) -> bool:
-    """Whether the pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation."""
-    return not expansions._distinct_nonzero(spec.combo) and (
-        spec.driver.kind == "poisson" or spec.slot_scales[0] != 1.0)
-
-
 def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
     sl = tuple(slice(0, p + 1) for p in box)
     return replace(tensor, box=tuple(box), values=tensor.values[sl])
@@ -270,7 +268,7 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     k = spec.kernel.multiplicity
     gaussian = spec.driver.kind != "poisson"
     rows = spec.driver.m + 1 if gaussian else 0
-    prelimit = _resolve_correction(spec) == "prelimit"
+    prelimit = spec.correction == "prelimit"
     steps = (n_steps, *coarse)
     # per partition: increments and slot increments; G_k tensors listed, stacked and
     # in expand's product
@@ -352,11 +350,15 @@ def _prepared(spec: ExperimentSpec, steps, p_max: int) -> list:
 
     Built in the parent before any fork, with the square roots of the step
     variances that the samplers scale by, so a martingale's rho is evaluated
-    once per partition and the workers inherit it all."""
+    once per partition and the workers inherit it all.  A rho that is negative
+    or not finite between slot_scales' grid points fails here, with ConfigError."""
     parts = [make_partition(spec.kernel.interval, n) for n in steps]
     if spec.driver.kind != "poisson":
-        for part in parts:
-            part.step_scales(spec.driver.rho)
+        try:
+            for part in parts:
+                part.step_scales(spec.driver.rho)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return [(part, spec.system.eval_table(p_max, part.left_nodes)) for part in parts]
 
 
@@ -424,15 +426,14 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
         yield start - lo, list(zip(variables, incs))
 
 
-def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, steps, correction: str, chunk: int):
-    """One trial loop that evaluates every trial at each step count in steps,
-    finest first, on the same draws.
+def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
+    """One trial loop that evaluates every trial on each partition of tables
+    (_prepared), finest first, on the same draws.
 
-    Returns (samples, diffs at steps[0], diffs at steps[1], ...): arrays of
-    shape (trials, n_boxes) holding the raw expansion samples at the finest
-    resolution and the oracle-minus-expansion differences at each."""
-    k = spec.kernel.multiplicity
-    tables = _prepared(spec, steps, max(max(b) for b in spec.boxes))
+    Returns (samples, diffs at the finest partition, diffs at the next, ...):
+    arrays of shape (trials, n_boxes) holding the raw expansion samples at the
+    finest resolution and the oracle-minus-expansion differences at each."""
+    k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
@@ -462,13 +463,13 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, steps, correction: str, 
 def run_experiment(spec: ExperimentSpec) -> MCReport:
     """Coupled oracle/expansion Monte Carlo over all truncation boxes."""
     t0 = time.perf_counter()
-    correction = _resolve_correction(spec)
     steps = (spec.n_steps,)
     if spec.richardson and spec.n_steps >= 2:
         steps += (spec.n_steps // 2,)
+    p_max = max(max(b) for b in spec.boxes)
     # the samples, and the diffs at each resolution
-    chunk = _chunk_trials(spec, spec.n_steps, max(max(b) for b in spec.boxes),
-                          (1 + len(steps)) * len(spec.boxes), steps[1:])
+    chunk = _chunk_trials(spec, spec.n_steps, p_max, (1 + len(steps)) * len(spec.boxes), steps[1:])
+    tables = _prepared(spec, steps, p_max)  # its per-step check of rho comes before the tensor
     box_max = tuple(max(b[l] for b in spec.boxes) for l in range(spec.kernel.multiplicity))
     tensor = coeff_tensor(spec.kernel, spec.system, box_max)
     # a Gaussian residual takes s^k: the product over the slots differs in the last bits
@@ -477,7 +478,7 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     if 0 in spec.combo or not expansions._distinct_nonzero(spec.combo):
         scale = float("nan")
     norm = kernel_norm_sq(spec.kernel, spec.system)
-    samples, *diffs = _mc_pass(spec, tensor, steps, correction, chunk)
+    samples, *diffs = _mc_pass(spec, tensor, tables, chunk)
     # mse per resolution and box, each summed as a run at that resolution alone
     # sums it, so the allowance is exactly the difference of two runs' mse
     mses = np.array([[np.mean(d[:, b] ** 2) for b in range(len(spec.boxes))] for d in diffs])
@@ -501,7 +502,7 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
             allowance=float(allowances[b]),
         ))
     return MCReport(spec.combo, spec.driver.kind, spec.n_steps, spec.trials, spec.seed,
-                    correction, tuple(stats), time.perf_counter() - t0)
+                    spec.correction, tuple(stats), time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------------

@@ -163,17 +163,26 @@ def _converged(cur, prev):
     return err, err <= max(ABS_TOL, REL_TOL * max(scale, 1.0))
 
 
+def _finite_on(value_on_grid, grid: PanelGrid):
+    value = value_on_grid(grid)
+    if not np.all(np.isfinite(value)):
+        raise QuadratureError(f"quadrature value on {grid.n_panels} panels is not finite",
+                              partial=value)
+    return value
+
+
 def adaptive(value_on_grid, a: float, b: float, breakpoints=()):
     """Evaluate value_on_grid(grid) on successively refined grids until stable.
 
     Returns (value, error_estimate, grid).  Raises QuadratureError (carrying
-    the partial value) if MAX_REFINEMENTS refinements do not converge.
+    the partial value) at the first grid whose value is not finite, or if
+    MAX_REFINEMENTS refinements do not converge.
     """
     grid = PanelGrid(_panel_edges(a, b, breakpoints), ORDER)
-    prev = value_on_grid(grid)
+    prev = _finite_on(value_on_grid, grid)
     for _ in range(MAX_REFINEMENTS):
         grid = grid.refined()
-        cur = value_on_grid(grid)
+        cur = _finite_on(value_on_grid, grid)
         err, ok = _converged(cur, prev)
         if ok:
             return cur, err, grid

@@ -276,12 +276,9 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
 
 
 @pytest.mark.parametrize("overrides, code", [
-    (dict(correction="bogus"), 2),
     (dict(seed=1.5), 2),
     (dict(n_steps=10**12), 3),
     (dict(trials=10**12), 3),
-    (dict(POISSON_REPEATED, correction="pairing_general"), 2),
-    (dict(correction="explicit_k_le_4"), 2),
     (dict(trials=10.7), 2),
     (dict(trials=True), 2),
     (dict(trials="10"), 2),
@@ -301,8 +298,6 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(interval=[1.0, 0.0]), 2),
     (dict(interval=[0.5, 1.0], system={"kind": "bessel_unit"}), 2),
     (dict(system={"kind": "walsh"}, boxes=[[1024, 1]]), 2),
-    (dict(MARTINGALE_RHO2, correction="pairing_general"), 2),
-    (dict(MARTINGALE_RHO2, correction=None), 2),
     (dict(driver={"kind": "martingale", "m": 2, "rho": -1}), 2),
     (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
     (dict(richardson="false"), 2),
@@ -318,13 +313,12 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(system={"kind": "bessel_weighted"},
           driver={"kind": "martingale", "m": 2, "rho": 1e4}), 2),
     *SHARED_PROBES,
-], ids=["unknown_correction", "fractional_seed", "huge_n_steps", "huge_trials",
-        "poisson_repeated_pairing", "removed_explicit_correction", "fractional_trials",
+], ids=["fractional_seed", "huge_n_steps", "huge_trials", "fractional_trials",
         "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
         "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
         "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
         "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
-        "martingale_rho2_repeated_pairing", "null_correction", "negative_rho",
+        "negative_rho",
         "fractional_bessel_order", "string_richardson", "string_rho", "string_total_mass",
         "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
         "kernel_norm_overflow", "huge_box_basis_table", "unknown_driver_kind",
@@ -336,6 +330,27 @@ def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides,
     assert not (tmp_path / "conv.json").exists()
 
 
+def test_converge_correction_is_an_unknown_key(tmp_path, capsys):
+    # the driver and the system decide the correction; no value of the former
+    # key is read, whether the spec would derive it, reject it or not know it
+    for base in (POISSON_REPEATED, MARTINGALE_RHO2, {}):
+        for value in ("auto", "pairing_general", "prelimit", "explicit_k_le_4", "bogus", None):
+            cfg = converge_config(tmp_path, correction=value, **base)
+            assert run(["converge", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "unknown key 'correction'" in err and len(err.strip().splitlines()) == 1
+            assert not (tmp_path / "conv.json").exists()
+
+
+def test_coeffs_overflowing_exp_stops_at_the_first_grid(tmp_path, capsys):
+    # exp(1000 (s - t)) is inf on the first grid: no refinement, and the cause is
+    # the value, not the basis table of a later grid (box [20, 20])
+    cfg = coeffs_config(tmp_path, kernel=factors(("exp", 1000.0), ("const", 1.0)), box=[20, 20])
+    assert run(["coeffs", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and len(err.strip().splitlines()) == 1
+
+
 CONVERGE_BASE = {
     "interval": [0.0, 1.0],
     "kernel": factors(("const", 1.0), ("pow", 1.0)),
@@ -345,7 +360,6 @@ CONVERGE_BASE = {
     "n_steps": 32,
     "trials": 4,
     "seed": 3,
-    "correction": "auto",
     "richardson": True,
     "out": "result",
 }
@@ -462,13 +476,14 @@ K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[0, 0, 0, 0], [1, 
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(K4, combo=[1, 1, 1, 1], correction="prelimit"),
+    dict(K4, driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1, 1, 1, 1]),
     dict(K4, driver={"kind": "poisson", "m": 1}, combo=[1, 1, 1, 1]),
     dict(MARTINGALE_RHO2, kernel={"factors": [{"name": "const"}] * 2},
          boxes=[[0, 0], [3, 3], [7, 7]], n_steps=1024, trials=400),
-], ids=["wiener_k4_prelimit", "poisson_k4_auto_prelimit", "martingale_rho2_repeated_auto"])
+], ids=["martingale_rho2_k4_prelimit", "poisson_k4_auto_prelimit", "martingale_rho2_repeated_auto"])
 def test_converge_prelimit_is_exact_for_unit_kernels(tmp_path, overrides):
-    # the unit kernel is phi_0-constant, so the prelimit expansion is the left-point sum
+    # the unit kernel is phi_0-constant, so the prelimit expansion is the left-point sum,
+    # for any increments
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == 0
     doc = json.loads((tmp_path / "conv.json").read_text())
     assert doc["correction"] == "prelimit"
@@ -481,11 +496,11 @@ def test_converge_k5_prelimit_block_products_trip_the_guard(tmp_path, capsys, mo
     def no_draw(*args):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(harness, "sample_wiener", no_draw)
+    monkeypatch.setattr(harness, "sample_gaussian_martingale", no_draw)
     monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: min(workers, n_chunks))
     cfg = converge_config(tmp_path, kernel={"factors": [{"name": "const"}] * 5},
-                          driver={"kind": "wiener", "m": 1}, combo=[1] * 5,
-                          boxes=[[7] * 5], n_steps=2**18, trials=4, correction="prelimit")
+                          driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1] * 5,
+                          boxes=[[7] * 5], n_steps=2**18, trials=4)
     assert run(["converge", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "resource guard" in err and "Traceback" not in err
@@ -555,7 +570,7 @@ def test_runs_without_bessel_systems_load_no_scipy(tmp_path):
     configs = [
         ("converge", converge_config(tmp_path / "wiener", trials=20)),
         ("converge", converge_config(tmp_path / "poisson", trials=20, driver=poisson,
-                                     combo=[1, 1], correction="prelimit")),
+                                     combo=[1, 1])),
         ("coeffs", coeffs_config(tmp_path / "haar", system={"kind": "haar"}, box=[3, 3])),
     ]
     code = ("import sys; from stochexpand import cli; "

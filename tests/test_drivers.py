@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ def test_partition_tables_are_computed_once_and_read_only():
     for table in (part.deltas, part.step_variances(rho), scales, part.step_scales()):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def test_constant_density_skips_the_node_table():
+    # a number is integrated as deltas * rho: bitwise what the 32-node rule gives a
+    # constant callable, without its (N, 32) tables of nodes and values
+    n = 2**18
+    for rho in (1.0, 2.0, 0.3):
+        want = make_partition(IV, n).step_variances(lambda t: np.full_like(t, rho))
+        part = make_partition(IV, n)
+        tracemalloc.start()
+        try:
+            got = part.step_variances(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 4 * got.nbytes
+    assert make_partition(IV, 8).step_variances(1.0).tobytes() == make_partition(IV, 8).deltas.tobytes()
+    for rho in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="negative or not finite"):
+            make_partition(IV, 8).step_variances(rho)
 
 
 ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130]  # 2**130: five entropy words

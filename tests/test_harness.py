@@ -1,17 +1,20 @@
 import dataclasses
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stochexpand import basis, drivers, expansions, harness, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import exponential_measure
-from stochexpand.errors import ConfigError, SizeError
+from stochexpand.errors import ConfigError, SizeError, StochexpandError
 from stochexpand.harness import (DriverConfig, ExperimentSpec, moment_suite,
                                  power_mark, report_to_csv, report_to_json,
                                  run_experiment)
-from stochexpand.kernel import coeff_tensor, kernel_norm_sq, unit_kernel
+from stochexpand.kernel import Factor, Kernel, coeff_tensor, kernel_norm_sq, unit_kernel
 
 IV = Interval(0.0, 1.0)
 SYS = basis.legendre(IV)
@@ -92,7 +95,7 @@ def test_martingale_pairs_need_the_systems_measure():
     # on a weighted system the system's measure is its weight, which rho == 1 is not
     spec = _wiener_spec(system=basis.bessel_weighted(1.0), combo=(1, 1),
                         driver=DriverConfig("martingale", m=2, rho=1.0))
-    assert harness._resolve_correction(spec) == "prelimit"
+    assert spec.correction == "prelimit"
     with pytest.raises(ConfigError):
         DriverConfig("martingale", m=2, rho=-1.0)
 
@@ -131,8 +134,7 @@ RULE_DRIVERS = {
 RULE_SYSTEMS = {"legendre": SYS, "bessel_weighted": basis.bessel_weighted(1.0)}
 NAN = float("nan")
 MOMENT = RULE_DRIVERS["poisson"].intensity.moment(power_mark(1.0), 2.0)  # int y^2 dPi
-# driver, system, combo -> the correction that auto resolves to (an explicit
-# pairing_general is accepted exactly where it is this one) and the residual's
+# driver, system, combo -> the correction the spec derives and the residual's
 # factor on the coefficient residual (NaN: no closed form); None: the spec is
 # rejected, sup rho / r being unbounded
 ONE_RULE = {
@@ -169,12 +171,12 @@ def test_driver_meets_system_by_one_rule(driver, system, combo):
     kw = dict(driver=RULE_DRIVERS[driver], system=RULE_SYSTEMS[system], combo=combo,
               trials=3, n_steps=16)
     if ONE_RULE[driver, system, combo] is None:
-        for correction in ("auto", "prelimit"):
-            with pytest.raises(ConfigError, match="appears unbounded"):
-                _wiener_spec(correction=correction, **kw)
+        with pytest.raises(ConfigError, match="appears unbounded"):
+            _wiener_spec(**kw)
         return
     auto, factor = ONE_RULE[driver, system, combo]
     spec = _wiener_spec(**kw)
+    assert spec.correction == auto
     report = run_experiment(spec)
     assert report.correction == auto
     # the coefficient residual in the system's own (weighted) norm, times the factor
@@ -186,12 +188,9 @@ def test_driver_meets_system_by_one_rule(driver, system, combo):
             assert np.isnan(s.residual)
         else:
             assert s.residual == factor * (norm - tensor.partial_sum(s.box)) > 0
-    if auto == "pairing_general":
-        explicit = run_experiment(_wiener_spec(correction="pairing_general", **kw))
-        np.testing.assert_array_equal(_stats(explicit), _stats(report))
-    else:
-        with pytest.raises(ConfigError, match="needs the prelimit correction"):
-            _wiener_spec(correction="pairing_general", **kw)
+    # the driver decides the correction: no caller sets it
+    with pytest.raises(TypeError):
+        _wiener_spec(correction=auto, **kw)
 
 
 def test_spec_validation():
@@ -203,6 +202,117 @@ def test_spec_validation():
         _wiener_spec(boxes=())
     with pytest.raises(ConfigError):
         DriverConfig("poisson", m=1)
+    spec = _wiener_spec()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.correction = "prelimit"  # derived from the driver and the system, read-only
+    assert spec.correction == "pairing_general"
+
+
+BAD_RHOS = {
+    "negative_half": lambda t: 1.0 - 2.0 * np.asarray(t, dtype=float),
+    "nan_piece": lambda t: np.where(np.asarray(t) > 0.5, np.nan, 1.0),
+    "inf_piece": lambda t: np.where(np.asarray(t) > 0.5, np.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("system", RULE_SYSTEMS)
+@pytest.mark.parametrize("rho", BAD_RHOS)
+def test_bad_density_fails_at_construction(rho, system):
+    with pytest.raises(ConfigError, match="negative or not finite"):
+        _wiener_spec(driver=DriverConfig("martingale", m=2, rho=BAD_RHOS[rho]),
+                     system=RULE_SYSTEMS[system])
+
+
+def test_overflowing_mark_moment_fails_at_construction():
+    driver = DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                          mark_factors=(power_mark(1e300), power_mark(1.0)))
+    with pytest.raises(ConfigError, match="mark moment of order 8.0 is not finite"):
+        _wiener_spec(driver=driver)
+
+
+def test_density_negative_between_grid_points_fails_before_the_tensor(monkeypatch):
+    # negative strictly between two points of slot_scales' grid on [0, 1], on a
+    # span that holds several of the 32 quadrature nodes of a step of 1/256
+    h = 1.0 / (harness.RATIO_GRID + 1)
+    lo, hi = 1000 * h + 1e-6, 1001 * h - 1e-6
+
+    def rho(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((lo < t) & (t < hi), -1.0, 1.0)
+
+    spec = _wiener_spec(driver=DriverConfig("martingale", m=2, rho=rho))
+
+    def no_tensor(*args):
+        raise AssertionError("the coefficient tensor was built")
+
+    monkeypatch.setattr(harness, "coeff_tensor", no_tensor)
+    with pytest.raises(ConfigError, match="negative or not finite"):
+        run_experiment(spec)
+
+
+@st.composite
+def _library_inputs(draw):
+    """ExperimentSpec arguments over tiny to huge intervals, overflowing kernel
+    factors and mark moments, and densities with bad pieces."""
+    k = draw(st.integers(1, 3))
+    start = draw(st.sampled_from([0.0, -2.5, 7.0]))
+    length = 10.0 ** draw(st.floats(-6, 3))
+    system = draw(st.sampled_from(["legendre", "trigonometric", "haar", "bessel_weighted"]))
+    if system == "bessel_weighted":
+        start = 0.0
+    iv = Interval(start, start + length)
+    factor = st.one_of(st.builds(Factor, st.just("const"), st.floats(-3, 3)),
+                       st.builds(Factor, st.just("exp"), st.floats(-3, 3)),
+                       st.builds(Factor, st.just("pow"), st.integers(0, 3)))
+    kind = draw(st.sampled_from(["wiener", "martingale", "poisson"]))
+    m = draw(st.integers(1, 2))
+    if kind == "martingale":
+        # a constant, or base + slope * (t - start) / length with an optional bad
+        # piece at least ten of slot_scales' grid steps wide
+        base, slope = draw(st.floats(0, 10)), draw(st.floats(0, 10))
+        bad = draw(st.sampled_from([None, -1.0, math.nan, math.inf]))
+        lo = draw(st.floats(0, 0.9))
+        hi = lo + draw(st.floats(10 / harness.RATIO_GRID, 0.1))
+
+        def rho(t):
+            u = (np.asarray(t, dtype=float) - start) / length
+            smooth = base + slope * u
+            return smooth if bad is None else np.where((lo <= u) & (u < hi), bad, smooth)
+
+        driver = DriverConfig(kind, m=m, rho=draw(st.sampled_from([base, rho])))
+    elif kind == "poisson":
+        powers = st.one_of(st.floats(0, 4), st.floats(4, 1e300))
+        driver = DriverConfig(kind, m=m, intensity=exponential_measure(5.0),
+                              mark_factors=tuple(power_mark(draw(powers)) for _ in range(k)))
+    else:
+        driver = DriverConfig(kind, m=m)
+    return dict(kernel=Kernel(tuple(draw(factor) for _ in range(k)), iv),
+                system=getattr(basis, system)(iv.end if system == "bessel_weighted" else iv),
+                combo=tuple(draw(st.integers(0, m)) for _ in range(k)),
+                boxes=draw(st.lists(st.tuples(*[st.integers(0, 6)] * k), min_size=1, max_size=2)),
+                driver=driver, n_steps=draw(st.integers(1, 64)), trials=draw(st.integers(1, 8)),
+                seed=draw(st.integers(0, 2**32)), richardson=draw(st.booleans()))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_library_inputs())
+def test_library_inputs_fail_before_work_or_run_finite(kw):
+    # the constructor rejects the inputs, or the run returns finite statistics or
+    # fails with one of the CLI's exit-3 families; a ValueError or TypeError fails
+    try:
+        spec = ExperimentSpec(**kw)
+    except (ConfigError, SizeError):
+        return
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(harness, "_worker_count", lambda n_chunks: 1)
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to an exit-3 error
+        try:
+            report = run_experiment(spec)
+        except (StochexpandError, OverflowError):
+            return
+    for s in report.stats:
+        assert np.isfinite([s.mean, s.variance, s.mse]).all()
 
 
 def test_moment_suite_wiener():
@@ -241,7 +351,7 @@ LOOP_SPECS = {
                              combo=(1, 1), trials=23,
                              boxes=((1, 1), (3, 3), (7, 7)), richardson=True),
     "wiener_k3": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
-                      boxes=((2, 2, 2), (1, 3, 2)), correction="pairing_general"),
+                      boxes=((2, 2, 2), (1, 3, 2))),
 }
 
 
@@ -368,14 +478,14 @@ def test_rho_is_evaluated_once_per_pass():
         for trials in (3, 30):
             calls.clear()
             spec = _wiener_spec(system=system, driver=driver, trials=trials, richardson=True)
-            # the weighted system's ratio check probes rho (slot_scales) at construction
-            assert len(calls) == system.weighted
+            # construction probes rho once on slot_scales' grid, for every system
+            assert calls == [harness.RATIO_GRID + 2]
             run_experiment(spec)
-            # one probe for the residual scale, then one call per partition (N and N/2)
+            # then one call per partition (N and N/2)
             assert len(calls) == 3
     calls.clear()
     moment_suite(_wiener_spec(driver=driver, trials=1000, n_steps=64), j_max=2)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -420,7 +530,7 @@ def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
 
 
 def test_config_defects_are_rejected_up_front():
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # the correction is derived, not a setting
         _wiener_spec(correction="bogus")
     for seed in (1.5, -1, True, "7"):
         with pytest.raises(ConfigError):

@@ -63,6 +63,18 @@ def test_nonconvergence_carries_partial_value():
     assert 0.0 < exc.value.error_estimate < 1e-5
 
 
+def test_non_finite_value_stops_at_the_first_grid():
+    grids = []
+
+    def value_on(grid):
+        grids.append(grid.n_panels)
+        return np.array([1.0, np.nan])
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        quadrature.adaptive(value_on, 0.0, 1.0)
+    assert grids == [quadrature.MIN_PANELS]  # no refinement
+
+
 def test_refinement_splits_panels():
     grid = quadrature.PanelGrid(np.array([0.0, 1.0]), 8)
     assert grid.refined().n_panels == 2 * grid.n_panels
