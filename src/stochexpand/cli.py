@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not failed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared: parse_args leaves
+    it unchanged, and callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="stochexpand",
         description="Truncated series expansion of multiple stochastic integrals")
@@ -221,10 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the guards test finiteness themselves, so numpy's floating-point
+        # warnings would only add stderr lines before the one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SizeError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -351,8 +351,14 @@ def martingale_from_wiener(path: GaussianMartingalePath, rho) -> GaussianMarting
 
 
 def _as_callable(rho):
+    """rho as a function of an array of points that returns one float per point;
+    a callable's result is broadcast to its argument's shape, so a constant
+    lambda gives the same values as the number."""
     if callable(rho):
-        return lambda x: np.asarray(rho(np.asarray(x, dtype=float)), dtype=float)
+        def at(x):
+            x = np.asarray(x, dtype=float)
+            return np.broadcast_to(np.asarray(rho(x), dtype=float), x.shape)
+        return at
     value = float(rho)
     return lambda x: np.full_like(np.asarray(x, dtype=float), value)
 

@@ -73,18 +73,24 @@ RATIO_BOUND = 1e6  # largest sup rho / r over them that a weighted system accept
 DRIVER_PARAMETERS = {"wiener": (), "martingale": ("rho",), "poisson": ("intensity", "mark_factors")}
 
 
-def power_mark(a: float = 1.0):
-    """Mark factor phi(y) = y^a (a = 0 gives the indicator of the mark space);
-    one callable per exponent, so that equal slots share their measures
+@dataclass(frozen=True)
+class PowerMark:
+    """Mark factor phi(y) = y^power (power 0 gives the indicator of the mark space)."""
+
+    power: float
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.ones_like(y) if self.power == 0.0 else y ** self.power
+
+
+def power_mark(a: float = 1.0) -> PowerMark:
+    """y^a; one callable per exponent, so that equal slots share their measures
     (oracle.slot_increments)."""
     return _power_mark(float(a))
 
 
-@functools.cache
-def _power_mark(a: float):
-    if a == 0.0:
-        return lambda y: np.ones_like(np.asarray(y, dtype=float))
-    return lambda y: np.asarray(y, dtype=float) ** a
+_power_mark = functools.cache(PowerMark)
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -162,9 +168,16 @@ class ExperimentSpec:
         if self.driver.kind == "poisson":
             if mf is None or len(mf) != k:
                 raise ConfigError("poisson experiments need one mark factor per slot")
+            order = 2.0 ** (k + 1)
             try:  # finite, as poisson_variables requires
                 for phi in mf:
-                    self.driver.intensity.moment(phi, 2.0 ** (k + 1))
+                    # under a density positive at 0, as exponential_measure's, y^a
+                    # has an infinite moment when a order <= -1; the quadrature
+                    # of mark_integral cannot see that
+                    if isinstance(phi, PowerMark) and phi.power * order <= -1:
+                        raise ValueError(f"mark moment of order {order} is not finite: "
+                                         f"y^{phi.power} is singular at 0")
+                    self.driver.intensity.moment(phi, order)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         self.slot_scales  # the checks of rho, before any work

@@ -15,6 +15,7 @@ costs O(prod p_l * nodes) work and never leaves the grid nodes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _FACTOR_NAMES = ("const", "pow", "sqrt_shift", "exp")
+EXPORT_BLOCK = 2**10  # tensor entries that an export turns into Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -288,14 +290,23 @@ def _system_from_meta(meta: dict) -> OrthonormalSystem:
                              bessel_order=meta.get("bessel_order", 0))
 
 
+def _value_blocks(values: np.ndarray):
+    """values in C order (the order of itertools.product over the index axes),
+    as lists of at most EXPORT_BLOCK Python floats."""
+    flat = values.ravel()
+    return (flat[i:i + EXPORT_BLOCK].tolist() for i in range(0, flat.size, EXPORT_BLOCK))
+
+
 def tensor_to_csv(tensor: CoeffTensor, path) -> None:
-    """CSV with header j_1,...,j_k,value; 17 significant digits, '.' decimal."""
+    """CSV with header j_1,...,j_k,value; 17 significant digits, '.' decimal,
+    CRLF line ends (the csv module's default dialect)."""
     k = len(tensor.box)
+    prefixes = map("".join, itertools.product(*([f"{j}," for j in range(p + 1)]
+                                                 for p in tensor.box)))
+    values = itertools.chain.from_iterable(_value_blocks(tensor.values))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"j_{l}" for l in range(1, k + 1)] + ["value"])
-        for idx in np.ndindex(*(p + 1 for p in tensor.box)):
-            writer.writerow([*idx, format(tensor.values[idx], ".17g")])
+        fh.write(",".join([f"j_{l}" for l in range(1, k + 1)] + ["value"]) + "\r\n")
+        fh.writelines(f"{idx}{v:.17g}\r\n" for idx, v in zip(prefixes, values))
 
 
 def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -313,16 +324,24 @@ def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def tensor_to_json(tensor: CoeffTensor, path) -> None:
+    """One line, json.dumps(doc) byte for byte, with doc's keys kernel, system,
+    weighted, box, quadrature and values (C order); the values are encoded
+    block by block, so no whole-file string is held."""
     doc = {
         "kernel": _kernel_meta(tensor.kernel),
         "system": _system_meta(tensor.system),
         "weighted": tensor.system.weighted,
         "box": list(tensor.box),
         "quadrature": tensor.quad_info,
-        "values": tensor.values.ravel().tolist(),
+        "values": [],
     }
+    head, tail = json.dumps(doc).rsplit("[]", 1)  # "values" is the last key
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(head)
+        for i, block in enumerate(_value_blocks(tensor.values)):
+            fh.write(", " if i else "[")
+            fh.write(json.dumps(block)[1:-1])
+        fh.write("]" + tail)
 
 
 def tensor_from_json(path) -> CoeffTensor:

@@ -307,6 +307,7 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(driver=[1]), 2),
     (dict(interval=[-1e308, 1e308]), 2),
     (dict(driver={"kind": "poisson", "m": 2, "mark_powers": [1e300, 1.0]}), 2),
+    (dict(driver={"kind": "poisson", "m": 2, "mark_powers": [-3.0, 1.0]}), 2),
     (dict(kernel=factors(("const", 1e300), ("const", 1.0))), 3),
     (dict(boxes=[[0, 10**6]]), 3),
     (dict(driver={"kind": "bogus", "m": 2}), 2),
@@ -321,6 +322,7 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
         "negative_rho",
         "fractional_bessel_order", "string_richardson", "string_rho", "string_total_mass",
         "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
+        "singular_mark_moment",
         "kernel_norm_overflow", "huge_box_basis_table", "unknown_driver_kind",
         "weighted_rho_ratio_unbounded", *SHARED_PROBE_IDS])
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
@@ -561,6 +563,23 @@ def test_cli_import_leaves_heavy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
                          text=True, check=True).stdout.strip()
     assert out == ""
+
+
+def test_failures_print_one_stderr_line_as_a_program(tmp_path):
+    # pytest captures numpy's warnings, so only a separate process shows them
+    for name in ("coeffs", "converge"):
+        (tmp_path / name).mkdir()
+    cases = [
+        ("coeffs", coeffs_config(tmp_path / "coeffs", box=[20, 20],
+                                 kernel=factors(("exp", 1000.0), ("const", 1.0))), 3),
+        ("converge", converge_config(tmp_path / "converge", driver={
+            "kind": "poisson", "m": 2, "mark_powers": [1e300, 1.0]}), 2),
+    ]
+    for command, cfg, code in cases:
+        out = subprocess.run([sys.executable, "-m", "stochexpand.cli", command, "--config", cfg],
+                             env=_subprocess_env(), capture_output=True, text=True)
+        assert out.returncode == code
+        assert len(out.stderr.strip().splitlines()) == 1, out.stderr
 
 
 def test_runs_without_bessel_systems_load_no_scipy(tmp_path):

@@ -230,6 +230,27 @@ def test_overflowing_mark_moment_fails_at_construction():
         _wiener_spec(driver=driver)
 
 
+@pytest.mark.parametrize("power, rejected", [(-1 / 8, True), (-0.1, False)])
+def test_mark_singular_at_zero_fails_at_construction(power, rejected):
+    # k = 2 needs the moment of order 8: int y^(8a) e^-y dy is finite iff 8a > -1
+    driver = DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                          mark_factors=(power_mark(power), power_mark(1.0)))
+    if rejected:
+        with pytest.raises(ConfigError, match="singular at 0"):
+            _wiener_spec(driver=driver)
+    else:
+        _wiener_spec(driver=driver)
+
+
+def test_constant_callable_density_matches_the_number():
+    # a callable that returns a scalar is broadcast to its argument's shape
+    reports = [run_experiment(_wiener_spec(driver=DriverConfig("martingale", m=2, rho=rho),
+                                           richardson=True))
+               for rho in (2.0, lambda t: 2.0)]
+    a, b = (dataclasses.replace(r, runtime=0.0) for r in reports)
+    assert repr(a) == repr(b)
+
+
 def test_density_negative_between_grid_points_fails_before_the_tensor(monkeypatch):
     # negative strictly between two points of slot_scales' grid on [0, 1], on a
     # span that holds several of the 32 quadrature nodes of a step of 1/256

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -242,6 +243,68 @@ def test_csv_json_round_trip(tmp_path):
     assert np.array_equal(back.values, tensor.values)
     assert back.system.kind == "legendre"
     assert back.kernel.factors == tensor.kernel.factors
+
+
+def _csv_oracle(tensor, path) -> None:
+    """The per-entry writer that tensor_to_csv replaced."""
+    k = len(tensor.box)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"j_{l}" for l in range(1, k + 1)] + ["value"])
+        for idx in np.ndindex(*(p + 1 for p in tensor.box)):
+            writer.writerow([*idx, format(tensor.values[idx], ".17g")])
+
+
+def _json_oracle(tensor, path) -> None:
+    """The indented writer that tensor_to_json replaced."""
+    doc = {
+        "kernel": kernel._kernel_meta(tensor.kernel),
+        "system": kernel._system_meta(tensor.system),
+        "weighted": tensor.system.weighted,
+        "box": list(tensor.box),
+        "quadrature": tensor.quad_info,
+        "values": tensor.values.ravel().tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def _special_values_tensor():
+    # CoeffTensor rejects non-finite entries, so they are set after construction
+    tensor = coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (2, 1))
+    tensor.values = np.array([[0.0, -0.0], [1e-300, -2.5], [math.nan, math.inf]])
+    return tensor
+
+
+EXPORT_TENSORS = {
+    "legendre_k2": lambda: coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (63, 63)),
+    "haar_k3": lambda: coeff_tensor(unit_kernel(3, IV), basis.haar(IV), (15, 15, 15)),
+    "trig_k3": lambda: coeff_tensor(
+        Kernel((Factor("exp", 1.0), Factor("pow", 1.0), Factor("const", 1.0)), IV),
+        basis.trigonometric(IV), (7, 7, 7)),
+    "walsh_k1": lambda: coeff_tensor(unit_kernel(1, IV), basis.walsh(IV), (31,)),
+    "bessel_weighted_k2": lambda: coeff_tensor(unit_kernel(2, IV), basis.bessel_weighted(1.0),
+                                               (5, 5)),
+    "special_values": _special_values_tensor,
+}
+
+
+@pytest.mark.parametrize("block", [kernel.EXPORT_BLOCK, 4])
+@pytest.mark.parametrize("name", EXPORT_TENSORS)
+def test_exports_match_the_per_entry_writers(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(kernel, "EXPORT_BLOCK", block)  # 4 splits every tensor into blocks
+    tensor = EXPORT_TENSORS[name]()
+    _csv_oracle(tensor, tmp_path / "oracle.csv")
+    tensor_to_csv(tensor, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    _json_oracle(tensor, tmp_path / "oracle.json")
+    tensor_to_json(tensor, tmp_path / "t.json")
+    text, oracle = (tmp_path / "t.json").read_text(), (tmp_path / "oracle.json").read_text()
+    got, want = json.loads(text), json.loads(oracle)
+    assert np.array_equal(got.pop("values"), want.pop("values"), equal_nan=True)
+    assert got == want
+    # one compact line: the C encoder's output for the whole document
+    assert text == json.dumps(json.loads(oracle))
 
 
 @pytest.mark.parametrize("system, flag", [(basis.legendre(IV), True),
