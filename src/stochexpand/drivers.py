@@ -30,6 +30,8 @@ __all__ = [
     "make_partition",
     "GaussianMartingalePath",
     "IntensityMeasure",
+    "PowerMark",
+    "power_mark",
     "exponential_measure",
     "PoissonRealization",
     "sample_wiener",
@@ -88,8 +90,8 @@ class Partition:
 
     def step_variances(self, rho=None) -> np.ndarray:
         """int rho over every step: the step lengths when rho is None (a Wiener
-        path), times rho when it is a number, else by 32-node Gauss-Legendre
-        per step.  ValueError if rho is negative or not finite somewhere.
+        path), times rho when it is a number, else on the quadrature.PanelGrid
+        whose panels are the steps.  ValueError if rho is negative or not finite.
 
         Memoized for the last rho object only (a pass uses one density), so
         rho is evaluated in one call per pass; a density must not change
@@ -99,11 +101,8 @@ class Partition:
         if self._variances and self._variances[0] is rho:
             return self._variances[1]
         if callable(rho):
-            ref_u, ref_w, _ = quadrature._reference_rule(32)  # on [0, 1]
-            a = self.left_nodes[:, None]
-            b = self.nodes[1:][:, None]
-            pts = a + (b - a) * ref_u[None, :]
-            vals = _as_callable(rho)(pts.ravel()).reshape(pts.shape)
+            grid = quadrature.PanelGrid(self.nodes, quadrature.ORDER)
+            vals = grid.eval_on_nodes(_as_callable(rho))
         else:
             vals = np.array([float(rho)])
         if not np.all((vals >= 0) & (vals < np.inf)):
@@ -113,7 +112,7 @@ class Partition:
             # to the plain Wiener step variances
             variances = self.deltas * vals.flat[0]
         else:
-            variances = np.sum((b - a) * ref_w[None, :] * vals, axis=1)
+            variances = np.sum(grid.weights * vals, axis=1)
         variances.flags.writeable = False
         self._variances[:] = (rho, variances)
         return variances
@@ -367,6 +366,26 @@ def _as_callable(rho):
 # Poisson random measures
 
 @dataclass(frozen=True)
+class PowerMark:
+    """Mark factor phi(y) = y^power (power 0 gives the indicator of the mark space)."""
+
+    power: float
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.ones_like(y) if self.power == 0.0 else y ** self.power
+
+
+def power_mark(a: float = 1.0) -> PowerMark:
+    """y^a; one callable per exponent, so that equal slots share their measures
+    (oracle.slot_increments)."""
+    return _power_mark(float(a))
+
+
+_power_mark = functools.cache(PowerMark)
+
+
+@dataclass(frozen=True)
 class IntensityMeasure:
     """Finite intensity measure Pi on the (one-dimensional) mark space.
 
@@ -383,8 +402,14 @@ class IntensityMeasure:
             raise ValueError("total mass must be finite and positive")
 
     def moment(self, phi, s: float) -> float:
-        """int |phi(y)|^s Pi(dy)."""
-        value = self.mark_integral(lambda y: np.abs(phi(y)) ** s)
+        """int |phi(y)|^s Pi(dy); ValueError unless it is finite.  Under a mark
+        density positive at 0, as exponential_measure's, y^a has none when
+        a s <= -1, although mark_integral's quadrature gives a number."""
+        if isinstance(phi, PowerMark) and phi.power * s <= -1:
+            raise ValueError(f"mark moment of order {s} is not finite: "
+                             f"y^{phi.power} is singular at 0")
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness is tested here
+            value = self.mark_integral(lambda y: np.abs(phi(y)) ** s)
         if not np.isfinite(value):
             raise ValueError(f"mark moment of order {s} is not finite")
         return value

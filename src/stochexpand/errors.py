@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer rule of configuration values."""
+
+import numbers
 
 
 class StochexpandError(Exception):
@@ -11,6 +13,13 @@ class SizeError(StochexpandError):
 
 class ConfigError(StochexpandError):
     """Invalid configuration document or argument combination."""
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """value as an int; ConfigError unless it is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class QuadratureError(StochexpandError):

@@ -38,15 +38,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expansions, oracle
-from .basis import WALSH_BITS, OrthonormalSystem
-# interval_measures stays a module attribute (perfbench/tracer.py wraps the
-# samplers and it here); the trial loop reaches it through oracle.slot_increments
-from .drivers import (IntensityMeasure, TrialSeed, _as_callable,  # noqa: F401
-                      interval_measures, make_partition, sample_gaussian_martingale,
+from .basis import OrthonormalSystem
+# interval_measures, PowerMark and power_mark stay module attributes: perfbench/tracer.py
+# wraps the samplers and interval_measures here, and callers import the other two from here
+from .drivers import (IntensityMeasure, PowerMark, TrialSeed, _as_callable,  # noqa: F401
+                      interval_measures, make_partition, power_mark, sample_gaussian_martingale,
                       sample_poisson, sample_wiener, scale_draws, seed_words)
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, SizeError, check_integer
 from .expansions import BasisVariables
-from .kernel import CoeffTensor, Kernel, coeff_tensor, kernel_norm_sq
+from .kernel import CoeffTensor, Kernel, check_box, check_orders, coeff_tensor, kernel_norm_sq
 
 __all__ = [
     "DriverConfig",
@@ -74,40 +74,6 @@ DRIVER_PARAMETERS = {"wiener": (), "martingale": ("rho",), "poisson": ("intensit
 
 
 @dataclass(frozen=True)
-class PowerMark:
-    """Mark factor phi(y) = y^power (power 0 gives the indicator of the mark space)."""
-
-    power: float
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.ones_like(y) if self.power == 0.0 else y ** self.power
-
-
-def power_mark(a: float = 1.0) -> PowerMark:
-    """y^a; one callable per exponent, so that equal slots share their measures
-    (oracle.slot_increments)."""
-    return _power_mark(float(a))
-
-
-_power_mark = functools.cache(PowerMark)
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """value as an int; ConfigError unless it is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _integers(name: str, values) -> tuple[int, ...]:
-    """values as a tuple of ints >= 0; ConfigError unless it is a list or tuple of them."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
-    return tuple(_integer(f"{name} entry", v, 0) for v in values)
-
-
-@dataclass(frozen=True)
 class DriverConfig:
     """Which driver feeds the experiment and with what parameters.
 
@@ -125,15 +91,16 @@ class DriverConfig:
     def __post_init__(self):
         if self.kind not in ("wiener", "martingale", "poisson"):
             raise ConfigError(f"unknown driver kind: {self.kind}")
-        object.__setattr__(self, "m", _integer("m", self.m, 1))
+        object.__setattr__(self, "m", check_integer("m", self.m, 1))
         extra = [key for key in ("rho", "intensity", "mark_factors")
                  if getattr(self, key) is not None and key not in DRIVER_PARAMETERS[self.kind]]
         if extra:
             raise ConfigError(f"a {self.kind} driver does not take {', '.join(extra)}")
-        if self.kind == "martingale" and not (
-                callable(self.rho) or self.rho is not None and 0 <= self.rho < math.inf):
-            raise ConfigError(f"martingale driver requires a variance density rho, finite and "
-                              f">= 0 if constant, got {self.rho!r}")
+        number = (isinstance(self.rho, numbers.Real) and not isinstance(self.rho, bool)
+                  and 0 <= self.rho < math.inf)
+        if self.kind == "martingale" and not (callable(self.rho) or number):
+            raise ConfigError(f"martingale driver requires a variance density rho, a callable or "
+                              f"a real number, finite and >= 0, got {self.rho!r}")
         if self.kind == "poisson" and self.intensity is None:
             raise ConfigError("poisson driver requires an intensity measure")
 
@@ -152,11 +119,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name, minimum in (("seed", 0), ("trials", 1), ("n_steps", 1)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        object.__setattr__(self, "combo", _integers("combo", self.combo))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        if not isinstance(self.combo, (list, tuple)):
+            raise ConfigError(f"combo must be a list, got {self.combo!r}")
+        object.__setattr__(self, "combo", tuple(check_integer("combo entry", i, 0)
+                                                for i in self.combo))
         if not isinstance(self.boxes, (list, tuple)):
             raise ConfigError(f"boxes must be a list of truncation boxes, got {self.boxes!r}")
-        object.__setattr__(self, "boxes", tuple(_integers("box", b) for b in self.boxes))
+        object.__setattr__(self, "boxes", tuple(check_orders(self.kernel, self.system, b)
+                                                for b in self.boxes))
         if not self.boxes:
             raise ConfigError("at least one truncation box is required")
         k = self.kernel.multiplicity
@@ -168,20 +139,14 @@ class ExperimentSpec:
         if self.driver.kind == "poisson":
             if mf is None or len(mf) != k:
                 raise ConfigError("poisson experiments need one mark factor per slot")
-            order = 2.0 ** (k + 1)
             try:  # finite, as poisson_variables requires
                 for phi in mf:
-                    # under a density positive at 0, as exponential_measure's, y^a
-                    # has an infinite moment when a order <= -1; the quadrature
-                    # of mark_integral cannot see that
-                    if isinstance(phi, PowerMark) and phi.power * order <= -1:
-                        raise ValueError(f"mark moment of order {order} is not finite: "
-                                         f"y^{phi.power} is singular at 0")
-                    self.driver.intensity.moment(phi, order)
+                    self.driver.intensity.moment(phi, 2.0 ** (k + 1))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         self.slot_scales  # the checks of rho, before any work
-        _check_tensor_config(self.kernel, self.system, self.boxes)
+        # the tensor that run_experiment builds: its boxes' per-level maximum
+        check_box(self.kernel, self.system, tuple(map(max, zip(*self.boxes))))
 
     @functools.cached_property
     def slot_scales(self) -> tuple[float, ...]:
@@ -221,15 +186,6 @@ class ExperimentSpec:
                 self.driver.kind != "poisson" and self.slot_scales[0] == 1.0):
             return "pairing_general"
         return "prelimit"
-
-
-def _check_tensor_config(kernel: Kernel, system: OrthonormalSystem, boxes) -> None:
-    """ConfigError unless every box lists one order >= 0 per kernel factor and
-    Walsh orders stay below 2^WALSH_BITS."""
-    if any(len(b) != kernel.multiplicity or min(b) < 0 for b in boxes):
-        raise ConfigError("a box must list one truncation order >= 0 per kernel factor")
-    if system.kind == "walsh" and max(map(max, boxes)).bit_length() > WALSH_BITS:
-        raise ConfigError(f"Walsh box orders must be below 2^{WALSH_BITS}")
 
 
 @dataclass(frozen=True)
@@ -482,15 +438,15 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     p_max = max(max(b) for b in spec.boxes)
     # the samples, and the diffs at each resolution
     chunk = _chunk_trials(spec, spec.n_steps, p_max, (1 + len(steps)) * len(spec.boxes), steps[1:])
+    # before any partition, table or tensor: a factor scale beyond the float range overflows
+    norm = kernel_norm_sq(spec.kernel, spec.system)
     tables = _prepared(spec, steps, p_max)  # its per-step check of rho comes before the tensor
-    box_max = tuple(max(b[l] for b in spec.boxes) for l in range(spec.kernel.multiplicity))
-    tensor = coeff_tensor(spec.kernel, spec.system, box_max)
+    tensor = coeff_tensor(spec.kernel, spec.system, tuple(map(max, zip(*spec.boxes))))
     # a Gaussian residual takes s^k: the product over the slots differs in the last bits
     scales = spec.slot_scales
     scale = math.prod(scales) if spec.driver.kind == "poisson" else scales[0] ** len(scales)
     if 0 in spec.combo or not expansions._distinct_nonzero(spec.combo):
         scale = float("nan")
-    norm = kernel_norm_sq(spec.kernel, spec.system)
     samples, *diffs = _mc_pass(spec, tensor, tables, chunk)
     # mse per resolution and box, each summed as a run at that resolution alone
     # sums it, so the allowance is exactly the difference of two runs' mse

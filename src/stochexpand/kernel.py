@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quadrature
 from .basis import MEMORY_BUDGET, WALSH_BITS, Interval, OrthonormalSystem, check_table
-from .errors import SizeError
+from .errors import ConfigError, SizeError, check_integer
 from .quadrature import PanelGrid
 
 __all__ = [
@@ -147,13 +147,30 @@ class CoeffTensor:
         return float(np.sum(self.values[sl] ** 2))
 
 
-def _check_box(box) -> tuple[int, ...]:
-    box = tuple(int(p) for p in box)
-    if any(p < 0 for p in box):
-        raise ValueError("truncation orders must be nonnegative")
+def check_orders(kernel: Kernel, system: OrthonormalSystem, orders) -> tuple[int, ...]:
+    """orders as ints, the rules of every coefficient box and index: ConfigError
+    unless orders is a list or tuple of one integer >= 0 (not a bool) per
+    kernel factor, the system shares the kernel's interval, and a Walsh
+    system has members of those orders (below 2^WALSH_BITS)."""
+    if not isinstance(orders, (list, tuple)) or len(orders) != kernel.multiplicity:
+        raise ConfigError(f"a box must list one order per kernel factor, got {orders!r}")
+    orders = tuple(check_integer("box order", p, 0) for p in orders)
+    if system.interval != kernel.interval:
+        raise ConfigError(f"the system lives on {system.interval}, the kernel on {kernel.interval}")
+    if system.kind == "walsh" and max(orders).bit_length() > WALSH_BITS:
+        raise ConfigError(f"Walsh box orders must be below 2^{WALSH_BITS}, got {max(orders)}")
+    return orders
+
+
+def check_box(kernel: Kernel, system: OrthonormalSystem, box) -> tuple[int, ...]:
+    """The pre-flight of a tensor over box, before anything is built:
+    check_orders, then SizeError when the tensor or the basis table of the
+    first quadrature grid would hold more than MEMORY_BUDGET entries."""
+    box = check_orders(kernel, system, box)
     entries = math.prod(p + 1 for p in box)
     if entries > MEMORY_BUDGET:
         raise SizeError(f"tensor would hold {entries} entries, over the budget {MEMORY_BUDGET}")
+    check_table(max(box) + 1, system.first_grid_nodes(max(box)))
     return box
 
 
@@ -193,13 +210,8 @@ def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box,
 
 def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box) -> CoeffTensor:
     """Dense tensor of Fourier coefficients over the truncation box, in the system's
-    inner product: each level carries the weight r of a weighted system."""
-    box = _check_box(box)
-    if len(box) != kernel.multiplicity:
-        raise ValueError("box length must equal kernel multiplicity")
-    if system.interval != kernel.interval:
-        raise ValueError("system and kernel intervals differ")
-    check_table(max(box) + 1, system.first_grid_nodes(max(box)))
+    inner product: each level carries the weight r of a weighted system; check_box runs first."""
+    box = check_box(kernel, system, box)
     brk = system.breakpoints(max(box))
     values, err, grid = quadrature.adaptive(
         lambda g: _tensor_on_grid(kernel, system, box, g),
@@ -211,11 +223,9 @@ def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box) -> CoeffTensor:
 def coeff(kernel: Kernel, system: OrthonormalSystem, idx) -> float:
     """Single Fourier coefficient C_{j_k ... j_1} for idx = (j_1, ..., j_k).
 
-    Raises SizeError, before the breakpoints are built, when one basis row on
-    the first quadrature grid would exceed MEMORY_BUDGET."""
-    idx = tuple(int(j) for j in idx)
-    if len(idx) != kernel.multiplicity:
-        raise ValueError("index length must equal kernel multiplicity")
+    check_orders runs first; SizeError, before the breakpoints are built, when
+    one basis row on the first quadrature grid would exceed MEMORY_BUDGET."""
+    idx = check_orders(kernel, system, idx)
     check_table(1, system.first_grid_nodes(max(idx)))
     factors = []
     for level, j in enumerate(idx):

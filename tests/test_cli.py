@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stochexpand import basis, cli, drivers, harness
+from stochexpand import basis, cli, drivers, harness, quadrature
 from stochexpand.basis import Interval, OrthonormalSystem, bessel_weighted
-from stochexpand.kernel import coeff_tensor, unit_kernel
-from stochexpand.errors import SizeError
+from stochexpand.kernel import coeff, coeff_tensor, unit_kernel
+from stochexpand.errors import ConfigError, SizeError
 
 
 def run(argv):
@@ -198,13 +198,17 @@ SHARED_PROBE_IDS = ["string_interval", "bool_param", "list_kernel", "nan_param",
                     "huge_bessel_order"]
 
 
-@pytest.mark.parametrize("overrides, code", [
+COEFFS_PROBES = [
     (dict(box=[5.5, 5]), 2), (dict(box=5), 2), (dict(interval=[1.0, 0.0]), 2),
     (dict(kernel={"factors": [{"name": "const"}]}, system={"kind": "walsh"}, box=[1024]), 2),
     (dict(system={"kind": "bessel_unit", "bessel_order": 1.5}), 2),
     *SHARED_PROBES,
-], ids=["fractional_box", "scalar_box", "reversed_interval", "walsh_order_over_bits",
-        "fractional_bessel_order", *SHARED_PROBE_IDS])
+]
+COEFFS_PROBE_IDS = ["fractional_box", "scalar_box", "reversed_interval", "walsh_order_over_bits",
+                    "fractional_bessel_order", *SHARED_PROBE_IDS]
+
+
+@pytest.mark.parametrize("overrides, code", COEFFS_PROBES, ids=COEFFS_PROBE_IDS)
 def test_coeffs_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["coeffs", "--config", coeffs_config(tmp_path, **overrides)]) == code
     err = capsys.readouterr().err
@@ -275,7 +279,7 @@ POISSON_REPEATED = dict(driver={"kind": "poisson", "m": 1}, combo=[1, 1])
 MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1, 1])
 
 
-@pytest.mark.parametrize("overrides, code", [
+CONVERGE_PROBES = [
     (dict(seed=1.5), 2),
     (dict(n_steps=10**12), 3),
     (dict(trials=10**12), 3),
@@ -314,22 +318,117 @@ MARTINGALE_RHO2 = dict(driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=
     (dict(system={"kind": "bessel_weighted"},
           driver={"kind": "martingale", "m": 2, "rho": 1e4}), 2),
     *SHARED_PROBES,
-], ids=["fractional_seed", "huge_n_steps", "huge_trials", "fractional_trials",
-        "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
-        "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
-        "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
-        "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
-        "negative_rho",
-        "fractional_bessel_order", "string_richardson", "string_rho", "string_total_mass",
-        "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
-        "singular_mark_moment",
-        "kernel_norm_overflow", "huge_box_basis_table", "unknown_driver_kind",
-        "weighted_rho_ratio_unbounded", *SHARED_PROBE_IDS])
+]
+CONVERGE_PROBE_IDS = [
+    "fractional_seed", "huge_n_steps", "huge_trials", "fractional_trials",
+    "bool_trials", "string_trials", "fractional_n_steps", "string_n_steps",
+    "fractional_m", "string_m", "bool_m", "fractional_combo", "string_combo",
+    "letter_combo", "scalar_combo", "fractional_box", "negative_box", "scalar_boxes",
+    "scalar_box", "reversed_interval", "shifted_bessel_interval", "walsh_order_over_bits",
+    "negative_rho",
+    "fractional_bessel_order", "string_richardson", "string_rho", "string_total_mass",
+    "bool_mark_power", "list_driver", "infinite_interval_length", "infinite_mark_moment",
+    "singular_mark_moment",
+    "kernel_norm_overflow", "huge_box_basis_table", "unknown_driver_kind",
+    "weighted_rho_ratio_unbounded", *SHARED_PROBE_IDS]
+
+
+@pytest.mark.parametrize("overrides, code", CONVERGE_PROBES, ids=CONVERGE_PROBE_IDS)
 def test_converge_rejects_malformed_configs_cleanly(tmp_path, capsys, overrides, code):
     assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "conv.json").exists()
+
+
+# Rows that fail by running the quadrature (ROADMAP item 3); every other row
+# of the two tables above exits 2, or 3 through SizeError or OverflowError,
+# before any work
+QUADRATURE_PROBES = {"pow_exponent_quadrature_fails", "fractional_pow_quadrature_fails",
+                     "exp_overflow_quadrature_fails"}
+WORK = ((basis.OrthonormalSystem, "eval_table"), (quadrature, "adaptive"),
+        *((module, f"sample_{kind}") for module in (drivers, harness)
+          for kind in ("wiener", "gaussian_martingale", "poisson")))
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Names of the basis-table, quadrature and sampler functions called, in order."""
+    calls = []
+    for owner, name in WORK:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, row, overrides, code", [
+    *(("coeffs", row, *probe) for row, probe in zip(COEFFS_PROBE_IDS, COEFFS_PROBES)),
+    *(("converge", row, *probe) for row, probe in zip(CONVERGE_PROBE_IDS, CONVERGE_PROBES)),
+], ids=[*(f"coeffs-{row}" for row in COEFFS_PROBE_IDS),
+        *(f"converge-{row}" for row in CONVERGE_PROBE_IDS)])
+def test_refused_runs_build_nothing_first(tmp_path, capsys, work_calls, command, row,
+                                          overrides, code):
+    config = coeffs_config if command == "coeffs" else converge_config
+    assert run([command, "--config", config(tmp_path, **overrides)]) == code
+    err = capsys.readouterr().err
+    if row in QUADRATURE_PROBES:
+        assert code == 3 and "quadrature" in err and "adaptive" in work_calls
+    else:
+        assert work_calls == []
+
+
+IV01 = Interval(0.0, 1.0)
+# (system kind, system interval, box) of a coefficient box or index that every
+# entry point refuses with ConfigError, and the CLI with exit 2; the CLI cannot
+# give its kernel and its system different intervals
+BAD_BOXES = {
+    "walsh_order_1024": ("walsh", IV01, [1024, 1]),
+    "mismatched_interval": ("legendre", Interval(0.0, 2.0), [1, 1]),
+    "fractional_order": ("legendre", IV01, [2.7, 1]),
+    "bool_order": ("legendre", IV01, [1, True]),
+    "negative_order": ("legendre", IV01, [-1, 1]),
+    "one_order_short": ("legendre", IV01, [3]),
+}
+
+
+def _wiener_spec(system, box):
+    return harness.ExperimentSpec(kernel=unit_kernel(2, IV01), system=system, combo=(1, 2),
+                                  boxes=[box], driver=harness.DriverConfig("wiener", m=2),
+                                  n_steps=16, trials=2, seed=1)
+
+
+@pytest.mark.parametrize("row", BAD_BOXES)
+def test_a_bad_box_gets_one_answer_at_every_entry_point(tmp_path, capsys, work_calls, row):
+    kind, interval, box = BAD_BOXES[row]
+    system = OrthonormalSystem(kind, interval)
+    for entry in (coeff, coeff_tensor):
+        with pytest.raises(ConfigError):
+            entry(unit_kernel(2, IV01), system, box)
+    with pytest.raises(ConfigError):
+        _wiener_spec(system, box)
+    if interval == IV01:
+        cfg = coeffs_config(tmp_path, system={"kind": kind}, box=box)
+        assert run(["coeffs", "--config", cfg]) == 2
+        cfg = converge_config(tmp_path, system={"kind": kind}, boxes=[box])
+        assert run(["converge", "--config", cfg]) == 2
+    assert work_calls == []
+
+
+@pytest.mark.parametrize("box", [[9999, 9999], [0, 10**6]],
+                         ids=["tensor_entries", "first_grid_basis_table"])
+def test_an_oversize_box_is_refused_before_any_work(tmp_path, capsys, work_calls, box):
+    # coeff builds one basis row of one index, not the tensor: these are the
+    # rules of coeff_tensor, and of the spec for the tensor it will build
+    system = basis.legendre(IV01)
+    with pytest.raises(SizeError):
+        coeff_tensor(unit_kernel(2, IV01), system, box)
+    with pytest.raises(SizeError):
+        _wiener_spec(system, box)
+    assert run(["coeffs", "--config", coeffs_config(tmp_path, box=box)]) == 3
+    assert run(["converge", "--config", converge_config(tmp_path, boxes=[box])]) == 3
+    assert work_calls == []
 
 
 def test_converge_correction_is_an_unknown_key(tmp_path, capsys):

@@ -10,6 +10,7 @@ from stochexpand.drivers import (PoissonRealization, compensated_integral, expon
 from stochexpand.expansions import (BasisVariables, expand, pairing_bracket,
                                     pi_from_realization, poisson_variables, wiener_variables,
                                     zeta_from_path)
+from stochexpand.harness import power_mark
 from stochexpand.kernel import coeff_tensor, unit_kernel
 from stochexpand.validation import explicit_bracket
 
@@ -99,6 +100,13 @@ class TestBasisVariables:
             for _ in range(3):
                 with pytest.raises(ValueError, match="moment"):
                     poisson_variables(real, SYS, (heavy,), (1,), 2)
+
+    def test_singular_power_mark_has_no_moment(self):
+        # y^-3 has no finite moment of order 4 under Exp(1); the spec and the
+        # variables apply the one rule of IntensityMeasure.moment
+        real = sample_poisson(IV, 1, exponential_measure(5.0), 3)
+        with pytest.raises(ValueError, match="singular at 0"):
+            poisson_variables(real, SYS, (power_mark(-3.0),), (1,), 2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

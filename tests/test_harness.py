@@ -208,6 +208,15 @@ def test_spec_validation():
     assert spec.correction == "pairing_general"
 
 
+@pytest.mark.parametrize("rho", ["2", 2 + 0j, [1.0, 2.0], True, np.True_, math.nan, None],
+                         ids=["string", "complex", "list", "bool", "numpy_bool", "nan", "none"])
+def test_martingale_density_is_a_callable_or_a_real_number(rho):
+    with pytest.raises(ConfigError, match="variance density rho"):
+        DriverConfig("martingale", m=2, rho=rho)
+    for good in (2, 2.5, np.float64(0.0), np.int64(3), lambda t: 1.0 + t):
+        assert DriverConfig("martingale", m=2, rho=good).rho is good
+
+
 BAD_RHOS = {
     "negative_half": lambda t: 1.0 - 2.0 * np.asarray(t, dtype=float),
     "nan_piece": lambda t: np.where(np.asarray(t) > 0.5, np.nan, 1.0),
