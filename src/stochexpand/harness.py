@@ -8,10 +8,12 @@ basis random variables against their analytic means and covariances.
 
 Both run one chunked trial loop: everything that depends only on the
 partition is prepared once per pass, trials are drawn one by one into a
-buffer of at most CHUNK_BYTES, and each chunk is evaluated by batched
-operations that treat every trial alike.  A pass is split into contiguous
-trial ranges, one per worker process (see _sharded).  Results do not depend
-on the chunk size or the worker count, bitwise.
+workspace that each worker allocates once and reuses for every chunk of
+trials, a chunk as large as fits CHUNK_BYTES by the count of _chunk_trials,
+and each chunk is evaluated by batched operations that treat every trial
+alike.  A pass is split into contiguous trial ranges, one per worker process
+(see _sharded).  Results do not depend on the chunk size or the worker
+count, bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -43,7 +45,7 @@ from .basis import OrthonormalSystem
 # wraps the samplers and interval_measures here, and callers import the other two from here
 from .drivers import (IntensityMeasure, PowerMark, TrialSeed, _as_callable,  # noqa: F401
                       interval_measures, make_partition, power_mark, sample_gaussian_martingale,
-                      sample_poisson, sample_wiener, scale_draws, seed_words)
+                      sample_poisson, sample_wiener, seed_words)
 from .errors import ConfigError, SizeError, check_integer
 from .expansions import BasisVariables
 from .kernel import CoeffTensor, Kernel, check_box, check_orders, coeff_tensor, kernel_norm_sq
@@ -63,8 +65,8 @@ __all__ = [
 ]
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-CHUNK_BYTES = 2**20  # increment buffers of one chunk of trials
-MEMORY_BUDGET = 2**32  # bytes a trial loop may hold: partition, left-node tables, one chunk
+CHUNK_BYTES = 3 * 2**20  # one chunk of trials: its buffers, slot rows and scratch
+MEMORY_BUDGET = 2**32  # bytes a trial loop may hold: partitions, tables, each worker's chunk
 SEED_STREAMS = 2**13  # substreams whose seed words one derivation computes
 STREAM_BYTES = 160  # per substream at a derivation's peak: 32 bytes of words, key, hash temporaries
 RATIO_GRID = 2048  # interior points of the one grid on which slot_scales evaluates rho and r
@@ -225,32 +227,40 @@ def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
 def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial: int,
                   coarse=()) -> int:
     """Trials per chunk of a trial loop over n_steps, and over the coarser step
-    counts `coarse` on the same draws, with basis orders up to p_max.
+    counts `coarse` on the same draws, with basis orders up to p_max: as many
+    as fit CHUNK_BYTES.
 
-    Raises SizeError, before anything is allocated, when the partitions, their
-    left-node tables, one chunk's buffers and one seed-word derivation
-    (_trial_seeds) in each worker process (one trial's unit draws among the
-    buffers) and the kept_per_trial result floats of every trial
-    (twice when sharded: the workers' rows and the gathered array) would exceed
-    MEMORY_BUDGET; under prelimit also each worker's slot tables and largest
-    block product of the G_k sum."""
-    k = spec.kernel.multiplicity
+    A chunk holds per trial, on each partition, its increment buffer (a
+    Gaussian path's m + 1 rows, or a Poisson trial's k slot rows), its basis
+    variables and, under prelimit, its G_k tensors (listed, stacked and in
+    expand's product); and once, at n_steps, its k slot rows psi_g * Delta
+    D^(i_g), nested_sum's three rows of scratch and the bracket's first
+    contraction.  Each worker also holds two trials' draws (a trial's path is
+    freed when the next one's is bound; for Poisson, the slot measures and
+    their copy), one seed-word derivation (_trial_seeds) and, under prelimit,
+    its slot tables and largest block product of the G_k sum.
+
+    Raises SizeError, before anything is allocated, when the partitions,
+    their left-node tables, each worker's chunk and share above, and the
+    kept_per_trial result floats of every trial (twice when sharded: the
+    workers' rows and the gathered array) would exceed MEMORY_BUDGET."""
+    k, m = spec.kernel.multiplicity, spec.driver.m
     gaussian = spec.driver.kind != "poisson"
-    rows = spec.driver.m + 1 if gaussian else 0
     prelimit = spec.correction == "prelimit"
     steps = (n_steps, *coarse)
-    # per partition: increments and slot increments; G_k tensors listed, stacked and
-    # in expand's product
-    per_trial = sum(8 * n * (rows + k) + prelimit * 3 * 8 * (p_max + 1) ** k for n in steps)
-    temp = (gaussian * 8 * n_steps * spec.driver.m
-            + prelimit * 8 * n_steps * (k * (p_max + 1) + (p_max + 1) ** (k - 1)))
+    rows = m + 1 if gaussian else k  # increment rows per partition
+    per_trial = 8 * (sum(n * rows + rows * (p_max + 1) + prelimit * 3 * (p_max + 1) ** k
+                         for n in steps) + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
+    # rows at n_steps: two paths' unit draws and increments, or a Poisson trial's
+    # slot measures, their copy and two temporaries
+    draws = 2 * (2 * m + 1) if gaussian else 2 * k + 2
+    temp = 8 * n_steps * (draws + prelimit * (k * (p_max + 1) + (p_max + 1) ** (k - 1)))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
     # nodes, deltas, step variances and their square roots, basis table, kernel
     # factors; forked workers share them with the parent
     tables = sum(8 * (n + 1) * (4 + p_max + 1 + k) for n in steps)
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
-    m = spec.driver.m
     seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
     need = tables + workers * (chunk * per_trial + temp + seeds) + results
     if need > MEMORY_BUDGET:
@@ -349,26 +359,34 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     increments) for each partition]) per chunk of trials lo..hi-1.
 
     tables lists (partition, basis table on its left nodes), finest first.
-    Each trial is seeded with its substreams' derived words (_trial_seeds) and
-    drawn once, through the public sampler, on the finest partition.  A
-    Gaussian path's unit draws are scaled onto the others
-    (drivers.scale_draws: bitwise the sampler's increments there), and its
-    slot increments are rows of the increments; a Poisson realization and its
-    variables do not depend on the partition, and only its slot increments
-    are taken on each.  Trials go one by one into the chunk's buffers; the
-    variables have a leading trial axis and the slot increments shape
-    (trials, k, N)."""
+    The chunk's buffers are allocated once per call and reused by every
+    chunk: a Gaussian path's increments on each partition, whose time row is
+    written once, or a Poisson trial's variable table and slot increments on
+    each partition.  Each trial is seeded with its substreams' derived words
+    (_trial_seeds) and drawn once, through the public sampler, on the finest
+    partition.  A Gaussian path's unit draws times each coarser partition's
+    step scales go straight into that partition's rows (bitwise the
+    sampler's increments there, as drivers.scale_draws gives them), and its
+    slot increments are views of the rows of its combo; a Poisson
+    realization and its variables do not depend on the partition, and only
+    its slot increments are taken on each.  The variables have a leading
+    trial axis, and the slot increments are k arrays of shape (trials, N),
+    valid until the next chunk is drawn."""
     drv, combo = spec.driver, spec.combo
     gaussian = drv.kind != "poisson"
     p_max = tables[0][1].shape[0] - 1
     seeds = _trial_seeds(spec.seed, drv.m, lo, hi)
+    chunk = min(chunk, hi - lo)
+    slot_index = combo if gaussian else range(len(combo))  # its row in the increment buffers
+    if gaussian:  # increments per partition
+        incs = [np.empty((chunk, drv.m + 1, part.n_steps)) for part, _ in tables]
+        for inc, (part, _) in zip(incs, tables):
+            inc[:, 0] = part.deltas
+    else:  # the variable table, and slot increments per partition
+        table = np.empty((chunk, len(combo), p_max + 1))
+        incs = [np.empty((chunk, len(combo), part.n_steps)) for part, _ in tables]
     for start in range(lo, hi, chunk):
         size = min(chunk, hi - start)
-        if gaussian:  # increments per partition
-            draws = [np.empty((size, drv.m + 1, part.n_steps)) for part, _ in tables]
-        else:  # the variable table, and slot increments per partition
-            draws = np.empty((size, len(combo), p_max + 1))
-            incs = [np.empty((size, len(combo), part.n_steps)) for part, _ in tables]
         for c in range(size):
             seed = next(seeds)
             if drv.kind == "wiener":
@@ -378,21 +396,22 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
             else:
                 real = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed)
             if gaussian:
-                draws[0][c] = real.increments
-                for d, (part, _) in zip(draws[1:], tables[1:]):
-                    scale_draws(real.unit_draws, part, drv.rho, out=d[c])
+                incs[0][c, 1:] = real.increments[1:]
+                for inc, (part, _) in zip(incs[1:], tables[1:]):
+                    np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(drv.rho),
+                                out=inc[c, 1:])
             else:
-                draws[c] = expansions.poisson_variables(real, spec.system, drv.mark_factors,
+                table[c] = expansions.poisson_variables(real, spec.system, drv.mark_factors,
                                                         combo, p_max).table
                 for inc, (part, _) in zip(incs, tables):
                     _, inc[c] = oracle.slot_increments(real, combo, part, drv.mark_factors)
         if gaussian:
-            variables = [expansions.gaussian_variables(d, phi)
-                         for d, (_, phi) in zip(draws, tables)]
-            incs = [d[:, list(combo)] for d in draws]
+            variables = [expansions.gaussian_variables(inc[:size], phi)
+                         for inc, (_, phi) in zip(incs, tables)]
         else:
-            variables = [BasisVariables("poisson", draws, combo=combo)] * len(tables)
-        yield start - lo, list(zip(variables, incs))
+            variables = [BasisVariables("poisson", table[:size], combo=combo)] * len(tables)
+        slots = [[inc[:size, i] for i in slot_index] for inc in incs]
+        yield start - lo, list(zip(variables, slots))
 
 
 def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
@@ -401,7 +420,9 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
 
     Returns (samples, diffs at the finest partition, diffs at the next, ...):
     arrays of shape (trials, n_boxes) holding the raw expansion samples at the
-    finest resolution and the oracle-minus-expansion differences at each."""
+    finest resolution and the oracle-minus-expansion differences at each.
+    The oracle's slot rows psi_g * Delta D^(i_g) go into one buffer per shard,
+    one multiply per slot, shared by the partitions."""
     k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
@@ -410,20 +431,27 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     def shard(lo, hi):
         samples = np.empty((hi - lo, len(subs)))
         diffs = [np.empty_like(samples) for _ in tables]
+        slot_rows = np.empty(min(chunk, hi - lo) * k * tables[0][0].n_steps)
         for first, resolutions in _trial_chunks(spec, tables, chunk, lo, hi):
-            for r, ((variables, incs), (_, phi), psi) in enumerate(zip(resolutions, tables, psis)):
-                rows = slice(first, first + len(incs))
+            for r, ((variables, incs), (_, phi), psi) in enumerate(
+                    zip(resolutions, tables, psis)):
+                size = len(incs[0])
+                rows = slice(first, first + size)
                 gk_sums = None
                 if correction == "prelimit":
-                    gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k, inc)
-                                        for inc in incs])
+                    gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k,
+                                                                    [inc[c] for inc in incs])
+                                        for c in range(size)])
                 values = np.stack([expansions.expand(sub, variables, spec.combo,
                                                      correction=correction,
                                                      gk_sums=gk_sums).value
                                    for sub in subs], axis=1)
                 if r == 0:
                     samples[rows] = values
-                diffs[r][rows] = oracle.nested_sum(psi * incs)[:, None] - values
+                f = slot_rows[:size * psi.size].reshape(size, *psi.shape)
+                for g, inc in enumerate(incs):
+                    np.multiply(psi[g], inc, out=f[:, g])
+                diffs[r][rows] = oracle.nested_sum(f)[:, None] - values
         return (samples, *diffs)
 
     return _sharded(shard, spec.trials, chunk)
@@ -509,7 +537,11 @@ def _ztest(name, values, expected, out):
 
 def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     """z-tests (3 sigma) for zero means, unit (or analytic) variances and
-    zero cross-correlations of the basis random variables."""
+    zero cross-correlations of the basis random variables.  ConfigError,
+    before any work, unless j_max is an integer >= 0 (a Walsh system's below
+    2^WALSH_BITS) and there are at least 1000 trials."""
+    j_max = check_integer("j_max", j_max, 0)
+    check_orders(spec.kernel, spec.system, (j_max,) * spec.kernel.multiplicity)
     if spec.trials < 10**3:
         raise ConfigError("moment_suite needs at least 1000 trials")
     drv = spec.driver

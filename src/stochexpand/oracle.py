@@ -84,7 +84,8 @@ def nested_sum(f: np.ndarray) -> np.ndarray:
     running = None
     for l in range(f.shape[-2] - 1):
         term = f[..., l, :] if running is None else f[..., l, :] * running
-        running = np.zeros_like(term)
+        running = np.empty_like(term)
+        running[..., 0] = 0.0
         np.cumsum(term[..., :-1], axis=-1, out=running[..., 1:])
     top = f[..., -1, :] if running is None else f[..., -1, :] * running
     return np.sum(top, axis=-1)

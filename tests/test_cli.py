@@ -640,8 +640,9 @@ def test_converge_worker_error_exits_3_without_traceback(tmp_path, capsys, monke
         return sample(part, m, seed)
 
     monkeypatch.setattr(harness, "sample_wiener", sampler)
-    # chunks of 2 trials (8 * 64 * 5 bytes each), spread over 3 workers
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 8 * 64 * 5)
+    # chunks of 2 trials (each 8 rows of 64 steps and 8 variables, 8 bytes a float),
+    # spread over 3 workers
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 8 * (8 * 64 + 8))
     monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: min(3, n_chunks))
     assert run(["converge", "--config", converge_config(tmp_path)]) == 3
     err = capsys.readouterr().err

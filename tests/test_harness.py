@@ -382,6 +382,11 @@ LOOP_SPECS = {
                              boxes=((1, 1), (3, 3), (7, 7)), richardson=True),
     "wiener_k3": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
                       boxes=((2, 2, 2), (1, 3, 2))),
+    # slot 0 reads the time row, which the loop writes once per pass
+    "wiener_time": dict(combo=(0, 1), trials=23, richardson=True),
+    # a Gaussian prelimit run: the G_k sums read the slot increments
+    "martingale_prelimit": dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1),
+                                trials=23, richardson=True),
 }
 
 
@@ -577,11 +582,12 @@ def test_cost_guard_trips_before_allocation(overrides):
 
 
 def test_memory_guard_counts_one_seed_word_derivation_per_worker(monkeypatch):
-    # m = 64 substreams per trial on one step: the seed words outweigh the chunk buffers
+    # m = 64 substreams per trial on one step: the seed words (1.3 MB) outweigh the
+    # chunk of 1000 trials (1.1 MB), and the budget fits the chunk but not both
     spec = _wiener_spec(driver=DriverConfig("wiener", m=64), n_steps=1, trials=1000,
                         boxes=((0, 0),))
     monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: 1)
-    monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**20)
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**21)
     with pytest.raises(SizeError):  # 8192 substreams of 160 bytes in one derivation
         harness._chunk_trials(spec, 1, 0, 2)
     monkeypatch.setattr(harness, "SEED_STREAMS", 64)  # one trial per derivation
@@ -661,11 +667,12 @@ def test_serial_fallback_without_fork(monkeypatch):
 
 
 def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
-    # tables ~0.43 MB, one chunk of 6 trials ~0.98 MB: one worker fits 2 MiB, two do not
+    # tables ~0.46 MB, one worker's chunk of 11 trials and its scratch ~3.2 MB: one
+    # worker fits 4 MiB, two do not
     spec = _wiener_spec(n_steps=4096, trials=60, boxes=((7, 7),))
-    monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**21)
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**22)
     _force_workers(monkeypatch, 1)
-    assert harness._chunk_trials(spec, spec.n_steps, 7, 4) == 6
+    assert harness._chunk_trials(spec, spec.n_steps, 7, 4) == 11
     draws = []
     monkeypatch.setattr(harness, "sample_wiener", lambda *args: draws.append(args))
     for workers in (2, 3):
@@ -676,3 +683,42 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
             run_experiment(spec)
     assert not draws
 
+
+@pytest.mark.parametrize("driver", [DriverConfig("wiener", m=2),
+                                    DriverConfig("martingale", m=2, rho=2.0)],
+                         ids=["wiener", "rho_2"])
+def test_memory_guard_bounds_what_the_loop_holds(driver, monkeypatch):
+    import tracemalloc
+    spec = _wiener_spec(driver=driver, n_steps=2**16, trials=4, richardson=True)
+    _force_workers(monkeypatch, 1)
+    chunk_trials, calls = harness._chunk_trials, []
+    monkeypatch.setattr(harness, "_chunk_trials",
+                        lambda *args: calls.append(args) or chunk_trials(*args))
+    run_experiment(spec)  # the imports and caches of a first run outlive it
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.trials >= 3 * chunk_trials(*calls[-1])  # three chunks or more
+    lo, hi = 0, 2**32  # the smallest budget the guard accepts lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(harness, "MEMORY_BUDGET", mid)
+        try:
+            chunk_trials(*calls[-1])
+            hi = mid
+        except SizeError:
+            lo = mid
+    assert peak <= hi
+
+
+@pytest.mark.parametrize("system, j_max", [(basis.walsh(IV), 1024), (SYS, 2.5), (SYS, -1),
+                                           (SYS, True)], ids=["walsh_1024", "2.5", "-1", "True"])
+def test_moment_suite_checks_j_max_before_any_work(system, j_max, monkeypatch):
+    draws = []
+    monkeypatch.setattr(harness, "sample_wiener", lambda *args: draws.append(args))
+    with pytest.raises(ConfigError, match="j_max|Walsh"):
+        moment_suite(_wiener_spec(system=system, trials=1000), j_max=j_max)
+    assert not draws

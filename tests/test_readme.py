@@ -1,6 +1,11 @@
+import argparse
 import math
 import pathlib
 import re
+
+import pytest
+
+from stochexpand import cli, harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +17,32 @@ def test_readme_quick_example_runs(capsys):
     sample, oracle = map(float, capsys.readouterr().out.split())
     # one Wiener path: the p = 7 series against the N = 4096 left-point sum
     assert math.isfinite(sample) and abs(sample - oracle) < 1.0
+
+
+def test_readme_states_the_trials_per_chunk(monkeypatch, tmp_path):
+    text = README.read_text()
+    example = re.search(r"Example `converge.json`:\n\n```json\n(.*?)```", text, re.S)
+    stated = re.search(r"`harness\.CHUNK_BYTES` \((\d+) MiB: for the k = 2, m = 2, N = 4096 "
+                       r"`converge\.json` example below, (\d+) trials without `richardson` and "
+                       r"(\d+) with it\)", " ".join(text.split()))
+    assert example and stated, "README.md no longer states the trials per chunk"
+
+    class Built(Exception):
+        pass
+
+    def built(spec):
+        raise Built(spec)
+
+    monkeypatch.setattr(cli, "run_experiment", built)
+    config = tmp_path / "converge.json"
+    config.write_text(example.group(1))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(Built) as exc:
+        cli.cmd_converge(argparse.Namespace(config=str(config)))
+    spec = exc.value.args[0]
+    n, p_max = spec.n_steps, max(map(max, spec.boxes))
+    assert (spec.kernel.multiplicity, spec.driver.m, n, spec.richardson) == (2, 2, 4096, True)
+    mib, plain, richardson = map(int, stated.groups())
+    assert harness.CHUNK_BYTES == mib * 2**20
+    assert harness._chunk_trials(spec, n, p_max, 1) == plain
+    assert harness._chunk_trials(spec, n, p_max, 1, (n // 2,)) == richardson
