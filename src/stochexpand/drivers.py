@@ -465,21 +465,51 @@ def sample_poisson(interval: Interval, m: int, measure: IntensityMeasure,
     return PoissonRealization(interval, m, tuple(times), tuple(marks), measure)
 
 
-def interval_measures(realization: PoissonRealization, i: int, phi,
-                      partition: Partition) -> np.ndarray:
-    """Per-step values of int phi(y) nu~(i)([tau_l, tau_l+1), dy).
+def _poisson_batch(realizations) -> tuple:
+    """(realizations as a tuple, True if one was given alone) for one Poisson
+    realization or a non-empty list or tuple of them that share one intensity measure."""
+    alone = not isinstance(realizations, (list, tuple))
+    batch = (realizations,) if alone else tuple(realizations)
+    if not batch or not all(isinstance(r, PoissonRealization) for r in batch):
+        raise TypeError(f"unsupported realization type {type(realizations).__name__}"
+                        + ("" if alone else " (a batch holds one or more Poisson realizations)"))
+    if any(r.intensity is not batch[0].intensity for r in batch):
+        raise ValueError("the realizations of one batch must share their intensity measure")
+    return batch, alone
 
-    For i = 0 the measure is Pi(dy) dt, i.e. delta_t * int phi dPi per step."""
-    m1 = realization.intensity.mark_integral(phi)
+
+def _batch_jumps(realizations, i: int):
+    """(times, marks, counts) of component i over a batch of Poisson realizations:
+    their jump times and marks concatenated in trial order, and each one's jump count."""
+    jumps = [r.jumps(i) for r in realizations]
+    counts = np.array([len(t) for t, _ in jumps])
+    return (np.concatenate([t for t, _ in jumps]), np.concatenate([y for _, y in jumps]),
+            counts)
+
+
+def interval_measures(realizations, i: int, phi, partition: Partition,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Per-step values of int phi(y) nu~(i)([tau_l, tau_l+1), dy), shape (N,) for one
+    realization and (trials, N) for a list or tuple of them (all of one intensity).
+
+    For i = 0 the measure is Pi(dy) dt, i.e. delta_t * int phi dPi per step.
+    The jumps of all trials go into out (a (trials, N) array to write into, or a
+    new one if None) by one scattered add from 0.0, in time order within a
+    trial, so each row is bitwise what the trial alone gives."""
+    batch, alone = _poisson_batch(realizations)
+    m1 = batch[0].intensity.mark_integral(phi)
+    if out is None:
+        out = np.empty((len(batch), partition.n_steps))
     if i == 0:
-        return partition.deltas * m1
-    times, marks = realization.jumps(i)
-    vals = np.zeros(partition.n_steps)
-    if len(times):
+        out[...] = partition.deltas * m1
+    else:
+        times, marks, counts = _batch_jumps(batch, i)
         bins = np.clip(np.searchsorted(partition.nodes, times, side="right") - 1,
                        0, partition.n_steps - 1)
-        np.add.at(vals, bins, phi(marks))
-    return vals - partition.deltas * m1
+        out[...] = 0.0
+        np.add.at(out, (np.repeat(np.arange(len(batch)), counts), bins), phi(marks))
+        out -= partition.deltas * m1
+    return out[0] if alone else out
 
 
 def compensated_integral(realization: PoissonRealization, i: int, h, phi,

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import oracle, quadrature
 from .basis import OrthonormalSystem
-from .drivers import GaussianMartingalePath, Partition, PoissonRealization, compensated_integral
+from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, _batch_jumps,
+                      _poisson_batch, compensated_integral)
 from .kernel import CoeffTensor
 
 __all__ = [
@@ -135,32 +136,38 @@ def pi_from_realization(realization: PoissonRealization, system: OrthonormalSyst
                                 system.breakpoints(j))
 
 
-def poisson_variables(realization: PoissonRealization, system: OrthonormalSystem,
-                      mark_factors, combo, p_max: int) -> BasisVariables:
-    """Slot-keyed table of pi_j^(g, i_g) variables, exact in the jump times.
+def poisson_variables(realizations, system: OrthonormalSystem, mark_factors, combo,
+                      p_max: int) -> BasisVariables:
+    """Slot-keyed table of pi_j^(g, i_g) variables, exact in the jump times, of shape
+    (k, p_max + 1) for one realization and (trials, k, p_max + 1) for a list or
+    tuple of them.
 
     Every mark factor needs a finite mark moment of order 2^(k+1); the
     compensators come from a cache, so Monte Carlo loops pay for the
-    quadrature once."""
+    quadrature once.  Each nonzero component's basis is evaluated once on the
+    jump times of all trials; a trial's row multiplies its column block of that
+    table, the same matrix-vector product as on its jumps alone, so each trial's
+    table is bitwise what it gives alone."""
+    batch, alone = _poisson_batch(realizations)
     combo = tuple(int(i) for i in combo)
     if len(mark_factors) != len(combo):
         raise ValueError("one mark factor per slot is required")
     k = len(combo)
-    table = np.empty((k, p_max + 1))
-    jump_tables = {}  # component -> basis on its jump times, shared by its slots
-    for g, (i, phi) in enumerate(zip(combo, mark_factors)):
-        row = _compensator_row(system, p_max, realization.intensity, phi, 2.0 ** (k + 1))
-        if i == 0:
-            table[g] = row
-            continue
-        times, marks = realization.jumps(i)
-        if len(times):
-            if i not in jump_tables:
-                jump_tables[i] = system.eval_table(p_max, times)
-            table[g] = jump_tables[i] @ phi(marks) - row
-        else:
-            table[g] = -row
-    return BasisVariables("poisson", table, combo=combo)
+    rows = [_compensator_row(system, p_max, batch[0].intensity, phi, 2.0 ** (k + 1))
+            for phi in mark_factors]
+    table = np.empty((len(batch), k, p_max + 1))
+    for g, (i, row) in enumerate(zip(combo, rows)):
+        table[:, g] = -row if i else row  # a trial without jumps keeps -row
+    for i in sorted(set(combo) - {0}):  # one table on the jump times per component
+        times, marks, counts = _batch_jumps(batch, i)
+        jump_table = system.eval_table(p_max, times)
+        ends = np.cumsum(counts)
+        for g in (g for g, c in enumerate(combo) if c == i):
+            weights = mark_factors[g](marks)
+            for t in np.flatnonzero(counts):
+                block = slice(ends[t] - counts[t], ends[t])
+                table[t, g] = jump_table[:, block] @ weights[block] - rows[g]
+    return BasisVariables("poisson", table[0] if alone else table, combo=combo)
 
 
 @dataclass(frozen=True)

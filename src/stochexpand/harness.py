@@ -11,9 +11,13 @@ partition is prepared once per pass, trials are drawn one by one into a
 workspace that each worker allocates once and reuses for every chunk of
 trials, a chunk as large as fits CHUNK_BYTES by the count of _chunk_trials,
 and each chunk is evaluated by batched operations that treat every trial
-alike.  A pass is split into contiguous trial ranges, one per worker process
-(see _sharded).  Results do not depend on the chunk size or the worker
-count, bitwise.
+alike.  A Poisson pass runs only its sampler and, under prelimit, the G_k
+sum per trial; the chunk's basis variables (one basis table on all its jump
+times per component) and its slot increments on each partition (one
+scattered add per distinct component and mark factor) are built once.  A
+pass is split into contiguous trial ranges, one per worker process (see
+_sharded).  Results do not depend on the chunk size or the worker count,
+bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -47,7 +51,6 @@ from .drivers import (IntensityMeasure, PowerMark, TrialSeed, _as_callable,  # n
                       interval_measures, make_partition, power_mark, sample_gaussian_martingale,
                       sample_poisson, sample_wiener, seed_words)
 from .errors import ConfigError, SizeError, check_integer
-from .expansions import BasisVariables
 from .kernel import CoeffTensor, Kernel, check_box, check_orders, coeff_tensor, kernel_norm_sq
 
 __all__ = [
@@ -231,35 +234,44 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     as fit CHUNK_BYTES.
 
     A chunk holds per trial, on each partition, its increment buffer (a
-    Gaussian path's m + 1 rows, or a Poisson trial's k slot rows), its basis
-    variables and, under prelimit, its G_k tensors (listed, stacked and in
-    expand's product); and once, at n_steps, its k slot rows psi_g * Delta
-    D^(i_g), nested_sum's three rows of scratch and the bracket's first
-    contraction.  Each worker also holds two trials' draws (a trial's path is
-    freed when the next one's is bound; for Poisson, the slot measures and
-    their copy), one seed-word derivation (_trial_seeds) and, under prelimit,
-    its slot tables and largest block product of the G_k sum.
+    Gaussian path's m + 1 rows, or a Poisson trial's k slot rows), a Gaussian
+    path's basis variables and, under prelimit, its G_k tensors (listed,
+    stacked and in expand's product); once, a Poisson trial's basis variables,
+    its jumps and their share of the chunk's jump-time tables; and once, at
+    n_steps, its k slot rows psi_g * Delta D^(i_g), nested_sum's three rows of
+    scratch and the bracket's first contraction.  Each worker also holds two
+    Gaussian trials' draws (a trial's path is freed when the next one's is
+    bound) or a Poisson chunk's compensator row, one seed-word derivation
+    (_trial_seeds) and, under prelimit, its slot tables and, for k >= 3, the
+    largest block product of the G_k sum.
 
     Raises SizeError, before anything is allocated, when the partitions,
     their left-node tables, each worker's chunk and share above, and the
     kept_per_trial result floats of every trial (twice when sharded: the
     workers' rows and the gathered array) would exceed MEMORY_BUDGET."""
-    k, m = spec.kernel.multiplicity, spec.driver.m
-    gaussian = spec.driver.kind != "poisson"
+    k, m, drv = spec.kernel.multiplicity, spec.driver.m, spec.driver
+    gaussian = drv.kind != "poisson"
     prelimit = spec.correction == "prelimit"
     steps = (n_steps, *coarse)
     rows = m + 1 if gaussian else k  # increment rows per partition
-    per_trial = 8 * (sum(n * rows + rows * (p_max + 1) + prelimit * 3 * (p_max + 1) ** k
-                         for n in steps) + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
-    # rows at n_steps: two paths' unit draws and increments, or a Poisson trial's
-    # slot measures, their copy and two temporaries
-    draws = 2 * (2 * m + 1) if gaussian else 2 * k + 2
-    temp = 8 * n_steps * (draws + prelimit * (k * (p_max + 1) + (p_max + 1) ** (k - 1)))
+    variables = rows * (p_max + 1) * (len(steps) if gaussian else 1)
+    # per expected jump of a Poisson trial on one component: its time and mark on each
+    # component, two components' basis tables (one is built while the last is freed) and
+    # eight floats of scratch (eval_table's rows, the chunk's concatenated times and
+    # marks, their mark factor values and the scattered add's indices)
+    jumps = 0 if gaussian else math.ceil(drv.intensity.total_mass * spec.kernel.interval.length
+                                         * (2 * m + 2 * (p_max + 1) + 8))
+    per_trial = 8 * (sum(n * rows + prelimit * 3 * (p_max + 1) ** k for n in steps) + variables
+                     + jumps + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
+    # rows at n_steps: two paths' unit draws and increments, or a compensator row
+    draws = 2 * (2 * m + 1) if gaussian else 1
+    gk = k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1)
+    temp = 8 * n_steps * (draws + prelimit * gk)
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
-    # nodes, deltas, step variances and their square roots, basis table, kernel
-    # factors; forked workers share them with the parent
-    tables = sum(8 * (n + 1) * (4 + p_max + 1 + k) for n in steps)
+    # nodes, deltas, basis table, kernel factors and a Gaussian pass's step variances
+    # and their square roots; forked workers share them with the parent
+    tables = sum(8 * (n + 1) * (2 + 2 * gaussian + p_max + 1 + k) for n in steps)
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
     seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
     need = tables + workers * (chunk * per_trial + temp + seeds) + results
@@ -359,34 +371,35 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     increments) for each partition]) per chunk of trials lo..hi-1.
 
     tables lists (partition, basis table on its left nodes), finest first.
-    The chunk's buffers are allocated once per call and reused by every
-    chunk: a Gaussian path's increments on each partition, whose time row is
-    written once, or a Poisson trial's variable table and slot increments on
-    each partition.  Each trial is seeded with its substreams' derived words
-    (_trial_seeds) and drawn once, through the public sampler, on the finest
-    partition.  A Gaussian path's unit draws times each coarser partition's
-    step scales go straight into that partition's rows (bitwise the
-    sampler's increments there, as drivers.scale_draws gives them), and its
-    slot increments are views of the rows of its combo; a Poisson
-    realization and its variables do not depend on the partition, and only
-    its slot increments are taken on each.  The variables have a leading
-    trial axis, and the slot increments are k arrays of shape (trials, N),
-    valid until the next chunk is drawn."""
+    The chunk's increment buffers, one per partition, are allocated once per
+    call and reused by every chunk: a Gaussian path's rows, whose time row
+    is written once, or a Poisson chunk's slot rows.  Each trial is seeded
+    with its substreams' derived words (_trial_seeds) and drawn once, through
+    the public sampler, on the finest partition.  A Gaussian path's unit
+    draws times each coarser partition's step scales go straight into that
+    partition's rows (bitwise the sampler's increments there, as
+    drivers.scale_draws gives them), and its slot increments are views of the
+    rows of its combo.  A Poisson chunk's realizations and their variables do
+    not depend on the partition: poisson_variables takes the whole chunk
+    once, and slot_increments writes its measures into each partition's rows
+    by one scattered add per distinct (component, mark factor) pair, bitwise
+    each trial's own.  The variables have a leading trial axis, and the slot
+    increments are k arrays of shape (trials, N), valid until the next chunk
+    is drawn."""
     drv, combo = spec.driver, spec.combo
     gaussian = drv.kind != "poisson"
     p_max = tables[0][1].shape[0] - 1
     seeds = _trial_seeds(spec.seed, drv.m, lo, hi)
     chunk = min(chunk, hi - lo)
-    slot_index = combo if gaussian else range(len(combo))  # its row in the increment buffers
-    if gaussian:  # increments per partition
-        incs = [np.empty((chunk, drv.m + 1, part.n_steps)) for part, _ in tables]
+    # increments per partition: a Gaussian path's rows, or a Poisson chunk's slot rows
+    incs = [np.empty((chunk, drv.m + 1 if gaussian else len(combo), part.n_steps))
+            for part, _ in tables]
+    if gaussian:
         for inc, (part, _) in zip(incs, tables):
             inc[:, 0] = part.deltas
-    else:  # the variable table, and slot increments per partition
-        table = np.empty((chunk, len(combo), p_max + 1))
-        incs = [np.empty((chunk, len(combo), part.n_steps)) for part, _ in tables]
     for start in range(lo, hi, chunk):
         size = min(chunk, hi - start)
+        reals = []
         for c in range(size):
             seed = next(seeds)
             if drv.kind == "wiener":
@@ -394,23 +407,21 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
             elif drv.kind == "martingale":
                 real = sample_gaussian_martingale(tables[0][0], drv.m, drv.rho, seed)
             else:
-                real = sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed)
-            if gaussian:
-                incs[0][c, 1:] = real.increments[1:]
-                for inc, (part, _) in zip(incs[1:], tables[1:]):
-                    np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(drv.rho),
-                                out=inc[c, 1:])
-            else:
-                table[c] = expansions.poisson_variables(real, spec.system, drv.mark_factors,
-                                                        combo, p_max).table
-                for inc, (part, _) in zip(incs, tables):
-                    _, inc[c] = oracle.slot_increments(real, combo, part, drv.mark_factors)
+                reals.append(sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed))
+                continue
+            incs[0][c, 1:] = real.increments[1:]
+            for inc, (part, _) in zip(incs[1:], tables[1:]):
+                np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(drv.rho),
+                            out=inc[c, 1:])
         if gaussian:
             variables = [expansions.gaussian_variables(inc[:size], phi)
                          for inc, (_, phi) in zip(incs, tables)]
+            slots = [[inc[:size, i] for i in combo] for inc in incs]
         else:
-            variables = [BasisVariables("poisson", table[:size], combo=combo)] * len(tables)
-        slots = [[inc[:size, i] for i in slot_index] for inc in incs]
+            variables = [expansions.poisson_variables(reals, spec.system, drv.mark_factors,
+                                                      combo, p_max)] * len(tables)
+            slots = [oracle.slot_increments(reals, combo, part, drv.mark_factors, inc[:size])[1]
+                     for inc, (part, _) in zip(incs, tables)]
         yield start - lo, list(zip(variables, slots))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import GaussianMartingalePath, Partition, PoissonRealization, interval_measures
+from .drivers import GaussianMartingalePath, Partition, _poisson_batch, interval_measures
 from .kernel import Kernel
 
 __all__ = [
@@ -36,30 +36,35 @@ class OracleResult:
     combo: tuple[int, ...]
 
 
-def slot_increments(realization, combo, partition: Partition | None = None,
-                    mark_factors=None) -> tuple[Partition, list[np.ndarray]]:
+def slot_increments(realizations, combo, partition: Partition | None = None,
+                    mark_factors=None, out: np.ndarray | None = None
+                    ) -> tuple[Partition, list[np.ndarray]]:
     """Per-slot driver increments Delta D^(i_l) on the partition.
 
-    Gaussian paths (Wiener or martingale) carry their own partition; Poisson
-    realizations are discretized onto the given partition with one compensated
-    interval measure per distinct (component, mark factor) pair (slot l uses
-    mark factor phi_l); slots of one pair get the same read-only array."""
-    if isinstance(realization, PoissonRealization):
-        if partition is None:
-            raise ValueError("a partition is required to discretize a Poisson realization")
-        if mark_factors is None or len(mark_factors) != len(combo):
-            raise ValueError("one mark factor per slot is required for Poisson drivers")
-        measures = {}
-        for i, phi in zip(combo, mark_factors):
-            if (i, phi) not in measures:
-                inc = measures[i, phi] = interval_measures(realization, i, phi, partition)
-                inc.flags.writeable = False
-        return partition, [measures[i, phi] for i, phi in zip(combo, mark_factors)]
-    if not isinstance(realization, GaussianMartingalePath):
-        raise TypeError(f"unsupported realization type {type(realization).__name__}")
-    if partition is not None and not np.array_equal(partition.nodes, realization.partition.nodes):
-        raise ValueError("path realizations can only be summed on their own partition")
-    return realization.partition, [realization.increment(i) for i in combo]
+    Gaussian paths (Wiener or martingale) carry their own partition.  Poisson
+    realizations, one or a list or tuple of them, are discretized onto the given
+    partition with one compensated interval measure per distinct (component,
+    mark factor) pair (slot l uses mark factor phi_l), of shape (N,) for one
+    realization and (trials, N) for a list, written into the row of the pair's
+    first slot in out (a (trials, k, N) array) if given; slots of one pair get
+    the same read-only array."""
+    if isinstance(realizations, GaussianMartingalePath):
+        if partition is not None and not np.array_equal(partition.nodes,
+                                                        realizations.partition.nodes):
+            raise ValueError("path realizations can only be summed on their own partition")
+        return realizations.partition, [realizations.increment(i) for i in combo]
+    _poisson_batch(realizations)  # the type check comes first
+    if partition is None:
+        raise ValueError("a partition is required to discretize a Poisson realization")
+    if mark_factors is None or len(mark_factors) != len(combo):
+        raise ValueError("one mark factor per slot is required for Poisson drivers")
+    measures = {}
+    for g, (i, phi) in enumerate(zip(combo, mark_factors)):
+        if (i, phi) not in measures:
+            inc = measures[i, phi] = interval_measures(
+                realizations, i, phi, partition, None if out is None else out[:, g])
+            inc.flags.writeable = False
+    return partition, [measures[i, phi] for i, phi in zip(combo, mark_factors)]
 
 
 def iterated_sum(kernel: Kernel, realization, combo, partition: Partition | None = None,

@@ -108,6 +108,42 @@ class TestBasisVariables:
         with pytest.raises(ValueError, match="singular at 0"):
             poisson_variables(real, SYS, (power_mark(-3.0),), (1,), 2)
 
+    @pytest.mark.parametrize("combo, powers", [
+        ((1, 1), (1.0, 1.0)), ((1, 2), (1.0, 0.5)), ((0, 1, 1), (1.0, 1.0, 0.5)),
+        ((1, 1, 2), (1.0, 1.3, 0.5))], ids=["11", "12", "011", "112"])
+    @pytest.mark.parametrize("sys_", [SYS, basis.haar(IV)], ids=lambda s: s.kind)
+    def test_batch_rows_are_each_realizations_own_bitwise(self, combo, powers, sys_):
+        measure = exponential_measure(0.3)
+        part = make_partition(IV, 64)
+        chunk = [sample_poisson(IV, 2, measure, trial_seed(5, t)) for t in range(12)]
+        # jumps in the last step, one of them at the interval's end, and none on component 2
+        chunk.insert(5, PoissonRealization(IV, 2, (np.array([0.2, 1.0 - 1e-12, 1.0]), np.empty(0)),
+                                           (np.array([0.7, 1.5, 2.5]), np.empty(0)), measure))
+        counts = [[len(r.jumps(i)[0]) for i in (1, 2)] for r in chunk]
+        assert [0, 0] in counts and any(min(c) > 0 for c in counts)
+        marks = tuple(power_mark(a) for a in powers)
+        table = poisson_variables(chunk, sys_, marks, combo, 4).table
+        _, incs = oracle.slot_increments(chunk, combo, part, marks)
+        assert table.shape == (len(chunk), len(combo), 5)
+        assert [inc.shape for inc in incs] == [(len(chunk), 64)] * len(combo)
+        for t, real in enumerate(chunk):
+            alone = poisson_variables(real, sys_, marks, combo, 4).table
+            assert alone.shape == (len(combo), 5) and np.array_equal(table[t], alone)
+            _, own = oracle.slot_increments(real, combo, part, marks)
+            for inc, row in zip(incs, own):
+                assert row.shape == (64,) and np.array_equal(inc[t], row)
+
+    def test_batch_needs_one_intensity_and_one_type(self):
+        reals = [sample_poisson(IV, 1, exponential_measure(2.0), t) for t in range(2)]
+        part = make_partition(IV, 8)
+        with pytest.raises(ValueError, match="intensity"):
+            poisson_variables(reals, SYS, (_mark,), (1,), 2)
+        with pytest.raises(ValueError, match="intensity"):
+            oracle.slot_increments(reals, (1,), part, (_mark,))
+        for bad in ([], [reals[0], sample_wiener(part, 1, 0)]):
+            with pytest.raises(TypeError, match="unsupported realization"):
+                oracle.slot_increments(bad, (1,), part, (_mark,))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             BasisVariables("gaussian", np.array([[np.nan]]))

@@ -387,6 +387,15 @@ LOOP_SPECS = {
     # a Gaussian prelimit run: the G_k sums read the slot increments
     "martingale_prelimit": dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1),
                                 trials=23, richardson=True),
+    # most trials of a chunk have no jumps on one component or both
+    "poisson_sparse": dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(0.3),
+                                               mark_factors=(power_mark(1.0), power_mark(0.5))),
+                           combo=(1, 2), trials=23, richardson=True),
+    # a time slot and two equal slots under prelimit
+    "poisson_k3": dict(kernel=unit_kernel(3, IV), combo=(0, 1, 1), trials=23,
+                       boxes=((2, 2, 2), (1, 3, 2)), richardson=True,
+                       driver=DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                                           mark_factors=(power_mark(1.0),) * 3)),
 }
 
 
@@ -427,20 +436,29 @@ def test_stats_do_not_depend_on_chunk_size(name, monkeypatch):
             assert max(shards) == workers
 
 
-def test_equal_poisson_slots_take_one_measure_per_trial_and_partition(monkeypatch):
+def test_equal_poisson_slots_take_one_measure_per_chunk_and_partition(monkeypatch):
     measure = oracle.interval_measures
     calls = []
     monkeypatch.setattr(oracle, "interval_measures",
-                        lambda *args: calls.append(args[1]) or measure(*args))
+                        lambda *args: calls.append((args[1], len(args[0]))) or measure(*args))
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
     _force_workers(monkeypatch, 1)
     spec = _wiener_spec(**LOOP_SPECS["poisson_prelimit"])  # combo (1, 1), equal marks
     run_experiment(spec)
-    assert calls == [1] * spec.trials * 2  # n_steps and the Richardson n_steps // 2
+    # one batch per chunk of 7, 7, 7 and 2 trials, at n_steps and at n_steps // 2
+    assert calls == [(1, size) for size in (7, 7, 7, 2) for _ in range(2)]
 
 
-def test_moment_suite_does_not_depend_on_chunk_size(monkeypatch):
-    spec = _wiener_spec(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t),
-                        trials=1000, n_steps=64)
+MOMENT_DRIVERS = {
+    "martingale": DriverConfig("martingale", m=2, rho=_rho_one_plus_t),
+    "poisson": DriverConfig("poisson", m=2, intensity=exponential_measure(3.0),
+                            mark_factors=(power_mark(1.0), power_mark(0.5))),
+}
+
+
+@pytest.mark.parametrize("driver", MOMENT_DRIVERS)
+def test_moment_suite_does_not_depend_on_chunk_size(driver, monkeypatch):
+    spec = _wiener_spec(driver=MOMENT_DRIVERS[driver], trials=1000, n_steps=64)
     default = moment_suite(spec, j_max=3)
     monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
     for workers in (1, 2, 3):
@@ -684,12 +702,14 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
     assert not draws
 
 
-@pytest.mark.parametrize("driver", [DriverConfig("wiener", m=2),
-                                    DriverConfig("martingale", m=2, rho=2.0)],
-                         ids=["wiener", "rho_2"])
-def test_memory_guard_bounds_what_the_loop_holds(driver, monkeypatch):
+@pytest.mark.parametrize("overrides", [
+    dict(driver=DriverConfig("wiener", m=2)),
+    dict(driver=DriverConfig("martingale", m=2, rho=2.0)),
+    dict(driver=LOOP_SPECS["poisson_prelimit"]["driver"], combo=(1, 1)),  # equal marks
+], ids=["wiener", "rho_2", "poisson_prelimit"])
+def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
     import tracemalloc
-    spec = _wiener_spec(driver=driver, n_steps=2**16, trials=4, richardson=True)
+    spec = _wiener_spec(**overrides, n_steps=2**16, trials=4, richardson=True)
     _force_workers(monkeypatch, 1)
     chunk_trials, calls = harness._chunk_trials, []
     monkeypatch.setattr(harness, "_chunk_trials",
