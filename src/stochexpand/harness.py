@@ -11,12 +11,14 @@ partition is prepared once per pass, trials are drawn one by one into a
 workspace that each worker allocates once and reuses for every chunk of
 trials, a chunk as large as fits CHUNK_BYTES by the count of _chunk_trials,
 and each chunk is evaluated by batched operations that treat every trial
-alike.  A Poisson pass runs only its sampler and, under prelimit, the G_k
-sum per trial; the chunk's basis variables (one basis table on all its jump
-times per component) and its slot increments on each partition (one
-scattered add per distinct component and mark factor) are built once.  A
-pass is split into contiguous trial ranges, one per worker process (see
-_sharded).  Results do not depend on the chunk size or the worker count,
+alike.  A Poisson pass runs only its sampler per trial; the chunk's basis
+variables (one basis table on all its jump times per component), its slot
+increments on each partition (one scattered add per distinct component and
+mark factor) and, under prelimit, its G_k sums on each partition are built
+once.  The G_k sums start from the pass's base, the block sums of a
+realization without jumps, built per partition before any fork, and add
+each trial's jump steps by one scattered add per block.  A pass is split
+into contiguous trial ranges, one per worker process (see _sharded).  Results do not depend on the chunk size or the worker count,
 bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
@@ -47,9 +49,9 @@ from . import expansions, oracle
 from .basis import OrthonormalSystem
 # interval_measures, PowerMark and power_mark stay module attributes: perfbench/tracer.py
 # wraps the samplers and interval_measures here, and callers import the other two from here
-from .drivers import (IntensityMeasure, PowerMark, TrialSeed, _as_callable,  # noqa: F401
-                      interval_measures, make_partition, power_mark, sample_gaussian_martingale,
-                      sample_poisson, sample_wiener, seed_words)
+from .drivers import (IntensityMeasure, PoissonRealization, PowerMark, TrialSeed,  # noqa: F401
+                      _as_callable, interval_measures, make_partition, power_mark,
+                      sample_gaussian_martingale, sample_poisson, sample_wiener, seed_words)
 from .errors import ConfigError, SizeError, check_integer
 from .kernel import CoeffTensor, Kernel, check_box, check_orders, coeff_tensor, kernel_norm_sq
 
@@ -235,15 +237,21 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
 
     A chunk holds per trial, on each partition, its increment buffer (a
     Gaussian path's m + 1 rows, or a Poisson trial's k slot rows), a Gaussian
-    path's basis variables and, under prelimit, its G_k tensors (listed,
-    stacked and in expand's product); once, a Poisson trial's basis variables,
-    its jumps and their share of the chunk's jump-time tables; and once, at
-    n_steps, its k slot rows psi_g * Delta D^(i_g), nested_sum's three rows of
-    scratch and the bracket's first contraction.  Each worker also holds two
-    Gaussian trials' draws (a trial's path is freed when the next one's is
-    bound) or a Poisson chunk's compensator row, one seed-word derivation
-    (_trial_seeds) and, under prelimit, its slot tables and, for k >= 3, the
-    largest block product of the G_k sum.
+    path's basis variables and, under prelimit, its G_k tensors (a Gaussian
+    trial's listed, stacked and in expand's product; a Poisson trial's result,
+    block sums, Moebius temporaries and expand's product); once, a Poisson
+    trial's basis variables, its jumps and their share of the chunk's
+    jump-time tables and, under prelimit, the G_k sum's scratch of its steps
+    off the base (up to its expected jumps, each with a block's terms) and
+    their masks; and once, at n_steps, its k slot rows psi_g * Delta D^(i_g),
+    nested_sum's three rows of scratch and the bracket's first contraction.
+    Each worker also holds two Gaussian trials' draws (a trial's path is freed
+    when the next one's is bound) or a Poisson chunk's compensator row, one
+    seed-word derivation (_trial_seeds) and, under a Gaussian prelimit, the
+    dense G_k sum's slot tables and, for k >= 3, its largest block product.
+    A Poisson prelimit pass holds its G_k bases (slot rows and block sums)
+    once, and builds them in the parent before any chunk, through those dense
+    temporaries.
 
     Raises SizeError, before anything is allocated, when the partitions,
     their left-node tables, each worker's chunk and share above, and the
@@ -252,6 +260,7 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     k, m, drv = spec.kernel.multiplicity, spec.driver.m, spec.driver
     gaussian = drv.kind != "poisson"
     prelimit = spec.correction == "prelimit"
+    based = prelimit and not gaussian  # the G_k sums start from a base (_gk_base)
     steps = (n_steps, *coarse)
     rows = m + 1 if gaussian else k  # increment rows per partition
     variables = rows * (p_max + 1) * (len(steps) if gaussian else 1)
@@ -261,20 +270,38 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     # marks, their mark factor values and the scattered add's indices)
     jumps = 0 if gaussian else math.ceil(drv.intensity.total_mass * spec.kernel.interval.length
                                          * (2 * m + 2 * (p_max + 1) + 8))
-    per_trial = 8 * (sum(n * rows + prelimit * 3 * (p_max + 1) ** k for n in steps) + variables
-                     + jumps + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
+    box = (p_max + 1) ** k
+    # per trial and partition: a Gaussian trial's G_k tensor (listed, stacked and in
+    # expand's product), or a Poisson chunk's result, the Moebius product's two
+    # temporaries, expand's product and the block sums (at most one per set of slots)
+    gk = prelimit * (3 * box if gaussian else 4 * box + (p_max + 2) ** k)
+    # once per Poisson trial under prelimit: its steps off the base, up to its expected
+    # jumps on the combo's components, each with a block's terms, their scattered add's
+    # indices and its trial and step; and one byte per step for each slot's mask and theirs
+    off = 0
+    if based:
+        expected = math.ceil(drv.intensity.total_mass * spec.kernel.interval.length
+                             * len(set(spec.combo) - {0}))
+        off = min(n_steps, expected) * (2 * box + 2) + -(-(k + 1) * n_steps // 8)
+    per_trial = 8 * (sum(n * rows + gk for n in steps) + variables + jumps + off
+                     + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
     # rows at n_steps: two paths' unit draws and increments, or a compensator row
     draws = 2 * (2 * m + 1) if gaussian else 1
-    gk = k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1)
-    temp = 8 * n_steps * (draws + prelimit * gk)
+    # per step, the dense G_k sum's slot tables and, for k >= 3, its largest block product:
+    # each Gaussian worker's, or a Poisson pass's while it builds a partition's base
+    dense = prelimit * (k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1))
+    temp = 8 * n_steps * (draws + gaussian * dense)
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
     # nodes, deltas, basis table, kernel factors and a Gaussian pass's step variances
-    # and their square roots; forked workers share them with the parent
-    tables = sum(8 * (n + 1) * (2 + 2 * gaussian + p_max + 1 + k) for n in steps)
+    # and their square roots, or a Poisson pass's G_k base (slot rows and block sums);
+    # forked workers share them with the parent, which builds the bases before any chunk
+    tables = sum(8 * (n + 1) * (2 + 2 * gaussian + p_max + 1 + k)
+                 + based * 8 * (n * k + (p_max + 2) ** k) for n in steps)
+    base = based * 8 * n_steps * (dense + 1)  # and its measures' compensator row
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
     seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
-    need = tables + workers * (chunk * per_trial + temp + seeds) + results
+    need = tables + max(base, workers * (chunk * per_trial + temp + seeds) + results)
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
@@ -379,11 +406,11 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     draws times each coarser partition's step scales go straight into that
     partition's rows (bitwise the sampler's increments there, as
     drivers.scale_draws gives them), and its slot increments are views of the
-    rows of its combo.  A Poisson chunk's realizations and their variables do
-    not depend on the partition: poisson_variables takes the whole chunk
-    once, and slot_increments writes its measures into each partition's rows
-    by one scattered add per distinct (component, mark factor) pair, bitwise
-    each trial's own.  The variables have a leading trial axis, and the slot
+    rows of its combo, one per component.  A Poisson chunk's realizations and
+    their variables do not depend on the partition: poisson_variables takes
+    the whole chunk once, and slot_increments writes its measures into each
+    partition's rows by one scattered add per distinct (component, mark
+    factor) pair, bitwise each trial's own.  The variables have a leading trial axis, and the slot
     increments are k arrays of shape (trials, N), valid until the next chunk
     is drawn."""
     drv, combo = spec.driver, spec.combo
@@ -416,13 +443,26 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
         if gaussian:
             variables = [expansions.gaussian_variables(inc[:size], phi)
                          for inc, (_, phi) in zip(incs, tables)]
-            slots = [[inc[:size, i] for i in combo] for inc in incs]
+            views = [{i: inc[:size, i] for i in dict.fromkeys(combo)} for inc in incs]
+            slots = [[rows[i] for i in combo] for rows in views]
         else:
             variables = [expansions.poisson_variables(reals, spec.system, drv.mark_factors,
                                                       combo, p_max)] * len(tables)
             slots = [oracle.slot_increments(reals, combo, part, drv.mark_factors, inc[:size])[1]
                      for inc, (part, _) in zip(incs, tables)]
         yield start - lo, list(zip(variables, slots))
+
+
+def _gk_base(spec: ExperimentSpec, part, phi) -> oracle.GkBase:
+    """The G_k base of a Poisson pass on one partition: the slot increments of a
+    realization without jumps, from the slot_increments that every chunk runs,
+    so they are bitwise each trial's increments on its steps without a jump."""
+    drv = spec.driver
+    none = (np.empty(0),) * drv.m
+    _, incs = oracle.slot_increments(PoissonRealization(spec.kernel.interval, drv.m, none, none,
+                                                        drv.intensity),
+                                     spec.combo, part, drv.mark_factors)
+    return oracle.gk_base([phi] * spec.kernel.multiplicity, incs)
 
 
 def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
@@ -433,26 +473,30 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     arrays of shape (trials, n_boxes) holding the raw expansion samples at the
     finest resolution and the oracle-minus-expansion differences at each.
     The oracle's slot rows psi_g * Delta D^(i_g) go into one buffer per shard,
-    one multiply per slot, shared by the partitions."""
+    one multiply per slot, shared by the partitions.  Under prelimit, a chunk's
+    G_k sums on each partition take one oracle.gk_correction_tensor call: from
+    the partition's base (_gk_base) for a Poisson pass, dense trial by trial
+    for a Gaussian one."""
     k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
+    bases = [None] * len(tables)
+    if correction == "prelimit" and spec.driver.kind == "poisson":
+        bases = [_gk_base(spec, part, phi) for part, phi in tables]
 
     def shard(lo, hi):
         samples = np.empty((hi - lo, len(subs)))
         diffs = [np.empty_like(samples) for _ in tables]
         slot_rows = np.empty(min(chunk, hi - lo) * k * tables[0][0].n_steps)
         for first, resolutions in _trial_chunks(spec, tables, chunk, lo, hi):
-            for r, ((variables, incs), (_, phi), psi) in enumerate(
-                    zip(resolutions, tables, psis)):
+            for r, ((variables, incs), (_, phi), psi, base) in enumerate(
+                    zip(resolutions, tables, psis, bases)):
                 size = len(incs[0])
                 rows = slice(first, first + size)
                 gk_sums = None
                 if correction == "prelimit":
-                    gk_sums = np.stack([oracle.gk_correction_tensor([phi] * k,
-                                                                    [inc[c] for inc in incs])
-                                        for c in range(size)])
+                    gk_sums = oracle.gk_correction_tensor([phi] * k, incs, base)
                 values = np.stack([expansions.expand(sub, variables, spec.combo,
                                                      correction=correction,
                                                      gk_sums=gk_sums).value

@@ -25,6 +25,8 @@ __all__ = [
     "nested_sum",
     "iterated_sum_naive",
     "set_partitions",
+    "GkBase",
+    "gk_base",
     "gk_correction_tensor",
 ]
 
@@ -41,7 +43,8 @@ def slot_increments(realizations, combo, partition: Partition | None = None,
                     ) -> tuple[Partition, list[np.ndarray]]:
     """Per-slot driver increments Delta D^(i_l) on the partition.
 
-    Gaussian paths (Wiener or martingale) carry their own partition.  Poisson
+    Gaussian paths (Wiener or martingale) carry their own partition, and the
+    slots of one component share one view of its increments.  Poisson
     realizations, one or a list or tuple of them, are discretized onto the given
     partition with one compensated interval measure per distinct (component,
     mark factor) pair (slot l uses mark factor phi_l), of shape (N,) for one
@@ -52,7 +55,8 @@ def slot_increments(realizations, combo, partition: Partition | None = None,
         if partition is not None and not np.array_equal(partition.nodes,
                                                         realizations.partition.nodes):
             raise ValueError("path realizations can only be summed on their own partition")
-        return realizations.partition, [realizations.increment(i) for i in combo]
+        rows = {i: realizations.increment(i) for i in dict.fromkeys(combo)}
+        return realizations.partition, [rows[i] for i in combo]
     _poisson_batch(realizations)  # the type check comes first
     if partition is None:
         raise ValueError("a partition is required to discretize a Poisson realization")
@@ -127,37 +131,136 @@ def set_partitions(k: int) -> tuple:
                  for p in sorted(parts, key=len, reverse=True))
 
 
-def gk_correction_tensor(phi_tables, incs) -> np.ndarray:
-    """Sum over coincident index tuples (G_k) for every multi-index in a box.
+def _axes(b, shape) -> list:
+    """Shape of block b's sums broadcast over the axes of shape (1 off the block)."""
+    return [n if g in b else 1 for g, n in enumerate(shape)]
 
-    phi_tables[g] has shape (p_g + 1, N): basis values at the left nodes;
-    incs[g] has shape (N,).  Returns an array of shape (p_1+1, ..., p_k+1), all tuples minus the
-    distinct ones: -sum_{pi not finest} mu(pi) prod_{B in pi} X_B, with
-    X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}.
 
-    Slots that share their table (the same object) and increments (equal values)
-    share one product table * inc, with results bitwise those of separate products."""
+def _holders(incs) -> list:
+    """For each slot, the first slot that holds the same increment object."""
+    return [next(h for h in range(g + 1) if incs[h] is incs[g]) for g in range(len(incs))]
+
+
+def _products(phi_tables, incs) -> list:
+    """table * inc per slot; slots with one table object and one increment object
+    share one product, bitwise what separate products give."""
     f = []
     for g, (table, inc) in enumerate(zip(phi_tables, incs)):
-        shared = [f[h] for h in range(g) if phi_tables[h] is table and np.array_equal(incs[h], inc)]
-        f.append(shared[0] if shared else table * inc[None, :])
-    shape = tuple(len(fg) for fg in f)
-    blocks = {}
-    total = np.zeros(shape)
-    for partition, mu in set_partitions(len(f))[1:]:
+        h = next((h for h in range(g) if phi_tables[h] is table and incs[h] is inc), None)
+        f.append(table * inc[None, :] if h is None else f[h])
+    return f
+
+
+def _dense_block(f, b) -> np.ndarray:
+    """X_B = sum_l prod_{g in B} f[g][:, l], flattened over the block's indices in
+    slot order, from the slot products f[g] = table * inc."""
+    head = f[b[0]]
+    for g in b[1:-1]:  # all slots but the last multiplied out, then one matmul
+        head = (head[:, None, :] * f[g]).reshape(-1, head.shape[1])
+    if len(b) == 1:
+        return head.sum(axis=1)
+    # a shared product times its own transpose would run BLAS syrk, which rounds
+    # unlike the gemm of two distinct products: copy it
+    last = f[b[-1]]
+    return (head @ (last.copy() if last is head else last).T).ravel()
+
+
+def _blocks(k: int) -> tuple:
+    """Every block of the set partitions of k slots but the finest, once."""
+    return tuple(dict.fromkeys(b for blocks, _ in set_partitions(k)[1:] for b in blocks))
+
+
+def _moebius(blocks, shape, lead=()) -> np.ndarray:
+    """-sum_{pi not finest} mu(pi) prod_{B in pi} X_B over (*lead, *shape), from the
+    block sums blocks[B] shaped to broadcast there."""
+    total = np.zeros((*lead, *shape))
+    for partition, mu in set_partitions(len(shape))[1:]:
         term = 1.0
         for b in partition:
-            if b not in blocks:  # its slots increase, so its axes broadcast in slot order
-                head = f[b[0]]
-                for g in b[1:-1]:  # all slots but the last multiplied out, then one matmul
-                    head = (head[:, None, :] * f[g]).reshape(-1, head.shape[1])
-                if len(b) == 1:
-                    x = head.sum(axis=1)
-                else:  # a shared product times its own transpose would run BLAS syrk,
-                    # which rounds unlike the gemm of two distinct products: copy it
-                    last = f[b[-1]]
-                    x = head @ (last.copy() if last is head else last).T
-                blocks[b] = x.reshape([n if g in b else 1 for g, n in enumerate(shape)])
             term = term * blocks[b]
         total -= mu * term
     return total
+
+
+def _dense(phi_tables, incs, shape) -> np.ndarray:
+    """gk_correction_tensor of one trial from its dense block sums."""
+    f = _products(phi_tables, incs)
+    return _moebius({b: _dense_block(f, b).reshape(_axes(b, shape)) for b in _blocks(len(f))},
+                    shape)
+
+
+@dataclass(frozen=True)
+class GkBase:
+    """Base rows of the slot increments, (N,) each, and their block sums D_B
+    (flattened over each block's indices), on the basis tables they were
+    built with: see gk_base."""
+
+    tables: tuple
+    incs: tuple
+    blocks: dict
+
+
+def gk_base(phi_tables, incs) -> GkBase:
+    """The G_k block sums of one realization's slot increments incs, kept for
+    gk_correction_tensor's chunk form.  The base rows of Poisson slots are a
+    realization without jumps: on every step without a jump, each trial's
+    increment equals them (the compensator's share)."""
+    f = _products(phi_tables, incs)
+    return GkBase(tuple(phi_tables), tuple(incs), {b: _dense_block(f, b) for b in _blocks(len(f))})
+
+
+def gk_correction_tensor(phi_tables, incs, base: GkBase | None = None) -> np.ndarray:
+    """Sum over coincident index tuples (G_k) for every multi-index in a box.
+
+    phi_tables[g] has shape (p_g + 1, N): basis values at the left nodes;
+    incs[g] has shape (N,), or (trials, N) for a chunk of trials, which adds a
+    leading trial axis to the result.  Returns an array of shape
+    (..., p_1+1, ..., p_k+1), all tuples minus the distinct ones:
+    -sum_{pi not finest} mu(pi) prod_{B in pi} X_B, with
+    X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}.
+
+    Without a base, each trial's blocks are dense (p+1)^|B| x N products.  Slots
+    that share their table and their increments (the same objects) share one
+    product table * inc, with results bitwise those of separate products.
+
+    With a base (gk_base on the same tables; incs then carry the trial axis),
+    X_B = D_B + sum_l P_B[l] (prod_g dD_{g,l} - prod_g base_{g,l}) over the steps
+    l where some slot of B leaves its base row, P_B[l] the outer product of the
+    tables' columns at l: O(jumps p^|B|) per trial, exact for any base rows.
+    Each trial's steps are added to D_B one by one in step order, so a trial's
+    result does not depend on what it is batched with, bitwise."""
+    shape = tuple(len(t) for t in phi_tables)
+    if base is None and np.ndim(incs[0]) == 1:
+        return _dense(phi_tables, incs, shape)
+    holders = _holders(incs)
+    if base is None:  # trial by trial, slots of one increment array on one row view
+        results = []
+        for c in range(len(incs[0])):
+            rows = []
+            for g, h in enumerate(holders):
+                rows.append(incs[g][c] if h == g else rows[h])
+            results.append(_dense(phi_tables, rows, shape))
+        return np.stack(results)
+    if len(base.tables) != len(shape) or any(t is not u for t, u in zip(base.tables, phi_tables)):
+        raise ValueError("the base was built on other basis tables")
+    trials = len(incs[0])
+    off = {h: incs[h] != base.incs[h] for h in set(holders)}  # steps off the base row
+    blocks = {}
+    for b, d in base.blocks.items():
+        mask = functools.reduce(np.logical_or, [off[h] for h in dict.fromkeys(holders[g] for g in b)])
+        # in trial order, then step order (np.nonzero is 10x slower on a 2-d mask)
+        trial, step = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        jump = (math.prod(incs[g][trial, step] for g in b)
+                - math.prod(base.incs[g][step] for g in b))
+        terms = phi_tables[b[0]][:, step].T
+        for g in b[1:]:
+            terms = (terms[:, :, None] * phi_tables[g][:, step].T[:, None, :]).reshape(
+                len(step), terms.shape[1] * shape[g])
+        terms *= jump[:, None]
+        x = np.empty((trials, d.size))
+        x[...] = d
+        # one flat scattered add: each entry takes its trial's terms in step order
+        np.add.at(x.reshape(-1), (trial[:, None] * d.size + np.arange(d.size)).ravel(),
+                  terms.ravel())
+        blocks[b] = x.reshape((trials, *_axes(b, shape)))
+    return _moebius(blocks, shape, (trials,))

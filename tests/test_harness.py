@@ -380,6 +380,13 @@ LOOP_SPECS = {
                                                  mark_factors=(power_mark(1.0),) * 2),
                              combo=(1, 1), trials=23,
                              boxes=((1, 1), (3, 3), (7, 7)), richardson=True),
+    # equal components, unequal marks: the two slots have different base rows
+    "poisson_unequal_marks": dict(driver=DriverConfig("poisson", m=2,
+                                                      intensity=exponential_measure(5.0),
+                                                      mark_factors=(power_mark(1.0),
+                                                                    power_mark(0.5))),
+                                  combo=(1, 1), trials=23,
+                                  boxes=((1, 1), (3, 3), (7, 7)), richardson=True),
     "wiener_k3": dict(kernel=unit_kernel(3, IV), combo=(1, 1, 2), trials=23,
                       boxes=((2, 2, 2), (1, 3, 2))),
     # slot 0 reads the time row, which the loop writes once per pass
@@ -439,14 +446,31 @@ def test_stats_do_not_depend_on_chunk_size(name, monkeypatch):
 def test_equal_poisson_slots_take_one_measure_per_chunk_and_partition(monkeypatch):
     measure = oracle.interval_measures
     calls = []
-    monkeypatch.setattr(oracle, "interval_measures",
-                        lambda *args: calls.append((args[1], len(args[0]))) or measure(*args))
+    monkeypatch.setattr(oracle, "interval_measures", lambda *args: calls.append(
+        (args[1], len(args[0]) if isinstance(args[0], list) else "base")) or measure(*args))
     monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
     _force_workers(monkeypatch, 1)
     spec = _wiener_spec(**LOOP_SPECS["poisson_prelimit"])  # combo (1, 1), equal marks
     run_experiment(spec)
-    # one batch per chunk of 7, 7, 7 and 2 trials, at n_steps and at n_steps // 2
-    assert calls == [(1, size) for size in (7, 7, 7, 2) for _ in range(2)]
+    # the G_k base (one realization without jumps) per partition, then one batch per chunk
+    # of 7, 7, 7 and 2 trials, at n_steps and at n_steps // 2
+    assert calls == [(1, "base")] * 2 + [(1, size) for size in (7, 7, 7, 2) for _ in range(2)]
+
+
+@pytest.mark.parametrize("name", ["poisson_prelimit", "martingale_prelimit"])
+def test_gk_sums_take_one_call_per_chunk_and_partition(name, monkeypatch):
+    gk = oracle.gk_correction_tensor
+    calls = []
+    monkeypatch.setattr(oracle, "gk_correction_tensor", lambda tables, incs, base=None: calls.append(
+        (len(incs[0]), base is not None)) or gk(tables, incs, base))
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
+    _force_workers(monkeypatch, 1)
+    spec = _wiener_spec(**LOOP_SPECS[name])
+    run_experiment(spec)
+    # chunks of 7, 7, 7 and 2 trials, at n_steps and at n_steps // 2; only a Poisson pass
+    # has a base
+    poisson = spec.driver.kind == "poisson"
+    assert calls == [(size, poisson) for size in (7, 7, 7, 2) for _ in range(2)]
 
 
 MOMENT_DRIVERS = {
@@ -511,7 +535,8 @@ def _replay(spec, correction):
                      allowance]).T
 
 
-@pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit"])
+@pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit",
+                                  "poisson_unequal_marks"])
 def test_stats_match_a_per_trial_public_api_replay(name):
     spec = _wiener_spec(**LOOP_SPECS[name])
     report = run_experiment(spec)
@@ -706,10 +731,14 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
     dict(driver=DriverConfig("wiener", m=2)),
     dict(driver=DriverConfig("martingale", m=2, rho=2.0)),
     dict(driver=LOOP_SPECS["poisson_prelimit"]["driver"], combo=(1, 1)),  # equal marks
-], ids=["wiener", "rho_2", "poisson_prelimit"])
+    # about 117 jumps per step and component: every step of every trial leaves the G_k base
+    dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(3e4),
+                             mark_factors=(power_mark(1.0),) * 2),
+         combo=(1, 1), n_steps=256, trials=40),
+], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense"])
 def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
     import tracemalloc
-    spec = _wiener_spec(**overrides, n_steps=2**16, trials=4, richardson=True)
+    spec = _wiener_spec(**{"n_steps": 2**16, "trials": 4, "richardson": True, **overrides})
     _force_workers(monkeypatch, 1)
     chunk_trials, calls = harness._chunk_trials, []
     monkeypatch.setattr(harness, "_chunk_trials",

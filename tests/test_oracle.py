@@ -5,8 +5,8 @@ import pytest
 
 from stochexpand import basis, oracle
 from stochexpand.basis import Interval
-from stochexpand.drivers import (exponential_measure, make_partition, sample_poisson,
-                                 sample_wiener, trial_seed)
+from stochexpand.drivers import (PoissonRealization, exponential_measure, make_partition,
+                                 sample_poisson, sample_wiener, trial_seed)
 from stochexpand.harness import power_mark
 from stochexpand.kernel import Factor, Kernel, unit_kernel
 
@@ -181,16 +181,80 @@ def test_gk_tensor_k3_inclusion_exclusion():
 
 @pytest.mark.parametrize("combo", [(1, 1), (1, 1, 2), (1, 2, 1), (1, 1, 1), (2, 1, 1, 2)])
 def test_gk_tensor_shares_equal_slot_products_bitwise(combo):
-    # slots with one table object and equal increments share a product; results must be
-    # bitwise those of separate products (distinct table objects share nothing)
+    # slots with one table object and one increment object share a product; results must
+    # be bitwise those of separate products (distinct table objects share nothing)
     sys = basis.legendre(IV)
     part = make_partition(IV, 256)
     path = sample_wiener(part, 2, 5)
     table = sys.eval_table(3, part.left_nodes)
-    incs = [path.increment(i).copy() for i in combo]  # equal values, distinct arrays
+    rows = {i: path.increment(i).copy() for i in combo}
+    incs = [rows[i] for i in combo]  # one array per component, as slot_increments gives
     shared = oracle.gk_correction_tensor([table] * len(combo), incs)
     separate = oracle.gk_correction_tensor([table.copy() for _ in combo], incs)
     np.testing.assert_array_equal(shared, separate)
+    _, views = oracle.slot_increments(path, combo)
+    assert all((u is v) == (i == j) for u, i in zip(views, combo) for v, j in zip(views, combo))
+
+
+# combo, mark powers, box: equal and unequal marks, a time slot, four slots on one component
+GK_CHUNK_CASES = {
+    "11_equal_marks": ((1, 1), (1.0, 1.0), (7, 7)),
+    "11_unequal_marks": ((1, 1), (1.0, 0.5), (7, 5)),
+    "011": ((0, 1, 1), (1.0, 1.0, 1.0), (2, 3, 2)),
+    "1111": ((1, 1, 1, 1), (1.0, 1.0, 0.5, 1.0), (2, 1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("system", ["legendre", "haar"])
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("case", GK_CHUNK_CASES)
+def test_gk_chunk_form_matches_the_dense_form(case, n, system):
+    combo, powers, box = GK_CHUNK_CASES[case]
+    part = make_partition(IV, n)
+    full = getattr(basis, system)(IV).eval_table(max(box), part.left_nodes)
+    rows = {p: full[:p + 1] for p in box}
+    tables = [rows[p] for p in box]
+    marks = tuple(power_mark(a) for a in powers)
+    for mass, seed in ((5.0, 3), (0.3, 4)):  # at total mass 0.3 most trials have no jumps
+        intensity = exponential_measure(mass)
+        reals = [sample_poisson(IV, 2, intensity, trial_seed(seed, t)) for t in range(12)]
+        # jumps in the last step, one of them at the interval's end
+        reals.append(PoissonRealization(IV, 2, (np.array([0.5, 1 - 0.5 / n]), np.array([1.0])),
+                                        (np.array([0.7, 1.3]), np.array([0.4])), intensity))
+        none = (np.empty(0),) * 2
+        base = oracle.gk_base(tables, oracle.slot_increments(
+            PoissonRealization(IV, 2, none, none, intensity), combo, part, marks)[1])
+
+        def chunk_form(batch):
+            return oracle.gk_correction_tensor(
+                tables, oracle.slot_increments(batch, combo, part, marks)[1], base)
+
+        got = chunk_form(reals)
+        dense = np.stack([oracle.gk_correction_tensor(
+            tables, oracle.slot_increments(r, combo, part, marks)[1]) for r in reals])
+        assert got.shape == (len(reals), *(p + 1 for p in box))
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+        # the dense form in extended precision: the chunk form's own rounding is smaller
+        # than the float64 dense form's, whose sums run over all N steps
+        exact = np.stack([oracle.gk_correction_tensor(
+            [t.astype(np.longdouble) for t in tables],
+            [i.astype(np.longdouble) for i in oracle.slot_increments(r, combo, part, marks)[1]])
+            for r in reals])
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+        # without a base, a chunk's sums are each trial's dense ones
+        np.testing.assert_array_equal(oracle.gk_correction_tensor(
+            tables, oracle.slot_increments(reals, combo, part, marks)[1]), dense)
+        for size in (1, 7):
+            np.testing.assert_array_equal(
+                np.concatenate([chunk_form(reals[i:i + size]) for i in range(0, len(reals), size)]),
+                got)
+        # a trial without jumps on the combo's components takes the base's sums, bitwise
+        quiet = [t for t, r in enumerate(reals) if not any(len(r.jumps(i)[0]) for i in combo if i)]
+        assert quiet or mass == 5.0
+        np.testing.assert_array_equal(got[quiet], dense[quiet])
+    with pytest.raises(ValueError, match="other basis tables"):
+        oracle.gk_correction_tensor([t.copy() for t in tables],
+                                    oracle.slot_increments(reals, combo, part, marks)[1], base)
 
 
 def test_poisson_slots_share_one_measure_per_component_and_mark(monkeypatch):
