@@ -141,6 +141,11 @@ class OrthonormalSystem:
     def weighted(self) -> bool:
         return self.kind == "bessel_weighted"
 
+    @property
+    def members(self) -> int | None:
+        """How many members the system has, of indices below it; None if unbounded."""
+        return 2**WALSH_BITS if self.kind == "walsh" else None
+
     def weight(self, x):
         x = np.asarray(x, dtype=float)
         if self.weighted:
@@ -179,6 +184,8 @@ class OrthonormalSystem:
         |P_n error| <= 3e-14 for n <= 63 (tests/test_basis.py).  The other
         systems broadcast their closed form over the degree axis, so each
         element is the scalar formula of its degree whatever the range."""
+        if self.members is not None and j_hi >= self.members:
+            raise IndexError(f"{self.kind} index {j_hi} is beyond the {self.members} members")
         t0, t1 = self.interval.start, self.interval.end
         span = self.interval.length
         if self.kind == "legendre":
@@ -227,11 +234,8 @@ class OrthonormalSystem:
                 out[2**n + (h >> 1) - j_lo, at] = np.where(h & 1, -amp, amp)
             out = out.reshape((len(js),) + x.shape)
         else:  # walsh: the product of the Rademacher functions r_{bit+1} over j's set bits
-            bits = int(j_hi).bit_length()
-            if bits > WALSH_BITS:
-                raise IndexError(f"Walsh index {j_hi} exceeds the max order ({WALSH_BITS} bits)")
             out = np.full((len(js),) + x.shape, 1.0 / math.sqrt(span))
-            for bit in range(bits):
+            for bit in range(int(j_hi).bit_length()):
                 np.multiply(out, (-1.0) ** np.floor(2.0 ** (bit + 1) * u), out=out,
                             where=(col >> bit & 1) == 1)
         out[js == 0] = 1.0 / math.sqrt(span)
@@ -292,9 +296,9 @@ def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
     matrix or the count x nodes table of a grid would exceed MEMORY_BUDGET."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if system.kind == "walsh" and int(count - 1).bit_length() > WALSH_BITS:
-        raise ValueError(f"count must be at most 2^{WALSH_BITS}, the members "
-                         f"of a Walsh system of {WALSH_BITS} bits")
+    if system.members is not None and count > system.members:
+        raise ValueError(f"count must be at most {system.members}, the members "
+                         f"of a {system.kind} system")
     if count * count > MEMORY_BUDGET:
         raise SizeError(f"the Gram matrix would hold {count * count} entries, "
                         f"over the budget {MEMORY_BUDGET}")

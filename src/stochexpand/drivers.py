@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 JUMP_BUDGET = 10**6
+# steps per evaluation of a callable rho: its (block, ORDER) tables of nodes, weights,
+# values and their products, about 3 MiB
+RHO_BLOCK = 3 * 2**10
 LAGUERRE_NODES = 80  # Gauss-Laguerre nodes of exponential_measure's mark integral
 
 
@@ -91,28 +94,31 @@ class Partition:
     def step_variances(self, rho=None) -> np.ndarray:
         """int rho over every step: the step lengths when rho is None (a Wiener
         path), times rho when it is a number, else on the quadrature.PanelGrid
-        whose panels are the steps.  ValueError if rho is negative or not finite.
+        whose panels are the steps, RHO_BLOCK steps at a time (a pointwise rho
+        gives every step's sum whatever the blocks).  ValueError if rho is
+        negative or not finite.
 
         Memoized for the last rho object only (a pass uses one density), so
-        rho is evaluated in one call per pass; a density must not change
+        rho is evaluated once per block and pass; a density must not change
         after its first use here."""
         if rho is None:
             return self.deltas
         if self._variances and self._variances[0] is rho:
             return self._variances[1]
         if callable(rho):
-            grid = quadrature.PanelGrid(self.nodes, quadrature.ORDER)
-            vals = grid.eval_on_nodes(_as_callable(rho))
+            variances, first, constant = np.empty(self.n_steps), None, True
+            for lo in range(0, self.n_steps, RHO_BLOCK):
+                grid = quadrature.PanelGrid(self.nodes[lo:lo + RHO_BLOCK + 1], quadrature.ORDER)
+                vals = _checked_density(grid.eval_on_nodes(_as_callable(rho)))
+                first = vals.flat[0] if first is None else first
+                constant = constant and bool(np.all(vals == first))
+                variances[lo:lo + RHO_BLOCK] = np.sum(grid.weights * vals, axis=1)
         else:
-            vals = np.array([float(rho)])
-        if not np.all((vals >= 0) & (vals < np.inf)):
-            raise ValueError("variance density rho is negative or not finite on the interval")
-        if np.all(vals == vals.flat[0]):
+            first, constant = _checked_density(np.array([float(rho)]))[0], True
+        if constant:
             # constant density integrates exactly; keeps rho == 1 bitwise equal
             # to the plain Wiener step variances
-            variances = self.deltas * vals.flat[0]
-        else:
-            variances = np.sum(grid.weights * vals, axis=1)
+            variances = self.deltas * first
         variances.flags.writeable = False
         self._variances[:] = (rho, variances)
         return variances
@@ -126,6 +132,12 @@ class Partition:
             scales.flags.writeable = False
             self._scales[:] = (variances, scales)
         return self._scales[1]
+
+
+def _checked_density(vals: np.ndarray) -> np.ndarray:
+    if not np.all((vals >= 0) & (vals < np.inf)):
+        raise ValueError("variance density rho is negative or not finite on the interval")
+    return vals
 
 
 def make_partition(interval: Interval, n: int) -> Partition:

@@ -11,15 +11,11 @@ partition is prepared once per pass, trials are drawn one by one into a
 workspace that each worker allocates once and reuses for every chunk of
 trials, a chunk as large as fits CHUNK_BYTES by the count of _chunk_trials,
 and each chunk is evaluated by batched operations that treat every trial
-alike.  A Poisson pass runs only its sampler per trial; the chunk's basis
-variables (one basis table on all its jump times per component), its slot
-increments on each partition (one scattered add per distinct component and
-mark factor) and, under prelimit, its G_k sums on each partition are built
-once.  The G_k sums start from the pass's base, the block sums of a
-realization without jumps, built per partition before any fork, and add
-each trial's jump steps by one scattered add per block.  A pass is split
-into contiguous trial ranges, one per worker process (see _sharded).  Results do not depend on the chunk size or the worker count,
-bitwise.
+alike.  What a driver kind does differently, from its checks to its draws
+and its moment targets, is its law's (DriverConfig.law: _Gaussian, _Wiener
+or _Poisson); the loop calls the law and tests no kind.  A pass is split
+into contiguous trial ranges, one per worker process (see _sharded).
+Results do not depend on the chunk size or the worker count, bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -41,16 +37,16 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import expansions, oracle
+from . import expansions, oracle, quadrature
 from .basis import OrthonormalSystem
 # interval_measures, PowerMark and power_mark stay module attributes: perfbench/tracer.py
 # wraps the samplers and interval_measures here, and callers import the other two from here
-from .drivers import (IntensityMeasure, PoissonRealization, PowerMark, TrialSeed,  # noqa: F401
-                      _as_callable, interval_measures, make_partition, power_mark,
+from .drivers import (RHO_BLOCK, IntensityMeasure, PoissonRealization, PowerMark,  # noqa: F401
+                      TrialSeed, _as_callable, interval_measures, make_partition, power_mark,
                       sample_gaussian_martingale, sample_poisson, sample_wiener, seed_words)
 from .errors import ConfigError, SizeError, check_integer
 from .kernel import CoeffTensor, Kernel, check_box, check_orders, coeff_tensor, kernel_norm_sq
@@ -76,8 +72,235 @@ SEED_STREAMS = 2**13  # substreams whose seed words one derivation computes
 STREAM_BYTES = 160  # per substream at a derivation's peak: 32 bytes of words, key, hash temporaries
 RATIO_GRID = 2048  # interior points of the one grid on which slot_scales evaluates rho and r
 RATIO_BOUND = 1e6  # largest sup rho / r over them that a weighted system accepts as bounded
-# the parameters beyond m that each driver kind takes
-DRIVER_PARAMETERS = {"wiener": (), "martingale": ("rho",), "poisson": ("intensity", "mark_factors")}
+
+
+# ----------------------------------------------------------------------------
+# driver laws: one object per driver kind, built by DriverConfig
+
+class _Gaussian:
+    """A Gaussian martingale of variance density rho: a path is m + 1 increment
+    rows, time first, whose steps the variances int rho scale."""
+
+    parameters = ("rho",)  # the DriverConfig fields beyond m that the kind takes
+
+    def __init__(self, rho):
+        number = (isinstance(rho, numbers.Real) and not isinstance(rho, bool)
+                  and 0 <= rho < math.inf)
+        if not (callable(rho) or number):
+            raise ConfigError(f"martingale driver requires a variance density rho, a callable or "
+                              f"a real number, finite and >= 0, got {rho!r}")
+        self.rho = rho
+
+    def sample(self, part, m, seed):
+        return sample_gaussian_martingale(part, m, self.rho, seed)
+
+    def check(self, spec) -> None:
+        pass  # rho is checked by slot_scales and prepare
+
+    def slot_scales(self, spec, rho, r) -> tuple[float, ...]:
+        """A constant rho on a unit-weight system, or 1 on the weighted one if
+        rho is its weight (which the coefficients and the norm carry), on
+        every slot; else NaN."""
+        weighted, scale = spec.system.weighted, float("nan")
+        if np.allclose(rho, r if weighted else rho[0], rtol=1e-12, atol=1e-12):
+            scale = 1.0 if weighted else float(rho[0])
+        return (scale,) * spec.kernel.multiplicity
+
+    def ties_take_bracket(self, scales) -> bool:
+        return scales[0] == 1.0  # the bracket's delta_jj' is then a tie's quadratic variation
+
+    def residual_factor(self, scales) -> float:
+        return scales[0] ** len(scales)  # s^k: the product over the slots differs in the last bits
+
+    def prepare(self, parts) -> None:
+        """Each partition's step scales, once per pass, before any fork: rho is
+        evaluated once per block of steps, and a rho that is negative or not
+        finite between slot_scales' grid points fails here, with ConfigError."""
+        try:
+            for part in parts:
+                part.step_scales(self.rho)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def rows(self, spec) -> int:
+        return spec.driver.m + 1
+
+    def floats(self, spec, steps, p_max: int, dense: int) -> tuple[int, int, int, int]:
+        """Floats held (per trial, per worker, per pass, once before the chunks)."""
+        m, rows, box = spec.driver.m, self.rows(spec), (p_max + 1) ** spec.kernel.multiplicity
+        # per trial and partition: the path's rows and basis variables and, under prelimit,
+        # its G_k tensor (listed, stacked and in expand's product)
+        trial = sum(n * rows + rows * (p_max + 1) + (spec.correction == "prelimit") * 3 * box
+                    for n in steps)
+        # per worker: two paths' draws and increments (one is freed when the next is bound)
+        # and the dense G_k temporaries; per pass: step variances and their square roots;
+        # once: a callable rho's (block, ORDER) nodes, weights, values, products and one more
+        once = callable(self.rho) * 5 * quadrature.ORDER * min(steps[0], RHO_BLOCK)
+        return trial, steps[0] * (2 * (2 * m + 1) + dense), sum(2 * (n + 1) for n in steps), once
+
+    def buffers(self, spec, tables, chunk: int) -> list:
+        incs = [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
+        for inc, (part, _) in zip(incs, tables):
+            inc[:, 0] = part.deltas  # the time row, written once per pass
+        return incs
+
+    def draw(self, spec, tables, seeds, incs, size: int) -> list:
+        """Each trial's path is drawn once, on the finest partition; its unit
+        draws times each coarser partition's step scales go straight into that
+        partition's rows (bitwise the sampler's increments there, as
+        drivers.scale_draws gives them).  The slot increments are views of the
+        rows of the combo, one per component."""
+        for c in range(size):
+            real = self.sample(tables[0][0], spec.driver.m, next(seeds))
+            incs[0][c, 1:] = real.increments[1:]
+            for inc, (part, _) in zip(incs[1:], tables[1:]):
+                np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
+                            out=inc[c, 1:])
+        variables = [expansions.gaussian_variables(inc[:size], phi)
+                     for inc, (_, phi) in zip(incs, tables)]
+        views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]
+        return [(v, [rows[i] for i in spec.combo]) for v, rows in zip(variables, views)]
+
+    def gk_base(self, spec, part, phi) -> None:
+        return None  # a chunk's G_k sums are dense, trial by trial
+
+    def moment_tests(self, spec, values, part, phi) -> list:
+        values, tests, j_max = values[:, 1:], [], values.shape[2] - 1
+        var_target = phi**2 @ part.step_variances(self.rho)  # exact for the sampler
+        for i in range(spec.driver.m):
+            for j in range(j_max + 1):
+                _ztest(f"mean[i={i + 1},j={j}]", values[:, i, j], 0.0, tests)
+                _ztest(f"var[i={i + 1},j={j}]", values[:, i, j] ** 2,
+                       float(var_target[j]), tests)
+        for j in range(j_max):
+            _ztest(f"cov[j={j},j'={j + 1}]", values[:, 0, j] * values[:, 0, j + 1], 0.0, tests)
+        if spec.driver.m >= 2:
+            for j in range(min(3, j_max + 1)):
+                _ztest(f"cross_component[j={j}]", values[:, 0, j] * values[:, 1, j], 0.0, tests)
+        return tests
+
+
+class _Wiener(_Gaussian):
+    """The Gaussian martingale with rho == 1, drawn by sample_wiener."""
+
+    parameters = ()
+
+    def __init__(self):
+        self.rho = None
+
+    def sample(self, part, m, seed):
+        return sample_wiener(part, m, seed)
+
+
+class _Poisson:
+    """Compensated marked Poisson measures of a finite intensity measure, one
+    mark factor per slot: a trial is a realization, the same on every
+    partition, and a chunk's realizations are evaluated together."""
+
+    parameters = ("intensity", "mark_factors")
+
+    def __init__(self, intensity, mark_factors):
+        if intensity is None:
+            raise ConfigError("poisson driver requires an intensity measure")
+        self.intensity, self.mark_factors = intensity, mark_factors
+
+    def check(self, spec) -> None:
+        k = spec.kernel.multiplicity
+        if self.mark_factors is None or len(self.mark_factors) != k:
+            raise ConfigError("poisson experiments need one mark factor per slot")
+        try:  # finite, as poisson_variables requires
+            for phi in self.mark_factors:
+                self.intensity.moment(phi, 2.0 ** (k + 1))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def slot_scales(self, spec, rho, r) -> tuple[float, ...]:
+        """Each slot's mark second moment on a unit-weight system, else NaN."""
+        if spec.system.weighted:
+            return (float("nan"),) * spec.kernel.multiplicity
+        return tuple(self.intensity.moment(phi, 2.0) for phi in self.mark_factors)
+
+    def ties_take_bracket(self, scales) -> bool:
+        return False
+
+    def residual_factor(self, scales) -> float:
+        return math.prod(scales)
+
+    def prepare(self, parts) -> None:
+        pass  # a realization does not depend on the partition
+
+    def rows(self, spec) -> int:
+        return spec.kernel.multiplicity
+
+    def floats(self, spec, steps, p_max: int, dense: int) -> tuple[int, int, int, int]:
+        """Floats held (per trial, per worker, per pass, once before the chunks)."""
+        k, m, prelimit = spec.kernel.multiplicity, spec.driver.m, spec.correction == "prelimit"
+        box, mass = (p_max + 1) ** k, self.intensity.total_mass * spec.kernel.interval.length
+        # per trial and partition: the slot rows and, under prelimit, the chunk's result, two
+        # Moebius temporaries, expand's product and the block sums (at most one per slot set);
+        # per trial: the basis variables and, per expected jump on a component, its time and
+        # mark on each component, two basis tables (one built while the last is freed) and 8
+        # floats of scratch (eval_table, the chunk's times and marks, mark values, indices)
+        trial = (sum(n * k + prelimit * (4 * box + (p_max + 2) ** k) for n in steps)
+                 + k * (p_max + 1) + math.ceil(mass * (2 * m + 2 * (p_max + 1) + 8)))
+        if prelimit:
+            # the G_k sum's steps off the base, up to the expected jumps on the combo's
+            # components, each with a block's terms, their scattered add's indices and its
+            # trial and step; and one byte per step for each slot's mask and theirs
+            expected = math.ceil(mass * len(set(spec.combo) - {0}))
+            trial += min(steps[0], expected) * (2 * box + 2) + -(-(k + 1) * steps[0] // 8)
+        # per worker: a compensator row; per pass: each partition's G_k base (slot rows and
+        # block sums); once, before any chunk: the dense temporaries and the row that build it
+        bases = prelimit * sum(n * k + (p_max + 2) ** k for n in steps)
+        return trial, steps[0], bases, prelimit * steps[0] * (dense + 1)
+
+    def buffers(self, spec, tables, chunk: int) -> list:
+        return [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
+
+    def draw(self, spec, tables, seeds, incs, size: int) -> list:
+        """The realizations and their variables do not depend on the partition:
+        poisson_variables takes the whole chunk once, and slot_increments writes
+        its measures into each partition's rows by one scattered add per
+        distinct (component, mark factor) pair, bitwise each trial's own."""
+        reals = [sample_poisson(spec.kernel.interval, spec.driver.m, self.intensity, next(seeds))
+                 for _ in range(size)]
+        variables = expansions.poisson_variables(reals, spec.system, self.mark_factors,
+                                                 spec.combo, tables[0][1].shape[0] - 1)
+        return [(variables, oracle.slot_increments(reals, spec.combo, part, self.mark_factors,
+                                                   inc[:size])[1])
+                for inc, (part, _) in zip(incs, tables)]
+
+    def gk_base(self, spec, part, phi) -> oracle.GkBase:
+        """The slot increments of a realization without jumps, from the
+        slot_increments that every chunk runs, so they are bitwise each trial's
+        increments on its steps without a jump."""
+        none = (np.empty(0),) * spec.driver.m
+        _, incs = oracle.slot_increments(PoissonRealization(spec.kernel.interval, spec.driver.m,
+                                                            none, none, self.intensity),
+                                         spec.combo, part, self.mark_factors)
+        return oracle.gk_base([phi] * spec.kernel.multiplicity, incs)
+
+    def moment_tests(self, spec, values, part, phi) -> list:
+        tests = []
+        for g, (i, f) in enumerate(zip(spec.combo, self.mark_factors)):
+            if i == 0:
+                continue
+            iso = self.intensity.moment(f, 2.0)  # E[pi_j^2] = int phi^2 dPi (unit-norm phi_j)
+            for j in range(values.shape[2]):
+                _ztest(f"mean[g={g},j={j}]", values[:, g, j], 0.0, tests)
+                _ztest(f"var[g={g},j={j}]", values[:, g, j] ** 2, iso, tests)
+        seen = set()
+        for g1, i1 in enumerate(spec.combo):
+            for g2, i2 in enumerate(spec.combo):
+                if g2 <= g1 or i1 == 0 or i2 == 0 or i1 == i2 or (i1, i2) in seen:
+                    continue
+                seen.add((i1, i2))
+                _ztest(f"cross_component[g={g1},g'={g2}]",
+                       values[:, g1, 0] * values[:, g2, 0], 0.0, tests)
+        return tests
+
+
+_LAWS = {"wiener": _Wiener, "martingale": _Gaussian, "poisson": _Poisson}
 
 
 @dataclass(frozen=True)
@@ -87,29 +310,26 @@ class DriverConfig:
     kind "wiener" needs m, and is the martingale with rho == 1; "martingale"
     adds the variance density rho, which no other kind takes; "poisson" adds
     the intensity measure and one mark factor per slot, which only it takes.
-    """
+    law is the kind's law (_Wiener, _Gaussian or _Poisson), built from them:
+    the trial loop calls it and tests no kind."""
 
     kind: str
     m: int = 2
     rho: object = None
     intensity: IntensityMeasure | None = None
     mark_factors: tuple = None
+    law: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("wiener", "martingale", "poisson"):
+        law = _LAWS.get(self.kind) if isinstance(self.kind, str) else None
+        if law is None:
             raise ConfigError(f"unknown driver kind: {self.kind}")
         object.__setattr__(self, "m", check_integer("m", self.m, 1))
         extra = [key for key in ("rho", "intensity", "mark_factors")
-                 if getattr(self, key) is not None and key not in DRIVER_PARAMETERS[self.kind]]
+                 if getattr(self, key) is not None and key not in law.parameters]
         if extra:
             raise ConfigError(f"a {self.kind} driver does not take {', '.join(extra)}")
-        number = (isinstance(self.rho, numbers.Real) and not isinstance(self.rho, bool)
-                  and 0 <= self.rho < math.inf)
-        if self.kind == "martingale" and not (callable(self.rho) or number):
-            raise ConfigError(f"martingale driver requires a variance density rho, a callable or "
-                              f"a real number, finite and >= 0, got {self.rho!r}")
-        if self.kind == "poisson" and self.intensity is None:
-            raise ConfigError("poisson driver requires an intensity measure")
+        object.__setattr__(self, "law", law(*(getattr(self, key) for key in law.parameters)))
 
 
 @dataclass(frozen=True)
@@ -137,20 +357,11 @@ class ExperimentSpec:
                                                 for b in self.boxes))
         if not self.boxes:
             raise ConfigError("at least one truncation box is required")
-        k = self.kernel.multiplicity
-        if len(self.combo) != k:
+        if len(self.combo) != self.kernel.multiplicity:
             raise ConfigError("combo must match the kernel multiplicity")
         if any(not 0 <= i <= self.driver.m for i in self.combo):
             raise ConfigError(f"combo components must lie in 0..{self.driver.m}")
-        mf = self.driver.mark_factors
-        if self.driver.kind == "poisson":
-            if mf is None or len(mf) != k:
-                raise ConfigError("poisson experiments need one mark factor per slot")
-            try:  # finite, as poisson_variables requires
-                for phi in mf:
-                    self.driver.intensity.moment(phi, 2.0 ** (k + 1))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        self.driver.law.check(self)  # the mark factors
         self.slot_scales  # the checks of rho, before any work
         # the tensor that run_experiment builds: its boxes' per-level maximum
         check_box(self.kernel, self.system, tuple(map(max, zip(*self.boxes))))
@@ -158,13 +369,11 @@ class ExperimentSpec:
     @functools.cached_property
     def slot_scales(self) -> tuple[float, ...]:
         """Per-slot isometry factor s_g, E[X_j X_j'] = s_g delta_jj' for slot g's
-        basis variables: a Gaussian driver's constant rho on a unit-weight
-        system, or 1 on the weighted one if rho is its weight (which the
-        coefficients and the norm carry); a Poisson driver's mark second moment
-        on a unit-weight system; else NaN.  The one place that evaluates rho (1
-        if None) against the weight r, on one grid; a ConfigError unless rho is
-        finite and >= 0 there and, on the weighted system, unless sup rho / r
-        over its interior is at most RATIO_BOUND."""
+        basis variables, as the driver's law gives it (NaN where none applies).
+        The one place that evaluates rho (1 if None) against the weight r, on
+        one grid; a ConfigError unless rho is finite and >= 0 there and, on the
+        weighted system, unless sup rho / r over its interior is at most
+        RATIO_BOUND."""
         iv, weighted = self.kernel.interval, self.system.weighted
         x = np.linspace(iv.start, iv.end, RATIO_GRID + 2)
         rho = _as_callable(1.0 if self.driver.rho is None else self.driver.rho)(x)
@@ -175,22 +384,15 @@ class ExperimentSpec:
         if weighted and not ratio <= RATIO_BOUND:  # NaN counts as unbounded
             raise ConfigError(f"variance density / weight ratio appears unbounded (sup over "
                               f"the grid {ratio:.3g} exceeds {RATIO_BOUND:.3g})")
-        if self.driver.kind == "poisson" and not weighted:
-            return tuple(self.driver.intensity.moment(phi, 2.0) for phi in self.driver.mark_factors)
-        scale = float("nan")
-        if self.driver.kind != "poisson" and np.allclose(rho, r if weighted else rho[0],
-                                                         rtol=1e-12, atol=1e-12):
-            scale = 1.0 if weighted else float(rho[0])
-        return (scale,) * self.kernel.multiplicity
+        return self.driver.law.slot_scales(self, rho, r)
 
     @functools.cached_property
     def correction(self) -> str:
         """The diagonal correction the driver decides: "prelimit" where the
         pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation
-        (repeated components of a Poisson driver, or of a Gaussian one whose
-        slot_scales are not 1), else "pairing_general"."""
-        if expansions._distinct_nonzero(self.combo) or (
-                self.driver.kind != "poisson" and self.slot_scales[0] == 1.0):
+        (as the law says from slot_scales), else "pairing_general"."""
+        if expansions._distinct_nonzero(self.combo) or self.driver.law.ties_take_bracket(
+                self.slot_scales):
             return "pairing_general"
         return "prelimit"
 
@@ -235,73 +437,29 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     counts `coarse` on the same draws, with basis orders up to p_max: as many
     as fit CHUNK_BYTES.
 
-    A chunk holds per trial, on each partition, its increment buffer (a
-    Gaussian path's m + 1 rows, or a Poisson trial's k slot rows), a Gaussian
-    path's basis variables and, under prelimit, its G_k tensors (a Gaussian
-    trial's listed, stacked and in expand's product; a Poisson trial's result,
-    block sums, Moebius temporaries and expand's product); once, a Poisson
-    trial's basis variables, its jumps and their share of the chunk's
-    jump-time tables and, under prelimit, the G_k sum's scratch of its steps
-    off the base (up to its expected jumps, each with a block's terms) and
-    their masks; and once, at n_steps, its k slot rows psi_g * Delta D^(i_g),
-    nested_sum's three rows of scratch and the bracket's first contraction.
-    Each worker also holds two Gaussian trials' draws (a trial's path is freed
-    when the next one's is bound) or a Poisson chunk's compensator row, one
-    seed-word derivation (_trial_seeds) and, under a Gaussian prelimit, the
-    dense G_k sum's slot tables and, for k >= 3, its largest block product.
-    A Poisson prelimit pass holds its G_k bases (slot rows and block sums)
-    once, and builds them in the parent before any chunk, through those dense
-    temporaries.
+    A chunk holds per trial what the driver's law counts (its floats) and,
+    once, at n_steps, its k slot rows psi_g * Delta D^(i_g), nested_sum's
+    three rows of scratch and the bracket's first contraction.  Each worker
+    also holds the law's share and one seed-word derivation (_trial_seeds).
 
     Raises SizeError, before anything is allocated, when the partitions,
-    their left-node tables, each worker's chunk and share above, and the
-    kept_per_trial result floats of every trial (twice when sharded: the
-    workers' rows and the gathered array) would exceed MEMORY_BUDGET."""
-    k, m, drv = spec.kernel.multiplicity, spec.driver.m, spec.driver
-    gaussian = drv.kind != "poisson"
-    prelimit = spec.correction == "prelimit"
-    based = prelimit and not gaussian  # the G_k sums start from a base (_gk_base)
+    their left-node tables, the law's tables, each worker's chunk and share
+    above, and the kept_per_trial result floats of every trial (twice when
+    sharded: the workers' rows and the gathered array) would exceed
+    MEMORY_BUDGET, or when what the law holds once before the chunks would."""
+    k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
-    rows = m + 1 if gaussian else k  # increment rows per partition
-    variables = rows * (p_max + 1) * (len(steps) if gaussian else 1)
-    # per expected jump of a Poisson trial on one component: its time and mark on each
-    # component, two components' basis tables (one is built while the last is freed) and
-    # eight floats of scratch (eval_table's rows, the chunk's concatenated times and
-    # marks, their mark factor values and the scattered add's indices)
-    jumps = 0 if gaussian else math.ceil(drv.intensity.total_mass * spec.kernel.interval.length
-                                         * (2 * m + 2 * (p_max + 1) + 8))
-    box = (p_max + 1) ** k
-    # per trial and partition: a Gaussian trial's G_k tensor (listed, stacked and in
-    # expand's product), or a Poisson chunk's result, the Moebius product's two
-    # temporaries, expand's product and the block sums (at most one per set of slots)
-    gk = prelimit * (3 * box if gaussian else 4 * box + (p_max + 2) ** k)
-    # once per Poisson trial under prelimit: its steps off the base, up to its expected
-    # jumps on the combo's components, each with a block's terms, their scattered add's
-    # indices and its trial and step; and one byte per step for each slot's mask and theirs
-    off = 0
-    if based:
-        expected = math.ceil(drv.intensity.total_mass * spec.kernel.interval.length
-                             * len(set(spec.combo) - {0}))
-        off = min(n_steps, expected) * (2 * box + 2) + -(-(k + 1) * n_steps // 8)
-    per_trial = 8 * (sum(n * rows + gk for n in steps) + variables + jumps + off
-                     + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
-    # rows at n_steps: two paths' unit draws and increments, or a compensator row
-    draws = 2 * (2 * m + 1) if gaussian else 1
-    # per step, the dense G_k sum's slot tables and, for k >= 3, its largest block product:
-    # each Gaussian worker's, or a Poisson pass's while it builds a partition's base
-    dense = prelimit * (k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1))
-    temp = 8 * n_steps * (draws + gaussian * dense)
+    # per step, the dense G_k sum's slot tables and, for k >= 3, its largest block product
+    dense = (spec.correction == "prelimit") * (k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1))
+    trial, worker, shared, once = spec.driver.law.floats(spec, steps, p_max, dense)
+    per_trial = 8 * (trial + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
-    # nodes, deltas, basis table, kernel factors and a Gaussian pass's step variances
-    # and their square roots, or a Poisson pass's G_k base (slot rows and block sums);
-    # forked workers share them with the parent, which builds the bases before any chunk
-    tables = sum(8 * (n + 1) * (2 + 2 * gaussian + p_max + 1 + k)
-                 + based * 8 * (n * k + (p_max + 2) ** k) for n in steps)
-    base = based * 8 * n_steps * (dense + 1)  # and its measures' compensator row
+    # nodes, deltas, basis table and kernel factors; forked workers share them with the parent
+    tables = 8 * (shared + sum((n + 1) * (2 + p_max + 1 + k) for n in steps))
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
     seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
-    need = tables + max(base, workers * (chunk * per_trial + temp + seeds) + results)
+    need = tables + max(8 * once, workers * (chunk * per_trial + 8 * worker + seeds) + results)
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
@@ -364,19 +522,11 @@ def _sharded(shard, trials: int, chunk: int) -> tuple:
 
 
 def _prepared(spec: ExperimentSpec, steps, p_max: int) -> list:
-    """(partition, basis table on its left nodes) for each step count.
-
-    Built in the parent before any fork, with the square roots of the step
-    variances that the samplers scale by, so a martingale's rho is evaluated
-    once per partition and the workers inherit it all.  A rho that is negative
-    or not finite between slot_scales' grid points fails here, with ConfigError."""
+    """(partition, basis table on its left nodes) for each step count, built
+    in the parent before any fork with what the driver's law prepares, so the
+    workers inherit it all."""
     parts = [make_partition(spec.kernel.interval, n) for n in steps]
-    if spec.driver.kind != "poisson":
-        try:
-            for part in parts:
-                part.step_scales(spec.driver.rho)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    spec.driver.law.prepare(parts)
     return [(part, spec.system.eval_table(p_max, part.left_nodes)) for part in parts]
 
 
@@ -399,70 +549,17 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
 
     tables lists (partition, basis table on its left nodes), finest first.
     The chunk's increment buffers, one per partition, are allocated once per
-    call and reused by every chunk: a Gaussian path's rows, whose time row
-    is written once, or a Poisson chunk's slot rows.  Each trial is seeded
-    with its substreams' derived words (_trial_seeds) and drawn once, through
-    the public sampler, on the finest partition.  A Gaussian path's unit
-    draws times each coarser partition's step scales go straight into that
-    partition's rows (bitwise the sampler's increments there, as
-    drivers.scale_draws gives them), and its slot increments are views of the
-    rows of its combo, one per component.  A Poisson chunk's realizations and
-    their variables do not depend on the partition: poisson_variables takes
-    the whole chunk once, and slot_increments writes its measures into each
-    partition's rows by one scattered add per distinct (component, mark
-    factor) pair, bitwise each trial's own.  The variables have a leading trial axis, and the slot
-    increments are k arrays of shape (trials, N), valid until the next chunk
-    is drawn."""
-    drv, combo = spec.driver, spec.combo
-    gaussian = drv.kind != "poisson"
-    p_max = tables[0][1].shape[0] - 1
-    seeds = _trial_seeds(spec.seed, drv.m, lo, hi)
+    call (the law's buffers) and reused by every chunk, which the law draws.
+    Each trial is seeded with its substreams' derived words (_trial_seeds)
+    and drawn once, through the public sampler, on the finest partition.  The
+    variables have a leading trial axis, and the slot increments are k arrays
+    of shape (trials, N), valid until the next chunk is drawn."""
+    law = spec.driver.law
+    seeds = _trial_seeds(spec.seed, spec.driver.m, lo, hi)
     chunk = min(chunk, hi - lo)
-    # increments per partition: a Gaussian path's rows, or a Poisson chunk's slot rows
-    incs = [np.empty((chunk, drv.m + 1 if gaussian else len(combo), part.n_steps))
-            for part, _ in tables]
-    if gaussian:
-        for inc, (part, _) in zip(incs, tables):
-            inc[:, 0] = part.deltas
+    incs = law.buffers(spec, tables, chunk)
     for start in range(lo, hi, chunk):
-        size = min(chunk, hi - start)
-        reals = []
-        for c in range(size):
-            seed = next(seeds)
-            if drv.kind == "wiener":
-                real = sample_wiener(tables[0][0], drv.m, seed)
-            elif drv.kind == "martingale":
-                real = sample_gaussian_martingale(tables[0][0], drv.m, drv.rho, seed)
-            else:
-                reals.append(sample_poisson(spec.kernel.interval, drv.m, drv.intensity, seed))
-                continue
-            incs[0][c, 1:] = real.increments[1:]
-            for inc, (part, _) in zip(incs[1:], tables[1:]):
-                np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(drv.rho),
-                            out=inc[c, 1:])
-        if gaussian:
-            variables = [expansions.gaussian_variables(inc[:size], phi)
-                         for inc, (_, phi) in zip(incs, tables)]
-            views = [{i: inc[:size, i] for i in dict.fromkeys(combo)} for inc in incs]
-            slots = [[rows[i] for i in combo] for rows in views]
-        else:
-            variables = [expansions.poisson_variables(reals, spec.system, drv.mark_factors,
-                                                      combo, p_max)] * len(tables)
-            slots = [oracle.slot_increments(reals, combo, part, drv.mark_factors, inc[:size])[1]
-                     for inc, (part, _) in zip(incs, tables)]
-        yield start - lo, list(zip(variables, slots))
-
-
-def _gk_base(spec: ExperimentSpec, part, phi) -> oracle.GkBase:
-    """The G_k base of a Poisson pass on one partition: the slot increments of a
-    realization without jumps, from the slot_increments that every chunk runs,
-    so they are bitwise each trial's increments on its steps without a jump."""
-    drv = spec.driver
-    none = (np.empty(0),) * drv.m
-    _, incs = oracle.slot_increments(PoissonRealization(spec.kernel.interval, drv.m, none, none,
-                                                        drv.intensity),
-                                     spec.combo, part, drv.mark_factors)
-    return oracle.gk_base([phi] * spec.kernel.multiplicity, incs)
+        yield start - lo, law.draw(spec, tables, seeds, incs, min(chunk, hi - start))
 
 
 def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
@@ -474,16 +571,14 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     finest resolution and the oracle-minus-expansion differences at each.
     The oracle's slot rows psi_g * Delta D^(i_g) go into one buffer per shard,
     one multiply per slot, shared by the partitions.  Under prelimit, a chunk's
-    G_k sums on each partition take one oracle.gk_correction_tensor call: from
-    the partition's base (_gk_base) for a Poisson pass, dense trial by trial
-    for a Gaussian one."""
+    G_k sums on each partition take one oracle.gk_correction_tensor call, from
+    the partition's base if the law gives one."""
     k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
-    bases = [None] * len(tables)
-    if correction == "prelimit" and spec.driver.kind == "poisson":
-        bases = [_gk_base(spec, part, phi) for part, phi in tables]
+    bases = [spec.driver.law.gk_base(spec, part, phi) if correction == "prelimit" else None
+             for part, phi in tables]
 
     def shard(lo, hi):
         samples = np.empty((hi - lo, len(subs)))
@@ -525,9 +620,7 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     norm = kernel_norm_sq(spec.kernel, spec.system)
     tables = _prepared(spec, steps, p_max)  # its per-step check of rho comes before the tensor
     tensor = coeff_tensor(spec.kernel, spec.system, tuple(map(max, zip(*spec.boxes))))
-    # a Gaussian residual takes s^k: the product over the slots differs in the last bits
-    scales = spec.slot_scales
-    scale = math.prod(scales) if spec.driver.kind == "poisson" else scales[0] ** len(scales)
+    scale = spec.driver.law.residual_factor(spec.slot_scales)
     if 0 in spec.combo or not expansions._distinct_nonzero(spec.combo):
         scale = float("nan")
     samples, *diffs = _mc_pass(spec, tensor, tables, chunk)
@@ -593,18 +686,15 @@ def _ztest(name, values, expected, out):
 def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     """z-tests (3 sigma) for zero means, unit (or analytic) variances and
     zero cross-correlations of the basis random variables.  ConfigError,
-    before any work, unless j_max is an integer >= 0 (a Walsh system's below
-    2^WALSH_BITS) and there are at least 1000 trials."""
+    before any work, unless j_max is an integer >= 0 (below the system's
+    member bound) and there are at least 1000 trials."""
     j_max = check_integer("j_max", j_max, 0)
     check_orders(spec.kernel, spec.system, (j_max,) * spec.kernel.multiplicity)
     if spec.trials < 10**3:
         raise ConfigError("moment_suite needs at least 1000 trials")
-    drv = spec.driver
-    gaussian = drv.kind != "poisson"
-    rows = drv.m + 1 if gaussian else len(spec.combo)
+    rows = spec.driver.law.rows(spec)
     chunk = _chunk_trials(spec, spec.n_steps, j_max, rows * (j_max + 1))
     tables = _prepared(spec, (spec.n_steps,), j_max)
-    part, phi = tables[0]
 
     def shard(lo, hi):
         out = np.empty((hi - lo, rows, j_max + 1))
@@ -612,39 +702,9 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
             out[first:first + len(variables.table)] = variables.table
         return (out,)
 
-    (tables,) = _sharded(shard, spec.trials, chunk)
-    tests: list[MomentTest] = []
-    if gaussian:
-        tables = tables[:, 1:]
-        var_target = phi**2 @ part.step_variances(drv.rho)  # exact for the sampler
-        for i in range(drv.m):
-            for j in range(j_max + 1):
-                _ztest(f"mean[i={i + 1},j={j}]", tables[:, i, j], 0.0, tests)
-                _ztest(f"var[i={i + 1},j={j}]", tables[:, i, j] ** 2,
-                       float(var_target[j]), tests)
-        for j in range(j_max):
-            _ztest(f"cov[j={j},j'={j + 1}]", tables[:, 0, j] * tables[:, 0, j + 1], 0.0, tests)
-        if drv.m >= 2:
-            for j in range(min(3, j_max + 1)):
-                _ztest(f"cross_component[j={j}]", tables[:, 0, j] * tables[:, 1, j], 0.0, tests)
-    else:
-        for g, (i, f) in enumerate(zip(spec.combo, drv.mark_factors)):
-            if i == 0:
-                continue
-            iso = drv.intensity.moment(f, 2.0)  # E[pi_j^2] = int phi^2 dPi (unit-norm phi_j)
-            for j in range(j_max + 1):
-                _ztest(f"mean[g={g},j={j}]", tables[:, g, j], 0.0, tests)
-                _ztest(f"var[g={g},j={j}]", tables[:, g, j] ** 2, iso, tests)
-        seen = set()
-        for g1, i1 in enumerate(spec.combo):
-            for g2, i2 in enumerate(spec.combo):
-                if g2 <= g1 or i1 == 0 or i2 == 0 or i1 == i2 or (i1, i2) in seen:
-                    continue
-                seen.add((i1, i2))
-                _ztest(f"cross_component[g={g1},g'={g2}]",
-                       tables[:, g1, 0] * tables[:, g2, 0], 0.0, tests)
-    report = MomentReport(tuple(tests), flagged=sum(not t.passed for t in tests) > 2)
-    return report
+    (values,) = _sharded(shard, spec.trials, chunk)
+    tests = spec.driver.law.moment_tests(spec, values, *tables[0])
+    return MomentReport(tuple(tests), flagged=sum(not t.passed for t in tests) > 2)
 
 
 # ----------------------------------------------------------------------------

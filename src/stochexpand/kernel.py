@@ -150,15 +150,16 @@ class CoeffTensor:
 def check_orders(kernel: Kernel, system: OrthonormalSystem, orders) -> tuple[int, ...]:
     """orders as ints, the rules of every coefficient box and index: ConfigError
     unless orders is a list or tuple of one integer >= 0 (not a bool) per
-    kernel factor, the system shares the kernel's interval, and a Walsh
-    system has members of those orders (below 2^WALSH_BITS)."""
+    kernel factor, the system shares the kernel's interval, and the system
+    has members of those orders (below its member bound, if any)."""
     if not isinstance(orders, (list, tuple)) or len(orders) != kernel.multiplicity:
         raise ConfigError(f"a box must list one order per kernel factor, got {orders!r}")
     orders = tuple(check_integer("box order", p, 0) for p in orders)
     if system.interval != kernel.interval:
         raise ConfigError(f"the system lives on {system.interval}, the kernel on {kernel.interval}")
-    if system.kind == "walsh" and max(orders).bit_length() > WALSH_BITS:
-        raise ConfigError(f"Walsh box orders must be below 2^{WALSH_BITS}, got {max(orders)}")
+    if system.members is not None and max(orders) >= system.members:
+        raise ConfigError(f"{system.kind.capitalize()} box orders must be below "
+                          f"{system.members}, its member count, got {max(orders)}")
     return orders
 
 

@@ -72,6 +72,22 @@ def test_constant_density_skips_the_node_table():
             make_partition(IV, 8).step_variances(rho)
 
 
+def test_blocked_step_variances_equal_unblocked_ones_bitwise(monkeypatch):
+    # 1000 steps fit one default block; in blocks of 64 the last one holds 40 steps.
+    # A density constant on the first blocks only must still be integrated on every block
+    kinked = lambda t: np.where(np.asarray(t) < 0.99, 1.0, 2.0)  # noqa: E731
+    densities = [lambda t: 1.0 + np.asarray(t, dtype=float), lambda t: 2.0, kinked]
+    assert drivers.RHO_BLOCK >= 1000
+    whole = [make_partition(IV, 1000).step_variances(rho) for rho in densities]
+    monkeypatch.setattr(drivers, "RHO_BLOCK", 64)
+    for rho, want in zip(densities, whole):
+        calls = []
+        got = make_partition(IV, 1000).step_variances(lambda t: calls.append(np.size(t)) or rho(t))
+        assert got.tobytes() == want.tobytes()
+        assert calls == [64 * 32] * 15 + [40 * 32]
+    assert whole[1].tobytes() == make_partition(IV, 1000).step_variances(2.0).tobytes()
+
+
 ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130]  # 2**130: five entropy words
 TRIALS = [0, 1, 2**31, 2**32 - 1]
 

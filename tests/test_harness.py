@@ -735,10 +735,29 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
     dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(3e4),
                              mark_factors=(power_mark(1.0),) * 2),
          combo=(1, 1), n_steps=256, trials=40),
-], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense"])
+    # a callable density: its step variances are integrated in blocks of drivers.RHO_BLOCK steps
+    dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t)),
+], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense", "rho_1_plus_t"])
 def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
-    import tracemalloc
     spec = _wiener_spec(**{"n_steps": 2**16, "trials": 4, "richardson": True, **overrides})
+    peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch)
+    assert spec.trials >= 3 * chunk  # three chunks or more
+    assert peak <= budget
+
+
+def test_memory_guard_counts_a_callable_density_block(monkeypatch):
+    # one trial on one block of steps: the density's step-variance tables, built before the
+    # chunk, set the peak, about six times what the chunk holds
+    spec = _wiener_spec(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t),
+                        n_steps=drivers.RHO_BLOCK, trials=1, boxes=((1, 1),))
+    peak, budget, _ = _peak_and_smallest_budget(spec, monkeypatch)
+    assert peak <= budget
+
+
+def _peak_and_smallest_budget(spec, monkeypatch):
+    """The tracemalloc peak of a single-worker run of spec after a first run, the smallest
+    MEMORY_BUDGET that its trial loop's guard accepts, and its trials per chunk."""
+    import tracemalloc
     _force_workers(monkeypatch, 1)
     chunk_trials, calls = harness._chunk_trials, []
     monkeypatch.setattr(harness, "_chunk_trials",
@@ -750,7 +769,7 @@ def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec.trials >= 3 * chunk_trials(*calls[-1])  # three chunks or more
+    chunk = chunk_trials(*calls[-1])
     lo, hi = 0, 2**32  # the smallest budget the guard accepts lies in (lo, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -760,7 +779,7 @@ def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
             hi = mid
         except SizeError:
             lo = mid
-    assert peak <= hi
+    return peak, hi, chunk
 
 
 @pytest.mark.parametrize("system, j_max", [(basis.walsh(IV), 1024), (SYS, 2.5), (SYS, -1),
