@@ -18,7 +18,8 @@ partitions of the slots (``oracle.set_partitions``):
 expand does not see rho or the system's weight.  Whether the variables are
 orthonormal (rho == 1 on a unit-weight system, rho equal to the weight on the
 weighted one) and whether rho is compatible with the weight at all is decided
-by ``harness.ExperimentSpec.slot_scales``.
+by the driver's law in ``harness`` (its ``slot_scales``, which
+``harness.ExperimentSpec.slot_scales`` calls once).
 """
 
 from __future__ import annotations

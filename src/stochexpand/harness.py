@@ -23,9 +23,9 @@ uses the first N // 2 draws of each of the trial's substreams, which are
 exactly what a separate draw on N // 2 steps would give.
 
 How a driver meets its system is decided once, when the spec is built, by
-ExperimentSpec.slot_scales (one evaluation of rho against the system's
-weight): the residual's factor, the diagonal correction
-(ExperimentSpec.correction) and the checks of rho all read it.
+its law's slot_scales: it checks the driver's inputs (rho against the weight,
+or the mark factors) and gives the per-slot isometry factors that the
+residual's factor and the diagonal correction (ExperimentSpec.correction) read.
 """
 
 from __future__ import annotations
@@ -94,14 +94,27 @@ class _Gaussian:
     def sample(self, part, m, seed):
         return sample_gaussian_martingale(part, m, self.rho, seed)
 
-    def check(self, spec) -> None:
-        pass  # rho is checked by slot_scales and prepare
-
-    def slot_scales(self, spec, rho, r) -> tuple[float, ...]:
+    def slot_scales(self, spec) -> tuple[float, ...]:
         """A constant rho on a unit-weight system, or 1 on the weighted one if
         rho is its weight (which the coefficients and the norm carry), on
-        every slot; else NaN."""
-        weighted, scale = spec.system.weighted, float("nan")
+        every slot; else NaN.  rho (1 if None) and the weight r are evaluated
+        on RATIO_GRID + 2 equispaced points of the interval: a ConfigError
+        unless rho is finite and >= 0 there and, on the weighted system, unless
+        max rho / r over the interior points is at most RATIO_BOUND.  For r = x
+        on [0, T] that max is about rho(0) (RATIO_GRID + 1) / T, so a rho with
+        rho(0) > 0 passes on a long interval and fails on a short one, though
+        rho / r is unbounded on both."""
+        iv, weighted = spec.kernel.interval, spec.system.weighted
+        x = np.linspace(iv.start, iv.end, RATIO_GRID + 2)
+        rho = _as_callable(1.0 if self.rho is None else self.rho)(x)
+        if not np.all((rho >= 0) & (rho < np.inf)):
+            raise ConfigError("variance density rho is negative or not finite on the interval")
+        r = spec.system.weight(x)
+        ratio = np.max(rho[1:-1] / np.where(r[1:-1] > 0, r[1:-1], np.inf))
+        if weighted and not ratio <= RATIO_BOUND:  # NaN counts as unbounded
+            raise ConfigError(f"variance density / weight ratio appears unbounded (sup over "
+                              f"the grid {ratio:.3g} exceeds {RATIO_BOUND:.3g})")
+        scale = float("nan")
         if np.allclose(rho, r if weighted else rho[0], rtol=1e-12, atol=1e-12):
             scale = 1.0 if weighted else float(rho[0])
         return (scale,) * spec.kernel.multiplicity
@@ -204,7 +217,9 @@ class _Poisson:
             raise ConfigError("poisson driver requires an intensity measure")
         self.intensity, self.mark_factors = intensity, mark_factors
 
-    def check(self, spec) -> None:
+    def slot_scales(self, spec) -> tuple[float, ...]:
+        """Each slot's mark second moment on a unit-weight system, else NaN,
+        after the mark checks; neither rho nor the system's weight enters."""
         k = spec.kernel.multiplicity
         if self.mark_factors is None or len(self.mark_factors) != k:
             raise ConfigError("poisson experiments need one mark factor per slot")
@@ -213,11 +228,8 @@ class _Poisson:
                 self.intensity.moment(phi, 2.0 ** (k + 1))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def slot_scales(self, spec, rho, r) -> tuple[float, ...]:
-        """Each slot's mark second moment on a unit-weight system, else NaN."""
         if spec.system.weighted:
-            return (float("nan"),) * spec.kernel.multiplicity
+            return (float("nan"),) * k
         return tuple(self.intensity.moment(phi, 2.0) for phi in self.mark_factors)
 
     def ties_take_bracket(self, scales) -> bool:
@@ -361,30 +373,16 @@ class ExperimentSpec:
             raise ConfigError("combo must match the kernel multiplicity")
         if any(not 0 <= i <= self.driver.m for i in self.combo):
             raise ConfigError(f"combo components must lie in 0..{self.driver.m}")
-        self.driver.law.check(self)  # the mark factors
-        self.slot_scales  # the checks of rho, before any work
+        self.slot_scales  # the law's checks of its inputs, before any work
         # the tensor that run_experiment builds: its boxes' per-level maximum
         check_box(self.kernel, self.system, tuple(map(max, zip(*self.boxes))))
 
     @functools.cached_property
     def slot_scales(self) -> tuple[float, ...]:
         """Per-slot isometry factor s_g, E[X_j X_j'] = s_g delta_jj' for slot g's
-        basis variables, as the driver's law gives it (NaN where none applies).
-        The one place that evaluates rho (1 if None) against the weight r, on
-        one grid; a ConfigError unless rho is finite and >= 0 there and, on the
-        weighted system, unless sup rho / r over its interior is at most
-        RATIO_BOUND."""
-        iv, weighted = self.kernel.interval, self.system.weighted
-        x = np.linspace(iv.start, iv.end, RATIO_GRID + 2)
-        rho = _as_callable(1.0 if self.driver.rho is None else self.driver.rho)(x)
-        if not np.all((rho >= 0) & (rho < np.inf)):
-            raise ConfigError("variance density rho is negative or not finite on the interval")
-        r = self.system.weight(x)
-        ratio = np.max(rho[1:-1] / np.where(r[1:-1] > 0, r[1:-1], np.inf))
-        if weighted and not ratio <= RATIO_BOUND:  # NaN counts as unbounded
-            raise ConfigError(f"variance density / weight ratio appears unbounded (sup over "
-                              f"the grid {ratio:.3g} exceeds {RATIO_BOUND:.3g})")
-        return self.driver.law.slot_scales(self, rho, r)
+        basis variables, as the driver's law gives it (NaN where none applies)
+        once it has checked the driver's inputs against the spec."""
+        return self.driver.law.slot_scales(self)
 
     @functools.cached_property
     def correction(self) -> str:

@@ -193,6 +193,46 @@ def test_driver_meets_system_by_one_rule(driver, system, combo):
         _wiener_spec(correction=auto, **kw)
 
 
+# sup 1 / x over slot_scales' grid on [0, 1e-3] is 2.05e6, over RATIO_BOUND
+SHORT_WEIGHTED = dict(kernel=unit_kernel(2, Interval(0.0, 1e-3)),
+                      system=basis.bessel_weighted(1e-3))
+
+
+def test_only_a_gaussian_law_checks_rho_against_the_weight():
+    # a Poisson driver takes no rho: its law checks the marks and never the ratio
+    for combo, auto in (((1, 2), "pairing_general"), ((1, 1), "prelimit")):
+        report = run_experiment(_wiener_spec(driver=RULE_DRIVERS["poisson"], combo=combo,
+                                             **SHORT_WEIGHTED))
+        assert report.correction == auto
+        for s in report.stats:
+            assert np.isfinite([s.mean, s.variance, s.mse]).all() and np.isnan(s.residual)
+        for driver in ("wiener", "rho=2"):
+            with pytest.raises(ConfigError, match="appears unbounded"):
+                _wiener_spec(driver=RULE_DRIVERS[driver], combo=combo, **SHORT_WEIGHTED)
+
+
+def test_only_a_gaussian_law_evaluates_the_weight(monkeypatch):
+    def weight(self, x):
+        raise AssertionError("the system's weight was evaluated")
+
+    monkeypatch.setattr(basis.OrthonormalSystem, "weight", weight)
+    for system in (SYS, basis.bessel_weighted(1.0)):
+        assert _wiener_spec(driver=RULE_DRIVERS["poisson"], system=system).slot_scales
+        with pytest.raises(AssertionError, match="weight was evaluated"):
+            _wiener_spec(driver=RULE_DRIVERS["wiener"], system=system)
+
+
+def test_the_laws_keep_one_contract():
+    # a per-kind rule is a method on every law; sample is the hook through which
+    # _Wiener calls sample_wiener
+    def public(law):
+        return {name for name in dir(law) if not name.startswith("_")}
+
+    assert public(harness._Gaussian) - {"sample"} == public(harness._Poisson) == {
+        "parameters", "slot_scales", "ties_take_bracket", "residual_factor", "prepare", "rows",
+        "floats", "buffers", "draw", "gk_base", "moment_tests"}
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         _wiener_spec(trials=0)
@@ -403,6 +443,13 @@ LOOP_SPECS = {
                        boxes=((2, 2, 2), (1, 3, 2)), richardson=True,
                        driver=DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
                                            mark_factors=(power_mark(1.0),) * 3)),
+    # a weighted system on an interval too short for a Gaussian driver's ratio check; the
+    # intensity gives about five jumps per component, as on the unit interval above
+    "poisson_weighted_short": dict(**SHORT_WEIGHTED, trials=23, richardson=True,
+                                   driver=DriverConfig("poisson", m=2,
+                                                       intensity=exponential_measure(5e3),
+                                                       mark_factors=(power_mark(1.0),
+                                                                     power_mark(0.5)))),
 }
 
 
@@ -536,7 +583,7 @@ def _replay(spec, correction):
 
 
 @pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit",
-                                  "poisson_unequal_marks"])
+                                  "poisson_unequal_marks", "poisson_weighted_short"])
 def test_stats_match_a_per_trial_public_api_replay(name):
     spec = _wiener_spec(**LOOP_SPECS[name])
     report = run_experiment(spec)
@@ -754,18 +801,28 @@ def test_memory_guard_counts_a_callable_density_block(monkeypatch):
     assert peak <= budget
 
 
-def _peak_and_smallest_budget(spec, monkeypatch):
-    """The tracemalloc peak of a single-worker run of spec after a first run, the smallest
+@pytest.mark.parametrize("driver", [DriverConfig("wiener", m=2), *MOMENT_DRIVERS.values()],
+                         ids=["wiener", *MOMENT_DRIVERS])
+def test_memory_guard_bounds_what_the_moment_suite_holds(driver, monkeypatch):
+    spec = _wiener_spec(driver=driver, n_steps=2**12, trials=1000)
+    peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch,
+                                                    lambda spec: moment_suite(spec, j_max=7))
+    assert spec.trials >= 3 * chunk
+    assert peak <= budget
+
+
+def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
+    """The tracemalloc peak of a single-worker run(spec) after a first one, the smallest
     MEMORY_BUDGET that its trial loop's guard accepts, and its trials per chunk."""
     import tracemalloc
     _force_workers(monkeypatch, 1)
     chunk_trials, calls = harness._chunk_trials, []
     monkeypatch.setattr(harness, "_chunk_trials",
                         lambda *args: calls.append(args) or chunk_trials(*args))
-    run_experiment(spec)  # the imports and caches of a first run outlive it
+    run(spec)  # the imports and caches of a first run outlive it
     tracemalloc.start()
     try:
-        run_experiment(spec)
+        run(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
