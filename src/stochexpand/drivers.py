@@ -108,7 +108,7 @@ class Partition:
         if callable(rho):
             variances, first, constant = np.empty(self.n_steps), None, True
             for lo in range(0, self.n_steps, RHO_BLOCK):
-                grid = quadrature.PanelGrid(self.nodes[lo:lo + RHO_BLOCK + 1], quadrature.ORDER)
+                grid = quadrature.PanelGrid(self.nodes[lo:lo + RHO_BLOCK + 1])
                 vals = _checked_density(grid.eval_on_nodes(_as_callable(rho)))
                 first = vals.flat[0] if first is None else first
                 constant = constant and bool(np.all(vals == first))
@@ -315,8 +315,7 @@ def _unit_draws(partition: Partition, m: int, seed) -> np.ndarray:
     return z
 
 
-def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None,
-                out: np.ndarray | None = None) -> np.ndarray:
+def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None) -> np.ndarray:
     """(m + 1, n) increments on a partition of n steps from (m, N >= n) unit
     draws: the step lengths, then the first n draws of each component times the
     square roots of the step variances (with density rho; None, the step lengths
@@ -328,8 +327,7 @@ def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None,
     n = partition.n_steps
     if n > unit_draws.shape[1]:
         raise ValueError(f"cannot scale {unit_draws.shape[1]} draws onto {n} steps")
-    if out is None:
-        out = np.empty((len(unit_draws) + 1, n))
+    out = np.empty((len(unit_draws) + 1, n))
     out[0] = partition.deltas
     np.multiply(unit_draws[:, :n], partition.step_scales(rho), out=out[1:])
     return out

@@ -140,11 +140,9 @@ class _Gaussian:
 
     def floats(self, spec, steps, p_max: int, dense: int) -> tuple[int, int, int, int]:
         """Floats held (per trial, per worker, per pass, once before the chunks)."""
-        m, rows, box = spec.driver.m, self.rows(spec), (p_max + 1) ** spec.kernel.multiplicity
-        # per trial and partition: the path's rows and basis variables and, under prelimit,
-        # its G_k tensor (listed, stacked and in expand's product)
-        trial = sum(n * rows + rows * (p_max + 1) + (spec.correction == "prelimit") * 3 * box
-                    for n in steps)
+        m, rows = spec.driver.m, self.rows(spec)
+        # per trial and partition: the path's rows and basis variables
+        trial = sum(n * rows + rows * (p_max + 1) for n in steps)
         # per worker: two paths' draws and increments (one is freed when the next is bound)
         # and the dense G_k temporaries; per pass: step variances and their square roots;
         # once: a callable rho's (block, ORDER) nodes, weights, values, products and one more
@@ -175,7 +173,7 @@ class _Gaussian:
         return [(v, [rows[i] for i in spec.combo]) for v, rows in zip(variables, views)]
 
     def gk_base(self, spec, part, phi) -> None:
-        return None  # a chunk's G_k sums are dense, trial by trial
+        return None  # each trial's G_k block sums are dense
 
     def moment_tests(self, spec, values, part, phi) -> list:
         values, tests, j_max = values[:, 1:], [], values.shape[2] - 1
@@ -248,13 +246,12 @@ class _Poisson:
         """Floats held (per trial, per worker, per pass, once before the chunks)."""
         k, m, prelimit = spec.kernel.multiplicity, spec.driver.m, spec.correction == "prelimit"
         box, mass = (p_max + 1) ** k, self.intensity.total_mass * spec.kernel.interval.length
-        # per trial and partition: the slot rows and, under prelimit, the chunk's result, two
-        # Moebius temporaries, expand's product and the block sums (at most one per slot set);
-        # per trial: the basis variables and, per expected jump on a component, its time and
-        # mark on each component, two basis tables (one built while the last is freed) and 8
-        # floats of scratch (eval_table, the chunk's times and marks, mark values, indices)
-        trial = (sum(n * k + prelimit * (4 * box + (p_max + 2) ** k) for n in steps)
-                 + k * (p_max + 1) + math.ceil(mass * (2 * m + 2 * (p_max + 1) + 8)))
+        # per trial and partition: the slot rows; per trial: the basis variables and, per
+        # expected jump on a component, its time and mark on each component, two basis tables
+        # (one built while the last is freed) and 8 floats of scratch (eval_table, the chunk's
+        # times and marks, mark values, indices)
+        trial = (sum(n * k for n in steps) + k * (p_max + 1)
+                 + math.ceil(mass * (2 * m + 2 * (p_max + 1) + 8)))
         if prelimit:
             # the G_k sum's steps off the base, up to the expected jumps on the combo's
             # components, each with a block's terms, their scattered add's indices and its
@@ -435,10 +432,10 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     counts `coarse` on the same draws, with basis orders up to p_max: as many
     as fit CHUNK_BYTES.
 
-    A chunk holds per trial what the driver's law counts (its floats) and,
-    once, at n_steps, its k slot rows psi_g * Delta D^(i_g), nested_sum's
-    three rows of scratch and the bracket's first contraction.  Each worker
-    also holds the law's share and one seed-word derivation (_trial_seeds).
+    A chunk holds per trial the law's floats, under prelimit each partition's
+    G_k tensors and, once, at n_steps, its k slot rows psi_g * Delta D^(i_g),
+    nested_sum's three rows of scratch and the bracket's first contraction.
+    Each worker also holds the law's share and a seed-word derivation (_trial_seeds).
 
     Raises SizeError, before anything is allocated, when the partitions,
     their left-node tables, the law's tables, each worker's chunk and share
@@ -447,9 +444,12 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     MEMORY_BUDGET, or when what the law holds once before the chunks would."""
     k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
+    prelimit = spec.correction == "prelimit"
     # per step, the dense G_k sum's slot tables and, for k >= 3, its largest block product
-    dense = (spec.correction == "prelimit") * (k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1))
+    dense = prelimit * (k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1))
     trial, worker, shared, once = spec.driver.law.floats(spec, steps, p_max, dense)
+    # per trial and partition: G_k block sums, Moebius result, two temporaries, expand's product
+    trial += prelimit * len(steps) * ((p_max + 2) ** k + 4 * (p_max + 1) ** k)
     per_trial = 8 * (trial + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))

@@ -5,6 +5,10 @@ over a partition, computed in O(k N) by running prefix accumulation, plus
 the coincident-index ("diagonal") sums over G_k = H_k \\ L_k used by the
 pre-limit correction of the expansions.  Both it and the pairing bracket are
 Moebius sums over the set partitions of the k slots (Rota 1964): set_partitions.
+Every form of the G_k sum builds its block sums X_B from two helpers, _outer
+(the one Khatri-Rao product of a block's slot tables) and _block_sums (one
+realization's X_B, for every block), and each gk_correction_tensor call runs
+one Moebius sum, over all of its trials at once.
 """
 
 from __future__ import annotations
@@ -131,9 +135,9 @@ def set_partitions(k: int) -> tuple:
                  for p in sorted(parts, key=len, reverse=True))
 
 
-def _axes(b, shape) -> list:
-    """Shape of block b's sums broadcast over the axes of shape (1 off the block)."""
-    return [n if g in b else 1 for g, n in enumerate(shape)]
+def _blocks(k: int) -> tuple:
+    """Every block of the set partitions of k slots but the finest, once."""
+    return tuple(dict.fromkeys(b for blocks, _ in set_partitions(k)[1:] for b in blocks))
 
 
 def _holders(incs) -> list:
@@ -141,38 +145,43 @@ def _holders(incs) -> list:
     return [next(h for h in range(g + 1) if incs[h] is incs[g]) for g in range(len(incs))]
 
 
-def _products(phi_tables, incs) -> list:
-    """table * inc per slot; slots with one table object and one increment object
-    share one product, bitwise what separate products give."""
+def _outer(rows) -> np.ndarray:
+    """The Khatri-Rao product of a block's slot tables rows[g], (p_g + 1, L) each:
+    prod_g rows[g][j_g, l] at [(j_1, ..., j_|B|) flattened in slot order, l]."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = (out[:, None, :] * row).reshape(len(out) * len(row), -1)  # L may be 0
+    return out
+
+
+def _block_sums(phi_tables, incs) -> dict:
+    """X_B = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l} of one realization, flattened
+    over the block's indices in slot order, for every block of _blocks.  Slots with one
+    table object and one increment object share one product table * inc, bitwise what
+    separate products give."""
     f = []
     for g, (table, inc) in enumerate(zip(phi_tables, incs)):
         h = next((h for h in range(g) if phi_tables[h] is table and incs[h] is inc), None)
-        f.append(table * inc[None, :] if h is None else f[h])
-    return f
+        f.append(table * inc if h is None else f[h])
+    sums = {}
+    for b in _blocks(len(f)):
+        if len(b) == 1:
+            sums[b] = f[b[0]].sum(axis=1)
+            continue
+        # all slots but the last multiplied out, then one matmul; a shared product times its
+        # own transpose would run BLAS syrk, which rounds unlike the gemm of two distinct
+        # products: copy it
+        head, last = _outer([f[g] for g in b[:-1]]), f[b[-1]]
+        sums[b] = (head @ (last.copy() if last is head else last).T).ravel()
+    return sums
 
 
-def _dense_block(f, b) -> np.ndarray:
-    """X_B = sum_l prod_{g in B} f[g][:, l], flattened over the block's indices in
-    slot order, from the slot products f[g] = table * inc."""
-    head = f[b[0]]
-    for g in b[1:-1]:  # all slots but the last multiplied out, then one matmul
-        head = (head[:, None, :] * f[g]).reshape(-1, head.shape[1])
-    if len(b) == 1:
-        return head.sum(axis=1)
-    # a shared product times its own transpose would run BLAS syrk, which rounds
-    # unlike the gemm of two distinct products: copy it
-    last = f[b[-1]]
-    return (head @ (last.copy() if last is head else last).T).ravel()
-
-
-def _blocks(k: int) -> tuple:
-    """Every block of the set partitions of k slots but the finest, once."""
-    return tuple(dict.fromkeys(b for blocks, _ in set_partitions(k)[1:] for b in blocks))
-
-
-def _moebius(blocks, shape, lead=()) -> np.ndarray:
+def _moebius(sums, shape, lead=()) -> np.ndarray:
     """-sum_{pi not finest} mu(pi) prod_{B in pi} X_B over (*lead, *shape), from the
-    block sums blocks[B] shaped to broadcast there."""
+    block sums sums[B], (*lead, size of B) each, flattened over B's indices; each is
+    broadcast over the axes of shape, 1 off its block."""
+    blocks = {b: x.reshape((*lead, *(n if g in b else 1 for g, n in enumerate(shape))))
+              for b, x in sums.items()}
     total = np.zeros((*lead, *shape))
     for partition, mu in set_partitions(len(shape))[1:]:
         term = 1.0
@@ -180,13 +189,6 @@ def _moebius(blocks, shape, lead=()) -> np.ndarray:
             term = term * blocks[b]
         total -= mu * term
     return total
-
-
-def _dense(phi_tables, incs, shape) -> np.ndarray:
-    """gk_correction_tensor of one trial from its dense block sums."""
-    f = _products(phi_tables, incs)
-    return _moebius({b: _dense_block(f, b).reshape(_axes(b, shape)) for b in _blocks(len(f))},
-                    shape)
 
 
 @dataclass(frozen=True)
@@ -205,8 +207,7 @@ def gk_base(phi_tables, incs) -> GkBase:
     gk_correction_tensor's chunk form.  The base rows of Poisson slots are a
     realization without jumps: on every step without a jump, each trial's
     increment equals them (the compensator's share)."""
-    f = _products(phi_tables, incs)
-    return GkBase(tuple(phi_tables), tuple(incs), {b: _dense_block(f, b) for b in _blocks(len(f))})
+    return GkBase(tuple(phi_tables), tuple(incs), _block_sums(phi_tables, incs))
 
 
 def gk_correction_tensor(phi_tables, incs, base: GkBase | None = None) -> np.ndarray:
@@ -219,9 +220,12 @@ def gk_correction_tensor(phi_tables, incs, base: GkBase | None = None) -> np.nda
     -sum_{pi not finest} mu(pi) prod_{B in pi} X_B, with
     X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}.
 
-    Without a base, each trial's blocks are dense (p+1)^|B| x N products.  Slots
-    that share their table and their increments (the same objects) share one
-    product table * inc, with results bitwise those of separate products.
+    Every form builds its block sums X_B with _block_sums or, for a chunk's
+    jump steps, _outer, and then runs one Moebius sum (_moebius) over all of
+    its trials at once.  Without a base, each trial's blocks are dense
+    (p+1)^|B| x N products.  Slots that share their table and their increments
+    (the same objects) share one product table * inc, with results bitwise
+    those of separate products.
 
     With a base (gk_base on the same tables; incs then carry the trial axis),
     X_B = D_B + sum_l P_B[l] (prod_g dD_{g,l} - prod_g base_{g,l}) over the steps
@@ -231,36 +235,28 @@ def gk_correction_tensor(phi_tables, incs, base: GkBase | None = None) -> np.nda
     result does not depend on what it is batched with, bitwise."""
     shape = tuple(len(t) for t in phi_tables)
     if base is None and np.ndim(incs[0]) == 1:
-        return _dense(phi_tables, incs, shape)
-    holders = _holders(incs)
+        return _moebius(_block_sums(phi_tables, incs), shape)
+    holders, trials = _holders(incs), len(incs[0])
+    sums = {b: np.empty((trials, math.prod(shape[g] for g in b))) for b in _blocks(len(shape))}
     if base is None:  # trial by trial, slots of one increment array on one row view
-        results = []
-        for c in range(len(incs[0])):
+        for c in range(trials):
             rows = []
             for g, h in enumerate(holders):
                 rows.append(incs[g][c] if h == g else rows[h])
-            results.append(_dense(phi_tables, rows, shape))
-        return np.stack(results)
+            for b, x in _block_sums(phi_tables, rows).items():
+                sums[b][c] = x
+        return _moebius(sums, shape, (trials,))
     if len(base.tables) != len(shape) or any(t is not u for t, u in zip(base.tables, phi_tables)):
         raise ValueError("the base was built on other basis tables")
-    trials = len(incs[0])
     off = {h: incs[h] != base.incs[h] for h in set(holders)}  # steps off the base row
-    blocks = {}
-    for b, d in base.blocks.items():
+    for b, x in sums.items():
         mask = functools.reduce(np.logical_or, [off[h] for h in dict.fromkeys(holders[g] for g in b)])
         # in trial order, then step order (np.nonzero is 10x slower on a 2-d mask)
         trial, step = np.divmod(np.flatnonzero(mask), mask.shape[1])
         jump = (math.prod(incs[g][trial, step] for g in b)
                 - math.prod(base.incs[g][step] for g in b))
-        terms = phi_tables[b[0]][:, step].T
-        for g in b[1:]:
-            terms = (terms[:, :, None] * phi_tables[g][:, step].T[:, None, :]).reshape(
-                len(step), terms.shape[1] * shape[g])
-        terms *= jump[:, None]
-        x = np.empty((trials, d.size))
-        x[...] = d
+        x[...] = base.blocks[b]
         # one flat scattered add: each entry takes its trial's terms in step order
-        np.add.at(x.reshape(-1), (trial[:, None] * d.size + np.arange(d.size)).ravel(),
-                  terms.ravel())
-        blocks[b] = x.reshape((trials, *_axes(b, shape)))
-    return _moebius(blocks, shape, (trials,))
+        np.add.at(x.reshape(-1), (trial * x.shape[1] + np.arange(x.shape[1])[:, None]).ravel(),
+                  (_outer([phi_tables[g][:, step] for g in b]) * jump).ravel())
+    return _moebius(sums, shape, (trials,))

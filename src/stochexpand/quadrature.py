@@ -81,7 +81,7 @@ def _reference_rule(order: int):
 
 
 class PanelGrid:
-    """Fixed-order Gauss-Legendre nodes on a set of panels.
+    """Gauss-Legendre nodes, ORDER per panel, on a set of panels.
 
     Exposes plain integration over [a, b] and running primitives on the
     grid's own nodes: within each panel the partial integral up to every
@@ -89,10 +89,11 @@ class PanelGrid:
     and whole panels before it enter through an exclusive prefix sum.
     """
 
-    def __init__(self, edges: np.ndarray, order: int):
+    order = ORDER  # what CoeffTensor.quad_info reports
+
+    def __init__(self, edges: np.ndarray):
         self.edges = np.asarray(edges, dtype=float)
-        self.order = order
-        self._ref_u, self._ref_w, self._spectral = _reference_rule(order)
+        self._ref_u, self._ref_w, self._spectral = _reference_rule(ORDER)
         a = self.edges[:-1][:, None]
         b = self.edges[1:][:, None]
         self.nodes = a + (b - a) * self._ref_u[None, :]  # (M, g)
@@ -106,7 +107,7 @@ class PanelGrid:
         """Grid with every panel split in half."""
         mids = (self.edges[:-1] + self.edges[1:]) / 2.0
         edges = np.sort(np.concatenate([self.edges, mids]))
-        return PanelGrid(edges, self.order)
+        return PanelGrid(edges)
 
     def eval_on_nodes(self, f) -> np.ndarray:
         return f(self.nodes.ravel()).reshape(self.nodes.shape)
@@ -178,7 +179,7 @@ def adaptive(value_on_grid, a: float, b: float, breakpoints=()):
     the partial value) at the first grid whose value is not finite, or if
     MAX_REFINEMENTS refinements do not converge.
     """
-    grid = PanelGrid(_panel_edges(a, b, breakpoints), ORDER)
+    grid = PanelGrid(_panel_edges(a, b, breakpoints))
     prev = _finite_on(value_on_grid, grid)
     for _ in range(MAX_REFINEMENTS):
         grid = grid.refined()

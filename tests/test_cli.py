@@ -65,6 +65,13 @@ def test_basis_command_passes(capsys):
     assert "max_gram_deviation" in out
 
 
+def test_basis_writes_the_gram_matrix(tmp_path, capsys):
+    path = tmp_path / "gram.csv"
+    assert run(["basis", "--system", "legendre", "--count", "5", "--out", str(path)]) == 0
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=","),
+                                  basis.gram_matrix(basis.legendre(Interval(0.0, 1.0)), 5))
+
+
 def test_basis_bessel():
     assert run(["basis", "--system", "bessel_weighted", "--count", "5"]) == 0
 

@@ -527,6 +527,14 @@ MOMENT_DRIVERS = {
 }
 
 
+def test_poisson_moment_suite_tests_no_time_slot():
+    spec = _wiener_spec(driver=MOMENT_DRIVERS["poisson"], combo=(0, 1), trials=1000, n_steps=64)
+    report = moment_suite(spec, j_max=3)
+    assert [t.name for t in report.tests] == [f"{stat}[g=1,j={j}]" for j in range(4)
+                                              for stat in ("mean", "var")]
+    assert report.n_failed == 0
+
+
 @pytest.mark.parametrize("driver", MOMENT_DRIVERS)
 def test_moment_suite_does_not_depend_on_chunk_size(driver, monkeypatch):
     spec = _wiener_spec(driver=MOMENT_DRIVERS[driver], trials=1000, n_steps=64)
@@ -663,6 +671,26 @@ def test_config_defects_are_rejected_up_front():
     assert _wiener_spec(seed=np.int64(5)).seed == 5
 
 
+POISSON_DRIVER = dict(kind="poisson", m=2, intensity=exponential_measure(5.0))
+
+
+@pytest.mark.parametrize("driver, overrides, message", [
+    (dict(kind="levy"), {}, "unknown driver kind"),
+    (dict(kind="wiener"), dict(combo="12"), "combo must be a list"),
+    (dict(kind="wiener"), dict(boxes=3), "boxes must be a list"),
+    (dict(POISSON_DRIVER, mark_factors=(power_mark(1.0),)), {}, "one mark factor per slot"),
+    (POISSON_DRIVER, {}, "one mark factor per slot"),
+], ids=["unknown_kind", "combo_not_a_list", "boxes_not_a_list", "one_mark_for_two_slots",
+        "no_marks"])
+def test_library_callers_are_rejected_before_any_draw(driver, overrides, message, monkeypatch):
+    calls = []
+    for sampler in ("sample_wiener", "sample_gaussian_martingale", "sample_poisson"):
+        monkeypatch.setattr(harness, sampler, lambda *args, name=sampler: calls.append(name))
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(_wiener_spec(driver=DriverConfig(**driver), **overrides))
+    assert not calls
+
+
 @pytest.mark.parametrize("overrides", [dict(n_steps=10**12), dict(trials=10**12)])
 def test_cost_guard_trips_before_allocation(overrides):
     with pytest.raises(SizeError):
@@ -784,7 +812,15 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
          combo=(1, 1), n_steps=256, trials=40),
     # a callable density: its step variances are integrated in blocks of drivers.RHO_BLOCK steps
     dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t)),
-], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense", "rho_1_plus_t"])
+    # Gaussian prelimit runs: each trial's dense G_k block sums, and one Moebius sum per chunk
+    dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1)),
+    dict(driver=DriverConfig("martingale", m=2, rho=2.0), kernel=unit_kernel(3, IV),
+         combo=(1, 1, 2), boxes=((3, 3, 3),)),
+    dict(driver=DriverConfig("martingale", m=2, rho=2.0), kernel=unit_kernel(3, IV),
+         combo=(1, 1, 1), boxes=((7, 7, 7),)),
+    dict(system=basis.bessel_weighted(1.0), combo=(1, 1)),  # a Wiener tie on the weighted system
+], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense", "rho_1_plus_t", "rho_2_prelimit",
+        "rho_2_prelimit_k3_112", "rho_2_prelimit_k3_111", "wiener_weighted_prelimit"])
 def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
     spec = _wiener_spec(**{"n_steps": 2**16, "trials": 4, "richardson": True, **overrides})
     peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch)

@@ -224,8 +224,7 @@ def test_coeff_table_guard_runs_before_the_breakpoints(monkeypatch):
                                        ("legendre", 40)])
 def test_first_grid_nodes_is_the_first_grids_size(kind, box):
     system = basis.OrthonormalSystem(kind, Interval(-0.3, 1.7))
-    grid = quadrature.PanelGrid(quadrature._panel_edges(-0.3, 1.7, system.breakpoints(box)),
-                                quadrature.ORDER)
+    grid = quadrature.PanelGrid(quadrature._panel_edges(-0.3, 1.7, system.breakpoints(box)))
     assert system.first_grid_nodes(box) == grid.nodes.size
 
 

@@ -32,7 +32,7 @@ def test_exponential_integral(a, c):
 
 
 def test_primitive_matches_antiderivative():
-    grid = quadrature.PanelGrid(np.linspace(0.0, 1.0, 9), 32)
+    grid = quadrature.PanelGrid(np.linspace(0.0, 1.0, 9))
     prim = quadrature.Primitive(grid, lambda x: 3 * x**2)
     xs = np.array([0.11, 0.5, 0.73, 0.999])
     assert np.allclose(prim(xs), xs**3, atol=1e-13)
@@ -76,7 +76,8 @@ def test_non_finite_value_stops_at_the_first_grid():
 
 
 def test_refinement_splits_panels():
-    grid = quadrature.PanelGrid(np.array([0.0, 1.0]), 8)
+    grid = quadrature.PanelGrid(np.array([0.0, 1.0]))
+    assert grid.order == quadrature.ORDER
     assert grid.refined().n_panels == 2 * grid.n_panels
 
 
