@@ -145,29 +145,30 @@ def poisson_variables(realizations, system: OrthonormalSystem, mark_factors, com
 
     Every mark factor needs a finite mark moment of order 2^(k+1); the
     compensators come from a cache, so Monte Carlo loops pay for the
-    quadrature once.  Each nonzero component's basis is evaluated once on the
-    jump times of all trials; a trial's row multiplies its column block of that
-    table, the same matrix-vector product as on its jumps alone, so each trial's
-    table is bitwise what it gives alone."""
+    quadrature once.  A slot's variables depend on it only through its
+    (component, mark factor) pair, so equal slots share one row, built once.
+    Each nonzero component's basis is evaluated once on the jump times of all
+    trials; a trial's row multiplies its column block of that table, the same
+    matrix-vector product as on its jumps alone, so each trial's table is
+    bitwise what it gives alone."""
     batch, alone = _poisson_batch(realizations)
     combo = tuple(int(i) for i in combo)
     if len(mark_factors) != len(combo):
         raise ValueError("one mark factor per slot is required")
-    k = len(combo)
-    rows = [_compensator_row(system, p_max, batch[0].intensity, phi, 2.0 ** (k + 1))
-            for phi in mark_factors]
-    table = np.empty((len(batch), k, p_max + 1))
-    for g, (i, row) in enumerate(zip(combo, rows)):
-        table[:, g] = -row if i else row  # a trial without jumps keeps -row
+    k, pis = len(combo), {}
+    for i, phi in dict.fromkeys(zip(combo, mark_factors)):  # one row per pair
+        row = _compensator_row(system, p_max, batch[0].intensity, phi, 2.0 ** (k + 1))
+        pis[i, phi] = np.tile(-row if i else row, (len(batch), 1))  # a trial without jumps keeps it
     for i in sorted(set(combo) - {0}):  # one table on the jump times per component
         times, marks, counts = _batch_jumps(batch, i)
         jump_table = system.eval_table(p_max, times)
         ends = np.cumsum(counts)
-        for g in (g for g, c in enumerate(combo) if c == i):
-            weights = mark_factors[g](marks)
-            for t in np.flatnonzero(counts):
+        for phi in (phi for c, phi in pis if c == i):
+            weights = phi(marks)
+            for t in np.flatnonzero(counts):  # jump sum + (-row): bitwise jump sum - row
                 block = slice(ends[t] - counts[t], ends[t])
-                table[t, g] = jump_table[:, block] @ weights[block] - rows[g]
+                pis[i, phi][t] += jump_table[:, block] @ weights[block]
+    table = np.stack([pis[pair] for pair in zip(combo, mark_factors)], axis=1)
     return BasisVariables("poisson", table[0] if alone else table, combo=combo)
 
 

@@ -37,7 +37,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -244,10 +244,11 @@ class _Poisson:
 
     def floats(self, spec, steps, p_max: int, dense: int) -> tuple[int, int, int, int]:
         """Floats held (per trial, per worker, per pass, once before the chunks)."""
-        k, m, prelimit = spec.kernel.multiplicity, spec.driver.m, spec.correction == "prelimit"
+        k, m = spec.kernel.multiplicity, max(1, *spec.combo)  # m: the components a trial draws
+        prelimit = spec.correction == "prelimit"
         box, mass = (p_max + 1) ** k, self.intensity.total_mass * spec.kernel.interval.length
         # per trial and partition: the slot rows; per trial: the basis variables and, per
-        # expected jump on a component, its time and mark on each component, two basis tables
+        # expected jump on a component, its time and mark on each drawn component, two basis tables
         # (one built while the last is freed) and 8 floats of scratch (eval_table, the chunk's
         # times and marks, mark values, indices)
         trial = (sum(n * k for n in steps) + k * (p_max + 1)
@@ -267,12 +268,14 @@ class _Poisson:
         return [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
 
     def draw(self, spec, tables, seeds, incs, size: int) -> list:
-        """The realizations and their variables do not depend on the partition:
-        poisson_variables takes the whole chunk once, and slot_increments writes
-        its measures into each partition's rows by one scattered add per
+        """A trial draws components 1..max(combo), which are all that its slots
+        read, each from its own substream.  The realizations and their variables
+        do not depend on the partition: poisson_variables takes the whole chunk
+        once, and slot_increments writes its measures into each partition's rows
+        by one scattered add; equal slots share one row of each, built once per
         distinct (component, mark factor) pair, bitwise each trial's own."""
-        reals = [sample_poisson(spec.kernel.interval, spec.driver.m, self.intensity, next(seeds))
-                 for _ in range(size)]
+        reals = [sample_poisson(spec.kernel.interval, max(1, *spec.combo), self.intensity,
+                                next(seeds)) for _ in range(size)]
         variables = expansions.poisson_variables(reals, spec.system, self.mark_factors,
                                                  spec.combo, tables[0][1].shape[0] - 1)
         return [(variables, oracle.slot_increments(reals, spec.combo, part, self.mark_factors,
@@ -708,16 +711,16 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
 # ----------------------------------------------------------------------------
 # report export
 
+_STAT_FIELDS = tuple(f.name for f in fields(BoxStats))[1:]  # the floats after the box
+
+
 def report_to_csv(report: MCReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["box", "mean", "variance", "mse",
-                         "mse_halfwidth_99", "residual", "allowance"])
+        writer.writerow(["box", *_STAT_FIELDS])
         for s in report.stats:
             writer.writerow(["x".join(str(p) for p in s.box)]
-                            + [format(v, ".17g") for v in
-                               (s.mean, s.variance, s.mse, s.mse_halfwidth_99,
-                                s.residual, s.allowance)])
+                            + [format(getattr(s, name), ".17g") for name in _STAT_FIELDS])
 
 
 def report_to_json(report: MCReport, path) -> None:
@@ -729,12 +732,8 @@ def report_to_json(report: MCReport, path) -> None:
         "seed": report.seed,
         "correction": report.correction,
         "runtime_seconds": report.runtime,
-        "boxes": [
-            {"box": list(s.box), "mean": s.mean, "variance": s.variance, "mse": s.mse,
-             "mse_halfwidth_99": s.mse_halfwidth_99, "residual": s.residual,
-             "allowance": s.allowance}
-            for s in report.stats
-        ],
+        "boxes": [{"box": list(s.box), **{name: getattr(s, name) for name in _STAT_FIELDS}}
+                  for s in report.stats],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -140,9 +140,10 @@ def _blocks(k: int) -> tuple:
     return tuple(dict.fromkeys(b for blocks, _ in set_partitions(k)[1:] for b in blocks))
 
 
-def _holders(incs) -> list:
-    """For each slot, the first slot that holds the same increment object."""
-    return [next(h for h in range(g + 1) if incs[h] is incs[g]) for g in range(len(incs))]
+def _holders(phi_tables, incs) -> list:
+    """For each slot, the first slot that holds the same table and increment objects."""
+    return [next(h for h in range(g + 1) if phi_tables[h] is phi_tables[g] and incs[h] is incs[g])
+            for g in range(len(incs))]
 
 
 def _outer(rows) -> np.ndarray:
@@ -157,12 +158,11 @@ def _outer(rows) -> np.ndarray:
 def _block_sums(phi_tables, incs) -> dict:
     """X_B = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l} of one realization, flattened
     over the block's indices in slot order, for every block of _blocks.  Slots with one
-    table object and one increment object share one product table * inc, bitwise what
-    separate products give."""
+    table object and one increment object (_holders) share one product table * inc,
+    bitwise what separate products give."""
     f = []
-    for g, (table, inc) in enumerate(zip(phi_tables, incs)):
-        h = next((h for h in range(g) if phi_tables[h] is table and incs[h] is inc), None)
-        f.append(table * inc if h is None else f[h])
+    for g, h in enumerate(_holders(phi_tables, incs)):
+        f.append(phi_tables[g] * incs[g] if h == g else f[h])
     sums = {}
     for b in _blocks(len(f)):
         if len(b) == 1:
@@ -236,9 +236,9 @@ def gk_correction_tensor(phi_tables, incs, base: GkBase | None = None) -> np.nda
     shape = tuple(len(t) for t in phi_tables)
     if base is None and np.ndim(incs[0]) == 1:
         return _moebius(_block_sums(phi_tables, incs), shape)
-    holders, trials = _holders(incs), len(incs[0])
+    holders, trials = _holders(phi_tables, incs), len(incs[0])
     sums = {b: np.empty((trials, math.prod(shape[g] for g in b))) for b in _blocks(len(shape))}
-    if base is None:  # trial by trial, slots of one increment array on one row view
+    if base is None:  # trial by trial, slots of one table and increment array on one row view
         for c in range(trials):
             rows = []
             for g, h in enumerate(holders):

@@ -7,6 +7,7 @@ import pytest
 
 from stochexpand import basis, quadrature
 from stochexpand.basis import Interval, bessel_roots, gram_matrix, haar_index
+from stochexpand.errors import StochexpandError
 
 IV = Interval(0.0, 1.0)
 
@@ -231,3 +232,15 @@ def test_completeness_proxy_projection_error():
         errors.append(norm_sq - sum(c * c for c in coeffs))
     assert all(a >= b - 1e-13 for a, b in zip(errors, errors[1:]))
     assert errors[1] < 1e-12  # linear f is captured exactly at degree 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: basis.BesselRootTable(0, np.array([2.0, 1.0])), StochexpandError,
+     "not strictly increasing"),
+    (lambda: bessel_roots(0, 0), ValueError, "count must be >= 1"),
+    (lambda: gram_matrix(basis.legendre(IV), 0), ValueError, "count must be >= 1"),
+    (lambda: haar_index(0), ValueError, "j >= 1"),
+], ids=["decreasing_bessel_roots", "no_bessel_roots", "empty_gram_matrix", "haar_index_0"])
+def test_bad_calls_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -705,3 +705,42 @@ def test_runs_without_bessel_systems_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
                          text=True, check=True).stdout.strip().splitlines()[-1]
     assert out == "[0, 0, 0] []"
+
+
+def test_validate_quick_profile_passes_every_check(capsys):
+    assert run(["validate", "--profile", "quick"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS] ") for line in lines) == 10
+    assert lines[-1] == "10 of 10 checks passed"
+
+
+def test_validate_exits_1_on_a_failed_check(monkeypatch, capsys):
+    from stochexpand import validation
+    name = validation.CRITERIA[0][0]
+
+    def failing(full):
+        return validation.CriterionResult(name, False, "forced failure", 0.0)
+
+    monkeypatch.setattr(validation, "CRITERIA", ((name, failing), *validation.CRITERIA[1:]))
+    assert run(["validate", "--profile", "quick"]) == cli.EXIT_FAIL
+    out = capsys.readouterr().out.splitlines()
+    assert f"[FAIL] {name} (0.0s): forced failure" in out
+    assert out[-1] == "9 of 10 checks passed"
+
+
+def test_validate_rejects_an_unknown_profile():
+    from stochexpand import validation
+    with pytest.raises(ValueError, match="unknown validation profile: bogus"):
+        validation.run_profile("bogus")
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "converge must be a JSON object"), (None, "cannot read config")],
+    ids=["json_list", "missing_file"])
+def test_converge_rejects_an_unreadable_config(content, message, tmp_path, capsys):
+    config = tmp_path / "converge.json"
+    if content is not None:
+        config.write_text(content)
+    assert run(["converge", "--config", str(config)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err

@@ -351,3 +351,23 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(back_l.variances, back_l.partition.deltas)
     back_p = realization_from_json(tmp_path / "p.json")
     assert np.array_equal(back_p.jumps(2)[1], p.jumps(2)[1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: drivers.Partition(IV, np.array([0.0, 0.5])), ValueError, "span the interval"),
+    (lambda path: sample_wiener(make_partition(IV, 8), 0, 0), ValueError, "at least one"),
+    (lambda path: sample_poisson(IV, 0, exponential_measure(2.0), 0), ValueError,
+     "at least one component"),
+    (lambda path: martingale_from_wiener(sample_wiener(make_partition(IV, 8), 1, 0), -1.0),
+     ValueError, "negative"),
+    (lambda path: drivers.IntensityMeasure(0.0, None, None), ValueError,
+     "total mass must be finite and positive"),
+    (lambda path: sample_poisson(IV, 2, exponential_measure(2.0), 0).jumps(3), ValueError,
+     r"component must be in 1\.\.2"),
+    (lambda path: realization_to_json(object(), path), TypeError, "cannot serialize object"),
+], ids=["partition_span", "wiener_m0", "poisson_m0", "negative_rho", "zero_mass",
+        "jumps_beyond_m", "unknown_object_to_json"])
+def test_bad_calls_are_rejected(call, error, message, tmp_path):
+    with pytest.raises(error, match=message):
+        call(tmp_path / "realization.json")
+    assert not (tmp_path / "realization.json").exists()

@@ -144,6 +144,49 @@ class TestBasisVariables:
             with pytest.raises(TypeError, match="unsupported realization"):
                 oracle.slot_increments(bad, (1,), part, (_mark,))
 
+    def test_equal_slots_share_one_row_built_once(self):
+        seen = []
+
+        def mark(y):
+            seen.append(len(y))
+            return np.asarray(y, dtype=float)
+
+        measure = exponential_measure(3.0)
+        chunk = [sample_poisson(IV, 2, measure, trial_seed(4, t)) for t in range(12)]
+        alone = poisson_variables(chunk, SYS, (mark,), (1,), 4).table
+        poisson_variables(chunk, SYS, (mark, mark), (1, 1), 4)  # caches the compensator row
+        seen.clear()
+        table = poisson_variables(chunk, SYS, (mark, mark), (1, 1), 4).table
+        # the factor meets the chunk's marks on component 1 once, for both slots
+        assert seen == [sum(len(r.jumps(1)[0]) for r in chunk)]
+        for g in (0, 1):
+            assert np.array_equal(table[:, g], alone[:, 0])
+
+    @pytest.mark.parametrize("combo, powers", [
+        ((1, 1), (1.0, 0.5)), ((1, 2), (1.0, 1.0)), ((0, 1, 1), (1.0, 1.0, 0.5))],
+        ids=["11", "12", "011"])
+    def test_each_pair_has_its_row_and_each_component_one_table(self, combo, powers,
+                                                                  monkeypatch):
+        measure = exponential_measure(3.0)
+        chunk = [sample_poisson(IV, 2, measure, trial_seed(4, t)) for t in range(12)]
+        marks = tuple(power_mark(a) for a in powers)
+        alone = [poisson_variables(chunk, SYS, (phi,), (i,), 4).table[:, 0]
+                 for i, phi in zip(combo, marks)]
+        poisson_variables(chunk, SYS, marks, combo, 4)  # caches the compensator rows
+        tables = []
+        original = type(SYS).eval_table
+
+        def counted(system, p_max, x):
+            tables.append(len(x))
+            return original(system, p_max, x)
+
+        monkeypatch.setattr(type(SYS), "eval_table", counted)
+        table = poisson_variables(chunk, SYS, marks, combo, 4).table
+        assert tables == [sum(len(r.jumps(i)[0]) for r in chunk)
+                          for i in sorted(set(combo) - {0})]
+        for g, row in enumerate(alone):
+            assert np.array_equal(table[:, g], row)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             BasisVariables("gaussian", np.array([[np.nan]]))
@@ -258,3 +301,33 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(tensor, variables, (1, 1), correction="nope")
 
+
+
+def _poisson_11():
+    real = sample_poisson(IV, 2, exponential_measure(2.0), 1)
+    return real, poisson_variables(real, SYS, (_mark, _mark), (1, 1), 2)
+
+
+def _wiener_2():
+    return wiener_variables(sample_wiener(make_partition(IV, 8), 2, 0), SYS, 2)
+
+
+def _tensor_2():
+    return coeff_tensor(unit_kernel(2, IV), SYS, (2, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: poisson_variables(_poisson_11()[0], SYS, (_mark,), (1, 1), 2),
+     "one mark factor per slot"),
+    (lambda: expand(_tensor_2(), _wiener_2(), (1,)), "combo length must equal"),
+    (lambda: expand(_tensor_2(), _poisson_11()[1], (1, 2), correction="prelimit"),
+     "built for a different combo"),
+    (lambda: expand(_tensor_2(), _wiener_2(), (1, 1), correction="prelimit"),
+     "requires the underlying realization"),
+    (lambda: explicit_bracket(np.zeros((1,) * 5), [np.zeros(1)] * 5, (1,) * 5),
+     "multiplicities 1..4 only"),
+], ids=["one_mark_two_slots", "combo_length", "other_combo", "prelimit_without_realization",
+        "explicit_k5"])
+def test_bad_calls_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

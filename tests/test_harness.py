@@ -658,8 +658,22 @@ def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
         report = run_experiment(spec)
         assert [s.allowance for s in report.stats] == allowance
         np.testing.assert_array_equal(_stats(report)[:, :5], _stats(full)[:, :5])
+        # a Poisson trial draws only the components its combo reads
+        drawn = max(spec.combo) if name.startswith("poisson") else spec.driver.m
         assert [c.value for c in counts] == [spec.trials, workers, 0,
-                                             spec.driver.m * spec.trials, workers > 1]
+                                             drawn * spec.trials, workers > 1]
+
+
+def test_a_poisson_trial_draws_only_the_components_its_combo_reads(monkeypatch):
+    spec = _wiener_spec(**LOOP_SPECS["poisson_prelimit"])  # combo (1, 1)
+    stats = []
+    for m in (1, 2, 3):
+        count = _count_calls(monkeypatch, drivers, "component_rng")
+        stats.append(_stats(run_experiment(dataclasses.replace(
+            spec, driver=dataclasses.replace(spec.driver, m=m)))))
+        assert count.value == spec.trials
+    for other in stats[1:]:
+        np.testing.assert_array_equal(other, stats[0])
 
 
 def test_config_defects_are_rejected_up_front():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -318,3 +319,14 @@ def test_json_whose_flag_disagrees_with_its_system_rejected(tmp_path, system, fl
     path.write_text(json.dumps(dict(doc, weighted=flag)))
     with pytest.raises(ValueError, match="disagrees"):
         tensor_from_json(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: unit_kernel(2, IV).eval(0.5), "point dimension does not match"),
+    (lambda: dataclasses.replace(coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (1, 1)),
+                                 values=np.full((2, 2), np.nan)),
+     "non-finite entries"),
+], ids=["eval_point_dimension", "nan_coefficients"])
+def test_bad_calls_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -273,3 +273,19 @@ def test_poisson_slots_share_one_measure_per_component_and_mark(monkeypatch):
         np.testing.assert_array_equal(inc, measure(real, i, y, part))
     _, incs = oracle.slot_increments(real, (1, 1), part, (y, power_mark(2.0)))
     assert incs[0] is not incs[1] and len(calls) == 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracle.slot_increments(sample_poisson(IV, 1, exponential_measure(2.0), 1), (1,),
+                                    mark_factors=(_mark_one,)),
+     "a partition is required"),
+    (lambda: oracle.slot_increments(sample_poisson(IV, 1, exponential_measure(2.0), 1), (1, 1),
+                                    make_partition(IV, 8), (_mark_one,)),
+     "one mark factor per slot"),
+    (lambda: oracle.iterated_sum(unit_kernel(2, IV), sample_wiener(make_partition(IV, 8), 2, 0),
+                                 (1,)),
+     "combo length must equal kernel multiplicity"),
+], ids=["poisson_without_partition", "mark_factor_count", "combo_length"])
+def test_bad_calls_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

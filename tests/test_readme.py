@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import math
 import pathlib
 import re
@@ -46,3 +47,26 @@ def test_readme_states_the_trials_per_chunk(monkeypatch, tmp_path):
     assert harness.CHUNK_BYTES == mib * 2**20
     assert harness._chunk_trials(spec, n, p_max, 1) == plain
     assert harness._chunk_trials(spec, n, p_max, 1, (n // 2,)) == richardson
+
+
+# `module.NAME` = value or `module.NAME` (value): a README statement of a constant
+VALUE = r"\d+(?:\.\d+)?(?:\^\d+)?(?: [KMG]iB)?"
+STATED = re.compile(rf"`(\w+)\.([A-Z][A-Z_\d]*)` (?:= ({VALUE})|\(({VALUE})[):])")
+UNITS = {"KiB": 2**10, "MiB": 2**20, "GiB": 2**30}
+
+
+def _stated_value(text: str) -> float:
+    number, _, unit = text.partition(" ")
+    base, _, power = number.partition("^")
+    return float(base) ** int(power or 1) * UNITS.get(unit, 1)
+
+
+def test_readme_states_the_constants_of_the_code():
+    stated = [(m.group(1), m.group(2), m.group(3) or m.group(4))
+              for m in STATED.finditer(" ".join(README.read_text().split()))]
+    assert {f"{module}.{name}" for module, name, _ in stated} >= {
+        "harness.RATIO_BOUND", "drivers.RHO_BLOCK", "harness.SEED_STREAMS",
+        "harness.MEMORY_BUDGET", "basis.WALSH_BITS", "harness.CHUNK_BYTES"}
+    for module, name, value in stated:
+        code = getattr(importlib.import_module(f"stochexpand.{module}"), name)
+        assert code == _stated_value(value), f"README states {module}.{name} = {value}"
