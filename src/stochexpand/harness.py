@@ -14,8 +14,10 @@ and each chunk is evaluated by batched operations that treat every trial
 alike.  What a driver kind does differently, from its checks to its draws
 and its moment targets, is its law's (DriverConfig.law: _Gaussian, _Wiener
 or _Poisson); the loop calls the law and tests no kind.  A pass is split
-into contiguous trial ranges, one per worker process (see _sharded).
-Results do not depend on the chunk size or the worker count, bitwise.
+into contiguous trial ranges, one per worker process: the parent runs the
+first and forks one child with one pipe for each of the others, which sends
+back its pickled rows (see _sharded).  Results do not depend on the chunk
+size or the worker count, bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -36,6 +38,8 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -469,56 +473,85 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
 
 def _worker_count(n_chunks: int) -> int:
     """Processes that share a pass of n_chunks chunks: the usable CPUs, at
-    most one per chunk, and 1 where the fork start method is unavailable."""
+    most one per chunk, and 1 where os.fork is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, n_chunks)
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return workers
+    return min(cpus or 1, n_chunks)
 
 
-_SHARD = None  # set only in forked workers, by _install_shard
-
-
-def _install_shard(shard) -> None:
-    global _SHARD
-    _SHARD = shard
-
-
-def _run_installed_shard(lo: int, hi: int):
-    return _SHARD(lo, hi)
+def _outcome(shard, lo: int, hi: int) -> bytes:
+    """The pickled (True, rows) of shard(lo, hi), or (False, the exception it
+    raised).  An exception that does not survive a pickle round trip (one that
+    holds a lambda, or whose class cannot be rebuilt from its args) is sent as
+    the first class of its MRO that does, with a message that names its type."""
+    try:
+        return pickle.dumps((True, shard(lo, hi)), pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:
+        text = f"{type(exc).__qualname__}: {exc} (could not be sent whole from a worker process)"
+        for error in (lambda: exc, *(functools.partial(cls, text) for cls in type(exc).__mro__)):
+            try:
+                payload = pickle.dumps((False, error()), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(payload)  # an error whose args do not rebuild it fails here
+                return payload
+            except Exception:  # whatever pickling raises; BaseException(text) always passes
+                continue
 
 
 def _sharded(shard, trials: int, chunk: int) -> tuple:
     """shard(lo, hi) -> tuple of arrays over trials lo..hi-1, for all trials.
 
     The trials are cut at chunk boundaries into one contiguous range per
-    worker (_worker_count).  The parent runs the first range; forked children
-    inherit the pass's prepared state and the shard (fork hands initargs
-    over unpickled; densities and mark factors may be lambdas), run the
-    others and send back only their rows.  Per-trial work does not depend on
-    the chunk, so the result is bitwise that of shard(0, trials), the serial
-    path.  Ranges are read in trial order, so the exception raised is the
-    first failing trial's for any worker count; a dead child raises SizeError."""
+    worker (_worker_count).  Each range after the first gets one os.fork and
+    one os.pipe: the child inherits the pass's prepared state and the shard
+    (nothing of the spec is pickled; densities and mark factors may be
+    lambdas), runs its range, writes the pickled (ok, rows or exception) of
+    _outcome into its pipe and leaves by os._exit.  The parent runs the first
+    range, then reads the pipes and reaps the children in trial order, so the
+    exception raised is the first failing trial's for any worker count; a
+    child that did not exit 0 raises SizeError, which says how it ended.
+    Whatever fails, every child is reaped before the call returns, those
+    still running killed first.  Per-trial work does not depend on the chunk,
+    so the result is bitwise that of shard(0, trials), the serial path."""
     n_chunks = -(-trials // chunk)
     workers = _worker_count(n_chunks)
     if workers == 1:
         return shard(0, trials)
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    import multiprocessing
     cuts = [min(trials, chunk * (n_chunks * w // workers)) for w in range(workers + 1)]
+    pids, pipes = [], []  # the children not yet reaped, and each child's read end
     try:
-        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_install_shard, initargs=(shard,)) as pool:
-            futures = [pool.submit(_run_installed_shard, lo, hi)
-                       for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            parts = [shard(cuts[0], cuts[1])] + [f.result() for f in futures]
-    except BrokenProcessPool as exc:
-        raise SizeError(f"a trial-loop worker process died ({exc}); "
-                        f"it may have run out of memory") from exc
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as out:
+                pid = os.fork()
+                if pid == 0:  # the child: exits here, whatever happens
+                    code = 1
+                    try:
+                        out.write(_outcome(shard, lo, hi))
+                        out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        parts = [shard(cuts[0], cuts[1])]
+        for pipe in pipes:
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if code != 0:
+                how = f"exit code {code}" if code > 0 else f"killed by signal {-code}"
+                raise SizeError(f"a trial-loop worker process died ({how}); "
+                                f"it may have run out of memory")
+            ok, value = pickle.loads(payload)  # bytes this pass's own child wrote
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 

@@ -672,6 +672,23 @@ def test_cli_import_leaves_heavy_modules_out():
     assert out == ""
 
 
+def test_a_sharded_pass_loads_no_process_pool():
+    # two workers fork directly: neither concurrent.futures nor multiprocessing is imported
+    pools = ("multiprocessing", "concurrent.futures")
+    code = ("import os, sys; from stochexpand import basis, harness, kernel; "
+            "harness._worker_count = lambda n_chunks: min(2, n_chunks); "
+            "harness.CHUNK_BYTES = 2**16; "
+            "iv = basis.Interval(0.0, 1.0); "
+            "spec = harness.ExperimentSpec(kernel.unit_kernel(2, iv), basis.legendre(iv), (1, 2), "
+            "((1, 1),), harness.DriverConfig('wiener', m=2), 64, 40, 5); "
+            "forks = []; fork = os.fork; os.fork = lambda: forks.append(1) or fork(); "
+            "harness.run_experiment(spec); "
+            f"print(len(forks), ','.join(m for m in {pools!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["1"]
+
+
 def test_failures_print_one_stderr_line_as_a_program(tmp_path):
     # pytest captures numpy's warnings, so only a separate process shows them
     for name in ("coeffs", "converge"):

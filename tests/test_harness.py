@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -638,7 +640,6 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit"])
 def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
-    import concurrent.futures
     spec = _wiener_spec(**LOOP_SPECS[name])
     monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
     full, half = (run_experiment(dataclasses.replace(spec, n_steps=n, richardson=False))
@@ -654,14 +655,15 @@ def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
                   _count_calls(monkeypatch, harness, "seed_words"),
                   _count_calls(monkeypatch, drivers, "seed_words"),
                   _count_calls(monkeypatch, drivers, "component_rng"),
-                  _count_calls(monkeypatch, concurrent.futures, "ProcessPoolExecutor")]
+                  _count_calls(monkeypatch, os, "fork")]
         report = run_experiment(spec)
         assert [s.allowance for s in report.stats] == allowance
         np.testing.assert_array_equal(_stats(report)[:, :5], _stats(full)[:, :5])
         # a Poisson trial draws only the components its combo reads
         drawn = max(spec.combo) if name.startswith("poisson") else spec.driver.m
+        # one fork per range after the parent's first
         assert [c.value for c in counts] == [spec.trials, workers, 0,
-                                             drawn * spec.trials, workers > 1]
+                                             drawn * spec.trials, workers - 1]
 
 
 def test_a_poisson_trial_draws_only_the_components_its_combo_reads(monkeypatch):
@@ -765,37 +767,101 @@ def test_worker_error_reaches_the_parent_with_its_type(monkeypatch):
 
 def test_dead_worker_fails_the_call_cleanly(monkeypatch):
     parent = os.getpid()
-
-    def die():
-        if os.getpid() != parent:
-            os._exit(1)
-
-    _fail_on_last_trial(monkeypatch, 23, die)
     monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
     _force_workers(monkeypatch, 2)
-    with pytest.raises(SizeError, match="worker process died"):
-        run_experiment(_wiener_spec(trials=23))
+    cases = [(lambda: os._exit(1), r"\(exit code 1\)"),
+             # as the out-of-memory killer ends a process
+             (lambda: os.kill(os.getpid(), signal.SIGKILL),
+              rf"\(killed by signal {signal.SIGKILL:d}\)")]
+    for death, how in cases:
+
+        def die(death=death):
+            if os.getpid() != parent:
+                death()
+
+        with monkeypatch.context() as mp:
+            _fail_on_last_trial(mp, 23, die)
+            with pytest.raises(SizeError, match="worker process died " + how):
+                run_experiment(_wiener_spec(trials=23))
+        _assert_no_child_left()
 
 
 def test_serial_fallback_without_fork(monkeypatch):
-    import concurrent.futures
-    import multiprocessing
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert harness._worker_count(9) == 4
     assert harness._worker_count(3) == 3
     assert harness._worker_count(1) == 1
     spec = _wiener_spec(trials=23)
     default = run_experiment(spec)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # without os.fork a sharded pass could not start: the run is serial
+    monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
     assert harness._worker_count(9) == 1
     np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # this process has no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_its_pass(monkeypatch):
+    spec = _wiener_spec(trials=23)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    _force_workers(monkeypatch, 3)
+    run_experiment(spec)
+    _assert_no_child_left()
+    moment = _wiener_spec(trials=1000, n_steps=64)
+    moment_suite(moment, j_max=2)
+    _assert_no_child_left()
+    parent = os.getpid()
+
+    def fail():
+        raise SizeError("the last trial")
+
+    with monkeypatch.context() as mp:  # a child raises (the last range's)
+        _fail_on_last_trial(mp, 23, fail)
+        with pytest.raises(SizeError, match="the last trial"):
+            run_experiment(spec)
+    _assert_no_child_left()
+
+    def parent_fails(part, m, seed):  # the parent's first trial, while both children run
+        if os.getpid() == parent:
+            raise ConfigError("the first trial")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "sample_wiener", parent_fails)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="the first trial"):
+        run_experiment(spec)
+    assert time.perf_counter() - start < 30  # the sleeping children were killed, not awaited
+    _assert_no_child_left()
+
+
+class _Unpicklable(SizeError):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # no pickle takes a lambda
+
+
+@pytest.mark.parametrize("error, sent", [
+    (lambda: _Unpicklable("jump budget exceeded"), SizeError),
+    (lambda: type("Local", (ConfigError,), {})("no rho"), ConfigError),
+], ids=["holds_a_lambda", "class_no_import_finds"])
+def test_unpicklable_worker_error_keeps_its_type_and_message(error, sent, monkeypatch):
+    def fail():
+        raise error()
+
+    _fail_on_last_trial(monkeypatch, 23, fail)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(sent) as exc:
+        run_experiment(_wiener_spec(trials=23))
+    assert type(exc.value) is sent  # the first class of the error's MRO that pickles
+    message = str(exc.value)
+    assert type(error()).__qualname__ in message and str(error()) in message
+    assert "died" not in message
+    _assert_no_child_left()
 
 
 def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
