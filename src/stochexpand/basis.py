@@ -288,8 +288,10 @@ def check_table(rows: int, nodes: int) -> None:
                         f"over the budget {MEMORY_BUDGET}")
 
 
-def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
-    """Matrix of inner products int phi_i phi_j weight dx over the interval.
+def gram_matrix(system: OrthonormalSystem, count: int, density=None) -> np.ndarray:
+    """Matrix of inner products int phi_i phi_j density dx over the interval;
+    density (a function of an array of points, >= 0) defaults to the system's
+    weight, against which the system is orthonormal.
 
     Raises ValueError for a count the system does not have, and SizeError,
     before the breakpoints or a basis table are built, when the count x count
@@ -308,7 +310,8 @@ def gram_matrix(system: OrthonormalSystem, count: int) -> np.ndarray:
     def value_on(grid):
         x = grid.nodes.ravel()
         check_table(count, x.size)
-        vals = system.eval_table(count - 1, x) * np.sqrt(system.weight(x))[None, :]
+        dens = system.weight(x) if density is None else density(x)
+        vals = system.eval_table(count - 1, x) * np.sqrt(dens)[None, :]
         w = grid.weights.ravel()
         return (vals * w[None, :]) @ vals.T
 

@@ -292,12 +292,15 @@ class GaussianMartingalePath:
     int rho; row 0 holds the time deltas.  A Wiener path is the rho == 1 case,
     with the step lengths as its variances.
 
-    A sampled path keeps its unit normal draws, read-only, for scale_draws."""
+    A path records its density rho (None: a Wiener path), from which the
+    basis variables build their ties' quadratic covariations, and a sampled
+    path keeps its unit normal draws, read-only, for scale_draws."""
 
     partition: Partition
     m: int
     increments: np.ndarray  # (m + 1, N)
     variances: np.ndarray  # (N,)
+    rho: object = None
     unit_draws: np.ndarray | None = field(default=None, repr=False, compare=False)  # (m, N)
 
     def increment(self, i: int) -> np.ndarray:
@@ -343,20 +346,20 @@ def sample_gaussian_martingale(partition: Partition, m: int, rho, seed) -> Gauss
     Wiener path, and a constant rho == 1 gives its increments bitwise."""
     variances = partition.step_variances(rho)
     z = _unit_draws(partition, m, seed)
-    return GaussianMartingalePath(partition, m, scale_draws(z, partition, rho), variances, z)
+    return GaussianMartingalePath(partition, m, scale_draws(z, partition, rho), variances, rho, z)
 
 
 def martingale_from_wiener(path: GaussianMartingalePath, rho) -> GaussianMartingalePath:
     """Left-point coupling dM = sqrt(rho(tau_l)) dW on the path's partition.
 
     Used for pathwise two-route comparisons; variances are the Euler ones."""
-    rho = _as_callable(rho)
-    rho_left = rho(path.partition.left_nodes)
+    rho_left = _as_callable(rho)(path.partition.left_nodes)
     if np.any(rho_left < 0):
         raise ValueError("variance density rho is negative on the interval")
     inc = path.increments.copy()
     inc[1:] *= np.sqrt(rho_left)[None, :]
-    return GaussianMartingalePath(path.partition, path.m, inc, rho_left * path.partition.deltas)
+    return GaussianMartingalePath(path.partition, path.m, inc, rho_left * path.partition.deltas,
+                                  rho)
 
 
 def _as_callable(rho):

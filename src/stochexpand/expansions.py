@@ -5,21 +5,22 @@ driver onto basis members), then evaluate the truncated multiple series
 with one of two diagonal-correction modes, both Moebius sums over the set
 partitions of the slots (``oracle.set_partitions``):
 
-* ``pairing_general`` -- over the partitions into singletons and pairs with equal
-  nonzero components, pairs tied (j_a = j_b): the quadratic variation when the
-  basis variables are orthonormal (``pairing_bracket``, any k).  For k <= 4 it
-  equals the transformed indicator formulas, which are written out as its
-  independent oracle in ``validation.explicit_bracket``;
+* ``pairing_general`` -- the limit form: over the partitions into singletons and
+  pairs with equal nonzero components, each pair contracted with its quadratic
+  covariation [xi_a, xi_b] = int phi_a phi_b rho dt (``pairing_bracket``, any k).
+  For a Gaussian driver that is the deterministic rho-Gram matrix G, which the
+  variables carry (``gaussian_gram``); G = I for orthonormal variables.  For
+  k <= 4 the bracket equals the transformed indicator formulas, which are
+  written out as its independent oracle in ``validation.explicit_bracket``;
 * ``prelimit`` -- subtract the coincident-index sum over all partitions on the
-  realization's partition (``oracle.gk_correction_tensor``, any k), the finite-N
-  fallback and the only mode for repeated Poisson components, and for repeated
-  Gaussian components whose variables are not orthonormal.
+  realization's partition (``oracle.gk_correction_tensor``, any k): the only mode
+  for repeated Poisson components, whose ties' quadratic variation is random,
+  and for any realization a finite-N reference.
 
-expand does not see rho or the system's weight.  Whether the variables are
-orthonormal (rho == 1 on a unit-weight system, rho equal to the weight on the
-weighted one) and whether rho is compatible with the weight at all is decided
-by the driver's law in ``harness`` (its ``slot_scales``, which
-``harness.ExperimentSpec.slot_scales`` calls once).
+expand does not see rho or the system's weight: a Gaussian table's G comes with
+it, built from the path's rho (``wiener_variables``) or, in the trial loop, by
+the driver's law in ``harness``, which also decides the mode
+(``harness.ExperimentSpec.correction``).
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, quadrature
-from .basis import OrthonormalSystem
-from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, _batch_jumps,
-                      _poisson_batch, compensated_integral)
+from .basis import OrthonormalSystem, gram_matrix
+from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, _as_callable,
+                      _batch_jumps, _checked_density, _poisson_batch, compensated_integral)
 from .kernel import CoeffTensor
 
 __all__ = [
     "BasisVariables",
     "zeta_from_path",
     "pi_from_realization",
+    "gaussian_gram",
     "gaussian_variables",
     "wiener_variables",
     "martingale_variables",
@@ -57,12 +59,15 @@ class BasisVariables:
     (m + 1, p_max + 1); for Poisson drivers it is keyed by (slot, j) with
     shape (k, p_max + 1) because every slot carries its own mark factor.
     Leading axes, if any, index independent trials (one expand call then
-    evaluates all of them).
+    evaluates all of them).  A Gaussian table carries gram, the (p_max + 1)^2
+    quadratic covariations [xi_j, xi_j'] of one component's variables, with
+    which pairing_bracket contracts a tie; a Poisson table has none.
     """
 
     kind: str  # "gaussian" | "poisson"
     table: np.ndarray
     combo: tuple[int, ...] | None = None
+    gram: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "poisson"):
@@ -70,6 +75,9 @@ class BasisVariables:
                              f"got {self.kind!r}")
         if not np.all(np.isfinite(self.table)):
             raise ValueError("basis variable table contains non-finite values")
+        if np.shape(self.gram) != (() if self.by_slot else (self.p_max + 1,) * 2):  # None: ()
+            raise ValueError("Gaussian basis variables need the (p_max + 1)^2 Gram matrix of "
+                             "their ties, and Poisson ones take none")
 
     @property
     def by_slot(self) -> bool:
@@ -90,20 +98,43 @@ def zeta_from_path(path: GaussianMartingalePath, system: OrthonormalSystem,
     return float(np.dot(system.eval(j, path.partition.left_nodes), path.increment(i)))
 
 
-def gaussian_variables(increments: np.ndarray, phi: np.ndarray) -> BasisVariables:
-    """Component-keyed table sum_l phi_j(tau_l) Delta D^(i)_l.
+@functools.lru_cache(maxsize=64)
+def gaussian_gram(system: OrthonormalSystem, rho, count: int) -> np.ndarray:
+    """G_jj' = int phi_j phi_j' rho dt for j, j' < count, read-only: the quadratic
+    covariation [xi_j, xi_j'] of the basis variables of a Gaussian martingale of
+    variance density rho (None: 1, a Wiener path), deterministic.
+
+    Exactly rho * I for a number rho on a unit-weight system, else
+    basis.gram_matrix against the density rho (about I when rho is the weight of
+    a weighted system); ValueError if rho is negative or not finite at a
+    quadrature node.  Cached, so a Monte Carlo loop pays for the quadrature
+    once; a density must not change after its first use here."""
+    if callable(rho) or system.weighted:
+        density = _as_callable(1.0 if rho is None else rho)
+        gram = gram_matrix(system, count, lambda x: _checked_density(density(x)))
+    else:
+        gram = np.eye(count) * (1.0 if rho is None else float(rho))
+    gram.flags.writeable = False
+    return gram
+
+
+def gaussian_variables(increments: np.ndarray, phi: np.ndarray,
+                       gram: np.ndarray) -> BasisVariables:
+    """Component-keyed table sum_l phi_j(tau_l) Delta D^(i)_l, with the Gram
+    matrix gram of its ties (gaussian_gram).
 
     increments has shape (..., m + 1, N) and phi (p_max + 1, N) holds the
     basis on the partition's left nodes; leading axes are multiplied slice
     by slice, so a trial's table does not depend on what it is batched with."""
-    return BasisVariables("gaussian", increments @ phi.T)
+    return BasisVariables("gaussian", increments @ phi.T, gram=gram)
 
 
 def wiener_variables(path: GaussianMartingalePath, system: OrthonormalSystem,
                      p_max: int) -> BasisVariables:
     """Basis variables xi_j^(i) of a Gaussian path (zeta_j^(i) of a Wiener
-    path) for j = 0..p_max."""
-    return gaussian_variables(path.increments, system.eval_table(p_max, path.partition.left_nodes))
+    path) for j = 0..p_max, with the Gram matrix of the path's rho."""
+    return gaussian_variables(path.increments, system.eval_table(p_max, path.partition.left_nodes),
+                              gaussian_gram(system, path.rho, p_max + 1))
 
 
 martingale_variables = wiener_variables
@@ -190,22 +221,31 @@ def _pairings(combo: tuple[int, ...]) -> tuple:
                         for b in blocks))
 
 
-def _contract(values: np.ndarray, vectors, pairs=()) -> np.ndarray:
+def _contract(values: np.ndarray, vectors, pairs=(), gram=None) -> np.ndarray:
     """sum_J values[J] prod_g vectors[g][j_g] over the slots g in no pair,
-    with each pair (a, b) tied (j_a = j_b over the common extent).
+    with each pair (a, b) contracted with gram: sum_{j_a, j_b} gram[j_a, j_b].
 
     vectors[g] may carry leading trial axes (the same for every slot).  The
-    tensor is traced over the pairs, then contracted with one slot vector
-    at a time by a stacked matmul, so every trial runs the same operations
-    whatever it is batched with."""
+    tensor is contracted over the pairs first, each tie as the trace of the
+    slice times gram's diagonal plus the sum of its product with gram's
+    off-diagonal part, so a tie with gram = I is np.trace bitwise; then it is
+    contracted with one slot vector at a time by a stacked matmul, so every
+    trial runs the same operations whatever it is batched with."""
     arr = values
     slots = list(range(values.ndim))
     for a, b in pairs:
         ia, ib = slots.index(a), slots.index(b)
-        n = min(arr.shape[ia], arr.shape[ib])
+        tie = gram[:arr.shape[ia], :arr.shape[ib]]
+        on = tie * np.eye(*tie.shape)  # its diagonal, zeros elsewhere
+        n = min(tie.shape)
         trim = [slice(None)] * arr.ndim
         trim[ia] = trim[ib] = slice(0, n)
-        arr = np.trace(arr[tuple(trim)], axis1=ia, axis2=ib)
+        axes = [1] * arr.ndim  # a tie matrix on the axes ia and ib, broadcast over the others
+        axes[ia], axes[ib] = n, n
+        diag = on[:n, :n].reshape(axes)
+        axes[ia], axes[ib] = tie.shape
+        arr = (np.trace(arr[tuple(trim)] * diag, axis1=ia, axis2=ib)
+               + np.sum(arr * (tie - on).reshape(axes), axis=(ia, ib)))
         slots = [g for g in slots if g not in (a, b)]
     lead = 0  # trial axes at the front of arr
     for g in reversed(slots):
@@ -221,16 +261,18 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def pairing_bracket(values: np.ndarray, vectors, combo):
-    """sum_J C[J] * (prod zeta - pair corrections) via the pairing expansion.
+def pairing_bracket(values: np.ndarray, vectors, combo, gram):
+    """sum_J C[J] * (prod xi - pair corrections) via the pairing expansion.
 
     vectors[g] is the basis-variable vector for slot g; each partition into
-    singletons and pairs (a, b) with i_a = i_b != 0, j_a = j_b contracted,
-    enters with its Moebius weight mu = (-1)^#pairs.
+    singletons and pairs (a, b) with i_a = i_b != 0, each pair contracted with
+    the quadratic covariations gram[j_a, j_b] (the Kronecker delta when
+    gram = I), enters with its Moebius weight mu = (-1)^#pairs.  gram is read
+    only if a pair exists.
     Returns a float, or an array over the vectors' leading axes."""
     total = 0.0
     for pairs, mu in _pairings(tuple(combo)):
-        total = total + mu * _contract(values, vectors, pairs)
+        total = total + mu * _contract(values, vectors, pairs, gram)
     return _scalar(total)
 
 
@@ -263,7 +305,7 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
         if not (variables.kind == "gaussian" or _distinct_nonzero(combo)):
             raise ValueError("the pairing_general correction requires a Gaussian driver "
                              "or pairwise-distinct nonzero components")
-        value = pairing_bracket(tensor.values, vectors, combo)
+        value = pairing_bracket(tensor.values, vectors, combo, variables.gram)
     elif correction == "prelimit":
         if gk_sums is None:
             if realization is None:

@@ -27,7 +27,10 @@ exactly what a separate draw on N // 2 steps would give.
 How a driver meets its system is decided once, when the spec is built, by
 its law's slot_scales: it checks the driver's inputs (rho against the weight,
 or the mark factors) and gives the per-slot isometry factors that the
-residual's factor and the diagonal correction (ExperimentSpec.correction) read.
+residual's factor reads.  The diagonal correction (ExperimentSpec.correction)
+is the law's too: a Gaussian tie takes its deterministic quadratic covariation,
+the rho-Gram matrix that the law builds once per pass, so every Gaussian spec
+runs the limit form, and only repeated Poisson components run prelimit.
 """
 
 from __future__ import annotations
@@ -123,35 +126,38 @@ class _Gaussian:
             scale = 1.0 if weighted else float(rho[0])
         return (scale,) * spec.kernel.multiplicity
 
-    def ties_take_bracket(self, scales) -> bool:
-        return scales[0] == 1.0  # the bracket's delta_jj' is then a tie's quadratic variation
+    ties_take_bracket = True  # a tie's quadratic covariation is the rho-Gram matrix
 
     def residual_factor(self, scales) -> float:
         return scales[0] ** len(scales)  # s^k: the product over the slots differs in the last bits
 
-    def prepare(self, parts) -> None:
-        """Each partition's step scales, once per pass, before any fork: rho is
-        evaluated once per block of steps, and a rho that is negative or not
-        finite between slot_scales' grid points fails here, with ConfigError."""
+    def prepare(self, spec, parts, p_max: int) -> None:
+        """Each partition's step scales and the ties' Gram matrix of degrees up
+        to p_max (expansions.gaussian_gram, cached for draw), once per pass,
+        before any fork: rho is evaluated once per block of steps, and a rho
+        that is negative or not finite between slot_scales' grid points fails
+        here, with ConfigError."""
         try:
             for part in parts:
                 part.step_scales(self.rho)
+            expansions.gaussian_gram(spec.system, self.rho, p_max + 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def rows(self, spec) -> int:
         return spec.driver.m + 1
 
-    def floats(self, spec, steps, p_max: int, dense: int) -> tuple[int, int, int, int]:
+    def floats(self, spec, steps, p_max: int) -> tuple[int, int, int, int]:
         """Floats held (per trial, per worker, per pass, once before the chunks)."""
         m, rows = spec.driver.m, self.rows(spec)
         # per trial and partition: the path's rows and basis variables
         trial = sum(n * rows + rows * (p_max + 1) for n in steps)
-        # per worker: two paths' draws and increments (one is freed when the next is bound)
-        # and the dense G_k temporaries; per pass: step variances and their square roots;
-        # once: a callable rho's (block, ORDER) nodes, weights, values, products and one more
+        # per worker: two paths' draws and increments (one is freed when the next is bound);
+        # per pass: step variances and their square roots, and the Gram matrix; once: a
+        # callable rho's (block, ORDER) nodes, weights, values, products and one more
         once = callable(self.rho) * 5 * quadrature.ORDER * min(steps[0], RHO_BLOCK)
-        return trial, steps[0] * (2 * (2 * m + 1) + dense), sum(2 * (n + 1) for n in steps), once
+        shared = sum(2 * (n + 1) for n in steps) + (p_max + 1) ** 2
+        return trial, steps[0] * 2 * (2 * m + 1), shared, once
 
     def buffers(self, spec, tables, chunk: int) -> list:
         incs = [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
@@ -171,24 +177,25 @@ class _Gaussian:
             for inc, (part, _) in zip(incs[1:], tables[1:]):
                 np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
                             out=inc[c, 1:])
-        variables = [expansions.gaussian_variables(inc[:size], phi)
+        gram = expansions.gaussian_gram(spec.system, self.rho, len(tables[0][1]))
+        variables = [expansions.gaussian_variables(inc[:size], phi, gram)
                      for inc, (_, phi) in zip(incs, tables)]
         views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]
         return [(v, [rows[i] for i in spec.combo]) for v, rows in zip(variables, views)]
 
-    def gk_base(self, spec, part, phi) -> None:
-        return None  # each trial's G_k block sums are dense
-
     def moment_tests(self, spec, values, part, phi) -> list:
         values, tests, j_max = values[:, 1:], [], values.shape[2] - 1
-        var_target = phi**2 @ part.step_variances(self.rho)  # exact for the sampler
+        # E[xi_j xi_j'] = sum_l phi_j phi_j'(tau_l) v_l, exact for the sampler
+        variances = part.step_variances(self.rho)
+        var_target, cov_target = phi**2 @ variances, (phi[:-1] * phi[1:]) @ variances
         for i in range(spec.driver.m):
             for j in range(j_max + 1):
                 _ztest(f"mean[i={i + 1},j={j}]", values[:, i, j], 0.0, tests)
                 _ztest(f"var[i={i + 1},j={j}]", values[:, i, j] ** 2,
                        float(var_target[j]), tests)
         for j in range(j_max):
-            _ztest(f"cov[j={j},j'={j + 1}]", values[:, 0, j] * values[:, 0, j + 1], 0.0, tests)
+            _ztest(f"cov[j={j},j'={j + 1}]", values[:, 0, j] * values[:, 0, j + 1],
+                   float(cov_target[j]), tests)
         if spec.driver.m >= 2:
             for j in range(min(3, j_max + 1)):
                 _ztest(f"cross_component[j={j}]", values[:, 0, j] * values[:, 1, j], 0.0, tests)
@@ -234,19 +241,18 @@ class _Poisson:
             return (float("nan"),) * k
         return tuple(self.intensity.moment(phi, 2.0) for phi in self.mark_factors)
 
-    def ties_take_bracket(self, scales) -> bool:
-        return False
+    ties_take_bracket = False  # a tie's quadratic variation is random: prelimit
 
     def residual_factor(self, scales) -> float:
         return math.prod(scales)
 
-    def prepare(self, parts) -> None:
+    def prepare(self, spec, parts, p_max: int) -> None:
         pass  # a realization does not depend on the partition
 
     def rows(self, spec) -> int:
         return spec.kernel.multiplicity
 
-    def floats(self, spec, steps, p_max: int, dense: int) -> tuple[int, int, int, int]:
+    def floats(self, spec, steps, p_max: int) -> tuple[int, int, int, int]:
         """Floats held (per trial, per worker, per pass, once before the chunks)."""
         k, m = spec.kernel.multiplicity, max(1, *spec.combo)  # m: the components a trial draws
         prelimit = spec.correction == "prelimit"
@@ -258,14 +264,18 @@ class _Poisson:
         trial = (sum(n * k for n in steps) + k * (p_max + 1)
                  + math.ceil(mass * (2 * m + 2 * (p_max + 1) + 8)))
         if prelimit:
+            # per partition: G_k block sums, Moebius result, two temporaries, expand's product;
             # the G_k sum's steps off the base, up to the expected jumps on the combo's
             # components, each with a block's terms, their scattered add's indices and its
             # trial and step; and one byte per step for each slot's mask and theirs
             expected = math.ceil(mass * len(set(spec.combo) - {0}))
-            trial += min(steps[0], expected) * (2 * box + 2) + -(-(k + 1) * steps[0] // 8)
+            trial += (len(steps) * ((p_max + 2) ** k + 4 * box)
+                      + min(steps[0], expected) * (2 * box + 2) + -(-(k + 1) * steps[0] // 8))
         # per worker: a compensator row; per pass: each partition's G_k base (slot rows and
-        # block sums); once, before any chunk: the dense temporaries and the row that build it
+        # block sums); once, before any chunk: the base's dense temporaries (per step, its slot
+        # tables and, for k >= 3, its largest block product) and the row that build it
         bases = prelimit * sum(n * k + (p_max + 2) ** k for n in steps)
+        dense = k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1)
         return trial, steps[0], bases, prelimit * steps[0] * (dense + 1)
 
     def buffers(self, spec, tables, chunk: int) -> list:
@@ -390,11 +400,10 @@ class ExperimentSpec:
 
     @functools.cached_property
     def correction(self) -> str:
-        """The diagonal correction the driver decides: "prelimit" where the
-        pairing bracket's delta_{j_a j_b} misses tied pairs' quadratic variation
-        (as the law says from slot_scales), else "pairing_general"."""
-        if expansions._distinct_nonzero(self.combo) or self.driver.law.ties_take_bracket(
-                self.slot_scales):
+        """The diagonal correction the driver decides: "prelimit" for a repeated
+        nonzero component of a driver whose ties take no bracket (a Poisson one,
+        whose ties' quadratic variation is random), else "pairing_general"."""
+        if expansions._distinct_nonzero(self.combo) or self.driver.law.ties_take_bracket:
             return "pairing_general"
         return "prelimit"
 
@@ -439,9 +448,9 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     counts `coarse` on the same draws, with basis orders up to p_max: as many
     as fit CHUNK_BYTES.
 
-    A chunk holds per trial the law's floats, under prelimit each partition's
-    G_k tensors and, once, at n_steps, its k slot rows psi_g * Delta D^(i_g),
-    nested_sum's three rows of scratch and the bracket's first contraction.
+    A chunk holds per trial the law's floats and, once, at n_steps, its k slot
+    rows psi_g * Delta D^(i_g), nested_sum's three rows of scratch and the
+    bracket's first contraction.
     Each worker also holds the law's share and a seed-word derivation (_trial_seeds).
 
     Raises SizeError, before anything is allocated, when the partitions,
@@ -451,12 +460,7 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     MEMORY_BUDGET, or when what the law holds once before the chunks would."""
     k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
-    prelimit = spec.correction == "prelimit"
-    # per step, the dense G_k sum's slot tables and, for k >= 3, its largest block product
-    dense = prelimit * (k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1))
-    trial, worker, shared, once = spec.driver.law.floats(spec, steps, p_max, dense)
-    # per trial and partition: G_k block sums, Moebius result, two temporaries, expand's product
-    trial += prelimit * len(steps) * ((p_max + 2) ** k + 4 * (p_max + 1) ** k)
+    trial, worker, shared, once = spec.driver.law.floats(spec, steps, p_max)
     per_trial = 8 * (trial + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
@@ -560,7 +564,7 @@ def _prepared(spec: ExperimentSpec, steps, p_max: int) -> list:
     in the parent before any fork with what the driver's law prepares, so the
     workers inherit it all."""
     parts = [make_partition(spec.kernel.interval, n) for n in steps]
-    spec.driver.law.prepare(parts)
+    spec.driver.law.prepare(spec, parts, p_max)
     return [(part, spec.system.eval_table(p_max, part.left_nodes)) for part in parts]
 
 
@@ -606,7 +610,7 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     The oracle's slot rows psi_g * Delta D^(i_g) go into one buffer per shard,
     one multiply per slot, shared by the partitions.  Under prelimit, a chunk's
     G_k sums on each partition take one oracle.gk_correction_tensor call, from
-    the partition's base if the law gives one."""
+    the partition's base (the Poisson law's gk_base)."""
     k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]

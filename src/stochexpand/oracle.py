@@ -3,12 +3,14 @@
 Ground truth for all expansion tests: the strictly nested left-point sum
 over a partition, computed in O(k N) by running prefix accumulation, plus
 the coincident-index ("diagonal") sums over G_k = H_k \\ L_k used by the
-pre-limit correction of the expansions.  Both it and the pairing bracket are
-Moebius sums over the set partitions of the k slots (Rota 1964): set_partitions.
-Every form of the G_k sum builds its block sums X_B from two helpers, _outer
-(the one Khatri-Rao product of a block's slot tables) and _block_sums (one
-realization's X_B, for every block), and each gk_correction_tensor call runs
-one Moebius sum, over all of its trials at once.
+pre-limit correction of the expansions: the correction of repeated Poisson
+components, and for any one realization a finite-N reference.  Both it and
+the pairing bracket are Moebius sums over the set partitions of the k slots
+(Rota 1964): set_partitions.  Both forms of the G_k sum (one realization, or a
+chunk of Poisson trials from its base) build their block sums X_B from two
+helpers, _outer (the one Khatri-Rao product of a block's slot tables) and
+_block_sums (one realization's X_B, for every block), and each
+gk_correction_tensor call runs one Moebius sum, over all of its trials at once.
 """
 
 from __future__ import annotations
@@ -214,38 +216,33 @@ def gk_correction_tensor(phi_tables, incs, base: GkBase | None = None) -> np.nda
     """Sum over coincident index tuples (G_k) for every multi-index in a box.
 
     phi_tables[g] has shape (p_g + 1, N): basis values at the left nodes;
-    incs[g] has shape (N,), or (trials, N) for a chunk of trials, which adds a
-    leading trial axis to the result.  Returns an array of shape
+    incs[g] has shape (N,) for one realization, or (trials, N) for a chunk of
+    trials with a base, which adds a leading trial axis to the result
+    (ValueError without one).  Returns an array of shape
     (..., p_1+1, ..., p_k+1), all tuples minus the distinct ones:
     -sum_{pi not finest} mu(pi) prod_{B in pi} X_B, with
     X_B[j_B] = sum_l prod_{g in B} phi_{j_g}(tau_l) dD_{g,l}.
 
-    Every form builds its block sums X_B with _block_sums or, for a chunk's
-    jump steps, _outer, and then runs one Moebius sum (_moebius) over all of
-    its trials at once.  Without a base, each trial's blocks are dense
-    (p+1)^|B| x N products.  Slots that share their table and their increments
-    (the same objects) share one product table * inc, with results bitwise
-    those of separate products.
+    Both forms build their block sums X_B with _block_sums or, for a chunk's
+    jump steps, _outer, and then run one Moebius sum (_moebius) over all of
+    their trials at once.  One realization's blocks are dense (p+1)^|B| x N
+    products.  Slots that share their table and their increments (the same
+    objects) share one product table * inc, with results bitwise those of
+    separate products.
 
-    With a base (gk_base on the same tables; incs then carry the trial axis),
-    X_B = D_B + sum_l P_B[l] (prod_g dD_{g,l} - prod_g base_{g,l}) over the steps
-    l where some slot of B leaves its base row, P_B[l] the outer product of the
-    tables' columns at l: O(jumps p^|B|) per trial, exact for any base rows.
-    Each trial's steps are added to D_B one by one in step order, so a trial's
-    result does not depend on what it is batched with, bitwise."""
+    A chunk's sums start from a base (gk_base on the same tables), which only a
+    Poisson pass has: X_B = D_B + sum_l P_B[l] (prod_g dD_{g,l} - prod_g base_{g,l})
+    over the steps l where some slot of B leaves its base row, P_B[l] the outer
+    product of the tables' columns at l: O(jumps p^|B|) per trial, exact for any
+    base rows.  Each trial's steps are added to D_B one by one in step order, so
+    a trial's result does not depend on what it is batched with, bitwise."""
     shape = tuple(len(t) for t in phi_tables)
-    if base is None and np.ndim(incs[0]) == 1:
+    if base is None:
+        if np.ndim(incs[0]) != 1:
+            raise ValueError("the G_k sums of a chunk of trials start from a base (gk_base)")
         return _moebius(_block_sums(phi_tables, incs), shape)
     holders, trials = _holders(phi_tables, incs), len(incs[0])
     sums = {b: np.empty((trials, math.prod(shape[g] for g in b))) for b in _blocks(len(shape))}
-    if base is None:  # trial by trial, slots of one table and increment array on one row view
-        for c in range(trials):
-            rows = []
-            for g, h in enumerate(holders):
-                rows.append(incs[g][c] if h == g else rows[h])
-            for b, x in _block_sums(phi_tables, rows).items():
-                sums[b][c] = x
-        return _moebius(sums, shape, (trials,))
     if len(base.tables) != len(shape) or any(t is not u for t, u in zip(base.tables, phi_tables)):
         raise ValueError("the base was built on other basis tables")
     off = {h: incs[h] != base.incs[h] for h in set(holders)}  # steps off the base row

@@ -80,11 +80,11 @@ def _mpmath_bessel_roots(order: int, count: int, dps: int = 30) -> np.ndarray:
         return np.asarray(roots)
 
 
-def explicit_bracket(values: np.ndarray, vectors, combo) -> float:
+def explicit_bracket(values: np.ndarray, vectors, combo, gram: np.ndarray) -> float:
     """The transformed indicator formulas for k = 1..4, written out: the
-    oracle for expansions.pairing_bracket.  Each tie is one einsum with the
-    tied axes trimmed to their common extent and sharing a subscript, so no
-    code of the expansions module (enumeration or contraction) is reused."""
+    oracle for expansions.pairing_bracket.  Each tie is one einsum in which
+    each tied pair (a, b) takes the operand gram[:p_a + 1, :p_b + 1], so no code
+    of the expansions module (enumeration or contraction) is reused."""
     k = values.ndim
     if not 1 <= k <= 4:
         raise ValueError("explicit formulas cover multiplicities 1..4 only")
@@ -93,13 +93,12 @@ def explicit_bracket(values: np.ndarray, vectors, combo) -> float:
         return 1.0 if combo[a] == combo[b] != 0 else 0.0
 
     def tie(*pairs):
-        letters, trim = list("abcd"[:k]), [slice(None)] * k
-        for a, b in pairs:
-            trim[a] = trim[b] = slice(0, min(values.shape[a], values.shape[b]))
-            letters[b] = letters[a]
+        letters = "abcd"[:k]
         free = [g for g in range(k) if all(g not in pair for pair in pairs)]
-        subscripts = ",".join(["".join(letters)] + [letters[g] for g in free]) + "->"
-        return float(np.einsum(subscripts, values[tuple(trim)], *(vectors[g] for g in free)))
+        subscripts = ",".join([letters, *(letters[a] + letters[b] for a, b in pairs),
+                               *(letters[g] for g in free)]) + "->"
+        ties = [gram[:values.shape[a], :values.shape[b]] for a, b in pairs]
+        return float(np.einsum(subscripts, values, *ties, *(vectors[g] for g in free)))
 
     out = tie()
     for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
@@ -228,14 +227,17 @@ def check_pairing_explicit_equivalence(full: bool = True) -> CriterionResult:
         for _ in range(n_tables):
             values = rng.standard_normal(tuple(p + 1 for p in box))
             vectors = [rng.standard_normal(p + 1) for p in box]
-            for combo in combos:
-                a = expansions.pairing_bracket(values, vectors, combo)
-                b = explicit_bracket(values, vectors, combo)
-                worst = max(worst, abs(a - b))
+            half = rng.standard_normal((4, 4))
+            for gram in (np.eye(4), half + half.T):  # the tie of orthonormal variables, and any
+                for combo in combos:
+                    a = expansions.pairing_bracket(values, vectors, combo, gram)
+                    b = explicit_bracket(values, vectors, combo, gram)
+                    worst = max(worst, abs(a - b))
     ok = worst < 1e-12
     return _result("pairing_explicit_equivalence", t0, ok,
                    f"max |pairing - explicit| = {worst:.2e} over k=2..4, "
-                   f"combos in {{0,1,2}}^k, {n_tables} random tables (tol 1e-12)")
+                   f"combos in {{0,1,2}}^k, {n_tables} random tables, each with the "
+                   f"identity and a random symmetric Gram matrix (tol 1e-12)")
 
 
 def check_poisson_variable_moments(full: bool = True) -> CriterionResult:

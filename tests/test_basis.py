@@ -198,6 +198,33 @@ class TestGram:
         gram = gram_matrix(basis.legendre(Interval(1.5, 4.0)), 6)
         assert np.max(np.abs(gram - np.eye(6))) < 1e-12
 
+    def test_density_gram_matches_the_closed_form(self):
+        # on [0, 1], 1 + t = 3/2 + u/2 with u = 2t - 1, and
+        # u P_n = ((n+1) P_{n+1} + n P_{n-1}) / (2n+1): G = 3/2 I plus
+        # (n+1) / (2 sqrt((2n+1)(2n+3))) at (n, n+1) and (n+1, n)
+        count = 12
+        gram = gram_matrix(basis.legendre(IV), count, lambda t: 1.0 + t)
+        n = np.arange(count - 1)
+        want = 1.5 * np.eye(count)
+        want[n, n + 1] = want[n + 1, n] = (n + 1) / (2.0 * np.sqrt((2 * n + 1) * (2 * n + 3)))
+        assert np.max(np.abs(gram - want)) < 1e-13
+
+    @pytest.mark.parametrize("system", [basis.legendre(IV), basis.haar(IV),
+                                        basis.bessel_weighted(1.0), basis.bessel_unit(1.0)],
+                             ids=lambda s: s.kind)
+    def test_default_density_is_the_weight_bitwise(self, system):
+        # the form the matrix had before it took a density: the table times sqrt(weight)
+        count = 5
+
+        def value_on(grid):
+            x = grid.nodes.ravel()
+            vals = system.eval_table(count - 1, x) * np.sqrt(system.weight(x))[None, :]
+            return (vals * grid.weights.ravel()[None, :]) @ vals.T
+
+        want, _, _ = quadrature.adaptive(value_on, system.interval.start, system.interval.end,
+                                         system.breakpoints(count - 1))
+        np.testing.assert_array_equal(gram_matrix(system, count), want)
+
 
 class TestRoots:
     def test_j0_first_zeros(self):

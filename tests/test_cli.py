@@ -584,11 +584,8 @@ K4 = dict(kernel={"factors": [{"name": "const"}] * 4}, boxes=[[0, 0, 0, 0], [1, 
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(K4, driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1, 1, 1, 1]),
     dict(K4, driver={"kind": "poisson", "m": 1}, combo=[1, 1, 1, 1]),
-    dict(MARTINGALE_RHO2, kernel={"factors": [{"name": "const"}] * 2},
-         boxes=[[0, 0], [3, 3], [7, 7]], n_steps=1024, trials=400),
-], ids=["martingale_rho2_k4_prelimit", "poisson_k4_auto_prelimit", "martingale_rho2_repeated_auto"])
+], ids=["poisson_k4_auto_prelimit"])
 def test_converge_prelimit_is_exact_for_unit_kernels(tmp_path, overrides):
     # the unit kernel is phi_0-constant, so the prelimit expansion is the left-point sum,
     # for any increments
@@ -598,16 +595,35 @@ def test_converge_prelimit_is_exact_for_unit_kernels(tmp_path, overrides):
     assert all(b["mse"] < 1e-20 for b in doc["boxes"])
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(K4, driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1, 1, 1, 1]),
+    dict(MARTINGALE_RHO2, kernel={"factors": [{"name": "const"}] * 2},
+         boxes=[[0, 0], [3, 3], [7, 7]], n_steps=1024, trials=400),
+], ids=["martingale_rho2_k4", "martingale_rho2_repeated"])
+def test_converge_gaussian_ties_take_the_limit_form(tmp_path, overrides):
+    # the symmetric combo of the unit kernel keeps only J = 0, so every box gives the
+    # limit form's p = 0 value; for k = 2 that is (M_T^2 - rho T) / 2 against the oracle's
+    # (M_T^2 - sum_l dM_l^2) / 2, an MSE of sum_l v_l^2 / 2 = 2 / N
+    assert run(["converge", "--config", converge_config(tmp_path, **overrides)]) == 0
+    doc = json.loads((tmp_path / "conv.json").read_text())
+    assert doc["correction"] == "pairing_general"
+    first = doc["boxes"][0]
+    for b in doc["boxes"]:
+        assert b["mse"] == pytest.approx(first["mse"], rel=1e-9) and b["mse"] > 0
+    if len(overrides["combo"]) == 2:
+        assert abs(first["mse"] - 2.0 / 1024) <= 4.0 * first["mse_halfwidth_99"] / harness.Z99
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_converge_k5_prelimit_block_products_trip_the_guard(tmp_path, capsys, monkeypatch, workers):
-    # G_k's five-slot block multiplies out 8^4 x 2^18 floats (8.6 GB) per worker
+    # the G_k base's five-slot block multiplies out 8^4 x 2^18 floats (8.6 GB) once per pass
     def no_draw(*args):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(harness, "sample_gaussian_martingale", no_draw)
+    monkeypatch.setattr(harness, "sample_poisson", no_draw)
     monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: min(workers, n_chunks))
     cfg = converge_config(tmp_path, kernel={"factors": [{"name": "const"}] * 5},
-                          driver={"kind": "martingale", "m": 1, "rho": 2.0}, combo=[1] * 5,
+                          driver={"kind": "poisson", "m": 1}, combo=[1] * 5,
                           boxes=[[7] * 5], n_steps=2**18, trials=4)
     assert run(["converge", "--config", cfg]) == 3
     err = capsys.readouterr().err

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from stochexpand import basis, expansions, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import (PoissonRealization, compensated_integral, exponential_measure,
-                                 make_partition, sample_poisson, sample_wiener, trial_seed)
-from stochexpand.expansions import (BasisVariables, expand, pairing_bracket,
-                                    pi_from_realization, poisson_variables, wiener_variables,
-                                    zeta_from_path)
+                                 make_partition, sample_gaussian_martingale, sample_poisson,
+                                 sample_wiener, trial_seed)
+from stochexpand.expansions import (BasisVariables, expand, martingale_variables,
+                                    pairing_bracket, pi_from_realization, poisson_variables,
+                                    wiener_variables, zeta_from_path)
 from stochexpand.harness import power_mark
 from stochexpand.kernel import coeff_tensor, unit_kernel
 from stochexpand.validation import explicit_bracket
@@ -189,7 +190,25 @@ class TestBasisVariables:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            BasisVariables("gaussian", np.array([[np.nan]]))
+            BasisVariables("gaussian", np.array([[np.nan]]), gram=np.eye(1))
+
+    def test_gaussian_variables_carry_their_gram_and_poisson_ones_none(self):
+        for gram in (None, np.eye(2)):  # none, or one that misses degree 2
+            with pytest.raises(ValueError, match="Gram matrix"):
+                BasisVariables("gaussian", np.zeros((2, 3)), gram=gram)
+        with pytest.raises(ValueError, match="Gram matrix"):
+            BasisVariables("poisson", np.zeros((2, 3)), combo=(1, 2), gram=np.eye(3))
+
+    def test_a_path_builds_the_gram_of_its_rho(self):
+        part = make_partition(IV, 64)
+        for rho in (None, 2.0, lambda t: 1.0 + np.asarray(t, dtype=float)):
+            path = sample_gaussian_martingale(part, 1, rho, 3)
+            assert path.rho is rho
+            variables = martingale_variables(path, SYS, 4)
+            assert variables.gram is expansions.gaussian_gram(SYS, rho, 5)
+        assert np.array_equal(expansions.gaussian_gram(SYS, None, 5), np.eye(5))
+        assert np.array_equal(expansions.gaussian_gram(SYS, 2.0, 5), 2.0 * np.eye(5))
+        assert not expansions.gaussian_gram(SYS, 2.0, 5).flags.writeable
 
     @pytest.mark.parametrize("kind", ["wiener", "martingale", "Gaussian", ""])
     def test_unknown_kind_rejected(self, kind):
@@ -213,19 +232,96 @@ def test_pairing_equals_explicit(case):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(tuple(p + 1 for p in box))
     vectors = [rng.standard_normal(p + 1) for p in box]
-    a = pairing_bracket(values, vectors, combo)
-    b = explicit_bracket(values, vectors, combo)
-    assert a == pytest.approx(b, abs=1e-12)
+    half = rng.standard_normal((3, 3))
+    for gram in (np.eye(3), half + half.T):  # orthonormal variables' ties, and any symmetric G
+        a = pairing_bracket(values, vectors, combo, gram)
+        b = explicit_bracket(values, vectors, combo, gram)
+        assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_pairing_with_uneven_boxes():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4, 2))
     vectors = [rng.standard_normal(4), rng.standard_normal(2)]
-    got = pairing_bracket(values, vectors, (1, 1))
+    got = pairing_bracket(values, vectors, (1, 1), np.eye(4))
     # tied contraction runs over the common extent only
     want = values @ vectors[1] @ vectors[0] - np.trace(values[:2, :2])
     assert got == pytest.approx(want, abs=1e-13)
+    # and with any Gram matrix, over its (4, 2) block
+    gram = rng.standard_normal((4, 4))
+    gram += gram.T
+    got = pairing_bracket(values, vectors, (1, 1), gram)
+    assert got == pytest.approx(values @ vectors[1] @ vectors[0] - np.sum(values * gram[:, :2]),
+                                abs=1e-13)
+
+
+def test_a_tie_with_the_identity_is_the_trace_bitwise():
+    # a tie is the trace of the slice times G's diagonal plus the contraction with G's
+    # off-diagonal part: with G = I, exactly np.trace over the common extent, tie by tie
+    rng = np.random.default_rng(11)
+    matchings = {2: [((0, 1),)], 4: [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]}
+    for _ in range(300):
+        k = int(rng.choice([2, 4]))
+        box = tuple(int(rng.integers(0, 10)) for _ in range(k))
+        values = rng.standard_normal((10,) * k)[tuple(slice(0, p + 1) for p in box)]
+        pairs = matchings[k][rng.integers(len(matchings[k]))]
+        want, slots = values, list(range(k))
+        for a, b in pairs:
+            ia, ib = slots.index(a), slots.index(b)
+            trim = [slice(None)] * want.ndim
+            trim[ia] = trim[ib] = slice(0, min(want.shape[ia], want.shape[ib]))
+            want = np.trace(want[tuple(trim)], axis1=ia, axis2=ib)
+            slots = [g for g in slots if g not in (a, b)]
+        assert expansions._contract(values, [], pairs, np.eye(10)) == want
+
+
+def _rho2_path(n_steps, seed):
+    return sample_gaussian_martingale(make_partition(IV, n_steps), 1, 2.0, seed)
+
+
+def test_rho2_tie_takes_the_quadratic_covariation():
+    # p = 0: C_00 = 1/2 and xi_0 = M_T, so (1, 1) is (M_T^2 - rho T) / 2, not (M_T^2 - T) / 2
+    tensor = coeff_tensor(unit_kernel(2, IV), SYS, (0, 0))
+    for t in range(20):
+        path = _rho2_path(256, trial_seed(8, t))
+        m_t = float(np.sum(path.increment(1)))
+        got = expand(tensor, martingale_variables(path, SYS, 0), (1, 1)).value
+        assert got == pytest.approx((m_t**2 - 2.0) / 2.0, abs=1e-12)
+
+
+def test_rho2_k4_ties_give_the_hermite_polynomial():
+    # only J = 0 survives the symmetric combo (1, 1, 1, 1) of the unit kernel, so every
+    # cubic box gives (rho T)^2 / 24 He_4(M_T / sqrt(rho T)), He_4(x) = x^4 - 6 x^2 + 3
+    kern = unit_kernel(4, IV)
+    tensors = [coeff_tensor(kern, SYS, (p,) * 4) for p in range(3)]
+    for t in range(10):
+        path = _rho2_path(256, trial_seed(9, t))
+        x = float(np.sum(path.increment(1))) / np.sqrt(2.0)
+        want = 4.0 / 24.0 * (x**4 - 6.0 * x**2 + 3.0)
+        variables = martingale_variables(path, SYS, 2)
+        for tensor in tensors:
+            assert expand(tensor, variables, (1, 1, 1, 1)).value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("system, rho", [(SYS, lambda t: 1.0 + np.asarray(t, dtype=float)),
+                                         (basis.bessel_weighted(1.0), None)],
+                         ids=["legendre_rho_1_plus_t", "bessel_weighted_wiener"])
+def test_prelimit_approaches_the_limit_form_at_rate_one_over_n(system, rho):
+    # the finite-N G_k sum ties a pair with sum_l phi_a phi_b (tau_l) dM_l^2, the limit form
+    # with int phi_a phi_b rho dt: their mean-square gap is O(1/N)
+    tensor = coeff_tensor(unit_kernel(2, IV), system, (3, 3))
+    gaps = []
+    for n in (2**9, 2**10):
+        part = make_partition(IV, n)
+        sq = []
+        for t in range(400):
+            path = sample_gaussian_martingale(part, 1, rho, trial_seed(12, t))
+            variables = martingale_variables(path, system, 3)
+            limit = expand(tensor, variables, (1, 1)).value
+            pre = expand(tensor, variables, (1, 1), correction="prelimit", realization=path).value
+            sq.append((limit - pre) ** 2)
+        gaps.append(np.mean(sq))
+    assert 0.4 <= gaps[1] / gaps[0] <= 0.6
 
 
 class TestExpand:
@@ -233,7 +329,7 @@ class TestExpand:
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (2, 2))
         rng = np.random.default_rng(0)
         table = rng.standard_normal((3, 3))
-        variables = BasisVariables("gaussian", table)
+        variables = BasisVariables("gaussian", table, gram=np.eye(3))
         got = expand(tensor, variables, (1, 2)).value
         want = float(table[1, :3] @ tensor.values @ table[2, :3])
         assert got == pytest.approx(want, abs=1e-13)
@@ -242,7 +338,7 @@ class TestExpand:
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (2, 2))
         rng = np.random.default_rng(1)
         table = rng.standard_normal((2, 3))
-        variables = BasisVariables("gaussian", table)
+        variables = BasisVariables("gaussian", table, gram=np.eye(3))
         got = expand(tensor, variables, (1, 1)).value
         want = float(table[1] @ tensor.values @ table[1]) - np.trace(tensor.values)
         assert got == pytest.approx(want, abs=1e-13)
@@ -291,13 +387,13 @@ class TestExpand:
 
     def test_box_must_fit_table(self):
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (5, 5))
-        variables = BasisVariables("gaussian", np.zeros((2, 3)))
+        variables = BasisVariables("gaussian", np.zeros((2, 3)), gram=np.eye(3))
         with pytest.raises(ValueError):
             expand(tensor, variables, (1, 1))
 
     def test_unknown_correction(self):
         tensor = coeff_tensor(unit_kernel(2, IV), SYS, (1, 1))
-        variables = BasisVariables("gaussian", np.zeros((2, 2)))
+        variables = BasisVariables("gaussian", np.zeros((2, 2)), gram=np.eye(2))
         with pytest.raises(ValueError):
             expand(tensor, variables, (1, 1), correction="nope")
 
@@ -324,7 +420,7 @@ def _tensor_2():
      "built for a different combo"),
     (lambda: expand(_tensor_2(), _wiener_2(), (1, 1), correction="prelimit"),
      "requires the underlying realization"),
-    (lambda: explicit_bracket(np.zeros((1,) * 5), [np.zeros(1)] * 5, (1,) * 5),
+    (lambda: explicit_bracket(np.zeros((1,) * 5), [np.zeros(1)] * 5, (1,) * 5, np.eye(1)),
      "multiplicities 1..4 only"),
 ], ids=["one_mark_two_slots", "combo_length", "other_combo", "prelimit_without_realization",
         "explicit_k5"])

@@ -88,18 +88,36 @@ def test_coincident_poisson_uses_prelimit():
 
 
 def test_martingale_pairs_need_the_systems_measure():
-    # rho == 1: the pairing bracket holds, and the stats are the Wiener driver's
+    # rho == 1: the ties take I, and the stats are the Wiener driver's
     report = run_experiment(_wiener_spec(driver=DriverConfig("martingale", m=2, rho=1.0),
                                          combo=(1, 1), trials=50))
     assert report.correction == "pairing_general"
     np.testing.assert_array_equal(_stats(report),
                                   _stats(run_experiment(_wiener_spec(combo=(1, 1), trials=50))))
-    # on a weighted system the system's measure is its weight, which rho == 1 is not
-    spec = _wiener_spec(system=basis.bessel_weighted(1.0), combo=(1, 1),
+    # on a weighted system the system's measure is its weight, which rho == 1 is not: the
+    # ties take int phi_j phi_j' dt, far from I, and the weight itself gives I
+    weighted = basis.bessel_weighted(1.0)
+    spec = _wiener_spec(system=weighted, combo=(1, 1),
                         driver=DriverConfig("martingale", m=2, rho=1.0))
-    assert spec.correction == "prelimit"
+    assert spec.correction == "pairing_general"
+    unit = expansions.gaussian_gram(weighted, 1.0, 4)
+    np.testing.assert_array_equal(unit, basis.gram_matrix(weighted, 4, lambda x: np.ones_like(x)))
+    assert np.max(np.abs(unit - np.eye(4))) > 1.0
+    assert np.max(np.abs(expansions.gaussian_gram(weighted, _rho_t, 4) - np.eye(4))) < 1e-12
     with pytest.raises(ConfigError):
         DriverConfig("martingale", m=2, rho=-1.0)
+
+
+@pytest.mark.parametrize("rho", [2.0, _rho_one_plus_t], ids=["rho_2", "rho_1_plus_t"])
+def test_gaussian_ties_take_the_limit_form(rho):
+    # unit kernel, (1, 1): every box gives (M_T^2 - int rho) / 2 and the oracle
+    # (M_T^2 - sum_l dM_l^2) / 2, so the MSE is Var(sum_l dM_l^2) / 4 = sum_l v_l^2 / 2
+    spec = _wiener_spec(driver=DriverConfig("martingale", m=2, rho=rho), combo=(1, 1),
+                        boxes=((0, 0), (3, 3)), n_steps=256, trials=4000)
+    assert spec.correction == "pairing_general"
+    want = 0.5 * np.sum(drivers.make_partition(IV, 256).step_variances(rho) ** 2)
+    for s in run_experiment(spec).stats:
+        assert abs(s.mse - want) <= 4.0 * s.mse_se
 
 
 def test_each_driver_kind_takes_only_its_parameters():
@@ -143,21 +161,21 @@ ONE_RULE = {
     ("wiener", "legendre", (1, 2)): ("pairing_general", 1.0),
     ("wiener", "legendre", (1, 1)): ("pairing_general", NAN),
     ("rho=2", "legendre", (1, 2)): ("pairing_general", 4.0),
-    ("rho=2", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=2", "legendre", (1, 1)): ("pairing_general", NAN),
     ("rho=1+t", "legendre", (1, 2)): ("pairing_general", NAN),
-    ("rho=1+t", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=1+t", "legendre", (1, 1)): ("pairing_general", NAN),
     ("rho=t", "legendre", (1, 2)): ("pairing_general", NAN),
-    ("rho=t", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=t", "legendre", (1, 1)): ("pairing_general", NAN),
     ("rho=1e4", "legendre", (1, 2)): ("pairing_general", 1e8),
-    ("rho=1e4", "legendre", (1, 1)): ("prelimit", NAN),
+    ("rho=1e4", "legendre", (1, 1)): ("pairing_general", NAN),
     ("poisson", "legendre", (1, 2)): ("pairing_general", MOMENT * MOMENT),
     ("poisson", "legendre", (1, 1)): ("prelimit", NAN),
     ("wiener", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
-    ("wiener", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+    ("wiener", "bessel_weighted", (1, 1)): ("pairing_general", NAN),
     ("rho=2", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
-    ("rho=2", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+    ("rho=2", "bessel_weighted", (1, 1)): ("pairing_general", NAN),
     ("rho=1+t", "bessel_weighted", (1, 2)): ("pairing_general", NAN),
-    ("rho=1+t", "bessel_weighted", (1, 1)): ("prelimit", NAN),
+    ("rho=1+t", "bessel_weighted", (1, 1)): ("pairing_general", NAN),
     ("rho=t", "bessel_weighted", (1, 2)): ("pairing_general", 1.0),
     ("rho=t", "bessel_weighted", (1, 1)): ("pairing_general", NAN),
     ("rho=1e4", "bessel_weighted", (1, 2)): None,
@@ -230,9 +248,13 @@ def test_the_laws_keep_one_contract():
     def public(law):
         return {name for name in dir(law) if not name.startswith("_")}
 
-    assert public(harness._Gaussian) - {"sample"} == public(harness._Poisson) == {
+    # gk_base too, on the Poisson law alone: only repeated Poisson components run prelimit
+    assert public(harness._Gaussian) - {"sample"} == public(harness._Poisson) - {"gk_base"} == {
         "parameters", "slot_scales", "ties_take_bracket", "residual_factor", "prepare", "rows",
-        "floats", "buffers", "draw", "gk_base", "moment_tests"}
+        "floats", "buffers", "draw", "moment_tests"}
+    # whether a tie takes a bracket is the driver kind's, whatever its inputs
+    assert harness._Gaussian.ties_take_bracket is True
+    assert harness._Poisson.ties_take_bracket is False
 
 
 def test_spec_validation():
@@ -433,9 +455,9 @@ LOOP_SPECS = {
                       boxes=((2, 2, 2), (1, 3, 2))),
     # slot 0 reads the time row, which the loop writes once per pass
     "wiener_time": dict(combo=(0, 1), trials=23, richardson=True),
-    # a Gaussian prelimit run: the G_k sums read the slot increments
-    "martingale_prelimit": dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1),
-                                trials=23, richardson=True),
+    # a Gaussian tie whose variables are not orthonormal: the ties take 2 I
+    "martingale_tie": dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1),
+                           trials=23, richardson=True),
     # most trials of a chunk have no jumps on one component or both
     "poisson_sparse": dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(0.3),
                                                mark_factors=(power_mark(1.0), power_mark(0.5))),
@@ -506,7 +528,7 @@ def test_equal_poisson_slots_take_one_measure_per_chunk_and_partition(monkeypatc
     assert calls == [(1, "base")] * 2 + [(1, size) for size in (7, 7, 7, 2) for _ in range(2)]
 
 
-@pytest.mark.parametrize("name", ["poisson_prelimit", "martingale_prelimit"])
+@pytest.mark.parametrize("name", ["poisson_prelimit", "martingale_tie"])
 def test_gk_sums_take_one_call_per_chunk_and_partition(name, monkeypatch):
     gk = oracle.gk_correction_tensor
     calls = []
@@ -516,10 +538,10 @@ def test_gk_sums_take_one_call_per_chunk_and_partition(name, monkeypatch):
     _force_workers(monkeypatch, 1)
     spec = _wiener_spec(**LOOP_SPECS[name])
     run_experiment(spec)
-    # chunks of 7, 7, 7 and 2 trials, at n_steps and at n_steps // 2; only a Poisson pass
-    # has a base
+    # a Poisson pass: chunks of 7, 7, 7 and 2 trials, at n_steps and at n_steps // 2, each
+    # from its partition's base; a Gaussian tie takes the Gram matrix and no G_k sum
     poisson = spec.driver.kind == "poisson"
-    assert calls == [(size, poisson) for size in (7, 7, 7, 2) for _ in range(2)]
+    assert calls == [(size, True) for size in (7, 7, 7, 2) for _ in range(2)] * poisson
 
 
 MOMENT_DRIVERS = {
@@ -527,6 +549,13 @@ MOMENT_DRIVERS = {
     "poisson": DriverConfig("poisson", m=2, intensity=exponential_measure(3.0),
                             mark_factors=(power_mark(1.0), power_mark(0.5))),
 }
+
+
+def test_gaussian_moment_suite_tests_the_discrete_gram():
+    # for rho = 1 + t the neighbours' covariance sum_l phi_j phi_j+1 (tau_l) v_l is about 0.25
+    report = moment_suite(_wiener_spec(driver=MOMENT_DRIVERS["martingale"], trials=20000,
+                                       n_steps=64), j_max=3)
+    assert not report.flagged and report.n_failed == 0
 
 
 def test_poisson_moment_suite_tests_no_time_slot():
@@ -592,13 +621,20 @@ def _replay(spec, correction):
                      allowance]).T
 
 
-@pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit",
+@pytest.mark.parametrize("name", ["wiener", "martingale", "martingale_tie", "poisson_prelimit",
                                   "poisson_unequal_marks", "poisson_weighted_short"])
 def test_stats_match_a_per_trial_public_api_replay(name):
     spec = _wiener_spec(**LOOP_SPECS[name])
     report = run_experiment(spec)
     got = _stats(report)[:, [0, 1, 2, 5]]
     assert got == pytest.approx(_replay(spec, report.correction), rel=1e-12, abs=1e-12)
+
+
+def _gram_grids(system, count) -> int:
+    """Quadrature grids on which the ties' Gram matrix of rho = 1 + t evaluates rho."""
+    grids = []
+    basis.gram_matrix(system, count, lambda x: grids.append(x) or _rho_one_plus_t(x))
+    return len(grids)
 
 
 def test_rho_is_evaluated_once_per_pass():
@@ -616,11 +652,12 @@ def test_rho_is_evaluated_once_per_pass():
             # construction probes rho once on slot_scales' grid, for every system
             assert calls == [harness.RATIO_GRID + 2]
             run_experiment(spec)
-            # then one call per partition (N and N/2)
-            assert len(calls) == 3
+            # then one call per partition (N and N/2) and, on the first pass only, the grids
+            # of the ties' Gram matrix (expansions.gaussian_gram caches it)
+            assert len(calls) == 3 + (trials == 3) * _gram_grids(system, 4)
     calls.clear()
     moment_suite(_wiener_spec(driver=driver, trials=1000, n_steps=64), j_max=2)
-    assert len(calls) == 2
+    assert len(calls) == 2 + _gram_grids(SYS, 3)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -892,15 +929,15 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
          combo=(1, 1), n_steps=256, trials=40),
     # a callable density: its step variances are integrated in blocks of drivers.RHO_BLOCK steps
     dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t)),
-    # Gaussian prelimit runs: each trial's dense G_k block sums, and one Moebius sum per chunk
+    # Gaussian ties whose variables are not orthonormal, on 2 I or on a quadrature Gram matrix
     dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1)),
     dict(driver=DriverConfig("martingale", m=2, rho=2.0), kernel=unit_kernel(3, IV),
          combo=(1, 1, 2), boxes=((3, 3, 3),)),
     dict(driver=DriverConfig("martingale", m=2, rho=2.0), kernel=unit_kernel(3, IV),
          combo=(1, 1, 1), boxes=((7, 7, 7),)),
     dict(system=basis.bessel_weighted(1.0), combo=(1, 1)),  # a Wiener tie on the weighted system
-], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense", "rho_1_plus_t", "rho_2_prelimit",
-        "rho_2_prelimit_k3_112", "rho_2_prelimit_k3_111", "wiener_weighted_prelimit"])
+], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense", "rho_1_plus_t", "rho_2_tie",
+        "rho_2_tie_k3_112", "rho_2_tie_k3_111", "wiener_weighted_tie"])
 def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
     spec = _wiener_spec(**{"n_steps": 2**16, "trials": 4, "richardson": True, **overrides})
     peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch)

@@ -241,9 +241,10 @@ def test_gk_chunk_form_matches_the_dense_form(case, n, system):
             [i.astype(np.longdouble) for i in oracle.slot_increments(r, combo, part, marks)[1]])
             for r in reals])
         assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
-        # without a base, a chunk's sums are each trial's dense ones
-        np.testing.assert_array_equal(oracle.gk_correction_tensor(
-            tables, oracle.slot_increments(reals, combo, part, marks)[1]), dense)
+        # a chunk's sums start from a base: without one, the call is refused
+        with pytest.raises(ValueError, match="start from a base"):
+            oracle.gk_correction_tensor(tables, oracle.slot_increments(reals, combo, part,
+                                                                       marks)[1])
         for size in (1, 7):
             np.testing.assert_array_equal(
                 np.concatenate([chunk_form(reals[i:i + size]) for i in range(0, len(reals), size)]),
