@@ -545,9 +545,16 @@ def compensated_integral(realization: PoissonRealization, i: int, h, phi,
 # JSON dump/load for replay and cross-implementation comparison
 
 def realization_to_json(obj, path) -> None:
+    """A Gaussian path with its variances and its density rho (a number or None;
+    TypeError, before the file is opened, for a callable rho), or a Poisson
+    realization with its jumps."""
     if isinstance(obj, GaussianMartingalePath):
+        if callable(obj.rho):
+            raise TypeError(f"cannot serialize the variance density rho={obj.rho!r}: "
+                            f"only a number or None can be written")
         doc = {"kind": "martingale", "nodes": obj.partition.nodes.tolist(), "m": obj.m,
-               "increments": obj.increments.tolist(), "variances": obj.variances.tolist()}
+               "increments": obj.increments.tolist(), "variances": obj.variances.tolist(),
+               "rho": None if obj.rho is None else float(obj.rho)}
     elif isinstance(obj, PoissonRealization):
         doc = {"kind": "poisson",
                "interval": [obj.interval.start, obj.interval.end],
@@ -569,7 +576,8 @@ def realization_from_json(path, intensity: IntensityMeasure | None = None):
         part = Partition(Interval(nodes[0], nodes[-1]), nodes)
         variances = doc.get("variances")
         return GaussianMartingalePath(part, doc["m"], np.asarray(doc["increments"]),
-                                      part.deltas if variances is None else np.asarray(variances))
+                                      part.deltas if variances is None else np.asarray(variances),
+                                      doc.get("rho"))
     if intensity is None:
         intensity = exponential_measure(doc["total_mass"])
     return PoissonRealization(Interval(*doc["interval"]), doc["m"],

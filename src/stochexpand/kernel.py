@@ -5,10 +5,12 @@ simplex t_1 < ... < t_k and zero elsewhere (ties included).  Coefficients
 are iterated integrals over one shared panel grid.  The tensor is built
 level by level on the grid nodes: level l multiplies the running
 primitives of all index prefixes (prod_{q<l} (p_q + 1) rows) by the table of
-factor x basis x weight values for its p_l + 1 indices, and integrates
-every row at once with the spectral integration matrix of
-quadrature.PanelGrid (Greengard, SIAM J. Numer. Anal. 28, 1991).  The last
-level is one matrix product with the quadrature weights, so a dense tensor
+factor x basis x weight values for its p_l + 1 indices, and levels up to
+k - 3 integrate every row at once with the spectral integration matrix of
+quadrature.PanelGrid (Greengard, SIAM J. Numer. Anal. 28, 1991).  The
+outermost two integrals swap (Fubini): the last level's weighted table
+takes the transposed primitive on its own p_k + 1 rows, and one matrix
+product with the integrand of level k - 2 gives the tensor.  A dense tensor
 costs O(prod p_l * nodes) work and never leaves the grid nodes.
 """
 
@@ -195,18 +197,23 @@ def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box,
     phi = system.eval_table(max(box), x)
     if system.weighted:
         phi = phi * system.weight(x)
-    # prim[J, :] is the level primitive for index prefix J on the nodes
-    prim = np.ones((1, x.size))
+    # rows[J, :] holds, on the nodes, the running primitive of index prefix J at the
+    # start of a level and that level's integrand after it; the last level enters
+    # through the adjoint primitive instead, so the integrand of level k - 2 takes none
+    rows = np.ones((1, x.size))
     for level, p in enumerate(box[:-1]):
-        entries = prim.shape[0] * (p + 1) * x.size
+        entries = rows.shape[0] * (p + 1) * x.size
         if entries > MEMORY_BUDGET:
             raise SizeError(f"level {level} of the tensor would hold {entries} node values, "
                             f"over the budget {MEMORY_BUDGET}")
+        if level:
+            rows = grid.primitive_node_values(rows.reshape((-1,) + grid.nodes.shape))
         table = kernel.factor_values(level, x) * phi[:p + 1]
-        integrand = (prim[:, None, :] * table[None]).reshape((-1,) + grid.nodes.shape)
-        prim = grid.primitive_node_values(integrand).reshape(-1, x.size)
+        rows = (rows.reshape(-1, 1, x.size) * table[None]).reshape(-1, x.size)
     top = kernel.factor_values(len(box) - 1, x) * phi[:box[-1] + 1] * grid.weights.ravel()
-    return (prim @ top.T).reshape(tuple(p + 1 for p in box))
+    if len(box) > 1:
+        top = grid.adjoint_primitive_node_values(top.reshape((-1,) + grid.nodes.shape))
+    return (rows @ top.reshape(-1, x.size).T).reshape(tuple(p + 1 for p in box))
 
 
 def coeff_tensor(kernel: Kernel, system: OrthonormalSystem, box) -> CoeffTensor:
@@ -314,10 +321,11 @@ def tensor_to_csv(tensor: CoeffTensor, path) -> None:
     k = len(tensor.box)
     prefixes = map("".join, itertools.product(*([f"{j}," for j in range(p + 1)]
                                                  for p in tensor.box)))
-    values = itertools.chain.from_iterable(_value_blocks(tensor.values))
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"j_{l}" for l in range(1, k + 1)] + ["value"]) + "\r\n")
-        fh.writelines(f"{idx}{v:.17g}\r\n" for idx, v in zip(prefixes, values))
+        for block in _value_blocks(tensor.values):  # one % call formats a whole block
+            rows = itertools.islice(prefixes, len(block))
+            fh.write("".join([f"{idx}%.17g\r\n" for idx in rows]) % tuple(block))
 
 
 def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -86,7 +86,9 @@ class PanelGrid:
     Exposes plain integration over [a, b] and running primitives on the
     grid's own nodes: within each panel the partial integral up to every
     node is one product with the spectral integration matrix of the order,
-    and whole panels before it enter through an exclusive prefix sum.
+    and whole panels before it enter through an exclusive prefix sum.  The
+    transpose of that map (adjoint_primitive_node_values) takes the matrix's
+    transpose within each panel and a suffix sum of the panels after it.
     """
 
     order = ORDER  # what CoeffTensor.quad_info reports
@@ -128,6 +130,21 @@ class PanelGrid:
         span = (self.edges[1:] - self.edges[:-1])[:, None]
         partial = (node_vals @ self._spectral.T) * span
         return self._panel_starts(node_vals)[..., :-1, None] + partial
+
+    def adjoint_primitive_node_values(self, node_vals: np.ndarray) -> np.ndarray:
+        """The transpose of primitive_node_values, for t samples of shape (..., M, g):
+        sum(primitive_node_values(f) * t) == sum(f * adjoint_primitive_node_values(t)),
+        the grid form of int_a^b t(x) int_a^x f = int_a^b f(y) int_y^b t (Fubini).
+
+        On panel m it is the weights times the sum of t over the later panels, plus
+        span_m times t_m @ S, with S the spectral integration matrix."""
+        span = (self.edges[1:] - self.edges[:-1])[:, None]
+        after = np.zeros(node_vals.shape[:-1])  # sum of t over the panels after each one
+        np.cumsum(np.sum(node_vals[..., :0:-1, :], axis=-1), axis=-1, out=after[..., -2::-1])
+        out = node_vals @ self._spectral
+        out *= span
+        out += self.weights * after[..., None]
+        return out
 
 
 class Primitive:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,64 @@ class TestNormAndParseval:
             pb, _ = quadrature.integrate(lambda x: sys.eval(b, x), 0.0, 1.0)
             assert tensor.values[a, b] + tensor.values[b, a] == pytest.approx(
                 pa * pb, abs=1e-10)
+
+
+def _forward_tensor_on_grid(kern, system, box, grid):
+    """The recursion that the adjoint last level replaced: every level but the last
+    takes a running primitive, the last one on prod_{l<k-1} (p_l + 1) rows."""
+    x = grid.nodes.ravel()
+    phi = system.eval_table(max(box), x)
+    if system.weighted:
+        phi = phi * system.weight(x)
+    prim = np.ones((1, x.size))
+    for level, p in enumerate(box[:-1]):
+        table = kern.factor_values(level, x) * phi[:p + 1]
+        integrand = (prim[:, None, :] * table[None]).reshape((-1,) + grid.nodes.shape)
+        prim = grid.primitive_node_values(integrand).reshape(-1, x.size)
+    top = kern.factor_values(len(box) - 1, x) * phi[:box[-1] + 1] * grid.weights.ravel()
+    return (prim @ top.T).reshape(tuple(p + 1 for p in box))
+
+
+EXP_POW_CONST = (Factor("exp", 1.0), Factor("pow", 1.0), Factor("const", 1.0),
+                 Factor("exp", -0.5))
+ORACLE_CASES = {
+    "legendre": (basis.legendre(IV), False),
+    "haar": (basis.haar(IV), False),
+    "trig_exp_pow_const": (basis.trigonometric(IV), True),
+    "walsh": (basis.walsh(IV), False),
+    "bessel_weighted": (basis.bessel_weighted(1.0), False),
+}
+
+
+@pytest.mark.parametrize("k, p", [(1, 15), (2, 9), (3, 5), (4, 3)])
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_tensor_matches_the_forward_recursion(name, k, p):
+    system, factored = ORACLE_CASES[name]
+    kern = Kernel(EXP_POW_CONST[:k], IV) if factored else unit_kernel(k, IV)
+    box = (p,) * k
+    tensor = coeff_tensor(kern, system, box)
+    want, err, grid = quadrature.adaptive(lambda g: _forward_tensor_on_grid(kern, system, box, g),
+                                          0.0, 1.0, system.breakpoints(p))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(tensor.values - want)) <= 1e-13 * scale
+    assert tensor.quad_info["order"] == grid.order
+    assert tensor.quad_info["panels"] == grid.n_panels
+    # a difference of two grids' tensors, so it moves by at most twice their rounding
+    assert abs(tensor.quad_info["estimated_error"] - err) <= 2e-13 * scale
+
+
+def test_k3_build_peak_is_half_the_forward_recursions():
+    # the forward recursion peaked at 6.6 MiB here: its last primitive and integrand
+    # held 32 * 32 rows of grid nodes each, where the adjoint takes 32 rows
+    kern = Kernel(EXP_POW_CONST[:3], IV)
+    coeff_tensor(kern, basis.legendre(IV), (31, 31, 31))  # tables and rules cached first
+    tracemalloc.start()
+    try:
+        coeff_tensor(kern, basis.legendre(IV), (31, 31, 31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 6.6 * 2**20
 
 
 def test_memory_budget_guard():

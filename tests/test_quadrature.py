@@ -81,6 +81,24 @@ def test_refinement_splits_panels():
     assert grid.refined().n_panels == 2 * grid.n_panels
 
 
+@pytest.mark.parametrize("edges", [
+    np.linspace(0.0, 1.0, 9),
+    quadrature._panel_edges(-0.3, 1.7, (0.1, 0.2, 0.2001, 1.5)),
+], ids=["uniform", "breakpoints"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+def test_adjoint_primitive_is_the_transpose(edges, lead):
+    # sum P(g) t == sum g P^T(t) for every leading index: int t int f = int f int t (Fubini)
+    grid = quadrature.PanelGrid(edges)
+    rng = np.random.default_rng(len(lead) + grid.n_panels)
+    g, t = rng.standard_normal((2, *lead, *grid.nodes.shape))
+    forward = grid.primitive_node_values(g) * t
+    adjoint = g * grid.adjoint_primitive_node_values(t)
+    assert adjoint.shape == g.shape
+    scale = np.sum(np.abs(forward), axis=(-2, -1))
+    err = np.abs(np.sum(forward, axis=(-2, -1)) - np.sum(adjoint, axis=(-2, -1)))
+    assert np.all(err <= 1e-13 * scale)
+
+
 def _linspace_edges(a, b, breakpoints):
     """Reference panel edges: one np.linspace per gap between the breakpoints."""
     pts = np.unique([a, b, *(float(x) for x in breakpoints if a < x < b)])
