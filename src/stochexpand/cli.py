@@ -26,7 +26,7 @@ from .basis import GRAM_TOLERANCES, Interval, OrthonormalSystem, gram_matrix
 from .drivers import exponential_measure, power_mark
 from .errors import ConfigError, SizeError, StochexpandError
 from .harness import DriverConfig, ExperimentSpec, report_to_csv, report_to_json, run_experiment
-from .kernel import Factor, Kernel, coeff_tensor, tensor_to_csv, tensor_to_json
+from .kernel import Factor, Kernel, coeff_tensor, tensor_to_files
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -153,8 +153,7 @@ def cmd_basis(args) -> int:
 def cmd_coeffs(args) -> int:
     doc, kern, system, out = _read_config(args.config, "coeffs")
     tensor = coeff_tensor(kern, system, doc["box"])
-    tensor_to_csv(tensor, f"{out}.csv")
-    tensor_to_json(tensor, f"{out}.json")
+    tensor_to_files(tensor, f"{out}.csv", f"{out}.json")
     print(f"wrote {out}.csv and {out}.json "
           f"(box {'x'.join(str(p + 1) for p in tensor.box)} entries, "
           f"quadrature error estimate {tensor.quad_error:.2e})")

@@ -61,7 +61,8 @@ class BasisVariables:
     Leading axes, if any, index independent trials (one expand call then
     evaluates all of them).  A Gaussian table carries gram, the (p_max + 1)^2
     quadratic covariations [xi_j, xi_j'] of one component's variables, with
-    which pairing_bracket contracts a tie; a Poisson table has none.
+    which pairing_bracket contracts a tie, or None for combos without a tie,
+    which never read it; a Poisson table has none.
     """
 
     kind: str  # "gaussian" | "poisson"
@@ -75,9 +76,10 @@ class BasisVariables:
                              f"got {self.kind!r}")
         if not np.all(np.isfinite(self.table)):
             raise ValueError("basis variable table contains non-finite values")
-        if np.shape(self.gram) != (() if self.by_slot else (self.p_max + 1,) * 2):  # None: ()
-            raise ValueError("Gaussian basis variables need the (p_max + 1)^2 Gram matrix of "
-                             "their ties, and Poisson ones take none")
+        if self.gram is not None and (self.by_slot
+                                      or np.shape(self.gram) != (self.p_max + 1,) * 2):
+            raise ValueError("Gaussian basis variables take the (p_max + 1)^2 Gram matrix of "
+                             "their ties or None, and Poisson ones take none")
 
     @property
     def by_slot(self) -> bool:
@@ -124,9 +126,19 @@ def gaussian_variables(increments: np.ndarray, phi: np.ndarray,
     matrix gram of its ties (gaussian_gram).
 
     increments has shape (..., m + 1, N) and phi (p_max + 1, N) holds the
-    basis on the partition's left nodes; leading axes are multiplied slice
-    by slice, so a trial's table does not depend on what it is batched with."""
-    return BasisVariables("gaussian", increments @ phi.T, gram=gram)
+    basis on the partition's left nodes.  Leading (trial) axes are taken to
+    share row 0, the time deltas of one partition: row 0 of every table is
+    that of the first trial's (m + 1)-row product, and rows 1..m are
+    multiplied slice by slice, so a trial's table does not depend on what it
+    is batched with.  They are each trial's own m-row product, which BLAS may
+    round differently from its (m + 1)-row one in the last bits (OpenBLAS
+    does for m = 1)."""
+    if increments.ndim == 2:
+        return BasisVariables("gaussian", increments @ phi.T, gram=gram)
+    table = np.empty((*increments.shape[:-1], len(phi)))
+    table[..., 0, :] = (increments[(0,) * (increments.ndim - 2)] @ phi.T)[0]
+    np.matmul(increments[..., 1:, :], phi.T, out=table[..., 1:, :])
+    return BasisVariables("gaussian", table, gram=gram)
 
 
 def wiener_variables(path: GaussianMartingalePath, system: OrthonormalSystem,
@@ -268,8 +280,11 @@ def pairing_bracket(values: np.ndarray, vectors, combo, gram):
     singletons and pairs (a, b) with i_a = i_b != 0, each pair contracted with
     the quadratic covariations gram[j_a, j_b] (the Kronecker delta when
     gram = I), enters with its Moebius weight mu = (-1)^#pairs.  gram is read
-    only if a pair exists.
+    only if a pair exists: ValueError if one does and gram is None.
     Returns a float, or an array over the vectors' leading axes."""
+    if gram is None and not _distinct_nonzero(combo):
+        raise ValueError(f"combo {tuple(combo)} has a tie, which needs the Gram matrix "
+                         f"of the variables' quadratic covariations, got None")
     total = 0.0
     for pairs, mu in _pairings(tuple(combo)):
         total = total + mu * _contract(values, vectors, pairs, gram)

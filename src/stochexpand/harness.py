@@ -29,8 +29,9 @@ its law's slot_scales: it checks the driver's inputs (rho against the weight,
 or the mark factors) and gives the per-slot isometry factors that the
 residual's factor reads.  The diagonal correction (ExperimentSpec.correction)
 is the law's too: a Gaussian tie takes its deterministic quadratic covariation,
-the rho-Gram matrix that the law builds once per pass, so every Gaussian spec
-runs the limit form, and only repeated Poisson components run prelimit.
+the rho-Gram matrix that the law builds once per pass for a combo with a tie,
+so every Gaussian spec runs the limit form, and only repeated Poisson
+components run prelimit.
 """
 
 from __future__ import annotations
@@ -132,17 +133,25 @@ class _Gaussian:
         return scales[0] ** len(scales)  # s^k: the product over the slots differs in the last bits
 
     def prepare(self, spec, parts, p_max: int) -> None:
-        """Each partition's step scales and the ties' Gram matrix of degrees up
-        to p_max (expansions.gaussian_gram, cached for draw), once per pass,
-        before any fork: rho is evaluated once per block of steps, and a rho
-        that is negative or not finite between slot_scales' grid points fails
-        here, with ConfigError."""
+        """Each partition's step scales and, for a combo with a tie, the ties'
+        Gram matrix of degrees up to p_max (_gram, cached for draw), once per
+        pass, before any fork: rho is evaluated once per block of steps, and a
+        rho that is negative or not finite between slot_scales' grid points
+        fails here, with ConfigError."""
         try:
             for part in parts:
                 part.step_scales(self.rho)
-            expansions.gaussian_gram(spec.system, self.rho, p_max + 1)
+            self._gram(spec, p_max + 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _gram(self, spec, count: int):
+        """expansions.gaussian_gram of rho for count degrees, or None when the
+        combo has no tie and so never reads it: a rho whose Gram quadrature
+        does not converge (a step) still serves the distinct combos."""
+        if expansions._distinct_nonzero(spec.combo):
+            return None
+        return expansions.gaussian_gram(spec.system, self.rho, count)
 
     def rows(self, spec) -> int:
         return spec.driver.m + 1
@@ -177,7 +186,7 @@ class _Gaussian:
             for inc, (part, _) in zip(incs[1:], tables[1:]):
                 np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
                             out=inc[c, 1:])
-        gram = expansions.gaussian_gram(spec.system, self.rho, len(tables[0][1]))
+        gram = self._gram(spec, len(tables[0][1]))
         variables = [expansions.gaussian_variables(inc[:size], phi, gram)
                      for inc, (_, phi) in zip(incs, tables)]
         views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]

@@ -12,14 +12,20 @@ outermost two integrals swap (Fubini): the last level's weighted table
 takes the transposed primitive on its own p_k + 1 rows, and one matrix
 product with the integrand of level k - 2 gives the tensor.  A dense tensor
 costs O(prod p_l * nodes) work and never leaves the grid nodes.
+
+A tensor is exported as CSV and JSON by tensor_to_files, which converts each
+coefficient to decimal once, block by block, for both files; tensor_from_csv
+and tensor_from_json read them back bitwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "coeff",
     "coeff_tensor",
     "kernel_norm_sq",
+    "tensor_to_files",
     "tensor_to_csv",
     "tensor_from_csv",
     "tensor_to_json",
@@ -44,7 +51,7 @@ __all__ = [
 ]
 
 _FACTOR_NAMES = ("const", "pow", "sqrt_shift", "exp")
-EXPORT_BLOCK = 2**10  # tensor entries that an export turns into Python floats at a time
+EXPORT_BLOCK = 2**10  # tensor entries that an export converts to decimal at a time
 
 
 @dataclass(frozen=True)
@@ -200,18 +207,22 @@ def _tensor_on_grid(kernel: Kernel, system: OrthonormalSystem, box,
     # rows[J, :] holds, on the nodes, the running primitive of index prefix J at the
     # start of a level and that level's integrand after it; the last level enters
     # through the adjoint primitive instead, so the integrand of level k - 2 takes none
-    rows = np.ones((1, x.size))
+    rows = None  # level 0's integrand is its table
     for level, p in enumerate(box[:-1]):
-        entries = rows.shape[0] * (p + 1) * x.size
+        entries = (rows.shape[0] if level else 1) * (p + 1) * x.size
         if entries > MEMORY_BUDGET:
             raise SizeError(f"level {level} of the tensor would hold {entries} node values, "
                             f"over the budget {MEMORY_BUDGET}")
+        table = kernel.factor_values(level, x) * phi[:p + 1]
         if level:
             rows = grid.primitive_node_values(rows.reshape((-1,) + grid.nodes.shape))
-        table = kernel.factor_values(level, x) * phi[:p + 1]
-        rows = (rows.reshape(-1, 1, x.size) * table[None]).reshape(-1, x.size)
-    top = kernel.factor_values(len(box) - 1, x) * phi[:box[-1] + 1] * grid.weights.ravel()
-    if len(box) > 1:
+            table = (rows.reshape(-1, 1, x.size) * table[None]).reshape(-1, x.size)
+        rows = table
+    top = kernel.factor_values(len(box) - 1, x) * phi[:box[-1] + 1]
+    top *= grid.weights.ravel()
+    if len(box) == 1:
+        rows = np.ones((1, x.size))  # the one level's integral: a sum over the nodes
+    else:
         top = grid.adjoint_primitive_node_values(top.reshape((-1,) + grid.nodes.shape))
     return (rows @ top.reshape(-1, x.size).T).reshape(tuple(p + 1 for p in box))
 
@@ -308,24 +319,53 @@ def _system_from_meta(meta: dict) -> OrthonormalSystem:
                              bessel_order=meta.get("bessel_order", 0))
 
 
-def _value_blocks(values: np.ndarray):
-    """values in C order (the order of itertools.product over the index axes),
-    as lists of at most EXPORT_BLOCK Python floats."""
-    flat = values.ravel()
-    return (flat[i:i + EXPORT_BLOCK].tolist() for i in range(0, flat.size, EXPORT_BLOCK))
+def tensor_to_files(tensor: CoeffTensor, csv_path=None, json_path=None) -> None:
+    """Write tensor_to_csv's file at csv_path and tensor_to_json's at json_path
+    (None writes no such file) in one pass over the values.
+
+    Each block of EXPORT_BLOCK values is converted to decimal once, by
+    json.dumps (Python's shortest round-trip repr of each float); that text
+    goes into the JSON and, split on ", ", is the CSV's value column, so both
+    files hold every value as the same characters and no whole-file string
+    is held."""
+    doc = {
+        "kernel": _kernel_meta(tensor.kernel),
+        "system": _system_meta(tensor.system),
+        "weighted": tensor.system.weighted,
+        "box": list(tensor.box),
+        "quadrature": tensor.quad_info,
+        "values": [],
+    }
+    head, tail = json.dumps(doc).rsplit("[]", 1)  # "values" is the last key
+    flat = tensor.values.ravel()  # C order, the order of itertools.product over the indices
+    prefixes = map("".join, itertools.product(*([f"{j}," for j in range(p + 1)]
+                                                 for p in tensor.box)))
+    with contextlib.ExitStack() as stack:
+        csv_fh = csv_path is not None and stack.enter_context(open(csv_path, "w", newline=""))
+        json_fh = json_path is not None and stack.enter_context(open(json_path, "w"))
+        if csv_fh:
+            names = [f"j_{l}" for l in range(1, len(tensor.box) + 1)]
+            csv_fh.write(",".join(names + ["value"]) + "\r\n")
+        if json_fh:
+            json_fh.write(head + "[")
+        for i in range(0, flat.size, EXPORT_BLOCK):
+            text = json.dumps(flat[i:i + EXPORT_BLOCK].tolist())[1:-1]
+            if json_fh:
+                json_fh.write(", " + text if i else text)
+            if csv_fh:
+                values = text.split(", ")
+                rows = map(operator.add, itertools.islice(prefixes, len(values)), values)
+                csv_fh.write("\r\n".join(rows) + "\r\n")
+        if json_fh:
+            json_fh.write("]" + tail)
 
 
 def tensor_to_csv(tensor: CoeffTensor, path) -> None:
-    """CSV with header j_1,...,j_k,value; 17 significant digits, '.' decimal,
-    CRLF line ends (the csv module's default dialect)."""
-    k = len(tensor.box)
-    prefixes = map("".join, itertools.product(*([f"{j}," for j in range(p + 1)]
-                                                 for p in tensor.box)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"j_{l}" for l in range(1, k + 1)] + ["value"]) + "\r\n")
-        for block in _value_blocks(tensor.values):  # one % call formats a whole block
-            rows = itertools.islice(prefixes, len(block))
-            fh.write("".join([f"{idx}%.17g\r\n" for idx in rows]) % tuple(block))
+    """CSV with header j_1,...,j_k,value, one row per entry in C order, each
+    value as the JSON writes it (repr: shortest round trip, NaN and
+    +-Infinity for non-finite values), CRLF line ends (the csv module's
+    default dialect); tensor_to_files with this one file."""
+    tensor_to_files(tensor, csv_path=path)
 
 
 def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -344,23 +384,9 @@ def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
 
 def tensor_to_json(tensor: CoeffTensor, path) -> None:
     """One line, json.dumps(doc) byte for byte, with doc's keys kernel, system,
-    weighted, box, quadrature and values (C order); the values are encoded
-    block by block, so no whole-file string is held."""
-    doc = {
-        "kernel": _kernel_meta(tensor.kernel),
-        "system": _system_meta(tensor.system),
-        "weighted": tensor.system.weighted,
-        "box": list(tensor.box),
-        "quadrature": tensor.quad_info,
-        "values": [],
-    }
-    head, tail = json.dumps(doc).rsplit("[]", 1)  # "values" is the last key
-    with open(path, "w") as fh:
-        fh.write(head)
-        for i, block in enumerate(_value_blocks(tensor.values)):
-            fh.write(", " if i else "[")
-            fh.write(json.dumps(block)[1:-1])
-        fh.write("]" + tail)
+    weighted, box, quadrature and values (C order); tensor_to_files with this
+    one file."""
+    tensor_to_files(tensor, json_path=path)
 
 
 def tensor_from_json(path) -> CoeffTensor:

@@ -120,6 +120,29 @@ def test_coeffs_writes_pattern(tmp_path):
     assert (tmp_path / "coeffs.json").exists()
 
 
+def test_coeffs_converts_each_value_block_once(tmp_path, monkeypatch):
+    # one json.dumps text per block of 4 of the 36 values, read by both files: converting
+    # them once per file would take two calls per block, or another format for the CSV
+    from stochexpand import kernel
+    monkeypatch.setattr(kernel, "EXPORT_BLOCK", 4)
+    texts = []
+
+    def dumps(obj, dumps=json.dumps, **kw):
+        text = dumps(obj, **kw)
+        if isinstance(obj, list):
+            texts.append(text)
+        return text
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    assert run(["coeffs", "--config", coeffs_config(tmp_path)]) == 0
+    assert len(texts) == 9
+    tokens = ", ".join(t[1:-1] for t in texts).split(", ")
+    rows = (tmp_path / "coeffs.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == tokens
+    assert [float(t) for t in tokens] == json.loads(
+        (tmp_path / "coeffs.json").read_text())["values"]
+
+
 def test_coeffs_reads_integer_numbers_as_floats(tmp_path):
     # JSON integers are numbers: the interval and factor params give the same files as floats
     outputs = []

@@ -193,11 +193,16 @@ class TestBasisVariables:
             BasisVariables("gaussian", np.array([[np.nan]]), gram=np.eye(1))
 
     def test_gaussian_variables_carry_their_gram_and_poisson_ones_none(self):
-        for gram in (None, np.eye(2)):  # none, or one that misses degree 2
-            with pytest.raises(ValueError, match="Gram matrix"):
-                BasisVariables("gaussian", np.zeros((2, 3)), gram=gram)
+        with pytest.raises(ValueError, match="Gram matrix"):  # one that misses degree 2
+            BasisVariables("gaussian", np.zeros((2, 3)), gram=np.eye(2))
         with pytest.raises(ValueError, match="Gram matrix"):
             BasisVariables("poisson", np.zeros((2, 3)), combo=(1, 2), gram=np.eye(3))
+        # without one, a Gaussian table serves the combos without a tie only
+        tensor = coeff_tensor(unit_kernel(2, IV), SYS, (2, 2))
+        variables = BasisVariables("gaussian", np.ones((3, 3)))
+        assert expand(tensor, variables, (1, 2)).value == pytest.approx(np.sum(tensor.values))
+        with pytest.raises(ValueError, match="has a tie"):
+            expand(tensor, variables, (1, 1))
 
     def test_a_path_builds_the_gram_of_its_rho(self):
         part = make_partition(IV, 64)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from stochexpand import basis, drivers, expansions, harness, oracle
 from stochexpand.basis import Interval
 from stochexpand.drivers import exponential_measure
-from stochexpand.errors import ConfigError, SizeError, StochexpandError
+from stochexpand.errors import ConfigError, QuadratureError, SizeError, StochexpandError
 from stochexpand.harness import (DriverConfig, ExperimentSpec, moment_suite,
                                  power_mark, report_to_csv, report_to_json,
                                  run_experiment)
@@ -652,12 +652,27 @@ def test_rho_is_evaluated_once_per_pass():
             # construction probes rho once on slot_scales' grid, for every system
             assert calls == [harness.RATIO_GRID + 2]
             run_experiment(spec)
-            # then one call per partition (N and N/2) and, on the first pass only, the grids
-            # of the ties' Gram matrix (expansions.gaussian_gram caches it)
-            assert len(calls) == 3 + (trials == 3) * _gram_grids(system, 4)
+            # then one call per partition (N and N/2); the combo (1, 2) has no tie, so no
+            # Gram matrix is built
+            assert len(calls) == 3
     calls.clear()
     moment_suite(_wiener_spec(driver=driver, trials=1000, n_steps=64), j_max=2)
-    assert len(calls) == 2 + _gram_grids(SYS, 3)
+    assert len(calls) == 2
+    # a tie builds the Gram matrix on the first pass only (expansions.gaussian_gram caches it)
+    for trials in (3, 30):
+        calls.clear()
+        run_experiment(_wiener_spec(driver=driver, trials=trials, combo=(1, 1)))
+        assert len(calls) == 2 + (trials == 3) * _gram_grids(SYS, 4)
+
+
+def test_a_step_rho_serves_the_combos_without_a_tie():
+    # the Gram quadrature does not converge on a jump inside a panel, and only a tie reads it
+    driver = DriverConfig("martingale", m=2, rho=lambda t: np.where(np.asarray(t) < 0.3, 1.0, 2.0))
+    spec = _wiener_spec(driver=driver, boxes=((3, 3),), trials=5)
+    (stats,) = run_experiment(spec).stats
+    assert all(math.isfinite(getattr(stats, f)) for f in ("mean", "variance", "mse"))
+    with pytest.raises(QuadratureError, match="did not converge"):
+        run_experiment(dataclasses.replace(spec, combo=(1, 1)))
 
 
 def _count_calls(monkeypatch, owner, name):

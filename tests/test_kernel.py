@@ -13,7 +13,7 @@ from stochexpand.basis import Interval
 from stochexpand.errors import SizeError
 from stochexpand.kernel import (Factor, Kernel, coeff, coeff_tensor, kernel_norm_sq,
                                 tensor_from_csv, tensor_from_json, tensor_to_csv,
-                                tensor_to_json, unit_kernel)
+                                tensor_to_files, tensor_to_json, unit_kernel)
 
 IV = Interval(0.0, 1.0)
 
@@ -243,6 +243,20 @@ def test_k3_build_peak_is_half_the_forward_recursions():
     assert peak <= 0.5 * 6.6 * 2**20
 
 
+def test_k2_build_copies_no_table():
+    # 1.68 MiB when level 0 was a product with a row of ones and the top table took
+    # two temporaries
+    kern = unit_kernel(2, IV)
+    coeff_tensor(kern, basis.legendre(IV), (63, 63))  # tables and rules cached first
+    tracemalloc.start()
+    try:
+        coeff_tensor(kern, basis.legendre(IV), (63, 63))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.55 * 2**20
+
+
 def test_memory_budget_guard():
     with pytest.raises(SizeError):
         coeff_tensor(unit_kernel(3, IV), basis.legendre(IV), (999, 999, 999))
@@ -305,13 +319,14 @@ def test_csv_json_round_trip(tmp_path):
 
 
 def _csv_oracle(tensor, path) -> None:
-    """The per-entry writer that tensor_to_csv replaced."""
+    """The per-entry writer of tensor_to_csv's format: csv.writer rows, each
+    value as json.dumps writes it."""
     k = len(tensor.box)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"j_{l}" for l in range(1, k + 1)] + ["value"])
         for idx in np.ndindex(*(p + 1 for p in tensor.box)):
-            writer.writerow([*idx, format(tensor.values[idx], ".17g")])
+            writer.writerow([*idx, json.dumps(float(tensor.values[idx]))])
 
 
 def _json_oracle(tensor, path) -> None:
@@ -364,6 +379,43 @@ def test_exports_match_the_per_entry_writers(tmp_path, monkeypatch, name, block)
     assert got == want
     # one compact line: the C encoder's output for the whole document
     assert text == json.dumps(json.loads(oracle))
+
+
+@pytest.mark.parametrize("name", EXPORT_TENSORS)
+def test_csv_value_column_is_the_json_values_text(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(kernel, "EXPORT_BLOCK", 4)
+    tensor = EXPORT_TENSORS[name]()
+    tensor_to_files(tensor, tmp_path / "t.csv", tmp_path / "t.json")
+    rows = (tmp_path / "t.csv").read_bytes().decode().split("\r\n")
+    assert rows[-1] == ""
+    column = [row.rsplit(",", 1)[1] for row in rows[1:-1]]
+    text = (tmp_path / "t.json").read_text()
+    start = text.rindex('"values": [') + len('"values": [')
+    assert column == text[start:text.rindex("]")].split(", ")
+
+
+def test_csv_round_trips_special_values_bitwise(tmp_path):
+    tensor = _special_values_tensor()
+    tensor.values = np.array([[-0.0, 1e-300], [math.inf, -math.inf], [math.nan, 0.1]])
+    tensor_to_csv(tensor, tmp_path / "t.csv")
+    box, values = tensor_from_csv(tmp_path / "t.csv")
+    assert box == tensor.box
+    assert values.tobytes() == tensor.values.tobytes()
+
+
+def test_export_memory_is_a_block_not_the_file(tmp_path):
+    # the two files of these 2^18 values hold about 13 MB of text, and their Python
+    # floats 8 MiB; a block of each is 0.3 MiB (2^18 rather than 2^20: traced, 2^20 takes 15 s)
+    tensor = _special_values_tensor()
+    tensor.box = (511, 511)
+    tensor.values = np.random.default_rng(5).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        tensor_to_files(tensor, tmp_path / "t.csv", tmp_path / "t.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("system, flag", [(basis.legendre(IV), True),
