@@ -405,7 +405,8 @@ def test_csv_round_trips_special_values_bitwise(tmp_path):
 
 def test_export_memory_is_a_block_not_the_file(tmp_path):
     # the two files of these 2^18 values hold about 13 MB of text, and their Python
-    # floats 8 MiB; a block of each is 0.3 MiB (2^18 rather than 2^20: traced, 2^20 takes 15 s)
+    # floats 8 MiB; block by block the writer peaks near 0.3 MiB (2^18 rather than 2^20,
+    # which takes 15 s under tracemalloc)
     tensor = _special_values_tensor()
     tensor.box = (511, 511)
     tensor.values = np.random.default_rng(5).standard_normal((512, 512))
