@@ -121,24 +121,14 @@ def gaussian_gram(system: OrthonormalSystem, rho, count: int) -> np.ndarray:
 
 
 def gaussian_variables(increments: np.ndarray, phi: np.ndarray,
-                       gram: np.ndarray) -> BasisVariables:
+                       gram: np.ndarray | None) -> BasisVariables:
     """Component-keyed table sum_l phi_j(tau_l) Delta D^(i)_l, with the Gram
-    matrix gram of its ties (gaussian_gram).
+    matrix gram of its ties (gaussian_gram), or None for a combo without a tie.
 
     increments has shape (..., m + 1, N) and phi (p_max + 1, N) holds the
-    basis on the partition's left nodes.  Leading (trial) axes are taken to
-    share row 0, the time deltas of one partition: row 0 of every table is
-    that of the first trial's (m + 1)-row product, and rows 1..m are
-    multiplied slice by slice, so a trial's table does not depend on what it
-    is batched with.  They are each trial's own m-row product, which BLAS may
-    round differently from its (m + 1)-row one in the last bits (OpenBLAS
-    does for m = 1)."""
-    if increments.ndim == 2:
-        return BasisVariables("gaussian", increments @ phi.T, gram=gram)
-    table = np.empty((*increments.shape[:-1], len(phi)))
-    table[..., 0, :] = (increments[(0,) * (increments.ndim - 2)] @ phi.T)[0]
-    np.matmul(increments[..., 1:, :], phi.T, out=table[..., 1:, :])
-    return BasisVariables("gaussian", table, gram=gram)
+    basis on the partition's left nodes; leading axes are multiplied slice
+    by slice, so a trial's table does not depend on what it is batched with."""
+    return BasisVariables("gaussian", increments @ phi.T, gram=gram)
 
 
 def wiener_variables(path: GaussianMartingalePath, system: OrthonormalSystem,

@@ -162,10 +162,11 @@ class _Gaussian:
         # per trial and partition: the path's rows and basis variables
         trial = sum(n * rows + rows * (p_max + 1) for n in steps)
         # per worker: two paths' draws and increments (one is freed when the next is bound);
-        # per pass: step variances and their square roots, and the Gram matrix; once: a
+        # per pass: step variances and their square roots, and a tie's Gram matrix; once: a
         # callable rho's (block, ORDER) nodes, weights, values, products and one more
         once = callable(self.rho) * 5 * quadrature.ORDER * min(steps[0], RHO_BLOCK)
-        shared = sum(2 * (n + 1) for n in steps) + (p_max + 1) ** 2
+        shared = (sum(2 * (n + 1) for n in steps)
+                  + (not expansions._distinct_nonzero(spec.combo)) * (p_max + 1) ** 2)
         return trial, steps[0] * 2 * (2 * m + 1), shared, once
 
     def buffers(self, spec, tables, chunk: int) -> list:
