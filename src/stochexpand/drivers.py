@@ -318,11 +318,13 @@ def _unit_draws(partition: Partition, m: int, seed) -> np.ndarray:
     return z
 
 
-def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None) -> np.ndarray:
+def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """(m + 1, n) increments on a partition of n steps from (m, N >= n) unit
     draws: the step lengths, then the first n draws of each component times the
     square roots of the step variances (with density rho; None, the step lengths
-    themselves, for a Wiener path).
+    themselves, for a Wiener path).  They are written into out if given (an
+    (m + 1, n) float64 array) and returned.
 
     A substream fills its normals in sequence, so a sampled path's unit draws
     scaled onto a partition of fewer steps are bitwise the increments that the
@@ -330,23 +332,35 @@ def scale_draws(unit_draws: np.ndarray, partition: Partition, rho=None) -> np.nd
     n = partition.n_steps
     if n > unit_draws.shape[1]:
         raise ValueError(f"cannot scale {unit_draws.shape[1]} draws onto {n} steps")
-    out = np.empty((len(unit_draws) + 1, n))
+    if out is None:
+        out = np.empty((len(unit_draws) + 1, n))
     out[0] = partition.deltas
     np.multiply(unit_draws[:, :n], partition.step_scales(rho), out=out[1:])
     return out
 
 
-def sample_wiener(partition: Partition, m: int, seed) -> GaussianMartingalePath:
+def sample_wiener(partition: Partition, m: int, seed,
+                  out: np.ndarray | None = None) -> GaussianMartingalePath:
     """Wiener path: the Gaussian martingale with rho == 1."""
-    return sample_gaussian_martingale(partition, m, None, seed)
+    return sample_gaussian_martingale(partition, m, None, seed, out)
 
 
-def sample_gaussian_martingale(partition: Partition, m: int, rho, seed) -> GaussianMartingalePath:
+def sample_gaussian_martingale(partition: Partition, m: int, rho, seed,
+                               out: np.ndarray | None = None) -> GaussianMartingalePath:
     """Gaussian martingale with E[(M_s - M_t)^2] = int_t^s rho; rho None is the
-    Wiener path, and a constant rho == 1 gives its increments bitwise."""
+    Wiener path, and a constant rho == 1 gives its increments bitwise.
+
+    out, a writeable (m + 1, N) float64 array, receives the increments, bitwise
+    those of a call without it, and is the path's increments; ValueError, before
+    any draw, for any other out.  The unit draws keep their own array."""
+    shape = (m + 1, partition.n_steps)
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == shape and out.flags.writeable):
+        raise ValueError(f"out must be a writeable float64 array of shape {shape}")
     variances = partition.step_variances(rho)
     z = _unit_draws(partition, m, seed)
-    return GaussianMartingalePath(partition, m, scale_draws(z, partition, rho), variances, rho, z)
+    return GaussianMartingalePath(partition, m, scale_draws(z, partition, rho, out), variances,
+                                  rho, z)
 
 
 def martingale_from_wiener(path: GaussianMartingalePath, rho) -> GaussianMartingalePath:

@@ -11,13 +11,16 @@ partition is prepared once per pass, trials are drawn one by one into a
 workspace that each worker allocates once and reuses for every chunk of
 trials, a chunk as large as fits CHUNK_BYTES by the count of _chunk_trials,
 and each chunk is evaluated by batched operations that treat every trial
-alike.  What a driver kind does differently, from its checks to its draws
-and its moment targets, is its law's (DriverConfig.law: _Gaussian, _Wiener
-or _Poisson); the loop calls the law and tests no kind.  A pass is split
-into contiguous trial ranges, one per worker process: the parent runs the
-first and forks one child with one pipe for each of the others, which sends
-back its pickled rows (see _sharded).  Results do not depend on the chunk
-size or the worker count, bitwise.
+alike.  Each Gaussian increment is written once: the sampler draws a trial
+straight into its workspace rows (its out), and the oracle reads the rows of
+every slot whose kernel factor is exactly 1 where they lie.  What a driver
+kind does differently, from its checks to its draws and its moment targets,
+is its law's (DriverConfig.law: _Gaussian, _Wiener or _Poisson); the loop
+calls the law and tests no kind.  A pass is split into contiguous trial
+ranges, one per worker process: the parent runs the first and forks one
+child with one pipe for each of the others, which sends back its pickled
+rows (see _sharded).  Results do not depend on the chunk size or the worker
+count, bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -99,8 +102,8 @@ class _Gaussian:
                               f"a real number, finite and >= 0, got {rho!r}")
         self.rho = rho
 
-    def sample(self, part, m, seed):
-        return sample_gaussian_martingale(part, m, self.rho, seed)
+    def sample(self, part, m, seed, out):
+        return sample_gaussian_martingale(part, m, self.rho, seed, out=out)
 
     def slot_scales(self, spec) -> tuple[float, ...]:
         """A constant rho on a unit-weight system, or 1 on the weighted one if
@@ -161,29 +164,32 @@ class _Gaussian:
         m, rows = spec.driver.m, self.rows(spec)
         # per trial and partition: the path's rows and basis variables
         trial = sum(n * rows + rows * (p_max + 1) for n in steps)
-        # per worker: two paths' draws and increments (one is freed when the next is bound);
-        # per pass: step variances and their square roots, and a tie's Gram matrix; once: a
-        # callable rho's (block, ORDER) nodes, weights, values, products and one more
+        # per worker: two paths' unit draws (one is freed when the next is bound; a path's
+        # increments are its chunk rows); per pass: step variances and their square roots,
+        # and a tie's Gram matrix; once: a callable rho's (block, ORDER) nodes, weights,
+        # values, products and one more
         once = callable(self.rho) * 5 * quadrature.ORDER * min(steps[0], RHO_BLOCK)
         shared = (sum(2 * (n + 1) for n in steps)
                   + (not expansions._distinct_nonzero(spec.combo)) * (p_max + 1) ** 2)
-        return trial, steps[0] * 2 * (2 * m + 1), shared, once
+        return trial, steps[0] * 2 * m, shared, once
 
     def buffers(self, spec, tables, chunk: int) -> list:
         incs = [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
-        for inc, (part, _) in zip(incs, tables):
-            inc[:, 0] = part.deltas  # the time row, written once per pass
+        # the coarser partitions' time rows, written once per pass; the sampler writes the
+        # finest partition's rows whole
+        for inc, (part, _) in zip(incs[1:], tables[1:]):
+            inc[:, 0] = part.deltas
         return incs
 
     def draw(self, spec, tables, seeds, incs, size: int) -> list:
-        """Each trial's path is drawn once, on the finest partition; its unit
-        draws times each coarser partition's step scales go straight into that
-        partition's rows (bitwise the sampler's increments there, as
-        drivers.scale_draws gives them).  The slot increments are views of the
-        rows of the combo, one per component."""
+        """Each trial's path is drawn once, on the finest partition, by the
+        sampler straight into the trial's rows there (its out), so each
+        increment is written once; its unit draws times each coarser
+        partition's step scales go straight into that partition's rows (bitwise
+        the sampler's increments there, as drivers.scale_draws gives them).  The
+        slot increments are views of the rows of the combo, one per component."""
         for c in range(size):
-            real = self.sample(tables[0][0], spec.driver.m, next(seeds))
-            incs[0][c, 1:] = real.increments[1:]
+            real = self.sample(tables[0][0], spec.driver.m, next(seeds), incs[0][c])
             for inc, (part, _) in zip(incs[1:], tables[1:]):
                 np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
                             out=inc[c, 1:])
@@ -220,8 +226,8 @@ class _Wiener(_Gaussian):
     def __init__(self):
         self.rho = None
 
-    def sample(self, part, m, seed):
-        return sample_wiener(part, m, seed)
+    def sample(self, part, m, seed, out):
+        return sample_wiener(part, m, seed, out=out)
 
 
 class _Poisson:
@@ -459,7 +465,7 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     as fit CHUNK_BYTES.
 
     A chunk holds per trial the law's floats and, once, at n_steps, its k slot
-    rows psi_g * Delta D^(i_g), nested_sum's three rows of scratch and the
+    rows psi_g * Delta D^(i_g), nested_sum's two rows of scratch and the
     bracket's first contraction.
     Each worker also holds the law's share and a seed-word derivation (_trial_seeds).
 
@@ -471,7 +477,7 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
     trial, worker, shared, once = spec.driver.law.floats(spec, steps, p_max)
-    per_trial = 8 * (trial + n_steps * (k + 3) + (p_max + 1) ** (k - 1))
+    per_trial = 8 * (trial + n_steps * (k + 2) + (p_max + 1) ** (k - 1))
     chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
     workers = _worker_count(-(-spec.trials // chunk))
     # nodes, deltas, basis table and kernel factors; forked workers share them with the parent
@@ -599,9 +605,11 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     The chunk's increment buffers, one per partition, are allocated once per
     call (the law's buffers) and reused by every chunk, which the law draws.
     Each trial is seeded with its substreams' derived words (_trial_seeds)
-    and drawn once, through the public sampler, on the finest partition.  The
-    variables have a leading trial axis, and the slot increments are k arrays
-    of shape (trials, N), valid until the next chunk is drawn."""
+    and drawn once, through the public sampler, on the finest partition; a
+    Gaussian sampler writes the trial's increments into its buffer rows there.
+    The variables have a leading trial axis, and the slot increments are k
+    arrays of shape (trials, N), views of the buffers, valid until the next
+    chunk is drawn."""
     law = spec.driver.law
     seeds = _trial_seeds(spec.seed, spec.driver.m, lo, hi)
     chunk = min(chunk, hi - lo)
@@ -617,13 +625,18 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     Returns (samples, diffs at the finest partition, diffs at the next, ...):
     arrays of shape (trials, n_boxes) holding the raw expansion samples at the
     finest resolution and the oracle-minus-expansion differences at each.
-    The oracle's slot rows psi_g * Delta D^(i_g) go into one buffer per shard,
-    one multiply per slot, shared by the partitions.  Under prelimit, a chunk's
-    G_k sums on each partition take one oracle.gk_correction_tensor call, from
-    the partition's base (the Poisson law's gk_base)."""
+    The oracle's levels are the slot rows psi_g * Delta D^(i_g).  A slot whose
+    kernel factor row is exactly 1.0 on a partition's left nodes (worked out
+    once per pass, from the data) hands the oracle its increments where they
+    lie, bitwise the product since x * 1.0 is x; every other slot takes one
+    multiply into a buffer that each shard allocates once, shared by the
+    partitions, next to nested_sum's two rows of scratch.  Under prelimit, a
+    chunk's G_k sums on each partition take one oracle.gk_correction_tensor
+    call, from the partition's base (the Poisson law's gk_base)."""
     k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
+    units = [[bool(np.all(psi[g] == 1.0)) for g in range(k)] for psi in psis]
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
     bases = [spec.driver.law.gk_base(spec, part, phi) if correction == "prelimit" else None
              for part, phi in tables]
@@ -631,10 +644,11 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     def shard(lo, hi):
         samples = np.empty((hi - lo, len(subs)))
         diffs = [np.empty_like(samples) for _ in tables]
-        slot_rows = np.empty(min(chunk, hi - lo) * k * tables[0][0].n_steps)
+        # k slot rows, then nested_sum's two rows of scratch, per trial
+        work = np.empty(min(chunk, hi - lo) * (k + 2) * tables[0][0].n_steps)
         for first, resolutions in _trial_chunks(spec, tables, chunk, lo, hi):
-            for r, ((variables, incs), (_, phi), psi, base) in enumerate(
-                    zip(resolutions, tables, psis, bases)):
+            for r, ((variables, incs), (_, phi), psi, unit, base) in enumerate(
+                    zip(resolutions, tables, psis, units, bases)):
                 size = len(incs[0])
                 rows = slice(first, first + size)
                 gk_sums = None
@@ -646,10 +660,10 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
                                    for sub in subs], axis=1)
                 if r == 0:
                     samples[rows] = values
-                f = slot_rows[:size * psi.size].reshape(size, *psi.shape)
-                for g, inc in enumerate(incs):
-                    np.multiply(psi[g], inc, out=f[:, g])
-                diffs[r][rows] = oracle.nested_sum(f)[:, None] - values
+                f = work[:size * (k + 2) * psi.shape[1]].reshape(k + 2, size, psi.shape[1])
+                levels = [inc if unit[g] else np.multiply(psi[g], inc, out=f[g])
+                          for g, inc in enumerate(incs)]
+                diffs[r][rows] = oracle.nested_sum(levels, f[k:])[:, None] - values
         return (samples, *diffs)
 
     return _sharded(shard, spec.trials, chunk)

@@ -86,24 +86,27 @@ def iterated_sum(kernel: Kernel, realization, combo, partition: Partition | None
         raise ValueError("combo length must equal kernel multiplicity")
     part, incs = slot_increments(realization, combo, partition, mark_factors)
     left = part.left_nodes
-    f = np.stack([kernel.factor_values(l, left) * incs[l] for l in range(k)])
+    f = [kernel.factor_values(l, left) * incs[l] for l in range(k)]
     return OracleResult(float(nested_sum(f)), part.n_steps, combo)
 
 
-def nested_sum(f: np.ndarray) -> np.ndarray:
-    """sum over q_1 < ... < q_k of f[..., 0, q_1] * ... * f[..., k-1, q_k].
+def nested_sum(levels, scratch: np.ndarray | None = None) -> np.ndarray:
+    """sum over q_1 < ... < q_k of levels[0][..., q_1] * ... * levels[k-1][..., q_k].
 
-    f has shape (..., k, N); one running exclusive prefix sum per level
-    along the last axis.  Every leading index is summed by the same
+    levels are k arrays of one shape (..., N), read where they lie; one
+    running exclusive prefix sum per level along the last axis, kept with
+    each level's product in the two rows of scratch, a (2, ..., N) float64
+    array (allocated if None).  Every leading index is summed by the same
     operations, so its value does not depend on what it is batched with."""
-    running = None
-    for l in range(f.shape[-2] - 1):
-        term = f[..., l, :] if running is None else f[..., l, :] * running
-        running = np.empty_like(term)
+    *lower, last = levels
+    if not lower:
+        return np.sum(last, axis=-1)
+    running, top = np.empty((2, *np.shape(last))) if scratch is None else scratch
+    for l, level in enumerate(lower):
+        term = level if l == 0 else np.multiply(level, running, out=top)
         running[..., 0] = 0.0
         np.cumsum(term[..., :-1], axis=-1, out=running[..., 1:])
-    top = f[..., -1, :] if running is None else f[..., -1, :] * running
-    return np.sum(top, axis=-1)
+    return np.sum(np.multiply(last, running, out=top), axis=-1)
 
 
 def iterated_sum_naive(kernel: Kernel, realization, combo, partition: Partition | None = None,

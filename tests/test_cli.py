@@ -680,15 +680,15 @@ def test_converge_draws_numpys_seed_sequence_streams(seed, tmp_path, monkeypatch
 def test_converge_worker_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     sample = harness.sample_wiener
 
-    def sampler(part, m, seed):
+    def sampler(part, m, seed, out=None):
         if seed.spawn_key == (9,):
             raise SizeError("jump budget exceeded on the last trial")
-        return sample(part, m, seed)
+        return sample(part, m, seed, out=out)
 
     monkeypatch.setattr(harness, "sample_wiener", sampler)
-    # chunks of 2 trials (each 8 rows of 64 steps and 8 variables, 8 bytes a float),
+    # chunks of 2 trials (each 7 rows of 64 steps and 8 variables, 8 bytes a float),
     # spread over 3 workers
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 8 * (8 * 64 + 8))
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * 8 * (7 * 64 + 8))
     monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: min(3, n_chunks))
     assert run(["converge", "--config", converge_config(tmp_path)]) == 3
     err = capsys.readouterr().err

@@ -254,6 +254,43 @@ def test_scaled_unit_draws_are_the_samplers_increments_bitwise(rho, n_steps):
                                       sample(part).increments)
 
 
+@pytest.mark.parametrize("rho", [None, 2.0, _one_plus_t], ids=["wiener", "rho_2", "rho_1_plus_t"])
+def test_sampler_writes_its_increments_into_out(rho):
+    part, seed = make_partition(IV, 1025), trial_seed(123, 5)
+
+    def sample(**kw):
+        if rho is None:
+            return sample_wiener(part, 2, seed, **kw)
+        return sample_gaussian_martingale(part, 2, rho, seed, **kw)
+
+    alone = sample()
+    chunk = np.full((4, 3, 1025), np.nan)  # the rows of a chunk of 4 trials
+    out = chunk[1]
+    path = sample(out=out)
+    assert path.increments is out and np.shares_memory(path.increments, chunk)
+    assert path.increments.tobytes() == alone.increments.tobytes()
+    # the unit draws keep their own array, which the coarser partitions read
+    assert path.unit_draws.tobytes() == alone.unit_draws.tobytes()
+    assert not np.shares_memory(path.unit_draws, chunk)
+    assert np.isnan(chunk[[0, 2, 3]]).all()  # the other trials' rows are untouched
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((2, 8)), np.empty((3, 9)), np.empty((3, 8), dtype=np.float32),
+    np.empty((3, 8), dtype=np.int64), np.zeros((3, 8)).tolist(),
+    np.broadcast_to(np.zeros(8), (3, 8)),  # read-only
+], ids=["rows", "steps", "float32", "int64", "list", "read_only"])
+def test_sampler_refuses_a_bad_out_before_any_draw(out, monkeypatch):
+    calls = []
+    monkeypatch.setattr(drivers, "component_rng", lambda *args: calls.append(args))
+    part = make_partition(IV, 8)
+    with pytest.raises(ValueError, match="out must be a writeable float64 array of shape"):
+        sample_wiener(part, 2, 0, out=out)
+    with pytest.raises(ValueError, match=r"shape \(3, 8\)"):
+        sample_gaussian_martingale(part, 2, _one_plus_t, 0, out=out)
+    assert not calls
+
+
 def test_unit_draws_are_kept_out_of_comparison_and_repr():
     path = sample_wiener(make_partition(IV, 8), 1, 3)
     assert "unit_draws" not in repr(path)

@@ -1,7 +1,9 @@
 """Fixed-seed outputs of the trial loop against committed values.
 
 Every LOOP_SPECS experiment and both MOMENT_DRIVERS suites of test_harness run
-at their fixed seeds, and what they report is compared with fixed_seed.json:
+at their fixed seeds, and so does each Monte Carlo workload of the benchmark
+(perfbench's mc_spec, PERFBENCH_TRIALS trials on its N = 4096 steps), and
+what they report is compared with fixed_seed.json:
 each resolved correction and truncation box exactly, each BoxStats float and
 each moment test's observed value, expected value and z to 1e-12 relative
 (absolute below 1e-12; NaN matches NaN), each moment test's name exactly.
@@ -21,13 +23,23 @@ import pytest
 
 from stochexpand.harness import moment_suite, run_experiment
 from test_harness import LOOP_SPECS, MOMENT_DRIVERS, _wiener_spec
+from test_perfbench_names import SAMPLER_SPANS as PERFBENCH_MC, _load
 
 VALUES = Path(__file__).with_name("fixed_seed.json")
 BOX_FLOATS = ("mean", "variance", "mse", "mse_halfwidth_99", "residual", "allowance")
+PERFBENCH_SEED, PERFBENCH_TRIALS = 11, 16
 
 
 def _experiment(name) -> dict:
-    report = run_experiment(_wiener_spec(**LOOP_SPECS[name]))
+    return _report_values(run_experiment(_wiener_spec(**LOOP_SPECS[name])))
+
+
+def _perfbench(name) -> dict:
+    return _report_values(run_experiment(_load("workloads").mc_spec(name, PERFBENCH_SEED,
+                                                                     PERFBENCH_TRIALS)))
+
+
+def _report_values(report) -> dict:
     return {"correction": report.correction,
             "boxes": [list(s.box) for s in report.stats],
             "stats": [[getattr(s, f) for f in BOX_FLOATS] for s in report.stats]}
@@ -40,7 +52,8 @@ def _moments(name) -> list:
 
 def _outputs() -> dict:
     return {"experiments": {name: _experiment(name) for name in LOOP_SPECS},
-            "moment_suites": {name: _moments(name) for name in MOMENT_DRIVERS}}
+            "moment_suites": {name: _moments(name) for name in MOMENT_DRIVERS},
+            "perfbench": {name: _perfbench(name) for name in PERFBENCH_MC}}
 
 
 def _dump(value, indent="") -> str:
@@ -70,6 +83,13 @@ def test_experiment_matches_its_committed_values(name):
     _assert_close(got["stats"], want["stats"])
 
 
+@pytest.mark.parametrize("name", PERFBENCH_MC)
+def test_benchmark_workload_matches_its_committed_values(name):
+    got, want = _perfbench(name), _committed("perfbench", name)
+    assert (got["correction"], got["boxes"]) == (want["correction"], want["boxes"])
+    _assert_close(got["stats"], want["stats"])
+
+
 @pytest.mark.parametrize("name", MOMENT_DRIVERS)
 def test_moment_suite_matches_its_committed_values(name):
     got, want = _moments(name), _committed("moment_suites", name)
@@ -79,8 +99,8 @@ def test_moment_suite_matches_its_committed_values(name):
 
 def test_committed_values_cover_every_case():
     doc = json.loads(VALUES.read_text())
-    assert (set(doc["experiments"]), set(doc["moment_suites"])) == (set(LOOP_SPECS),
-                                                                     set(MOMENT_DRIVERS))
+    assert (set(doc["experiments"]), set(doc["moment_suites"]), set(doc["perfbench"])) == (
+        set(LOOP_SPECS), set(MOMENT_DRIVERS), set(PERFBENCH_MC))
 
 
 if __name__ == "__main__":

@@ -577,9 +577,10 @@ def test_moment_suite_does_not_depend_on_chunk_size(driver, monkeypatch):
         assert max(shards) == workers
 
 
-def _replay(spec, correction):
-    """Per-box mean, variance, mse and allowance recomputed trial by trial through
-    the public API: sampler -> *_variables -> oracle.iterated_sum -> expand."""
+def _replay_passes(spec, correction):
+    """(diffs, samples), (trials, boxes) each, at N and, under Richardson, at N // 2,
+    recomputed trial by trial through the public API: sampler -> *_variables ->
+    oracle.iterated_sum -> expand."""
     drv, k = spec.driver, spec.kernel.multiplicity
     p_max = max(max(b) for b in spec.boxes)
     full = coeff_tensor(spec.kernel, spec.system, (p_max,) * k)
@@ -612,11 +613,16 @@ def _replay(spec, correction):
                 diffs[t, b] = truth - samples[t, b]
         return diffs, samples
 
-    diffs, samples = one_pass(spec.n_steps)
+    return [one_pass(n) for n in (spec.n_steps, spec.n_steps // 2)[:1 + spec.richardson]]
+
+
+def _replay(spec, correction):
+    """Per-box mean, variance, mse and allowance of _replay_passes."""
+    (diffs, samples), *half = _replay_passes(spec, correction)
     mse = np.mean(diffs**2, axis=0)
-    allowance = np.zeros(len(subs))
-    if spec.richardson:
-        allowance = np.abs(np.mean(one_pass(spec.n_steps // 2)[0] ** 2, axis=0) - mse)
+    allowance = np.zeros(len(spec.boxes))
+    if half:
+        allowance = np.abs(np.mean(half[0][0] ** 2, axis=0) - mse)
     return np.array([np.mean(samples, axis=0), np.var(samples, axis=0, ddof=1), mse,
                      allowance]).T
 
@@ -628,6 +634,62 @@ def test_stats_match_a_per_trial_public_api_replay(name):
     report = run_experiment(spec)
     got = _stats(report)[:, [0, 1, 2, 5]]
     assert got == pytest.approx(_replay(spec, report.correction), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("factors, multiplied", [
+    ((Factor("const"), Factor("const")), [False, False]),
+    ((Factor("exp", 0.7), Factor("const")), [True, False]),
+], ids=["unit", "exp_const"])
+def test_unit_factor_slots_reach_the_oracle_in_place_bitwise(factors, multiplied, monkeypatch):
+    spec = _wiener_spec(kernel=Kernel(factors, IV), boxes=((1, 1), (3, 3), (7, 7)), trials=23,
+                        richardson=True)
+    nested, levels_in_work = oracle.nested_sum, []
+
+    def spy(levels, scratch=None):
+        # a level that the loop multiplied lies in its shard's buffer, next to the scratch
+        levels_in_work.append([np.shares_memory(level, scratch.base) for level in levels])
+        return nested(levels, scratch)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "nested_sum", spy)
+        mp.setattr(harness, "_chunk_trials", lambda *args: 7)
+        _force_workers(mp, 1)
+        report = run_experiment(spec)
+    # one call per chunk and partition, and only a factor other than 1 takes the multiply
+    assert levels_in_work == [multiplied] * 2 * 4
+    # the stats are bitwise those of a per-trial replay, summed as run_experiment sums them
+    (diffs, samples), (half, _) = _replay_passes(spec, report.correction)
+    for b, stats in enumerate(report.stats):
+        d2 = diffs[:, b] ** 2
+        mse = np.mean(d2)
+        assert (stats.mean, stats.variance, stats.mse, stats.mse_halfwidth_99, stats.allowance) \
+            == (float(np.mean(samples[:, b])), float(np.var(samples[:, b], ddof=1)), float(mse),
+                harness.Z99 * float(np.std(d2, ddof=1) / math.sqrt(spec.trials)),
+                float(np.abs(np.mean(half[:, b] ** 2) - mse)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["wiener", "martingale_tie", "martingale"])  # rho 1, 2, 1 + t
+def test_the_loop_draws_each_path_into_its_chunk_rows(name, workers, monkeypatch):
+    spec = _wiener_spec(**LOOP_SPECS[name])
+    default = _stats(run_experiment(spec))
+    sampler = "sample_wiener" if name == "wiener" else "sample_gaussian_martingale"
+    public = getattr(harness, sampler)
+
+    def checked(*args, out=None):
+        path = public(*args, out=out)
+        # the path's increments are the trial's rows of the chunk buffer (5 trials of m + 1
+        # rows), bitwise what a draw without out gives
+        assert path.increments is out and out.base.shape == (5, 3, spec.n_steps)
+        assert path.increments.tobytes() == public(*args).increments.tobytes()
+        return path
+
+    monkeypatch.setattr(harness, sampler, checked)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    shards = _force_workers(monkeypatch, workers)
+    draws = _count_calls(monkeypatch, harness, sampler)
+    np.testing.assert_array_equal(_stats(run_experiment(spec)), default)
+    assert draws.value == spec.trials and max(shards) == workers
 
 
 def _gram_grids(system, count) -> int:
@@ -753,7 +815,8 @@ POISSON_DRIVER = dict(kind="poisson", m=2, intensity=exponential_measure(5.0))
 def test_library_callers_are_rejected_before_any_draw(driver, overrides, message, monkeypatch):
     calls = []
     for sampler in ("sample_wiener", "sample_gaussian_martingale", "sample_poisson"):
-        monkeypatch.setattr(harness, sampler, lambda *args, name=sampler: calls.append(name))
+        monkeypatch.setattr(harness, sampler,
+                            lambda *args, name=sampler, **kwargs: calls.append(name))
     with pytest.raises(ConfigError, match=message):
         run_experiment(_wiener_spec(driver=DriverConfig(**driver), **overrides))
     assert not calls
@@ -795,10 +858,10 @@ def _fail_on_last_trial(monkeypatch, trials, failure):
     """Make sample_wiener call failure() on the last trial."""
     sample = harness.sample_wiener
 
-    def sampler(part, m, seed):
+    def sampler(part, m, seed, out=None):
         if seed.spawn_key == (trials - 1,):
             failure()
-        return sample(part, m, seed)
+        return sample(part, m, seed, out=out)
 
     monkeypatch.setattr(harness, "sample_wiener", sampler)
 
@@ -877,7 +940,7 @@ def test_no_worker_outlives_its_pass(monkeypatch):
             run_experiment(spec)
     _assert_no_child_left()
 
-    def parent_fails(part, m, seed):  # the parent's first trial, while both children run
+    def parent_fails(part, m, seed, out=None):  # the parent's first trial, while both children run
         if os.getpid() == parent:
             raise ConfigError("the first trial")
         time.sleep(60)
@@ -917,14 +980,14 @@ def test_unpicklable_worker_error_keeps_its_type_and_message(error, sent, monkey
 
 
 def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
-    # tables ~0.46 MB, one worker's chunk of 11 trials and its scratch ~3.2 MB: one
+    # tables ~0.46 MB, one worker's chunk of 13 trials and its scratch ~3.1 MB: one
     # worker fits 4 MiB, two do not
     spec = _wiener_spec(n_steps=4096, trials=60, boxes=((7, 7),))
     monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**22)
     _force_workers(monkeypatch, 1)
-    assert harness._chunk_trials(spec, spec.n_steps, 7, 4) == 11
+    assert harness._chunk_trials(spec, spec.n_steps, 7, 4) == 13
     draws = []
-    monkeypatch.setattr(harness, "sample_wiener", lambda *args: draws.append(args))
+    monkeypatch.setattr(harness, "sample_wiener", lambda *args, **kwargs: draws.append(args))
     for workers in (2, 3):
         _force_workers(monkeypatch, workers)
         with pytest.raises(SizeError):
@@ -1011,7 +1074,7 @@ def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
                                            (SYS, True)], ids=["walsh_1024", "2.5", "-1", "True"])
 def test_moment_suite_checks_j_max_before_any_work(system, j_max, monkeypatch):
     draws = []
-    monkeypatch.setattr(harness, "sample_wiener", lambda *args: draws.append(args))
+    monkeypatch.setattr(harness, "sample_wiener", lambda *args, **kwargs: draws.append(args))
     with pytest.raises(ConfigError, match="j_max|Walsh"):
         moment_suite(_wiener_spec(system=system, trials=1000), j_max=j_max)
     assert not draws

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ def test_prefix_matches_naive(combo):
     fast = oracle.iterated_sum(kern, path, combo).value
     slow = oracle.iterated_sum_naive(kern, path, combo)
     assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_nested_sum_reads_its_levels_in_place_and_keeps_to_its_scratch(k):
+    rng = np.random.default_rng(k)
+    rows = rng.standard_normal((5, k + 1, 16))  # a chunk of 5 trials: k levels and a spare row
+    levels = [rows[:, l] for l in range(k)]  # strided views, as a chunk's increment rows are
+    before = rows.copy()
+    scratch = np.full((2, 5, 16), np.nan)
+    batched = oracle.nested_sum(levels, scratch)
+    np.testing.assert_array_equal(rows, before)  # the levels are only read
+    # each trial bitwise what it gives alone, with or without a scratch
+    for t in range(5):
+        alone = oracle.nested_sum([level[t] for level in levels])
+        assert batched[t].tobytes() == alone.tobytes()
+        slow = sum(math.prod(levels[l][t, q] for l, q in enumerate(qs))
+                   for qs in itertools.combinations(range(16), k))
+        assert alone == pytest.approx(slow, rel=1e-12, abs=1e-12)
+    np.testing.assert_array_equal(oracle.nested_sum(levels), batched)
 
 
 def test_prefix_matches_naive_poisson():
