@@ -464,9 +464,10 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     counts `coarse` on the same draws, with basis orders up to p_max: as many
     as fit CHUNK_BYTES.
 
-    A chunk holds per trial the law's floats and, once, at n_steps, its k slot
-    rows psi_g * Delta D^(i_g), nested_sum's two rows of scratch and the
-    bracket's first contraction.
+    A chunk holds per trial the law's floats and, once, at n_steps, its slot
+    rows psi_g * Delta D^(i_g) (k at most; _mc_pass allocates none for a
+    factor that is 1), nested_sum's two rows of scratch and the bracket's
+    first contraction.
     Each worker also holds the law's share and a seed-word derivation (_trial_seeds).
 
     Raises SizeError, before anything is allocated, when the partitions,
@@ -629,14 +630,15 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     kernel factor row is exactly 1.0 on a partition's left nodes (worked out
     once per pass, from the data) hands the oracle its increments where they
     lie, bitwise the product since x * 1.0 is x; every other slot takes one
-    multiply into a buffer that each shard allocates once, shared by the
-    partitions, next to nested_sum's two rows of scratch.  Under prelimit, a
+    multiply into a row of a buffer that each shard allocates once, shared by
+    the partitions, next to nested_sum's two rows of scratch.  Under prelimit, a
     chunk's G_k sums on each partition take one oracle.gk_correction_tensor
     call, from the partition's base (the Poisson law's gk_base)."""
     k, correction = spec.kernel.multiplicity, spec.correction
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
     units = [[bool(np.all(psi[g] == 1.0)) for g in range(k)] for psi in psis]
+    products = max(unit.count(False) for unit in units)  # slot rows that take a multiply
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
     bases = [spec.driver.law.gk_base(spec, part, phi) if correction == "prelimit" else None
              for part, phi in tables]
@@ -644,8 +646,8 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
     def shard(lo, hi):
         samples = np.empty((hi - lo, len(subs)))
         diffs = [np.empty_like(samples) for _ in tables]
-        # k slot rows, then nested_sum's two rows of scratch, per trial
-        work = np.empty(min(chunk, hi - lo) * (k + 2) * tables[0][0].n_steps)
+        # the slot rows that take a multiply, then nested_sum's two rows of scratch, per trial
+        work = np.empty(min(chunk, hi - lo) * (products + 2) * tables[0][0].n_steps)
         for first, resolutions in _trial_chunks(spec, tables, chunk, lo, hi):
             for r, ((variables, incs), (_, phi), psi, unit, base) in enumerate(
                     zip(resolutions, tables, psis, units, bases)):
@@ -660,10 +662,11 @@ def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
                                    for sub in subs], axis=1)
                 if r == 0:
                     samples[rows] = values
-                f = work[:size * (k + 2) * psi.shape[1]].reshape(k + 2, size, psi.shape[1])
-                levels = [inc if unit[g] else np.multiply(psi[g], inc, out=f[g])
+                f = work[:size * (products + 2) * psi.shape[1]].reshape(-1, size, psi.shape[1])
+                free = iter(f)
+                levels = [inc if unit[g] else np.multiply(psi[g], inc, out=next(free))
                           for g, inc in enumerate(incs)]
-                diffs[r][rows] = oracle.nested_sum(levels, f[k:])[:, None] - values
+                diffs[r][rows] = oracle.nested_sum(levels, f[-2:])[:, None] - values
         return (samples, *diffs)
 
     return _sharded(shard, spec.trials, chunk)

@@ -646,7 +646,9 @@ def test_unit_factor_slots_reach_the_oracle_in_place_bitwise(factors, multiplied
     nested, levels_in_work = oracle.nested_sum, []
 
     def spy(levels, scratch=None):
-        # a level that the loop multiplied lies in its shard's buffer, next to the scratch
+        # a level that the loop multiplied lies in its shard's buffer, next to the scratch;
+        # the buffer holds, per trial of a chunk, a row for each such slot and the scratch
+        assert scratch.base.size == 7 * (sum(multiplied) + 2) * spec.n_steps
         levels_in_work.append([np.shares_memory(level, scratch.base) for level in levels])
         return nested(levels, scratch)
 
