@@ -16,8 +16,7 @@ from .drivers import (GaussianMartingalePath, IntensityMeasure, Partition,
                       trial_seed)
 from .errors import ConfigError, QuadratureError, SizeError, StochexpandError
 from .expansions import (BasisVariables, ExpansionSample, expand, martingale_variables,
-                         pi_from_realization, poisson_variables, wiener_variables,
-                         zeta_from_path)
+                         poisson_variables, wiener_variables)
 from .harness import (DriverConfig, ExperimentSpec, MCReport, moment_suite,
                       power_mark, run_experiment)
 from .kernel import (CoeffTensor, Factor, Kernel, coeff, coeff_tensor,
@@ -35,7 +34,7 @@ __all__ = [
     "sample_gaussian_martingale", "sample_poisson", "sample_wiener", "trial_seed",
     "ConfigError", "QuadratureError", "SizeError", "StochexpandError",
     "BasisVariables", "ExpansionSample", "expand", "martingale_variables",
-    "pi_from_realization", "poisson_variables", "wiener_variables", "zeta_from_path",
+    "poisson_variables", "wiener_variables",
     "DriverConfig", "ExperimentSpec", "MCReport", "moment_suite", "power_mark",
     "run_experiment",
     "CoeffTensor", "Factor", "Kernel", "coeff", "coeff_tensor", "kernel_norm_sq",

@@ -15,7 +15,6 @@ hands each trial its precomputed words in a TrialSeed.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,8 +44,6 @@ __all__ = [
     "seed_words",
     "TrialSeed",
     "trial_seed",
-    "realization_to_json",
-    "realization_from_json",
 ]
 
 JUMP_BUDGET = 10**6
@@ -554,47 +551,3 @@ def compensated_integral(realization: PoissonRealization, i: int, h, phi,
     jump_sum = float(np.sum(h(times) * phi(marks))) if len(times) else 0.0
     return jump_sum - compensator * m1
 
-
-# ----------------------------------------------------------------------------
-# JSON dump/load for replay and cross-implementation comparison
-
-def realization_to_json(obj, path) -> None:
-    """A Gaussian path with its variances and its density rho (a number or None;
-    TypeError, before the file is opened, for a callable rho), or a Poisson
-    realization with its jumps."""
-    if isinstance(obj, GaussianMartingalePath):
-        if callable(obj.rho):
-            raise TypeError(f"cannot serialize the variance density rho={obj.rho!r}: "
-                            f"only a number or None can be written")
-        doc = {"kind": "martingale", "nodes": obj.partition.nodes.tolist(), "m": obj.m,
-               "increments": obj.increments.tolist(), "variances": obj.variances.tolist(),
-               "rho": None if obj.rho is None else float(obj.rho)}
-    elif isinstance(obj, PoissonRealization):
-        doc = {"kind": "poisson",
-               "interval": [obj.interval.start, obj.interval.end],
-               "m": obj.m,
-               "total_mass": obj.intensity.total_mass,
-               "times": [t.tolist() for t in obj.times],
-               "marks": [y.tolist() for y in obj.marks]}
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def realization_from_json(path, intensity: IntensityMeasure | None = None):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc["kind"] in ("wiener", "martingale"):  # "wiener" files carry no variances
-        nodes = np.asarray(doc["nodes"])
-        part = Partition(Interval(nodes[0], nodes[-1]), nodes)
-        variances = doc.get("variances")
-        return GaussianMartingalePath(part, doc["m"], np.asarray(doc["increments"]),
-                                      part.deltas if variances is None else np.asarray(variances),
-                                      doc.get("rho"))
-    if intensity is None:
-        intensity = exponential_measure(doc["total_mass"])
-    return PoissonRealization(Interval(*doc["interval"]), doc["m"],
-                              tuple(np.asarray(t) for t in doc["times"]),
-                              tuple(np.asarray(y) for y in doc["marks"]),
-                              intensity)

@@ -32,14 +32,12 @@ import numpy as np
 
 from . import oracle, quadrature
 from .basis import OrthonormalSystem, gram_matrix
-from .drivers import (GaussianMartingalePath, Partition, PoissonRealization, _as_callable,
-                      _batch_jumps, _checked_density, _poisson_batch, compensated_integral)
+from .drivers import (GaussianMartingalePath, Partition, _as_callable, _batch_jumps,
+                      _checked_density, _poisson_batch)
 from .kernel import CoeffTensor
 
 __all__ = [
     "BasisVariables",
-    "zeta_from_path",
-    "pi_from_realization",
     "gaussian_gram",
     "gaussian_variables",
     "wiener_variables",
@@ -91,13 +89,6 @@ class BasisVariables:
 
     def slot_vector(self, slot: int, component: int, p: int) -> np.ndarray:
         return self.table[..., slot if self.by_slot else component, : p + 1]
-
-
-def zeta_from_path(path: GaussianMartingalePath, system: OrthonormalSystem,
-                   j: int, i: int) -> float:
-    """Left-point discretization of int phi_j dM^(i), xi_j^(i) (zeta_j^(i) of
-    int phi_j dw^(i) on a Wiener path); i = 0 integrates against dt."""
-    return float(np.dot(system.eval(j, path.partition.left_nodes), path.increment(i)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,16 +149,6 @@ def _compensator_row(system: OrthonormalSystem, p_max: int, intensity, mark_fact
     row = time_ints * m1
     row.flags.writeable = False
     return row
-
-
-def pi_from_realization(realization: PoissonRealization, system: OrthonormalSystem,
-                        j: int, mark_factor, i: int) -> float:
-    """pi_j for one slot: the compensated integral of phi_j (exact jump sum
-    minus the compensator).
-
-    For i = 0 the measure is Pi(dy) dt and the value is deterministic."""
-    return compensated_integral(realization, i, lambda x: system.eval(j, x), mark_factor,
-                                system.breakpoints(j))
 
 
 def poisson_variables(realizations, system: OrthonormalSystem, mark_factors, combo,

@@ -9,18 +9,19 @@ basis random variables against their analytic means and covariances.
 Both run one chunked trial loop: everything that depends only on the
 partition is prepared once per pass, trials are drawn one by one into a
 workspace that each worker allocates once and reuses for every chunk of
-trials, a chunk as large as fits CHUNK_BYTES by the count of _chunk_trials,
-and each chunk is evaluated by batched operations that treat every trial
-alike.  Each Gaussian increment is written once: the sampler draws a trial
-straight into its workspace rows (its out), and the oracle reads the rows of
-every slot whose kernel factor is exactly 1 where they lie.  What a driver
-kind does differently, from its checks to its draws and its moment targets,
-is its law's (DriverConfig.law: _Gaussian, _Wiener or _Poisson); the loop
-calls the law and tests no kind.  A pass is split into contiguous trial
-ranges, one per worker process: the parent runs the first and forks one
-child with one pipe for each of the others, which sends back its pickled
-rows (see _sharded).  Results do not depend on the chunk size or the worker
-count, bitwise.
+trials, a chunk as large as fits CHUNK_BYTES by the plan that names every
+array the pass holds (the law's, from which the workspace is allocated, and
+the loop's own; _chunk_trials sums it), and each chunk is evaluated by
+batched operations that treat every trial alike.  Each Gaussian increment is
+written once: the sampler draws a trial straight into its workspace rows
+(its out), and the oracle reads the rows of every slot whose kernel factor
+is exactly 1 where they lie.  What a driver kind does differently, from its
+checks to its draws and its moment targets, is its law's (DriverConfig.law:
+_Gaussian, _Wiener or _Poisson); the loop calls the law and tests no kind.
+A pass is split into contiguous trial ranges, one per worker process: the
+parent runs the first and forks one child with one pipe for each of the
+others, which sends back its pickled rows (see _sharded).  Results do not
+depend on the chunk size or the worker count, bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -156,48 +157,44 @@ class _Gaussian:
             return None
         return expansions.gaussian_gram(spec.system, self.rho, count)
 
-    def rows(self, spec) -> int:
-        return spec.driver.m + 1
+    def plan(self, spec, steps, p_max: int) -> dict:
+        """Every array the law holds in a pass over steps with basis orders up to
+        p_max: {name: (scope, shapes)}, in floats, held per trial of a chunk, per
+        worker, per pass or once before the chunks (_chunk_trials sums it)."""
+        m, tie = spec.driver.m, not expansions._distinct_nonzero(spec.combo)
+        return {"increment rows": ("trial", [(m + 1, n) for n in steps]),
+                "basis variables": ("trial", [(m + 1, p_max + 1)] * len(steps)),
+                "unit draws of a path and the next": ("worker", [(2, m, steps[0])]),
+                "step variances and scales": ("pass", [(2, n + 1) for n in steps]),
+                "Gram matrix of the ties": ("pass", [(p_max + 1, p_max + 1)] * tie),
+                "nodes, weights, values, products and one more of a callable rho's block":
+                    ("once", [(5, quadrature.ORDER, min(steps[0], RHO_BLOCK))]
+                     * callable(self.rho))}
 
-    def floats(self, spec, steps, p_max: int) -> tuple[int, int, int, int]:
-        """Floats held (per trial, per worker, per pass, once before the chunks)."""
-        m, rows = spec.driver.m, self.rows(spec)
-        # per trial and partition: the path's rows and basis variables
-        trial = sum(n * rows + rows * (p_max + 1) for n in steps)
-        # per worker: two paths' unit draws (one is freed when the next is bound; a path's
-        # increments are its chunk rows); per pass: step variances and their square roots,
-        # and a tie's Gram matrix; once: a callable rho's (block, ORDER) nodes, weights,
-        # values, products and one more
-        once = callable(self.rho) * 5 * quadrature.ORDER * min(steps[0], RHO_BLOCK)
-        shared = (sum(2 * (n + 1) for n in steps)
-                  + (not expansions._distinct_nonzero(spec.combo)) * (p_max + 1) ** 2)
-        return trial, steps[0] * 2 * m, shared, once
-
-    def buffers(self, spec, tables, chunk: int) -> list:
-        incs = [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
-        # the coarser partitions' time rows, written once per pass; the sampler writes the
-        # finest partition's rows whole
+    def draw(self, spec, tables, seeds, incs, sizes):
+        """Yield, for each chunk of sizes, [(basis variables, slot increments)]
+        on each partition.  The coarser partitions' time rows are written once,
+        before the first chunk.  Each trial's path is drawn once, on the finest
+        partition, by the sampler straight into the trial's rows there (its
+        out), so each increment is written once; its unit draws times each
+        coarser partition's step scales go straight into that partition's rows
+        (bitwise the sampler's increments there, as drivers.scale_draws gives
+        them).  The slot increments are views of the rows of the combo, one per
+        component."""
         for inc, (part, _) in zip(incs[1:], tables[1:]):
             inc[:, 0] = part.deltas
-        return incs
-
-    def draw(self, spec, tables, seeds, incs, size: int) -> list:
-        """Each trial's path is drawn once, on the finest partition, by the
-        sampler straight into the trial's rows there (its out), so each
-        increment is written once; its unit draws times each coarser
-        partition's step scales go straight into that partition's rows (bitwise
-        the sampler's increments there, as drivers.scale_draws gives them).  The
-        slot increments are views of the rows of the combo, one per component."""
-        for c in range(size):
-            real = self.sample(tables[0][0], spec.driver.m, next(seeds), incs[0][c])
-            for inc, (part, _) in zip(incs[1:], tables[1:]):
-                np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
-                            out=inc[c, 1:])
         gram = self._gram(spec, len(tables[0][1]))
-        variables = [expansions.gaussian_variables(inc[:size], phi, gram)
-                     for inc, (_, phi) in zip(incs, tables)]
-        views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]
-        return [(v, [rows[i] for i in spec.combo]) for v, rows in zip(variables, views)]
+        for size in sizes:
+            for c in range(size):
+                real = self.sample(tables[0][0], spec.driver.m, next(seeds), incs[0][c])
+                for inc, (part, _) in zip(incs[1:], tables[1:]):
+                    np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
+                                out=inc[c, 1:])
+            del real  # the last path: a chunk holds no unit draws while it is evaluated
+            variables = [expansions.gaussian_variables(inc[:size], phi, gram)
+                         for inc, (_, phi) in zip(incs, tables)]
+            views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]
+            yield [(v, [rows[i] for i in spec.combo]) for v, rows in zip(variables, views)]
 
     def moment_tests(self, spec, values, part, phi) -> list:
         values, tests, j_max = values[:, 1:], [], values.shape[2] - 1
@@ -265,52 +262,49 @@ class _Poisson:
     def prepare(self, spec, parts, p_max: int) -> None:
         pass  # a realization does not depend on the partition
 
-    def rows(self, spec) -> int:
-        return spec.kernel.multiplicity
-
-    def floats(self, spec, steps, p_max: int) -> tuple[int, int, int, int]:
-        """Floats held (per trial, per worker, per pass, once before the chunks)."""
+    def plan(self, spec, steps, p_max: int) -> dict:
+        """What the law holds in a pass, as _Gaussian.plan gives it."""
         k, m = spec.kernel.multiplicity, max(1, *spec.combo)  # m: the components a trial draws
-        prelimit = spec.correction == "prelimit"
         box, mass = (p_max + 1) ** k, self.intensity.total_mass * spec.kernel.interval.length
-        # per trial and partition: the slot rows; per trial: the basis variables and, per
-        # expected jump on a component, its time and mark on each drawn component, two basis tables
-        # (one built while the last is freed) and 8 floats of scratch (eval_table, the chunk's
-        # times and marks, mark values, indices)
-        trial = (sum(n * k for n in steps) + k * (p_max + 1)
-                 + math.ceil(mass * (2 * m + 2 * (p_max + 1) + 8)))
-        if prelimit:
-            # per partition: G_k block sums, Moebius result, two temporaries, expand's product;
-            # the G_k sum's steps off the base, up to the expected jumps on the combo's
-            # components, each with a block's terms, their scattered add's indices and its
-            # trial and step; and one byte per step for each slot's mask and theirs
-            expected = math.ceil(mass * len(set(spec.combo) - {0}))
-            trial += (len(steps) * ((p_max + 2) ** k + 4 * box)
-                      + min(steps[0], expected) * (2 * box + 2) + -(-(k + 1) * steps[0] // 8))
-        # per worker: a compensator row; per pass: each partition's G_k base (slot rows and
-        # block sums); once, before any chunk: the base's dense temporaries (per step, its slot
-        # tables and, for k >= 3, its largest block product) and the row that build it
-        bases = prelimit * sum(n * k + (p_max + 2) ** k for n in steps)
-        dense = k * (p_max + 1) + (k >= 3) * (p_max + 1) ** (k - 1)
-        return trial, steps[0], bases, prelimit * steps[0] * (dense + 1)
+        gk = spec.correction == "prelimit"  # the G_k entries
+        sums = [((p_max + 2) ** k,)] * len(steps) * gk
+        off_base = min(steps[0], math.ceil(mass * len(set(spec.combo) - {0})))
+        return {"increment rows": ("trial", [(k, n) for n in steps]),
+                "basis variables": ("trial", [(k, p_max + 1)]),
+                "per expected jump: its time and mark on each drawn component, two basis "
+                "tables and eval_table's, the chunk's times and marks, mark values and indices":
+                    ("trial", [(mass, 2 * m + 2 * (p_max + 1) + 8)]),
+                "G_k block sums": ("trial", sums),
+                "G_k Moebius result, two temporaries and expand's product":
+                    ("trial", [(4, box)] * len(steps) * gk),
+                "G_k terms and their scattered add's indices, trial and step off the base":
+                    ("trial", [(off_base, 2 * box + 2)] * gk),
+                "G_k step masks, a byte per step for each slot and theirs":
+                    ("trial", [(k + 1, steps[0] / 8)] * gk),
+                "compensator row": ("worker", [(steps[0],)]),
+                "G_k bases' slot rows": ("pass", [(k, n) for n in steps] * gk),
+                "G_k bases' block sums": ("pass", sums),
+                "G_k bases' slot tables and a row, per step":
+                    ("once", [(steps[0], k * (p_max + 1) + 1)] * gk),
+                "G_k bases' largest block product for k >= 3":
+                    ("once", [(steps[0], (p_max + 1) ** (k - 1))] * (gk and k >= 3))}
 
-    def buffers(self, spec, tables, chunk: int) -> list:
-        return [np.empty((chunk, self.rows(spec), part.n_steps)) for part, _ in tables]
-
-    def draw(self, spec, tables, seeds, incs, size: int) -> list:
-        """A trial draws components 1..max(combo), which are all that its slots
-        read, each from its own substream.  The realizations and their variables
-        do not depend on the partition: poisson_variables takes the whole chunk
-        once, and slot_increments writes its measures into each partition's rows
-        by one scattered add; equal slots share one row of each, built once per
-        distinct (component, mark factor) pair, bitwise each trial's own."""
-        reals = [sample_poisson(spec.kernel.interval, max(1, *spec.combo), self.intensity,
-                                next(seeds)) for _ in range(size)]
-        variables = expansions.poisson_variables(reals, spec.system, self.mark_factors,
-                                                 spec.combo, tables[0][1].shape[0] - 1)
-        return [(variables, oracle.slot_increments(reals, spec.combo, part, self.mark_factors,
-                                                   inc[:size])[1])
-                for inc, (part, _) in zip(incs, tables)]
+    def draw(self, spec, tables, seeds, incs, sizes):
+        """As _Gaussian.draw.  A trial draws components 1..max(combo), which are
+        all that its slots read, each from its own substream.  The realizations
+        and their variables do not depend on the partition: poisson_variables
+        takes the whole chunk once, and slot_increments writes its measures into
+        each partition's rows by one scattered add; equal slots share one row of
+        each, built once per distinct (component, mark factor) pair, bitwise each
+        trial's own."""
+        for size in sizes:
+            reals = [sample_poisson(spec.kernel.interval, max(1, *spec.combo), self.intensity,
+                                    next(seeds)) for _ in range(size)]
+            variables = expansions.poisson_variables(reals, spec.system, self.mark_factors,
+                                                     spec.combo, tables[0][1].shape[0] - 1)
+            yield [(variables, oracle.slot_increments(reals, spec.combo, part, self.mark_factors,
+                                                      inc[:size])[1])
+                   for inc, (part, _) in zip(incs, tables)]
 
     def gk_base(self, spec, part, phi) -> oracle.GkBase:
         """The slot increments of a realization without jumps, from the
@@ -459,33 +453,38 @@ def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
 
 
 def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial: int,
-                  coarse=()) -> int:
+                  coarse=(), coupled=True) -> int:
     """Trials per chunk of a trial loop over n_steps, and over the coarser step
     counts `coarse` on the same draws, with basis orders up to p_max: as many
-    as fit CHUNK_BYTES.
+    as fit CHUNK_BYTES by the plan of the law's arrays, the partitions' and,
+    for a coupled pass (run_experiment's, not moment_suite's), the loop's own.
 
-    A chunk holds per trial the law's floats and, once, at n_steps, its slot
-    rows psi_g * Delta D^(i_g) (k at most; _mc_pass allocates none for a
-    factor that is 1), nested_sum's two rows of scratch and the bracket's
-    first contraction.
-    Each worker also holds the law's share and a seed-word derivation (_trial_seeds).
-
-    Raises SizeError, before anything is allocated, when the partitions,
-    their left-node tables, the law's tables, each worker's chunk and share
-    above, and the kept_per_trial result floats of every trial (twice when
-    sharded: the workers' rows and the gathered array) would exceed
-    MEMORY_BUDGET, or when what the law holds once before the chunks would."""
+    Raises SizeError, before anything is allocated, when what the plan holds
+    per pass, each worker's chunk and share with a seed-word derivation
+    (_trial_seeds), and the kept_per_trial result floats of every trial (twice
+    when sharded: the workers' rows and the gathered array) would exceed
+    MEMORY_BUDGET, or when what the plan holds once before the chunks would."""
     k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
-    trial, worker, shared, once = spec.driver.law.floats(spec, steps, p_max)
-    per_trial = 8 * (trial + n_steps * (k + 2) + (p_max + 1) ** (k - 1))
-    chunk = max(1, min(spec.trials, CHUNK_BYTES // per_trial))
+    # forked workers share the pass's arrays with the parent
+    plan = spec.driver.law.plan(spec, steps, p_max) | {
+        "partition nodes and deltas": ("pass", [(2, n + 1) for n in steps]),
+        "left-node basis tables": ("pass", [(p_max + 1, n + 1) for n in steps])}
+    if coupled:
+        plan |= {"kernel factor rows": ("pass", [(k, n + 1) for n in steps]),
+                 # at most: _mc_pass allocates none for a factor that is 1
+                 "oracle slot rows": ("trial", [(k, n_steps)]),
+                 "nested_sum scratch": ("trial", [(2, n_steps)]),
+                 "first contraction of the bracket": ("trial", [((p_max + 1) ** (k - 1),)])}
+    floats = dict.fromkeys(("trial", "worker", "pass", "once"), 0)
+    for scope, shapes in plan.values():
+        floats[scope] += sum(math.ceil(math.prod(shape)) for shape in shapes)
+    chunk = max(1, min(spec.trials, CHUNK_BYTES // (8 * floats["trial"])))
     workers = _worker_count(-(-spec.trials // chunk))
-    # nodes, deltas, basis table and kernel factors; forked workers share them with the parent
-    tables = 8 * (shared + sum((n + 1) * (2 + p_max + 1 + k) for n in steps))
     results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
     seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
-    need = tables + max(8 * once, workers * (chunk * per_trial + 8 * worker + seeds) + results)
+    need = 8 * floats["pass"] + max(8 * floats["once"], results + workers * (
+        8 * (chunk * floats["trial"] + floats["worker"]) + seeds))
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
@@ -603,20 +602,18 @@ def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
     increments) for each partition]) per chunk of trials lo..hi-1.
 
     tables lists (partition, basis table on its left nodes), finest first.
-    The chunk's increment buffers, one per partition, are allocated once per
-    call (the law's buffers) and reused by every chunk, which the law draws.
-    Each trial is seeded with its substreams' derived words (_trial_seeds)
-    and drawn once, through the public sampler, on the finest partition; a
-    Gaussian sampler writes the trial's increments into its buffer rows there.
-    The variables have a leading trial axis, and the slot increments are k
-    arrays of shape (trials, N), views of the buffers, valid until the next
-    chunk is drawn."""
-    law = spec.driver.law
-    seeds = _trial_seeds(spec.seed, spec.driver.m, lo, hi)
-    chunk = min(chunk, hi - lo)
-    incs = law.buffers(spec, tables, chunk)
-    for start in range(lo, hi, chunk):
-        yield start - lo, law.draw(spec, tables, seeds, incs, min(chunk, hi - start))
+    The increment rows, one array per partition as the law's plan gives them,
+    are allocated once per call and reused by every chunk, which the law draws
+    from each trial's derived seed words (_trial_seeds).  The variables have a
+    leading trial axis, and the slot increments are k arrays of shape
+    (trials, N), views of the rows, valid until the next chunk is drawn."""
+    law, chunk = spec.driver.law, min(chunk, hi - lo)
+    plan = law.plan(spec, [part.n_steps for part, _ in tables], len(tables[0][1]) - 1)
+    incs = [np.empty((chunk, *shape)) for shape in plan["increment rows"][1]]
+    starts = range(lo, hi, chunk)
+    draws = law.draw(spec, tables, _trial_seeds(spec.seed, spec.driver.m, lo, hi), incs,
+                     [min(chunk, hi - start) for start in starts])
+    return zip((start - lo for start in starts), draws)
 
 
 def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
@@ -757,12 +754,12 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     check_orders(spec.kernel, spec.system, (j_max,) * spec.kernel.multiplicity)
     if spec.trials < 10**3:
         raise ConfigError("moment_suite needs at least 1000 trials")
-    rows = spec.driver.law.rows(spec)
-    chunk = _chunk_trials(spec, spec.n_steps, j_max, rows * (j_max + 1))
+    (shape,) = spec.driver.law.plan(spec, (spec.n_steps,), j_max)["basis variables"][1]
+    chunk = _chunk_trials(spec, spec.n_steps, j_max, math.prod(shape), (), False)  # uncoupled
     tables = _prepared(spec, (spec.n_steps,), j_max)
 
     def shard(lo, hi):
-        out = np.empty((hi - lo, rows, j_max + 1))
+        out = np.empty((hi - lo, *shape))
         for first, [(variables, _)] in _trial_chunks(spec, tables, chunk, lo, hi):
             out[first:first + len(variables.table)] = variables.table
         return (out,)

@@ -29,7 +29,6 @@ __all__ = [
     "slot_increments",
     "iterated_sum",
     "nested_sum",
-    "iterated_sum_naive",
     "set_partitions",
     "GkBase",
     "gk_base",
@@ -107,25 +106,6 @@ def nested_sum(levels, scratch: np.ndarray | None = None) -> np.ndarray:
         running[..., 0] = 0.0
         np.cumsum(term[..., :-1], axis=-1, out=running[..., 1:])
     return np.sum(np.multiply(last, running, out=top), axis=-1)
-
-
-def iterated_sum_naive(kernel: Kernel, realization, combo, partition: Partition | None = None,
-                       mark_factors=None) -> float:
-    """O(N^k) nested loops; validation-only reference for the prefix algorithm."""
-    combo = tuple(int(i) for i in combo)
-    part, incs = slot_increments(realization, combo, partition, mark_factors)
-    left = part.left_nodes
-    k = kernel.multiplicity
-    f = [kernel.factor_values(l, left) * incs[l] for l in range(k)]
-    n = part.n_steps
-
-    # innermost index runs first: iterate from the outermost slot downward
-    def rec_outer(level, hi):
-        if level < 0:
-            return 1.0
-        return sum(f[level][q] * rec_outer(level - 1, q) for q in range(hi))
-
-    return float(rec_outer(k - 1, n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -8,11 +7,9 @@ from stochexpand import basis, drivers
 from stochexpand.basis import Interval
 from stochexpand.drivers import (GaussianMartingalePath, compensated_integral,
                                  exponential_measure, interval_measures, make_partition,
-                                 martingale_from_wiener, realization_from_json,
-                                 realization_to_json, sample_gaussian_martingale,
+                                 martingale_from_wiener, sample_gaussian_martingale,
                                  sample_poisson, sample_wiener, scale_draws, trial_seed)
 from stochexpand.errors import SizeError
-from stochexpand.expansions import martingale_variables
 
 IV = Interval(0.0, 1.0)
 
@@ -364,68 +361,19 @@ class TestPoisson:
         assert np.allclose(vals, part.deltas * 5.0)
 
 
-def rho_one_plus_t(t):
-    return 1.0 + t
-
-
-def test_json_round_trip(tmp_path):
-    part = make_partition(IV, 32)
-    w = sample_wiener(part, 2, 1)
-    m = sample_gaussian_martingale(part, 1, 0.5, 2)
-    p = sample_poisson(IV, 2, exponential_measure(3.0), 3)
-    for obj, name in ((w, "w"), (m, "m"), (p, "p")):
-        path = tmp_path / f"{name}.json"
-        realization_to_json(obj, path)
-        back = realization_from_json(path)
-        assert type(back) is type(obj)
-    back_w = realization_from_json(tmp_path / "w.json")
-    assert json.loads((tmp_path / "w.json").read_text())["kind"] == "martingale"
-    assert np.array_equal(back_w.increments, w.increments)
-    assert np.array_equal(back_w.variances, part.deltas)
-    back_m = realization_from_json(tmp_path / "m.json")
-    assert np.array_equal(back_m.variances, m.variances) and back_m.rho == 0.5
-    assert back_w.rho is None
-    # a Wiener document of the earlier format carries no variances: the step lengths
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps({"kind": "wiener", "nodes": part.nodes.tolist(), "m": 2,
-                                  "increments": w.increments.tolist()}))
-    back_l = realization_from_json(legacy)
-    assert type(back_l) is GaussianMartingalePath and back_l.m == 2
-    assert np.array_equal(back_l.increments, w.increments)
-    assert np.array_equal(back_l.variances, back_l.partition.deltas) and back_l.rho is None
-    back_p = realization_from_json(tmp_path / "p.json")
-    assert np.array_equal(back_p.jumps(2)[1], p.jumps(2)[1])
-
-
-def test_json_round_trip_keeps_the_ties_gram_matrix(tmp_path):
-    # a loaded rho = 2 path ties with 2 I, as the sampled path does, not with I
-    path = sample_gaussian_martingale(make_partition(IV, 64), 1, 2.0, 3)
-    realization_to_json(path, tmp_path / "m.json")
-    back = realization_from_json(tmp_path / "m.json")
-    assert back.rho == 2.0
-    gram = martingale_variables(back, basis.legendre(IV), 2).gram
-    assert np.array_equal(gram, 2.0 * np.eye(3))
-    assert np.array_equal(gram, martingale_variables(path, basis.legendre(IV), 2).gram)
-
-
 @pytest.mark.parametrize("call, error, message", [
-    (lambda path: drivers.Partition(IV, np.array([0.0, 0.5])), ValueError, "span the interval"),
-    (lambda path: sample_wiener(make_partition(IV, 8), 0, 0), ValueError, "at least one"),
-    (lambda path: sample_poisson(IV, 0, exponential_measure(2.0), 0), ValueError,
+    (lambda: drivers.Partition(IV, np.array([0.0, 0.5])), ValueError, "span the interval"),
+    (lambda: sample_wiener(make_partition(IV, 8), 0, 0), ValueError, "at least one"),
+    (lambda: sample_poisson(IV, 0, exponential_measure(2.0), 0), ValueError,
      "at least one component"),
-    (lambda path: martingale_from_wiener(sample_wiener(make_partition(IV, 8), 1, 0), -1.0),
+    (lambda: martingale_from_wiener(sample_wiener(make_partition(IV, 8), 1, 0), -1.0),
      ValueError, "negative"),
-    (lambda path: drivers.IntensityMeasure(0.0, None, None), ValueError,
+    (lambda: drivers.IntensityMeasure(0.0, None, None), ValueError,
      "total mass must be finite and positive"),
-    (lambda path: sample_poisson(IV, 2, exponential_measure(2.0), 0).jumps(3), ValueError,
+    (lambda: sample_poisson(IV, 2, exponential_measure(2.0), 0).jumps(3), ValueError,
      r"component must be in 1\.\.2"),
-    (lambda path: realization_to_json(object(), path), TypeError, "cannot serialize object"),
-    (lambda path: realization_to_json(
-        sample_gaussian_martingale(make_partition(IV, 8), 1, rho_one_plus_t, 0), path),
-     TypeError, "variance density rho=<function rho_one_plus_t"),
 ], ids=["partition_span", "wiener_m0", "poisson_m0", "negative_rho", "zero_mass",
-        "jumps_beyond_m", "unknown_object_to_json", "callable_rho_to_json"])
-def test_bad_calls_are_rejected(call, error, message, tmp_path):
+        "jumps_beyond_m"])
+def test_bad_calls_are_rejected(call, error, message):
     with pytest.raises(error, match=message):
-        call(tmp_path / "realization.json")
-    assert not (tmp_path / "realization.json").exists()
+        call()
