@@ -20,8 +20,8 @@ from .expansions import (BasisVariables, ExpansionSample, expand, martingale_var
 from .harness import (DriverConfig, ExperimentSpec, MCReport, moment_suite,
                       power_mark, run_experiment)
 from .kernel import (CoeffTensor, Factor, Kernel, coeff, coeff_tensor,
-                     kernel_norm_sq, tensor_from_csv, tensor_from_json, tensor_to_csv,
-                     tensor_to_files, tensor_to_json, unit_kernel)
+                     kernel_norm_sq, tensor_from_csv, tensor_from_json, tensor_to_files,
+                     unit_kernel)
 from .oracle import iterated_sum
 
 __version__ = "0.1.0"
@@ -38,8 +38,7 @@ __all__ = [
     "DriverConfig", "ExperimentSpec", "MCReport", "moment_suite", "power_mark",
     "run_experiment",
     "CoeffTensor", "Factor", "Kernel", "coeff", "coeff_tensor", "kernel_norm_sq",
-    "tensor_from_csv", "tensor_from_json", "tensor_to_csv", "tensor_to_files",
-    "tensor_to_json", "unit_kernel",
+    "tensor_from_csv", "tensor_from_json", "tensor_to_files", "unit_kernel",
     "iterated_sum",
     "__version__",
 ]

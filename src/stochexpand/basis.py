@@ -37,7 +37,6 @@ __all__ = [
     "bessel_weighted",
     "bessel_unit",
     "gram_matrix",
-    "haar_index",
     "GRAM_TOLERANCES",
 ]
 
@@ -105,14 +104,6 @@ def bessel_roots(order: int, count: int) -> BesselRootTable:
             roots.append(root)
         lo, flo = hi, fhi
     return BesselRootTable(order, np.asarray(roots))
-
-
-def haar_index(j: int) -> tuple[int, int]:
-    """Linear index j >= 1 to the dyadic pair (n, k), n = floor(log2 j), k = j - 2^n + 1."""
-    if j < 1:
-        raise ValueError("haar_index expects j >= 1")
-    n = int(math.floor(math.log2(j)))
-    return n, j - 2**n + 1
 
 
 @dataclass(frozen=True)

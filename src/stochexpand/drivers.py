@@ -39,7 +39,6 @@ __all__ = [
     "scale_draws",
     "sample_poisson",
     "interval_measures",
-    "compensated_integral",
     "component_rng",
     "seed_words",
     "TrialSeed",
@@ -83,10 +82,6 @@ class Partition:
     @property
     def n_steps(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def max_delta(self) -> float:
-        return float(np.max(self.deltas))
 
     def step_variances(self, rho=None) -> np.ndarray:
         """int rho over every step: the step lengths when rho is None (a Wiener
@@ -363,10 +358,9 @@ def sample_gaussian_martingale(partition: Partition, m: int, rho, seed,
 def martingale_from_wiener(path: GaussianMartingalePath, rho) -> GaussianMartingalePath:
     """Left-point coupling dM = sqrt(rho(tau_l)) dW on the path's partition.
 
-    Used for pathwise two-route comparisons; variances are the Euler ones."""
-    rho_left = _as_callable(rho)(path.partition.left_nodes)
-    if np.any(rho_left < 0):
-        raise ValueError("variance density rho is negative on the interval")
+    Used for pathwise two-route comparisons; variances are the Euler ones.
+    ValueError if rho is negative or not finite at a left node."""
+    rho_left = _checked_density(_as_callable(rho)(path.partition.left_nodes))
     inc = path.increments.copy()
     inc[1:] *= np.sqrt(rho_left)[None, :]
     return GaussianMartingalePath(path.partition, path.m, inc, rho_left * path.partition.deltas,
@@ -534,20 +528,3 @@ def interval_measures(realizations, i: int, phi, partition: Partition,
         np.add.at(out, (np.repeat(np.arange(len(batch)), counts), bins), phi(marks))
         out -= partition.deltas * m1
     return out[0] if alone else out
-
-
-def compensated_integral(realization: PoissonRealization, i: int, h, phi,
-                         breakpoints=()) -> float:
-    """int h(s) phi(y) nu~(i)(ds, dy): exact jump sum minus the compensator.
-
-    For i = 0 this is the deterministic double integral int h ds * int phi dPi."""
-    h = _as_callable(h)
-    m1 = realization.intensity.mark_integral(phi)
-    compensator, _ = quadrature.integrate(h, realization.interval.start,
-                                          realization.interval.end, breakpoints)
-    if i == 0:
-        return compensator * m1
-    times, marks = realization.jumps(i)
-    jump_sum = float(np.sum(h(times) * phi(marks))) if len(times) else 0.0
-    return jump_sum - compensator * m1
-

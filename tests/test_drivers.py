@@ -5,19 +5,34 @@ import pytest
 
 from stochexpand import basis, drivers
 from stochexpand.basis import Interval
-from stochexpand.drivers import (GaussianMartingalePath, compensated_integral,
-                                 exponential_measure, interval_measures, make_partition,
-                                 martingale_from_wiener, sample_gaussian_martingale,
-                                 sample_poisson, sample_wiener, scale_draws, trial_seed)
+from stochexpand.drivers import (GaussianMartingalePath, exponential_measure,
+                                 interval_measures, make_partition, martingale_from_wiener,
+                                 sample_gaussian_martingale, sample_poisson, sample_wiener,
+                                 scale_draws, trial_seed)
 from stochexpand.errors import SizeError
+from test_quadrature import integrate
 
 IV = Interval(0.0, 1.0)
+
+
+def compensated_integral(realization, i: int, h, phi, breakpoints=()) -> float:
+    """int h(s) phi(y) nu~(i)(ds, dy): exact jump sum minus the compensator.
+
+    For i = 0 this is the deterministic double integral int h ds * int phi dPi."""
+    h = drivers._as_callable(h)
+    m1 = realization.intensity.mark_integral(phi)
+    compensator, _ = integrate(h, realization.interval.start, realization.interval.end,
+                               breakpoints)
+    if i == 0:
+        return compensator * m1
+    times, marks = realization.jumps(i)
+    jump_sum = float(np.sum(h(times) * phi(marks))) if len(times) else 0.0
+    return jump_sum - compensator * m1
 
 
 def test_partition_nodes():
     part = make_partition(IV, 4)
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert part.max_delta == 0.25
     part2 = make_partition(Interval(2.0, 3.0), 2)
     assert np.array_equal(part2.nodes, [2.0, 2.5, 3.0])
 
@@ -368,12 +383,18 @@ class TestPoisson:
      "at least one component"),
     (lambda: martingale_from_wiener(sample_wiener(make_partition(IV, 8), 1, 0), -1.0),
      ValueError, "negative"),
+    (lambda: martingale_from_wiener(sample_wiener(make_partition(IV, 8), 1, 0),
+                                    lambda x: np.where(x > 0.5, np.nan, 1.0)),
+     ValueError, "not finite"),
+    (lambda: martingale_from_wiener(sample_wiener(make_partition(IV, 8), 1, 0),
+                                    lambda x: np.where(x > 0.5, np.inf, 1.0)),
+     ValueError, "not finite"),
     (lambda: drivers.IntensityMeasure(0.0, None, None), ValueError,
      "total mass must be finite and positive"),
     (lambda: sample_poisson(IV, 2, exponential_measure(2.0), 0).jumps(3), ValueError,
      r"component must be in 1\.\.2"),
-], ids=["partition_span", "wiener_m0", "poisson_m0", "negative_rho", "zero_mass",
-        "jumps_beyond_m"])
+], ids=["partition_span", "wiener_m0", "poisson_m0", "negative_rho", "nan_rho", "inf_rho",
+        "zero_mass", "jumps_beyond_m"])
 def test_bad_calls_are_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()

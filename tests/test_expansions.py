@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from stochexpand import basis, expansions, oracle
 from stochexpand.basis import Interval
-from stochexpand.drivers import (PoissonRealization, compensated_integral, exponential_measure,
-                                 make_partition, sample_gaussian_martingale, sample_poisson,
-                                 sample_wiener, trial_seed)
+from stochexpand.drivers import (PoissonRealization, exponential_measure, make_partition,
+                                 sample_gaussian_martingale, sample_poisson, sample_wiener,
+                                 trial_seed)
 from stochexpand.expansions import (BasisVariables, expand, martingale_variables,
                                     pairing_bracket, poisson_variables, wiener_variables)
 from stochexpand.harness import power_mark
 from stochexpand.kernel import coeff_tensor, unit_kernel
 from stochexpand.validation import explicit_bracket
+from test_drivers import compensated_integral
 
 IV = Interval(0.0, 1.0)
 SYS = basis.legendre(IV)

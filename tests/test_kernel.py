@@ -12,8 +12,9 @@ from stochexpand import basis, kernel, quadrature
 from stochexpand.basis import Interval
 from stochexpand.errors import SizeError
 from stochexpand.kernel import (Factor, Kernel, coeff, coeff_tensor, kernel_norm_sq,
-                                tensor_from_csv, tensor_from_json, tensor_to_csv,
-                                tensor_to_files, tensor_to_json, unit_kernel)
+                                tensor_from_csv, tensor_from_json, tensor_to_files,
+                                unit_kernel)
+from test_quadrature import integrate
 
 IV = Interval(0.0, 1.0)
 
@@ -179,8 +180,8 @@ class TestNormAndParseval:
         sys = basis.legendre(IV)
         tensor = coeff_tensor(unit_kernel(2, IV), sys, (4, 4))
         for a, b in ((0, 0), (1, 3), (2, 2), (0, 4)):
-            pa, _ = quadrature.integrate(lambda x: sys.eval(a, x), 0.0, 1.0)
-            pb, _ = quadrature.integrate(lambda x: sys.eval(b, x), 0.0, 1.0)
+            pa, _ = integrate(lambda x: sys.eval(a, x), 0.0, 1.0)
+            pb, _ = integrate(lambda x: sys.eval(b, x), 0.0, 1.0)
             assert tensor.values[a, b] + tensor.values[b, a] == pytest.approx(
                 pa * pb, abs=1e-10)
 
@@ -306,8 +307,7 @@ def test_csv_json_round_trip(tmp_path):
     tensor = coeff_tensor(unit_kernel(2, IV), basis.legendre(IV), (3, 3))
     csv_path = tmp_path / "t.csv"
     json_path = tmp_path / "t.json"
-    tensor_to_csv(tensor, csv_path)
-    tensor_to_json(tensor, json_path)
+    tensor_to_files(tensor, csv_path, json_path)
     box, values = tensor_from_csv(csv_path)
     assert box == tensor.box
     assert np.array_equal(values, tensor.values)
@@ -319,7 +319,7 @@ def test_csv_json_round_trip(tmp_path):
 
 
 def _csv_oracle(tensor, path) -> None:
-    """The per-entry writer of tensor_to_csv's format: csv.writer rows, each
+    """The per-entry writer of the export's CSV format: csv.writer rows, each
     value as json.dumps writes it."""
     k = len(tensor.box)
     with open(path, "w", newline="") as fh:
@@ -330,7 +330,7 @@ def _csv_oracle(tensor, path) -> None:
 
 
 def _json_oracle(tensor, path) -> None:
-    """The indented writer that tensor_to_json replaced."""
+    """The indented writer that the one-line JSON export replaced."""
     doc = {
         "kernel": kernel._kernel_meta(tensor.kernel),
         "system": kernel._system_meta(tensor.system),
@@ -369,10 +369,10 @@ def test_exports_match_the_per_entry_writers(tmp_path, monkeypatch, name, block)
     monkeypatch.setattr(kernel, "EXPORT_BLOCK", block)  # 4 splits every tensor into blocks
     tensor = EXPORT_TENSORS[name]()
     _csv_oracle(tensor, tmp_path / "oracle.csv")
-    tensor_to_csv(tensor, tmp_path / "t.csv")
+    tensor_to_files(tensor, csv_path=tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     _json_oracle(tensor, tmp_path / "oracle.json")
-    tensor_to_json(tensor, tmp_path / "t.json")
+    tensor_to_files(tensor, json_path=tmp_path / "t.json")
     text, oracle = (tmp_path / "t.json").read_text(), (tmp_path / "oracle.json").read_text()
     got, want = json.loads(text), json.loads(oracle)
     assert np.array_equal(got.pop("values"), want.pop("values"), equal_nan=True)
@@ -397,7 +397,7 @@ def test_csv_value_column_is_the_json_values_text(tmp_path, monkeypatch, name):
 def test_csv_round_trips_special_values_bitwise(tmp_path):
     tensor = _special_values_tensor()
     tensor.values = np.array([[-0.0, 1e-300], [math.inf, -math.inf], [math.nan, 0.1]])
-    tensor_to_csv(tensor, tmp_path / "t.csv")
+    tensor_to_files(tensor, csv_path=tmp_path / "t.csv")
     box, values = tensor_from_csv(tmp_path / "t.csv")
     assert box == tensor.box
     assert values.tobytes() == tensor.values.tobytes()
@@ -424,7 +424,7 @@ def test_export_memory_is_a_block_not_the_file(tmp_path):
 def test_json_whose_flag_disagrees_with_its_system_rejected(tmp_path, system, flag):
     # such a file holds coefficients from the other convention
     path = tmp_path / "t.json"
-    tensor_to_json(coeff_tensor(unit_kernel(2, IV), system, (1, 1)), path)
+    tensor_to_files(coeff_tensor(unit_kernel(2, IV), system, (1, 1)), json_path=path)
     doc = json.loads(path.read_text())
     assert doc["weighted"] is not flag and doc["system"]["max_walsh_bits"] == basis.WALSH_BITS
     tensor_from_json(path)

@@ -2,10 +2,12 @@ import argparse
 import importlib
 import math
 import pathlib
+import pkgutil
 import re
 
 import pytest
 
+import stochexpand
 from stochexpand import cli, harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -70,3 +72,13 @@ def test_readme_states_the_constants_of_the_code():
     for module, name, value in stated:
         code = getattr(importlib.import_module(f"stochexpand.{module}"), name)
         assert code == _stated_value(value), f"README states {module}.{name} = {value}"
+
+
+def test_readme_module_names_exist():
+    modules = {m.name for m in pkgutil.iter_modules(stochexpand.__path__)}
+    named = {m.groups() for m in re.finditer(r"`(\w+)\.(\w+)", README.read_text())
+             if m.group(1) in modules}
+    assert named, "README.md names no module attribute"
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"stochexpand.{module}"), name)]
+    assert not missing, f"README.md names attributes that do not exist: {missing}"
