@@ -434,17 +434,38 @@ class IntensityMeasure:
 
 
 def exponential_measure(total_mass: float) -> IntensityMeasure:
-    """Pi = total_mass * Exp(1) on the positive half-line (default mark space)."""
-    lag_x, lag_w = np.polynomial.laguerre.laggauss(LAGUERRE_NODES)
+    """Pi = total_mass * Exp(1) on the positive half-line (default mark space).
+
+    One measure per float(total_mass), as power_mark gives one callable per
+    exponent, and every measure shares one read-only Gauss-Laguerre rule, so
+    the caches keyed on a measure (expansions._compensator_row) hold across
+    runs.  ValueError, on every call, unless total_mass is finite and positive."""
+    return _exponential_measure(float(total_mass))
+
+
+@functools.cache
+def _exponential_measure(total_mass: float) -> IntensityMeasure:
+    lag_x, lag_w = _laguerre_rule()
 
     def mark_integral(f):
         return float(total_mass * np.sum(lag_w * f(lag_x)))
 
     return IntensityMeasure(
-        total_mass=float(total_mass),
+        total_mass=total_mass,
         sampler=lambda rng, size: rng.exponential(1.0, size),
         mark_integral=mark_integral,
     )
+
+
+@functools.cache
+def _laguerre_rule():
+    """LAGUERRE_NODES-node Gauss-Laguerre nodes and weights, read-only: exact
+    for int p(y) e^(-y) dy over polynomials p of degree < 2 LAGUERRE_NODES up
+    to their rounding (int y^n e^(-y) dy = n! within 1.3e-13 relative, n <= 20)."""
+    rule = np.polynomial.laguerre.laggauss(LAGUERRE_NODES)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -476,7 +497,8 @@ def sample_poisson(interval: Interval, m: int, measure: IntensityMeasure,
         count = int(rng.poisson(mean_jumps))
         if count > JUMP_BUDGET:
             raise SizeError(f"jump count {count} exceeds the budget {JUMP_BUDGET}")
-        s = np.sort(rng.uniform(interval.start, interval.end, count))
+        s = rng.uniform(interval.start, interval.end, count)
+        s.sort()
         y = measure.sampler(rng, count)
         times.append(s)
         marks.append(np.asarray(y, dtype=float))

@@ -137,7 +137,9 @@ martingale_variables = wiener_variables
 def _compensator_row(system: OrthonormalSystem, p_max: int, intensity, mark_factor,
                      moment_order: float) -> np.ndarray:
     """int phi_j dt * int phi dPi for j = 0..p_max, read-only; one adaptive
-    quadrature over the basis table serves every degree.
+    quadrature over the basis table serves every degree.  Keyed on the
+    intensity object: exponential_measure gives one per total mass, so a row
+    is built once per process for each configuration, not once per run.
 
     Checks first that the mark moment of the given order is finite; a failed
     check raises ValueError and is not cached, so it raises on every call."""
@@ -176,12 +178,12 @@ def poisson_variables(realizations, system: OrthonormalSystem, mark_factors, com
     for i in sorted(set(combo) - {0}):  # one table on the jump times per component
         times, marks, counts = _batch_jumps(batch, i)
         jump_table = system.eval_table(p_max, times)
-        ends = np.cumsum(counts)
+        ends = np.cumsum(counts).tolist()  # each trial's column block, in Python ints
+        blocks = [(t, ends[t] - n, ends[t]) for t, n in enumerate(counts.tolist()) if n]
         for phi in (phi for c, phi in pis if c == i):
-            weights = phi(marks)
-            for t in np.flatnonzero(counts):  # jump sum + (-row): bitwise jump sum - row
-                block = slice(ends[t] - counts[t], ends[t])
-                pis[i, phi][t] += jump_table[:, block] @ weights[block]
+            weights, rows = phi(marks), pis[i, phi]
+            for t, lo, hi in blocks:  # jump sum + (-row): bitwise jump sum - row
+                rows[t] += jump_table[:, lo:hi] @ weights[lo:hi]
     table = np.stack([pis[pair] for pair in zip(combo, mark_factors)], axis=1)
     return BasisVariables("poisson", table[0] if alone else table, combo=combo)
 

@@ -157,10 +157,12 @@ class _Gaussian:
             return None
         return expansions.gaussian_gram(spec.system, self.rho, count)
 
-    def plan(self, spec, steps, p_max: int) -> dict:
+    def plan(self, spec, steps, p_max: int, coupled: bool = True) -> dict:
         """Every array the law holds in a pass over steps with basis orders up to
         p_max: {name: (scope, shapes)}, in floats, held per trial of a chunk, per
-        worker, per pass or once before the chunks (_chunk_trials sums it)."""
+        worker, per pass or once before the chunks (_chunk_trials sums it).
+        coupled is True for run_experiment's pass and False for moment_suite's;
+        a Gaussian law holds the same arrays in both."""
         m, tie = spec.driver.m, not expansions._distinct_nonzero(spec.combo)
         return {"increment rows": ("trial", [(m + 1, n) for n in steps]),
                 "basis variables": ("trial", [(m + 1, p_max + 1)] * len(steps)),
@@ -262,11 +264,11 @@ class _Poisson:
     def prepare(self, spec, parts, p_max: int) -> None:
         pass  # a realization does not depend on the partition
 
-    def plan(self, spec, steps, p_max: int) -> dict:
+    def plan(self, spec, steps, p_max: int, coupled: bool = True) -> dict:
         """What the law holds in a pass, as _Gaussian.plan gives it."""
         k, m = spec.kernel.multiplicity, max(1, *spec.combo)  # m: the components a trial draws
         box, mass = (p_max + 1) ** k, self.intensity.total_mass * spec.kernel.interval.length
-        gk = spec.correction == "prelimit"  # the G_k entries
+        gk = coupled and spec.correction == "prelimit"  # the G_k entries, of _mc_pass only
         sums = [((p_max + 2) ** k,)] * len(steps) * gk
         off_base = min(steps[0], math.ceil(mass * len(set(spec.combo) - {0})))
         return {"increment rows": ("trial", [(k, n) for n in steps]),
@@ -467,7 +469,7 @@ def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial
     k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
     # forked workers share the pass's arrays with the parent
-    plan = spec.driver.law.plan(spec, steps, p_max) | {
+    plan = spec.driver.law.plan(spec, steps, p_max, coupled) | {
         "partition nodes and deltas": ("pass", [(2, n + 1) for n in steps]),
         "left-node basis tables": ("pass", [(p_max + 1, n + 1) for n in steps])}
     if coupled:

@@ -654,6 +654,40 @@ def test_converge_k5_prelimit_block_products_trip_the_guard(tmp_path, capsys, mo
     assert not (tmp_path / "conv.json").exists()
 
 
+POISSON_BLOCK = {"kind": "poisson", "m": 1, "total_mass": 4.0, "mark_powers": [1.0, 1.0]}
+
+
+def test_a_second_poisson_run_builds_only_its_coefficient_tensor(tmp_path, monkeypatch):
+    # one Gauss-Laguerre rule per process and one measure per total mass, so the
+    # compensator rows of the first run serve the second
+    config = converge_config(tmp_path, driver=POISSON_BLOCK, combo=[1, 1], trials=2)
+    assert run(["converge", "--config", config]) == 0
+    laggauss, adaptive, tensor = (np.polynomial.laguerre.laggauss, quadrature.adaptive,
+                                  harness.coeff_tensor)
+    rules, quadratures, building = [], [], []
+
+    def counted_tensor(*args):
+        building.append(True)
+        try:
+            return tensor(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss",
+                        lambda *args: rules.append(args) or laggauss(*args))
+    monkeypatch.setattr(quadrature, "adaptive",
+                        lambda *args, **kw: quadratures.append(bool(building))
+                        or adaptive(*args, **kw))
+    monkeypatch.setattr(harness, "coeff_tensor", counted_tensor)
+    assert run(["converge", "--config", config]) == 0
+    assert rules == [] and quadratures and all(quadratures)
+
+
+def test_two_parses_of_a_driver_block_are_equal():
+    first, second = (cli._driver_from_config(copy.deepcopy(POISSON_BLOCK), 2) for _ in range(2))
+    assert first == second and first.intensity is second.intensity
+
+
 @pytest.mark.parametrize("seed", [7, 2**130])
 def test_converge_draws_numpys_seed_sequence_streams(seed, tmp_path, monkeypatch):
     """Reports are bitwise those drawn from PCG64(SeedSequence(seed, spawn_key=(trial,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -341,6 +342,31 @@ class TestPoisson:
         # int y^2 dPi for Pi = 5 Exp(1) is 5 * 2
         assert self.measure.moment(lambda y: y, 2.0) == pytest.approx(10.0, rel=1e-10)
         assert self.measure.mark_integral(lambda y: np.ones_like(y)) == pytest.approx(5.0)
+
+    def test_one_measure_per_total_mass(self):
+        # equal masses share one measure and one Gauss-Laguerre rule, so the caches
+        # keyed on the measure serve every run that asks for it
+        assert exponential_measure(5) is exponential_measure(5.0) is self.measure
+        assert exponential_measure(3.0) is not self.measure
+        assert drivers._laguerre_rule() is drivers._laguerre_rule()
+        assert not any(a.flags.writeable for a in drivers._laguerre_rule())
+
+    @pytest.mark.parametrize("mass", [float("nan"), 0.0, -1.0, float("inf")],
+                             ids=["nan", "zero", "negative", "inf"])
+    def test_a_refused_mass_is_refused_on_every_call(self, mass):
+        for _ in range(2):  # nothing is cached for it
+            with pytest.raises(ValueError, match="total mass must be finite and positive"):
+                exponential_measure(mass)
+
+    @pytest.mark.parametrize("mass", [0.3, 5.0, 3e4])
+    def test_the_rule_integrates_the_exponential_moments(self, mass):
+        # int y^n Pi(dy) = mass * n!; the 80-node rule is exact to degree 159 in exact
+        # arithmetic, and numpy's rounded nodes keep it within 1.3e-13 relative
+        measure = exponential_measure(mass)
+        assert measure.mark_integral(np.ones_like) == pytest.approx(mass, rel=1e-15)
+        for n in range(21):
+            assert measure.moment(drivers.power_mark(n), 1.0) == pytest.approx(
+                mass * math.factorial(n), rel=2e-13)
 
     def test_compensated_integral_count(self):
         real = sample_poisson(IV, 1, self.measure, 3)

@@ -133,7 +133,9 @@ class TestBasisVariables:
                 assert row.shape == (64,) and np.array_equal(inc[t], row)
 
     def test_batch_needs_one_intensity_and_one_type(self):
-        reals = [sample_poisson(IV, 1, exponential_measure(2.0), t) for t in range(2)]
+        # equal masses share one measure, so the two draw from two masses
+        reals = [sample_poisson(IV, 1, exponential_measure(mass), t)
+                 for t, mass in enumerate((2.0, 3.0))]
         part = make_partition(IV, 8)
         with pytest.raises(ValueError, match="intensity"):
             poisson_variables(reals, SYS, (_mark,), (1,), 2)

@@ -1120,10 +1120,13 @@ def test_memory_guard_counts_a_callable_density_block(monkeypatch):
     assert peak <= budget
 
 
-@pytest.mark.parametrize("driver", [DriverConfig("wiener", m=2), *MOMENT_DRIVERS.values()],
-                         ids=["wiener", *MOMENT_DRIVERS])
-def test_memory_guard_bounds_what_the_moment_suite_holds(driver, monkeypatch):
-    spec = _wiener_spec(driver=driver, n_steps=2**12, trials=1000)
+@pytest.mark.parametrize("driver, combo", [
+    (DriverConfig("wiener", m=2), (1, 2)), *((d, (1, 2)) for d in MOMENT_DRIVERS.values()),
+    (dataclasses.replace(MOMENT_DRIVERS["poisson"], mark_factors=(power_mark(1.0),) * 2),
+     (1, 1))], ids=["wiener", *MOMENT_DRIVERS, "poisson_equal_marks_11"])
+def test_memory_guard_bounds_what_the_moment_suite_holds(driver, combo, monkeypatch):
+    # combo (1, 1) resolves to prelimit, whose G_k sums only run_experiment's pass holds
+    spec = _wiener_spec(driver=driver, combo=combo, n_steps=2**12, trials=1000)
     peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch,
                                                     lambda spec: moment_suite(spec, j_max=7))
     assert spec.trials >= 3 * chunk
