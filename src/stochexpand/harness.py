@@ -6,13 +6,20 @@ realization, and reports the mean squared difference per truncation box
 next to the theoretical truncation residual.  A moment suite z-tests the
 basis random variables against their analytic means and covariances.
 
-Both run one chunked trial loop: everything that depends only on the
-partition is prepared once per pass, trials are drawn one by one into a
+Both run one trial loop of two levels.  Everything that depends only on the
+partition is prepared once per pass, and trials are drawn one by one into a
 workspace that each worker allocates once and reuses for every chunk of
-trials, a chunk as large as fits CHUNK_BYTES by the plan that names every
-array the pass holds (the law's, from which the workspace is allocated, and
-the loop's own; _chunk_trials sums it), and each chunk is evaluated by
-batched operations that treat every trial alike.  Each Gaussian increment is
+trials.  A chunk is the unit of the work of O(N) per trial: the increment
+rows, the slot increments, the G_k sums and the oracle's nested sum.  A block
+is a run of consecutive chunks, the unit of the work that does not depend on
+the partition: a Poisson block draws its realizations first and takes one
+poisson_variables call, and every block takes one expand call per box and
+partition, on the block's rows of basis variables, oracle sums and G_k sums.
+Both are as large as fit CHUNK_BYTES by the plan that names every array the
+pass holds, per trial of a chunk, per trial of a block, or for every trial
+(the law's arrays, from which the workspace is allocated, and the loop's
+own; _chunk_trials sums it), and each is evaluated by batched operations
+that treat every trial alike.  Each Gaussian increment is
 written once: the sampler draws a trial straight into its workspace rows
 (its out), and the oracle reads the rows of every slot whose kernel factor
 is exactly 1 where they lie.  What a driver kind does differently, from its
@@ -21,7 +28,7 @@ _Gaussian, _Wiener or _Poisson); the loop calls the law and tests no kind.
 A pass is split into contiguous trial ranges, one per worker process: the
 parent runs the first and forks one child with one pipe for each of the
 others, which sends back its pickled rows (see _sharded).  Results do not
-depend on the chunk size or the worker count, bitwise.
+depend on the chunk size, the block size or the worker count, bitwise.
 
 An experiment is one pass, with or without Richardson extrapolation: each
 trial is seeded and drawn once, on N steps, and the half resolution N // 2
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -160,12 +168,14 @@ class _Gaussian:
     def plan(self, spec, steps, p_max: int, coupled: bool = True) -> dict:
         """Every array the law holds in a pass over steps with basis orders up to
         p_max: {name: (scope, shapes)}, in floats, held per trial of a chunk, per
-        worker, per pass or once before the chunks (_chunk_trials sums it).
-        coupled is True for run_experiment's pass and False for moment_suite's;
-        a Gaussian law holds the same arrays in both."""
+        trial of a block, per worker, per pass or once before the chunks
+        (_chunk_trials sums it).  coupled is True for run_experiment's pass and
+        False for moment_suite's; a Gaussian law holds the same arrays in both."""
         m, tie = spec.driver.m, not expansions._distinct_nonzero(spec.combo)
-        return {"increment rows": ("trial", [(m + 1, n) for n in steps]),
-                "basis variables": ("trial", [(m + 1, p_max + 1)] * len(steps)),
+        return {"increment rows": ("chunk", [(m + 1, n) for n in steps]),
+                "basis variables": ("block", [(m + 1, p_max + 1)] * len(steps)),
+                "a chunk's basis variables, before they reach the block's":
+                    ("chunk", [(m + 1, p_max + 1)]),
                 "unit draws of a path and the next": ("worker", [(2, m, steps[0])]),
                 "step variances and scales": ("pass", [(2, n + 1) for n in steps]),
                 "Gram matrix of the ties": ("pass", [(p_max + 1, p_max + 1)] * tie),
@@ -173,30 +183,41 @@ class _Gaussian:
                     ("once", [(5, quadrature.ORDER, min(steps[0], RHO_BLOCK))]
                      * callable(self.rho))}
 
-    def draw(self, spec, tables, seeds, incs, sizes):
-        """Yield, for each chunk of sizes, [(basis variables, slot increments)]
-        on each partition.  The coarser partitions' time rows are written once,
-        before the first chunk.  Each trial's path is drawn once, on the finest
-        partition, by the sampler straight into the trial's rows there (its
-        out), so each increment is written once; its unit draws times each
-        coarser partition's step scales go straight into that partition's rows
-        (bitwise the sampler's increments there, as drivers.scale_draws gives
-        them).  The slot increments are views of the rows of the combo, one per
-        component."""
+    def draw(self, spec, tables, seeds, incs, blocks):
+        """Yield, for each chunk of blocks (each a list of its chunks' sizes), the
+        slot increments on each partition and, at a block's last chunk, the
+        block's basis variables on each partition (else None).  The coarser
+        partitions' time rows are written once, before the first chunk.  Each
+        trial's path is drawn once, on the finest partition, by the sampler
+        straight into the trial's rows there (its out), so each increment is
+        written once; its unit draws times each coarser partition's step scales
+        go straight into that partition's rows (bitwise the sampler's increments
+        there, as drivers.scale_draws gives them).  Each chunk's variables are
+        copied into the block's rows, one array per partition allocated once per
+        call.
+        The slot increments are views of the rows of the combo, one per
+        component, valid until the next chunk is drawn; the variables, until the
+        next block is."""
         for inc, (part, _) in zip(incs[1:], tables[1:]):
             inc[:, 0] = part.deltas
         gram = self._gram(spec, len(tables[0][1]))
-        for size in sizes:
-            for c in range(size):
-                real = self.sample(tables[0][0], spec.driver.m, next(seeds), incs[0][c])
-                for inc, (part, _) in zip(incs[1:], tables[1:]):
-                    np.multiply(real.unit_draws[:, :part.n_steps], part.step_scales(self.rho),
-                                out=inc[c, 1:])
-            del real  # the last path: a chunk holds no unit draws while it is evaluated
-            variables = [expansions.gaussian_variables(inc[:size], phi, gram)
-                         for inc, (_, phi) in zip(incs, tables)]
-            views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]
-            yield [(v, [rows[i] for i in spec.combo]) for v, rows in zip(variables, views)]
+        rows = [np.empty((max(map(sum, blocks)), spec.driver.m + 1, len(phi))) for _, phi in tables]
+        for sizes in blocks:
+            for end, size in zip(itertools.accumulate(sizes), sizes):
+                for c in range(size):
+                    real = self.sample(tables[0][0], spec.driver.m, next(seeds), incs[0][c])
+                    for inc, (part, _) in zip(incs[1:], tables[1:]):
+                        np.multiply(real.unit_draws[:, :part.n_steps],
+                                    part.step_scales(self.rho), out=inc[c, 1:])
+                del real  # the last path: a chunk holds no unit draws while it is evaluated
+                for row, inc, (_, phi) in zip(rows, incs, tables):
+                    row[end - size:end] = expansions.gaussian_variables(inc[:size], phi, gram).table
+                views = [{i: inc[:size, i] for i in dict.fromkeys(spec.combo)} for inc in incs]
+                variables = None
+                if end == sum(sizes):
+                    variables = [expansions.BasisVariables("gaussian", row[:end], gram=gram)
+                                 for row in rows]
+                yield [[slots[i] for i in spec.combo] for slots in views], variables
 
     def moment_tests(self, spec, values, part, phi) -> list:
         values, tests, j_max = values[:, 1:], [], values.shape[2] - 1
@@ -232,7 +253,7 @@ class _Wiener(_Gaussian):
 class _Poisson:
     """Compensated marked Poisson measures of a finite intensity measure, one
     mark factor per slot: a trial is a realization, the same on every
-    partition, and a chunk's realizations are evaluated together."""
+    partition, and a block's realizations are evaluated together."""
 
     parameters = ("intensity", "mark_factors")
 
@@ -270,19 +291,26 @@ class _Poisson:
         box, mass = (p_max + 1) ** k, self.intensity.total_mass * spec.kernel.interval.length
         gk = coupled and spec.correction == "prelimit"  # the G_k entries, of _mc_pass only
         sums = [((p_max + 2) ** k,)] * len(steps) * gk
-        off_base = min(steps[0], math.ceil(mass * len(set(spec.combo) - {0})))
-        return {"increment rows": ("trial", [(k, n) for n in steps]),
-                "basis variables": ("trial", [(k, p_max + 1)]),
-                "per expected jump: its time and mark on each drawn component, two basis "
-                "tables and eval_table's, the chunk's times and marks, mark values and indices":
-                    ("trial", [(mass, 2 * m + 2 * (p_max + 1) + 8)]),
-                "G_k block sums": ("trial", sums),
-                "G_k Moebius result, two temporaries and expand's product":
-                    ("trial", [(4, box)] * len(steps) * gk),
+        jumping = len(set(spec.combo) - {0})  # the components whose jumps the slots read
+        off_base = min(steps[0], math.ceil(mass * jumping))
+        return {"increment rows": ("chunk", [(k, n) for n in steps]),
+                "basis variables": ("block", [(k, p_max + 1)]),
+                "poisson_variables' row per distinct (component, mark factor) pair":
+                    ("block", [(k, p_max + 1)]),
+                "a realization's objects and arrays, and poisson_variables' list entries":
+                    ("block", [(24 + 32 * m,)]),
+                # poisson_variables builds one component's table while the last one's
+                # is held; interval_measures, on a chunk's trials, holds less per jump
+                # and never at the same time
+                "per expected jump: its time and mark on each drawn component, up to two "
+                "basis tables and eval_table's four rows, the block's times, marks and mark "
+                "values": ("block", [(mass, 2 * m + (p_max + 1) * min(2, jumping) + 7)]),
+                "G_k block sums": ("chunk", sums),
+                "G_k Moebius result and two temporaries": ("chunk", [(3, box)] * len(steps) * gk),
                 "G_k terms and their scattered add's indices, trial and step off the base":
-                    ("trial", [(off_base, 2 * box + 2)] * gk),
+                    ("chunk", [(off_base, 2 * box + 2)] * gk),
                 "G_k step masks, a byte per step for each slot and theirs":
-                    ("trial", [(k + 1, steps[0] / 8)] * gk),
+                    ("chunk", [(k + 1, steps[0] / 8)] * gk),
                 "compensator row": ("worker", [(steps[0],)]),
                 "G_k bases' slot rows": ("pass", [(k, n) for n in steps] * gk),
                 "G_k bases' block sums": ("pass", sums),
@@ -291,22 +319,24 @@ class _Poisson:
                 "G_k bases' largest block product for k >= 3":
                     ("once", [(steps[0], (p_max + 1) ** (k - 1))] * (gk and k >= 3))}
 
-    def draw(self, spec, tables, seeds, incs, sizes):
+    def draw(self, spec, tables, seeds, incs, blocks):
         """As _Gaussian.draw.  A trial draws components 1..max(combo), which are
         all that its slots read, each from its own substream.  The realizations
-        and their variables do not depend on the partition: poisson_variables
-        takes the whole chunk once, and slot_increments writes its measures into
-        each partition's rows by one scattered add; equal slots share one row of
-        each, built once per distinct (component, mark factor) pair, bitwise each
-        trial's own."""
-        for size in sizes:
+        and their variables do not depend on the partition: a block's
+        realizations are drawn first, and poisson_variables takes them all once;
+        slot_increments then writes each chunk's measures into each partition's
+        rows by one scattered add.  Equal slots share one row of each, built once
+        per distinct (component, mark factor) pair, bitwise each trial's own."""
+        for sizes in blocks:
             reals = [sample_poisson(spec.kernel.interval, max(1, *spec.combo), self.intensity,
-                                    next(seeds)) for _ in range(size)]
+                                    next(seeds)) for _ in range(sum(sizes))]
             variables = expansions.poisson_variables(reals, spec.system, self.mark_factors,
                                                      spec.combo, tables[0][1].shape[0] - 1)
-            yield [(variables, oracle.slot_increments(reals, spec.combo, part, self.mark_factors,
-                                                      inc[:size])[1])
-                   for inc, (part, _) in zip(incs, tables)]
+            for end, size in zip(itertools.accumulate(sizes), sizes):
+                yield ([oracle.slot_increments(reals[end - size:end], spec.combo, part,
+                                               self.mark_factors, inc[:size])[1]
+                        for inc, (part, _) in zip(incs, tables)],
+                       [variables] * len(tables) if end == sum(sizes) else None)
 
     def gk_base(self, spec, part, phi) -> oracle.GkBase:
         """The slot increments of a realization without jumps, from the
@@ -454,43 +484,58 @@ def _sub_tensor(tensor: CoeffTensor, box) -> CoeffTensor:
     return replace(tensor, box=tuple(box), values=tensor.values[sl])
 
 
-def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, kept_per_trial: int,
-                  coarse=(), coupled=True) -> int:
-    """Trials per chunk of a trial loop over n_steps, and over the coarser step
-    counts `coarse` on the same draws, with basis orders up to p_max: as many
-    as fit CHUNK_BYTES by the plan of the law's arrays, the partitions' and,
-    for a coupled pass (run_experiment's, not moment_suite's), the loop's own.
+def _chunk_trials(spec: ExperimentSpec, n_steps: int, p_max: int, coarse=(),
+                  coupled=True) -> tuple[int, int]:
+    """(trials per chunk, trials per block) of a trial loop over n_steps, and
+    over the coarser step counts `coarse` on the same draws, with basis orders
+    up to p_max, from the plan of the law's arrays, the partitions' and the
+    loop's own, which for a coupled pass (run_experiment's) are the oracle's
+    and the expansion's and for an uncoupled one (moment_suite's) the rows of
+    the variables it keeps.  A chunk holds as many trials as fit CHUNK_BYTES by
+    the plan's per-chunk arrays, and a block as many chunks as fit it by the
+    per-block ones, at least one (a block that holds every trial may end in a
+    partial chunk).
 
     Raises SizeError, before anything is allocated, when what the plan holds
-    per pass, each worker's chunk and share with a seed-word derivation
-    (_trial_seeds), and the kept_per_trial result floats of every trial (twice
-    when sharded: the workers' rows and the gathered array) would exceed
+    per pass, each worker's chunk, block and share with a seed-word derivation
+    (_trial_seeds), and what it keeps of every trial of the pass (twice when
+    sharded: the workers' rows and the gathered array) would exceed
     MEMORY_BUDGET, or when what the plan holds once before the chunks would."""
     k, m = spec.kernel.multiplicity, spec.driver.m
     steps = (n_steps, *coarse)
+    law = spec.driver.law.plan(spec, steps, p_max, coupled)
     # forked workers share the pass's arrays with the parent
-    plan = spec.driver.law.plan(spec, steps, p_max, coupled) | {
-        "partition nodes and deltas": ("pass", [(2, n + 1) for n in steps]),
-        "left-node basis tables": ("pass", [(p_max + 1, n + 1) for n in steps])}
+    plan = law | {"partition nodes and deltas": ("pass", [(2, n + 1) for n in steps]),
+                  "left-node basis tables": ("pass", [(p_max + 1, n + 1) for n in steps])}
     if coupled:
+        gk, box = spec.correction == "prelimit", (p_max + 1) ** k
         plan |= {"kernel factor rows": ("pass", [(k, n + 1) for n in steps]),
                  # at most: _mc_pass allocates none for a factor that is 1
-                 "oracle slot rows": ("trial", [(k, n_steps)]),
-                 "nested_sum scratch": ("trial", [(2, n_steps)]),
-                 "first contraction of the bracket": ("trial", [((p_max + 1) ** (k - 1),)])}
-    floats = dict.fromkeys(("trial", "worker", "pass", "once"), 0)
+                 "oracle slot rows": ("chunk", [(k, n_steps)]),
+                 "nested_sum scratch": ("chunk", [(2, n_steps)]),
+                 "oracle sums": ("block", [(1,)] * len(steps)),
+                 "G_k sums": ("block", [(box,)] * len(steps) * gk),
+                 "expand's product of the G_k sums and one box": ("block", [(box,)] * gk),
+                 "first contraction of the bracket": ("block", [((p_max + 1) ** (k - 1),)]),
+                 "samples and the differences at each resolution":
+                     ("range", [(1 + len(steps), len(spec.boxes))])}
+    else:
+        plan |= {"basis variables of every trial": ("range", law["basis variables"][1][:1])}
+    floats = dict.fromkeys(("chunk", "block", "range", "worker", "pass", "once"), 0)
     for scope, shapes in plan.values():
         floats[scope] += sum(math.ceil(math.prod(shape)) for shape in shapes)
-    chunk = max(1, min(spec.trials, CHUNK_BYTES // (8 * floats["trial"])))
+    # a block of one chunk fits CHUNK_BYTES too
+    chunk = max(1, min(spec.trials, CHUNK_BYTES // (8 * max(floats["chunk"], floats["block"]))))
+    block = min(spec.trials, chunk * max(1, CHUNK_BYTES // (8 * floats["block"] * chunk)))
     workers = _worker_count(-(-spec.trials // chunk))
-    results = 8 * spec.trials * kept_per_trial * (1 if workers == 1 else 2)
+    results = 8 * spec.trials * floats["range"] * (1 if workers == 1 else 2)
     seeds = STREAM_BYTES * min(m * spec.trials, max(m, SEED_STREAMS))  # one derivation
     need = 8 * floats["pass"] + max(8 * floats["once"], results + workers * (
-        8 * (chunk * floats["trial"] + floats["worker"]) + seeds))
+        8 * (chunk * floats["chunk"] + block * floats["block"] + floats["worker"]) + seeds))
     if need > MEMORY_BUDGET:
         raise SizeError(f"a trial loop over {n_steps} steps and {spec.trials} trials would hold "
                         f"{need / 2**30:.3g} GiB, over the budget {MEMORY_BUDGET / 2**30:.3g} GiB")
-    return chunk
+    return chunk, block
 
 
 def _worker_count(n_chunks: int) -> int:
@@ -533,8 +578,9 @@ def _sharded(shard, trials: int, chunk: int) -> tuple:
     exception raised is the first failing trial's for any worker count; a
     child that did not exit 0 raises SizeError, which says how it ended.
     Whatever fails, every child is reaped before the call returns, those
-    still running killed first.  Per-trial work does not depend on the chunk,
-    so the result is bitwise that of shard(0, trials), the serial path."""
+    still running killed first.  Per-trial work does not depend on the chunk or
+    the block, so the result is bitwise that of shard(0, trials), the serial
+    path."""
     n_chunks = -(-trials // chunk)
     workers = _worker_count(n_chunks)
     if workers == 1:
@@ -599,73 +645,90 @@ def _trial_seeds(seed: int, m: int, lo: int, hi: int):
             yield TrialSeed(seed, (first + t,), words[t])
 
 
-def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, lo: int, hi: int):
-    """Yield (offset of the first trial from lo, [(basis variables, slot
-    increments) for each partition]) per chunk of trials lo..hi-1.
+def _trial_chunks(spec: ExperimentSpec, tables, chunk: int, block: int, lo: int, hi: int):
+    """Yield (the block's trials from lo, the chunk's trials from the block's
+    first, [slot increments on each partition], the block's [basis variables on
+    each partition] at its last chunk, else None) per chunk of trials lo..hi-1.
 
     tables lists (partition, basis table on its left nodes), finest first.
-    The increment rows, one array per partition as the law's plan gives them,
-    are allocated once per call and reused by every chunk, which the law draws
-    from each trial's derived seed words (_trial_seeds).  The variables have a
-    leading trial axis, and the slot increments are k arrays of shape
-    (trials, N), views of the rows, valid until the next chunk is drawn."""
+    Trials lo..hi-1 are cut into blocks of `block` trials and each block into
+    chunks of `chunk`.  A chunk is the unit of the work on the partitions: the
+    increment rows, one array per partition as the law's plan gives them, are
+    allocated once per call and reused by every chunk, which the law draws from
+    each trial's derived seed words (_trial_seeds), and its slot increments are
+    k arrays of shape (trials, N), views of the rows, valid until the next
+    chunk is drawn.  The block's variables, with a leading trial axis, are
+    valid until the next block is drawn."""
     law, chunk = spec.driver.law, min(chunk, hi - lo)
     plan = law.plan(spec, [part.n_steps for part, _ in tables], len(tables[0][1]) - 1)
     incs = [np.empty((chunk, *shape)) for shape in plan["increment rows"][1]]
-    starts = range(lo, hi, chunk)
-    draws = law.draw(spec, tables, _trial_seeds(spec.seed, spec.driver.m, lo, hi), incs,
-                     [min(chunk, hi - start) for start in starts])
-    return zip((start - lo for start in starts), draws)
+    blocks = [range(start, min(start + block, hi)) for start in range(lo, hi, block)]
+    sizes = [[len(b[first:first + chunk]) for first in range(0, len(b), chunk)] for b in blocks]
+    draws = law.draw(spec, tables, _trial_seeds(spec.seed, spec.driver.m, lo, hi), incs, sizes)
+    for b, chunks in zip(blocks, sizes):
+        trials = slice(b.start - lo, b.stop - lo)
+        for end, size in zip(itertools.accumulate(chunks), chunks):
+            yield (trials, slice(end - size, end), *next(draws))
 
 
-def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int):
+def _mc_pass(spec: ExperimentSpec, tensor: CoeffTensor, tables, chunk: int, block: int):
     """One trial loop that evaluates every trial on each partition of tables
     (_prepared), finest first, on the same draws.
 
     Returns (samples, diffs at the finest partition, diffs at the next, ...):
     arrays of shape (trials, n_boxes) holding the raw expansion samples at the
     finest resolution and the oracle-minus-expansion differences at each.
+    Each chunk (_trial_chunks) does the work of O(N) per trial: the oracle's
+    nested_sum and, under prelimit, the G_k sums of one
+    oracle.gk_correction_tensor call per partition, from the partition's base
+    (the Poisson law's gk_base), into the block's rows.  Each block then takes
+    one expand call per box and partition, on its variables and those rows.
     The oracle's levels are the slot rows psi_g * Delta D^(i_g).  A slot whose
     kernel factor row is exactly 1.0 on a partition's left nodes (worked out
     once per pass, from the data) hands the oracle its increments where they
     lie, bitwise the product since x * 1.0 is x; every other slot takes one
     multiply into a row of a buffer that each shard allocates once, shared by
-    the partitions, next to nested_sum's two rows of scratch.  Under prelimit, a
-    chunk's G_k sums on each partition take one oracle.gk_correction_tensor
-    call, from the partition's base (the Poisson law's gk_base)."""
+    the partitions, next to nested_sum's two rows of scratch."""
     k, correction = spec.kernel.multiplicity, spec.correction
+    gk = correction == "prelimit"
     psis = [np.stack([spec.kernel.factor_values(l, part.left_nodes) for l in range(k)])
             for part, _ in tables]
     units = [[bool(np.all(psi[g] == 1.0)) for g in range(k)] for psi in psis]
     products = max(unit.count(False) for unit in units)  # slot rows that take a multiply
     subs = [_sub_tensor(tensor, b) for b in spec.boxes]
-    bases = [spec.driver.law.gk_base(spec, part, phi) if correction == "prelimit" else None
-             for part, phi in tables]
+    bases = [spec.driver.law.gk_base(spec, part, phi) if gk else None for part, phi in tables]
 
     def shard(lo, hi):
         samples = np.empty((hi - lo, len(subs)))
         diffs = [np.empty_like(samples) for _ in tables]
         # the slot rows that take a multiply, then nested_sum's two rows of scratch, per trial
         work = np.empty(min(chunk, hi - lo) * (products + 2) * tables[0][0].n_steps)
-        for first, resolutions in _trial_chunks(spec, tables, chunk, lo, hi):
-            for r, ((variables, incs), (_, phi), psi, unit, base) in enumerate(
+        # per trial of a block and partition: the oracle's sum and the G_k sums
+        sums = np.empty((len(tables), min(block, hi - lo)))
+        gk_sums = [np.empty((min(block, hi - lo), *(len(phi),) * k)) if gk else None
+                   for _, phi in tables]
+        for trials, rows, resolutions, variables in _trial_chunks(spec, tables, chunk, block,
+                                                                  lo, hi):
+            for r, (incs, (_, phi), psi, unit, base) in enumerate(
                     zip(resolutions, tables, psis, units, bases)):
                 size = len(incs[0])
-                rows = slice(first, first + size)
-                gk_sums = None
-                if correction == "prelimit":
-                    gk_sums = oracle.gk_correction_tensor([phi] * k, incs, base)
-                values = np.stack([expansions.expand(sub, variables, spec.combo,
-                                                     correction=correction,
-                                                     gk_sums=gk_sums).value
-                                   for sub in subs], axis=1)
-                if r == 0:
-                    samples[rows] = values
+                if gk:
+                    gk_sums[r][rows] = oracle.gk_correction_tensor([phi] * k, incs, base)
                 f = work[:size * (products + 2) * psi.shape[1]].reshape(-1, size, psi.shape[1])
                 free = iter(f)
                 levels = [inc if unit[g] else np.multiply(psi[g], inc, out=next(free))
                           for g, inc in enumerate(incs)]
-                diffs[r][rows] = oracle.nested_sum(levels, f[-2:])[:, None] - values
+                sums[r, rows] = oracle.nested_sum(levels, f[-2:])
+            if variables is None:
+                continue
+            n = trials.stop - trials.start
+            for r, (v, gk_rows) in enumerate(zip(variables, gk_sums)):
+                values = np.stack([expansions.expand(
+                    sub, v, spec.combo, correction=correction,
+                    gk_sums=None if gk_rows is None else gk_rows[:n]).value for sub in subs], axis=1)
+                if r == 0:
+                    samples[trials] = values
+                diffs[r][trials] = sums[r, :n, None] - values
         return (samples, *diffs)
 
     return _sharded(shard, spec.trials, chunk)
@@ -678,8 +741,7 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     if spec.richardson and spec.n_steps >= 2:
         steps += (spec.n_steps // 2,)
     p_max = max(max(b) for b in spec.boxes)
-    # the samples, and the diffs at each resolution
-    chunk = _chunk_trials(spec, spec.n_steps, p_max, (1 + len(steps)) * len(spec.boxes), steps[1:])
+    chunk, block = _chunk_trials(spec, spec.n_steps, p_max, steps[1:])
     # before any partition, table or tensor: a factor scale beyond the float range overflows
     norm = kernel_norm_sq(spec.kernel, spec.system)
     tables = _prepared(spec, steps, p_max)  # its per-step check of rho comes before the tensor
@@ -687,7 +749,7 @@ def run_experiment(spec: ExperimentSpec) -> MCReport:
     scale = spec.driver.law.residual_factor(spec.slot_scales)
     if 0 in spec.combo or not expansions._distinct_nonzero(spec.combo):
         scale = float("nan")
-    samples, *diffs = _mc_pass(spec, tensor, tables, chunk)
+    samples, *diffs = _mc_pass(spec, tensor, tables, chunk, block)
     # mse per resolution and box, each summed as a run at that resolution alone
     # sums it, so the allowance is exactly the difference of two runs' mse
     mses = np.array([[np.mean(d[:, b] ** 2) for b in range(len(spec.boxes))] for d in diffs])
@@ -757,13 +819,14 @@ def moment_suite(spec: ExperimentSpec, j_max: int = 7) -> MomentReport:
     if spec.trials < 10**3:
         raise ConfigError("moment_suite needs at least 1000 trials")
     (shape,) = spec.driver.law.plan(spec, (spec.n_steps,), j_max)["basis variables"][1]
-    chunk = _chunk_trials(spec, spec.n_steps, j_max, math.prod(shape), (), False)  # uncoupled
+    chunk, block = _chunk_trials(spec, spec.n_steps, j_max, (), False)  # uncoupled
     tables = _prepared(spec, (spec.n_steps,), j_max)
 
     def shard(lo, hi):
         out = np.empty((hi - lo, *shape))
-        for first, [(variables, _)] in _trial_chunks(spec, tables, chunk, lo, hi):
-            out[first:first + len(variables.table)] = variables.table
+        for trials, _, _, variables in _trial_chunks(spec, tables, chunk, block, lo, hi):
+            if variables is not None:
+                out[trials] = variables[0].table
         return (out,)
 
     (values,) = _sharded(shard, spec.trials, chunk)

@@ -500,18 +500,20 @@ def test_stats_do_not_depend_on_chunk_size(name, monkeypatch):
     spec = _wiener_spec(**LOOP_SPECS[name])
     default = run_experiment(spec)
     chunk_trials = harness._chunk_trials
-    for chunk in (1, 7):  # 7 does not divide the 23 trials
+    # 7 and 21 do not divide the 23 trials; a block of one chunk or of three
+    for chunk, block in ((1, 1), (1, 3), (7, 7), (7, 21)):
         for workers in (1, 2, 3):
             used = []
 
-            def forced(*args, chunk=chunk):
+            def forced(*args, sizes=(chunk, block)):
                 used.append(chunk_trials(*args))
-                return chunk
+                return sizes
 
             monkeypatch.setattr(harness, "_chunk_trials", forced)
             shards = _force_workers(monkeypatch, workers)
             np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
-            assert used and used[0] != chunk  # the default chunk differs from the forced one
+            # the default chunk differs from the forced one
+            assert used and used[0][0] != chunk
             assert max(shards) == workers
 
 
@@ -520,7 +522,7 @@ def test_equal_poisson_slots_take_one_measure_per_chunk_and_partition(monkeypatc
     calls = []
     monkeypatch.setattr(oracle, "interval_measures", lambda *args: calls.append(
         (args[1], len(args[0]) if isinstance(args[0], list) else "base")) or measure(*args))
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (7, 14))
     _force_workers(monkeypatch, 1)
     spec = _wiener_spec(**LOOP_SPECS["poisson_prelimit"])  # combo (1, 1), equal marks
     run_experiment(spec)
@@ -535,7 +537,7 @@ def test_gk_sums_take_one_call_per_chunk_and_partition(name, monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "gk_correction_tensor", lambda tables, incs, base=None: calls.append(
         (len(incs[0]), base is not None)) or gk(tables, incs, base))
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (7, 14))
     _force_workers(monkeypatch, 1)
     spec = _wiener_spec(**LOOP_SPECS[name])
     run_experiment(spec)
@@ -543,6 +545,27 @@ def test_gk_sums_take_one_call_per_chunk_and_partition(name, monkeypatch):
     # from its partition's base; a Gaussian tie takes the Gram matrix and no G_k sum
     poisson = spec.driver.kind == "poisson"
     assert calls == [(size, True) for size in (7, 7, 7, 2) for _ in range(2)] * poisson
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_a_block_evaluates_its_variables_and_expansions_once(richardson, monkeypatch):
+    # perfbench's poisson_prelimit_mc spec, at one worker: one block of 600 trials holds
+    # 43 chunks, so per-chunk evaluation would make 43 times as many calls
+    spec = ExperimentSpec(kernel=unit_kernel(2, IV), system=SYS, combo=(1, 1),
+                          boxes=((1, 1), (3, 3), (7, 7)),
+                          driver=DriverConfig("poisson", m=2, intensity=exponential_measure(5.0),
+                                              mark_factors=(power_mark(1.0),) * 2),
+                          n_steps=4096, trials=600, seed=11, richardson=richardson)
+    resolutions = 1 + richardson
+    chunk, block = harness._chunk_trials(spec, spec.n_steps, 7, (spec.n_steps // 2,) * richardson)
+    blocks = -(-spec.trials // block)
+    assert blocks < -(-spec.trials // chunk)
+    _force_workers(monkeypatch, 1)
+    expand = _count_calls(monkeypatch, expansions, "expand")
+    variables = _count_calls(monkeypatch, expansions, "poisson_variables")
+    run_experiment(spec)
+    # once per box and resolution, and once, per block
+    assert (expand.value, variables.value) == (len(spec.boxes) * resolutions * blocks, blocks)
 
 
 MOMENT_DRIVERS = {
@@ -571,7 +594,7 @@ def test_poisson_moment_suite_tests_no_time_slot():
 def test_moment_suite_does_not_depend_on_chunk_size(driver, monkeypatch):
     spec = _wiener_spec(driver=MOMENT_DRIVERS[driver], trials=1000, n_steps=64)
     default = moment_suite(spec, j_max=3)
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (7, 14))
     for workers in (1, 2, 3):
         shards = _force_workers(monkeypatch, workers)
         assert moment_suite(spec, j_max=3) == default
@@ -663,16 +686,18 @@ def test_stats_match_a_per_trial_public_api_replay(name):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_accepted_spec_runs_as_its_per_trial_replay(kind, data):
-    # the loop at 1 worker and its default chunk, and at 2 workers and a chunk that does
-    # not divide the trials, bitwise alike and within 1e-12 of each sample's absolute
-    # terms of the replay: a relative bound fails on cancellation (the terms of a k = 3
-    # Haar pow(2)^3 sample on [0, 90] reach 2.4e13 and cancel to 1.5e6)
+    # the loop at 1 worker and its default chunk and block; at 2 workers and a chunk that
+    # does not divide the trials, a block each; and at 1 and 2 workers with blocks of
+    # several chunks that do not divide the trials: bitwise alike, and within 1e-12 of each
+    # sample's absolute terms of the replay: a relative bound fails on cancellation (the
+    # terms of a k = 3 Haar pow(2)^3 sample on [0, 90] reach 2.4e13 and cancel to 1.5e6)
     kw = data.draw(_library_inputs(kind))
     try:
         spec = ExperimentSpec(**kw)
     except (ConfigError, SizeError):
         return
     chunk = 4 if spec.trials % 3 == 0 else 3
+    blocked = (2, 4) if spec.trials % 4 else (1, 3)  # (trials per chunk, per block)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to an exit-3 error
         mp.setattr(harness, "_worker_count", lambda n_chunks: 1)
@@ -680,9 +705,10 @@ def test_every_accepted_spec_runs_as_its_per_trial_replay(kind, data):
             report = run_experiment(spec)
         except (StochexpandError, OverflowError):
             return
-        mp.setattr(harness, "_worker_count", lambda n_chunks: min(2, n_chunks))
-        mp.setattr(harness, "_chunk_trials", lambda *args: chunk)
-        np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(report))
+        for workers, sizes in ((2, (chunk, chunk)), (1, blocked), (2, blocked)):
+            mp.setattr(harness, "_worker_count", lambda n_chunks, w=workers: min(w, n_chunks))
+            mp.setattr(harness, "_chunk_trials", lambda *args, sizes=sizes: sizes)
+            np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(report))
         (diffs, samples, terms), *half = _replay_passes(spec, report.correction)
     got, eps, n = _stats(report), 1e-12, spec.trials
     mse, mse_tol = np.mean(diffs**2, axis=0), 2 * eps * np.mean((terms + abs(diffs))**2, axis=0)
@@ -718,7 +744,7 @@ def test_unit_factor_slots_reach_the_oracle_in_place_bitwise(factors, multiplied
 
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "nested_sum", spy)
-        mp.setattr(harness, "_chunk_trials", lambda *args: 7)
+        mp.setattr(harness, "_chunk_trials", lambda *args: (7, 14))
         _force_workers(mp, 1)
         report = run_experiment(spec)
     # one call per chunk and partition, and only a factor other than 1 takes the multiply
@@ -751,7 +777,7 @@ def test_the_loop_draws_each_path_into_its_chunk_rows(name, workers, monkeypatch
         return path
 
     monkeypatch.setattr(harness, sampler, checked)
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     shards = _force_workers(monkeypatch, workers)
     draws = _count_calls(monkeypatch, harness, sampler)
     np.testing.assert_array_equal(_stats(run_experiment(spec)), default)
@@ -764,20 +790,21 @@ def test_the_chunk_rows_are_the_plans_increment_rows(name, monkeypatch):
     law, drawn = type(spec.driver.law), []
     draw = law.draw
 
-    def spy(self, spec, tables, seeds, incs, sizes):
-        drawn.append(([inc.shape for inc in incs], sizes))
-        return draw(self, spec, tables, seeds, incs, sizes)
+    def spy(self, spec, tables, seeds, incs, blocks):
+        drawn.append(([inc.shape for inc in incs], blocks))
+        return draw(self, spec, tables, seeds, incs, blocks)
 
     monkeypatch.setattr(law, "draw", spy)
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 7)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (7, 14))
     _force_workers(monkeypatch, 1)
     run_experiment(spec)
     p_max = max(map(max, spec.boxes))
     scope, shapes = spec.driver.law.plan(spec, (spec.n_steps, spec.n_steps // 2), p_max)[
         "increment rows"]
-    # one draw per shard, of chunks of 7, 7, 7 and 2 trials, into the rows the plan counts
-    assert scope == "trial" and len(shapes) == 2
-    assert drawn == [([(7, *shape) for shape in shapes], [7, 7, 7, 2])]
+    # one draw per shard, of blocks of chunks of 7 and 7, and 7 and 2 trials, into the rows
+    # the plan counts
+    assert scope == "chunk" and len(shapes) == 2
+    assert drawn == [([(7, *shape) for shape in shapes], [[7, 7], [7, 2]])]
 
 
 def _gram_grids(system, count) -> int:
@@ -843,7 +870,7 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("name", ["wiener", "martingale", "poisson_prelimit"])
 def test_richardson_draws_each_trial_once_in_one_pass(name, monkeypatch):
     spec = _wiener_spec(**LOOP_SPECS[name])
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     full, half = (run_experiment(dataclasses.replace(spec, n_steps=n, richardson=False))
                   for n in (spec.n_steps, spec.n_steps // 2))
     allowance = [abs(h.mse - f.mse) for f, h in zip(full.stats, half.stats)]
@@ -926,9 +953,9 @@ def test_memory_guard_counts_one_seed_word_derivation_per_worker(monkeypatch):
     monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: 1)
     monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**21)
     with pytest.raises(SizeError):  # 8192 substreams of 160 bytes in one derivation
-        harness._chunk_trials(spec, 1, 0, 2)
+        harness._chunk_trials(spec, 1, 0)
     monkeypatch.setattr(harness, "SEED_STREAMS", 64)  # one trial per derivation
-    assert harness._chunk_trials(spec, 1, 0, 2) == 1000
+    assert harness._chunk_trials(spec, 1, 0) == (1000, 1000)
 
 
 @pytest.mark.parametrize("streams", [1, 5])
@@ -961,7 +988,7 @@ def test_worker_error_reaches_the_parent_with_its_type(monkeypatch):
         raise SizeError(f"raised in process {os.getpid()}")
 
     _fail_on_last_trial(monkeypatch, 23, fail)
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     _force_workers(monkeypatch, 3)
     with pytest.raises(SizeError, match="raised in process") as exc:
         run_experiment(_wiener_spec(trials=23))
@@ -970,7 +997,7 @@ def test_worker_error_reaches_the_parent_with_its_type(monkeypatch):
 
 def test_dead_worker_fails_the_call_cleanly(monkeypatch):
     parent = os.getpid()
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     _force_workers(monkeypatch, 2)
     cases = [(lambda: os._exit(1), r"\(exit code 1\)"),
              # as the out-of-memory killer ends a process
@@ -998,7 +1025,7 @@ def test_serial_fallback_without_fork(monkeypatch):
     default = run_experiment(spec)
     # without os.fork a sharded pass could not start: the run is serial
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     assert harness._worker_count(9) == 1
     np.testing.assert_array_equal(_stats(run_experiment(spec)), _stats(default))
 
@@ -1010,7 +1037,7 @@ def _assert_no_child_left():
 
 def test_no_worker_outlives_its_pass(monkeypatch):
     spec = _wiener_spec(trials=23)
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     _force_workers(monkeypatch, 3)
     run_experiment(spec)
     _assert_no_child_left()
@@ -1056,7 +1083,7 @@ def test_unpicklable_worker_error_keeps_its_type_and_message(error, sent, monkey
         raise error()
 
     _fail_on_last_trial(monkeypatch, 23, fail)
-    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: 5)
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args: (5, 10))
     _force_workers(monkeypatch, 2)
     with pytest.raises(sent) as exc:
         run_experiment(_wiener_spec(trials=23))
@@ -1073,41 +1100,57 @@ def test_cost_guard_counts_one_chunk_per_worker(monkeypatch):
     spec = _wiener_spec(n_steps=4096, trials=60, boxes=((7, 7),))
     monkeypatch.setattr(harness, "MEMORY_BUDGET", 2**22)
     _force_workers(monkeypatch, 1)
-    assert harness._chunk_trials(spec, spec.n_steps, 7, 4) == 13
+    assert harness._chunk_trials(spec, spec.n_steps, 7)[0] == 13
     draws = []
     monkeypatch.setattr(harness, "sample_wiener", lambda *args, **kwargs: draws.append(args))
     for workers in (2, 3):
         _force_workers(monkeypatch, workers)
         with pytest.raises(SizeError):
-            harness._chunk_trials(spec, spec.n_steps, 7, 4)
+            harness._chunk_trials(spec, spec.n_steps, 7)
         with pytest.raises(SizeError):
             run_experiment(spec)
     assert not draws
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(driver=DriverConfig("wiener", m=2)),
-    dict(driver=DriverConfig("martingale", m=2, rho=2.0)),
-    dict(driver=LOOP_SPECS["poisson_prelimit"]["driver"], combo=(1, 1)),  # equal marks
-    # about 117 jumps per step and component: every step of every trial leaves the G_k base
-    dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(3e4),
-                             mark_factors=(power_mark(1.0),) * 2),
-         combo=(1, 1), n_steps=256, trials=40),
+GUARD_CASES = {
+    "wiener": dict(driver=DriverConfig("wiener", m=2)),
+    "rho_2": dict(driver=DriverConfig("martingale", m=2, rho=2.0)),
+    "poisson_prelimit": dict(driver=LOOP_SPECS["poisson_prelimit"]["driver"], combo=(1, 1)),
+    # about 117 jumps per step and component: every step of every trial leaves the G_k base,
+    # and a block is one chunk
+    "poisson_dense": dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(3e4),
+                                              mark_factors=(power_mark(1.0),) * 2),
+                          combo=(1, 1), n_steps=256, trials=40),
+    # about 300 jumps per component: a block of several chunks holds the realizations, their
+    # basis tables and the G_k sums, about as much as a chunk holds
+    "poisson_blocks": dict(driver=DriverConfig("poisson", m=2, intensity=exponential_measure(300.0),
+                                               mark_factors=(power_mark(1.0),) * 2),
+                           combo=(1, 1), n_steps=2**12, trials=40),
     # a callable density: its step variances are integrated in blocks of drivers.RHO_BLOCK steps
-    dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t)),
+    "rho_1_plus_t": dict(driver=DriverConfig("martingale", m=2, rho=_rho_one_plus_t)),
     # Gaussian ties whose variables are not orthonormal, on 2 I or on a quadrature Gram matrix
-    dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1)),
-    dict(driver=DriverConfig("martingale", m=2, rho=2.0), kernel=unit_kernel(3, IV),
-         combo=(1, 1, 2), boxes=((3, 3, 3),)),
-    dict(driver=DriverConfig("martingale", m=2, rho=2.0), kernel=unit_kernel(3, IV),
-         combo=(1, 1, 1), boxes=((7, 7, 7),)),
-    dict(system=basis.bessel_weighted(1.0), combo=(1, 1)),  # a Wiener tie on the weighted system
-], ids=["wiener", "rho_2", "poisson_prelimit", "poisson_dense", "rho_1_plus_t", "rho_2_tie",
-        "rho_2_tie_k3_112", "rho_2_tie_k3_111", "wiener_weighted_tie"])
-def test_memory_guard_bounds_what_the_loop_holds(overrides, monkeypatch):
-    spec = _wiener_spec(**{"n_steps": 2**16, "trials": 4, "richardson": True, **overrides})
-    peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch)
+    "rho_2_tie": dict(driver=DriverConfig("martingale", m=2, rho=2.0), combo=(1, 1)),
+    "rho_2_tie_k3_112": dict(driver=DriverConfig("martingale", m=2, rho=2.0),
+                             kernel=unit_kernel(3, IV), combo=(1, 1, 2), boxes=((3, 3, 3),)),
+    "rho_2_tie_k3_111": dict(driver=DriverConfig("martingale", m=2, rho=2.0),
+                             kernel=unit_kernel(3, IV), combo=(1, 1, 1), boxes=((7, 7, 7),)),
+    # a Wiener tie on the weighted system
+    "wiener_weighted_tie": dict(system=basis.bessel_weighted(1.0), combo=(1, 1)),
+}
+
+
+def _guard_spec(name):
+    return _wiener_spec(**{"n_steps": 2**16, "trials": 4, "richardson": True,
+                           **GUARD_CASES[name]})
+
+
+@pytest.mark.parametrize("name", GUARD_CASES)
+def test_memory_guard_bounds_what_the_loop_holds(name, monkeypatch):
+    spec = _guard_spec(name)
+    peak, budget, (chunk, block) = _peak_and_smallest_budget(spec, monkeypatch)
     assert spec.trials >= 3 * chunk  # three chunks or more
+    # a block of one chunk where one trial's jumps fill it, else of three chunks or more
+    assert block == chunk if name == "poisson_dense" else block >= 3 * chunk
     assert 0.65 * budget <= peak <= budget
 
 
@@ -1127,8 +1170,8 @@ def test_memory_guard_counts_a_callable_density_block(monkeypatch):
 def test_memory_guard_bounds_what_the_moment_suite_holds(driver, combo, monkeypatch):
     # combo (1, 1) resolves to prelimit, whose G_k sums only run_experiment's pass holds
     spec = _wiener_spec(driver=driver, combo=combo, n_steps=2**12, trials=1000)
-    peak, budget, chunk = _peak_and_smallest_budget(spec, monkeypatch,
-                                                    lambda spec: moment_suite(spec, j_max=7))
+    peak, budget, (chunk, _) = _peak_and_smallest_budget(spec, monkeypatch,
+                                                         lambda spec: moment_suite(spec, j_max=7))
     assert spec.trials >= 3 * chunk
     # the plan holds no oracle rows or bracket, which the suite never allocates
     assert 0.85 * budget <= peak <= budget
@@ -1136,7 +1179,7 @@ def test_memory_guard_bounds_what_the_moment_suite_holds(driver, combo, monkeypa
 
 def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
     """The tracemalloc peak of a single-worker run(spec) after a first one, the smallest
-    MEMORY_BUDGET that its trial loop's guard accepts, and its trials per chunk."""
+    MEMORY_BUDGET that its trial loop's guard accepts, and its trials per chunk and block."""
     import tracemalloc
     _force_workers(monkeypatch, 1)
     chunk_trials, calls = harness._chunk_trials, []
@@ -1149,7 +1192,7 @@ def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = chunk_trials(*calls[-1])
+    sizes = chunk_trials(*calls[-1])
     lo, hi = 0, 2**32  # the smallest budget the guard accepts lies in (lo, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -1159,7 +1202,7 @@ def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
             hi = mid
         except SizeError:
             lo = mid
-    return peak, hi, chunk
+    return peak, hi, sizes
 
 
 @pytest.mark.parametrize("system, j_max", [(basis.walsh(IV), 1024), (SYS, 2.5), (SYS, -1),

@@ -47,8 +47,8 @@ def test_readme_states_the_trials_per_chunk(monkeypatch, tmp_path):
     assert (spec.kernel.multiplicity, spec.driver.m, n, spec.richardson) == (2, 2, 4096, True)
     mib, plain, richardson = map(int, stated.groups())
     assert harness.CHUNK_BYTES == mib * 2**20
-    assert harness._chunk_trials(spec, n, p_max, 1) == plain
-    assert harness._chunk_trials(spec, n, p_max, 1, (n // 2,)) == richardson
+    assert harness._chunk_trials(spec, n, p_max)[0] == plain
+    assert harness._chunk_trials(spec, n, p_max, (n // 2,))[0] == richardson
 
 
 # `module.NAME` = value or `module.NAME` (value): a README statement of a constant
