@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import signal
@@ -1183,8 +1184,8 @@ def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
     import tracemalloc
     _force_workers(monkeypatch, 1)
     chunk_trials, calls = harness._chunk_trials, []
-    monkeypatch.setattr(harness, "_chunk_trials",
-                        lambda *args: calls.append(args) or chunk_trials(*args))
+    monkeypatch.setattr(harness, "_chunk_trials", lambda *args, **kwargs: calls.append(
+        functools.partial(chunk_trials, *args, **kwargs)) or calls[-1]())
     run(spec)  # the imports and caches of a first run outlive it
     tracemalloc.start()
     try:
@@ -1192,13 +1193,13 @@ def _peak_and_smallest_budget(spec, monkeypatch, run=run_experiment):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    sizes = chunk_trials(*calls[-1])
+    sizes = calls[-1]()
     lo, hi = 0, 2**32  # the smallest budget the guard accepts lies in (lo, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         monkeypatch.setattr(harness, "MEMORY_BUDGET", mid)
         try:
-            chunk_trials(*calls[-1])
+            calls[-1]()
             hi = mid
         except SizeError:
             lo = mid
